@@ -1,9 +1,9 @@
-(* Live overlay health monitor: link probing, windowed time-series, and the
+(* Live overlay health monitor: link health, windowed time-series, and the
    online invariant auditor, as a command-line front end.
 
-   - [health]  runs a probing-enabled overlay and prints the per-link
-     health table (EWMA RTT / jitter / loss, liveness verdict, expected
-     latency).
+   - [health]  runs the US backbone and prints every link endpoint's
+     hello-protocol estimate (EWMA RTT / jitter / loss, liveness verdict,
+     expected latency).
    - [series]  runs an experiment with the windowed time-series armed and
      prints the collected channels (or dumps them as JSONL).
    - [audit]   runs experiments with the flight recorder feeding the
@@ -30,28 +30,15 @@ let find_expt id =
 
 (* ------------------------------- health ------------------------------- *)
 
-(* A dedicated probing scenario rather than an experiment rerun: the suite
-   experiments run with probing off (it is opt-in), so [health] builds the
-   US backbone with the probe protocol armed on every link, injects the
-   requested underlay loss, and lets the EWMAs converge. *)
-let health_main seed loss period_ms duration_s json =
-  Health.reset ();
-  let probe_cfg =
-    { Strovl.Probe_link.default_config with Strovl.Probe_link.period = Time.ms period_ms }
-  in
-  let config =
-    {
-      Strovl.Net.default_config with
-      Strovl.Net.node =
-        { Strovl.Node.default_config with Strovl.Node.probe = Some probe_cfg };
-    }
-  in
-  let sim =
-    Strovl_expt.Common.build ~config ~seed (Strovl_topo.Gen.us_backbone ())
-  in
+(* A dedicated scenario rather than an experiment rerun: the US backbone
+   with the requested underlay loss, run until the hello protocol's
+   estimators converge, then every endpoint's estimate as its node holds
+   it, one per (link, node). *)
+let health_main seed loss duration_s json =
+  let sim = Strovl_expt.Common.build ~seed (Strovl_topo.Gen.us_backbone ()) in
   if loss > 0. then Strovl_expt.Common.bernoulli_loss sim ~p:loss;
   Strovl_expt.Common.run_for sim (Time.sec duration_s);
-  let entries = Health.all () in
+  let entries = Strovl_expt.Common.link_health sim in
   if json then
     List.iter (fun h -> print_endline (Health.json h)) entries
   else begin
@@ -63,17 +50,13 @@ let health_main seed loss period_ms duration_s json =
           h.Health.h_link h.Health.h_node
           (float_of_int h.Health.rtt_us /. 1000.)
           (float_of_int h.Health.jitter_us /. 1000.)
-          h.Health.loss_pm
+          (Health.loss_pm h)
           (if h.Health.alive then "up" else "DOWN")
           h.Health.sent h.Health.acked
           (float_of_int (Health.expected_latency_us h) /. 1000.))
       entries
   end;
-  if entries = [] then begin
-    Printf.eprintf "no health entries (probing did not run?)\n";
-    1
-  end
-  else 0
+  0
 
 (* ------------------------------- series ------------------------------- *)
 
@@ -208,23 +191,21 @@ let watch_main id quick seed capacity interval_ms =
     and fwd = ref 0
     and drp = ref 0
     and rtx = ref 0
-    and rr = ref 0
-    and prb = ref 0 in
+    and rr = ref 0 in
     let header () =
-      Printf.printf "%12s %9s %9s %7s %7s %9s %7s\n" "t_ms" "deliver"
-        "forward" "drop" "retx" "reroute" "probe"
+      Printf.printf "%12s %9s %9s %7s %7s %9s\n" "t_ms" "deliver" "forward"
+        "drop" "retx" "reroute"
     in
     let flush () =
       if !cur > min_int then
-        Printf.printf "%12.1f %9d %9d %7d %7d %9d %7d\n"
+        Printf.printf "%12.1f %9d %9d %7d %7d %9d\n"
           (float_of_int !cur /. 1000.)
-          !dlv !fwd !drp !rtx !rr !prb;
+          !dlv !fwd !drp !rtx !rr;
       dlv := 0;
       fwd := 0;
       drp := 0;
       rtx := 0;
-      rr := 0;
-      prb := 0
+      rr := 0
     in
     let fold (r : Trace.record) =
       let t0 = r.Trace.ts - (r.Trace.ts mod w) in
@@ -238,7 +219,6 @@ let watch_main id quick seed capacity interval_ms =
       | Trace.Drop _ -> incr drp
       | Trace.Retransmit _ -> incr rtx
       | Trace.Reroute _ -> incr rr
-      | Trace.Probe _ -> incr prb
       | _ -> ()
     in
     Strovl_obs.Metrics.reset ();
@@ -282,18 +262,14 @@ let health_cmd =
     let doc = "Inject this underlay per-packet loss probability." in
     Arg.(value & opt float 0. & info [ "loss" ] ~doc)
   in
-  let period_ms =
-    let doc = "Probe period in milliseconds." in
-    Arg.(value & opt int 50 & info [ "period-ms" ] ~doc)
-  in
   let duration_s =
     let doc = "Simulated seconds to let the estimators converge." in
     Arg.(value & opt int 30 & info [ "duration" ] ~doc)
   in
-  let doc = "probe every overlay link and print the health table" in
+  let doc = "print every overlay link endpoint's hello-protocol estimate" in
   Cmd.v
     (Cmd.info "health" ~doc)
-    Term.(const health_main $ seed $ loss $ period_ms $ duration_s $ json)
+    Term.(const health_main $ seed $ loss $ duration_s $ json)
 
 let series_cmd =
   let window_ms =
@@ -346,7 +322,7 @@ let list_cmd =
       $ const ())
 
 let main =
-  let doc = "live overlay health: probing, time-series and invariant audit" in
+  let doc = "live overlay health: link estimates, time-series and invariant audit" in
   Cmd.group
     (Cmd.info "strovl_mon" ~doc)
     [ health_cmd; series_cmd; audit_cmd; watch_cmd; list_cmd ]

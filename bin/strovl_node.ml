@@ -1,34 +1,21 @@
 (* The overlay daemon: one overlay node of a real deployment. Loads the
    shared topology file, binds this node's UDP address, and speaks the
-   full link/probe/routing protocol to its peer daemons — the identical
+   full hello/link/routing protocol to its peer daemons — the identical
    stack the simulator runs, driven by the wall clock (Strovl_rt.Runtime).
    Clients attach over the session protocol (bin/strovl_send). *)
 
 open Cmdliner
 module Time = Strovl_sim.Time
 
-let make_config hello_ms timeout_ms probe_ms loss_aware =
-  let base = Strovl.Node.default_config in
-  let probe =
-    match probe_ms with
-    | None -> None
-    | Some p ->
-      Some
-        {
-          Strovl.Probe_link.default_config with
-          Strovl.Probe_link.period = Time.ms p;
-        }
-  in
+let make_config hello_ms timeout_ms loss_aware =
   {
-    base with
+    Strovl.Node.default_config with
     Strovl.Node.hello_interval = Time.ms hello_ms;
     hello_timeout = Time.ms timeout_ms;
     loss_aware_routing = loss_aware;
-    probe;
-    probe_routing = probe <> None;
   }
 
-let main topo_path id hello_ms timeout_ms probe_ms loss_aware duration verbose =
+let main topo_path id hello_ms timeout_ms loss_aware duration verbose =
   match Strovl_rt.Topofile.load topo_path with
   | Error e ->
     Printf.eprintf "strovl_node: %s\n" e;
@@ -38,7 +25,7 @@ let main topo_path id hello_ms timeout_ms probe_ms loss_aware duration verbose =
       (Array.length topo.Strovl_rt.Topofile.nodes);
     1
   | Ok topo -> (
-    let config = make_config hello_ms timeout_ms probe_ms loss_aware in
+    let config = make_config hello_ms timeout_ms loss_aware in
     let rt = Strovl_rt.Runtime.create () in
     match Strovl_rt.Host.create ~config ~rt ~topo ~id () with
     | exception Unix.Unix_error (e, _, _) ->
@@ -88,15 +75,6 @@ let timeout_arg =
           "Silence before an incident link is declared down (default 350) — \
            the sub-second rerouting knob.")
 
-let probe_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "probe-ms" ] ~docv:"MS"
-        ~doc:
-          "Enable link health probing on this period, and advertise \
-           probe-derived metrics in LSUs (off by default).")
-
 let loss_aware_arg =
   Arg.(
     value & flag
@@ -118,7 +96,7 @@ let cmd =
   Cmd.v
     (Cmd.info "strovl_node" ~doc:"Run one overlay node daemon over real UDP")
     Term.(
-      const main $ topo_arg $ id_arg $ hello_arg $ timeout_arg $ probe_arg
-      $ loss_aware_arg $ duration_arg $ verbose_arg)
+      const main $ topo_arg $ id_arg $ hello_arg $ timeout_arg $ loss_aware_arg
+      $ duration_arg $ verbose_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -46,8 +46,8 @@ type t =
   | Hello_ack of { hseq : int; echo : Strovl_sim.Time.t }
       (** echoes the hello sender's timestamp for RTT estimation *)
   | Probe of { pseq : int; sent_at : Strovl_sim.Time.t }
-      (** health probe ([Probe_link]): like [Hello] but on its own
-          configurable period, feeding the [Strovl_obs.Health] registry *)
+      (** legacy health probe: no longer sent, but still echoed as a
+          [Probe_ack] ({!Link_monitor}) so older peers interoperate *)
   | Probe_ack of { pseq : int; echo : Strovl_sim.Time.t }
   | Lsu of {
       origin : node;

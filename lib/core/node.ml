@@ -18,8 +18,6 @@ type config = {
   fec : Fec_link.config;
   authenticate : bool;
   loss_aware_routing : bool;
-  probe : Probe_link.config option;
-  probe_routing : bool;
 }
 
 let default_config =
@@ -38,8 +36,6 @@ let default_config =
     fec = Fec_link.default_config;
     authenticate = false;
     loss_aware_routing = false;
-    probe = None;
-    probe_routing = false;
   }
 
 (* Observability: domain-local labelled metrics (always-available twins of
@@ -114,16 +110,7 @@ type endpoint = {
   ep_bandwidth : int;
   ep_xmit : Msg.t -> unit;
   ep_protos : proto option array;
-  mutable ep_last_heard : Time.t;
-  mutable ep_rtt : Time.t;
-  mutable ep_hello_pending : (int * Time.t) list;
-  mutable ep_hello_seq : int;
-  (* Loss estimation from hello round trips (window counters + EWMA). *)
-  mutable ep_hello_window_sent : int;
-  mutable ep_hello_window_acked : int;
-  mutable ep_loss_est : int; (* permille *)
-  mutable ep_last_suspect : Time.t;
-  mutable ep_probe : Probe_link.t option;
+  ep_mon : Link_monitor.t;
 }
 
 type t = {
@@ -161,15 +148,45 @@ type t = {
   s_flow_delivered : (Packet.flow, Strovl_obs.Series.ch) Hashtbl.t;
 }
 
-(* One packet-flavoured drop: metric plus (when armed) a trace event that
-   names the packet so the causal path shows where and why it died. *)
-let note_drop t pkt reason mctr =
-  Om.Counter.incr mctr;
-  if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_dropped;
-  if Obs.armed () then
-    Obs.emit
-      ~flow:(Packet.obs_flow pkt.Packet.flow)
-      ~seq:pkt.Packet.seq ~node:t.id (Obs.Drop reason)
+(* The one counter path for node drops: the per-node field and the metric
+   that shadows it. *)
+let count_drop t reason =
+  let c = t.ctrs and m = t.om in
+  match reason with
+  | Obs.No_route ->
+    c.dropped_no_route <- c.dropped_no_route + 1;
+    Om.Counter.incr m.m_drop_no_route
+  | Obs.Ttl ->
+    c.dropped_ttl <- c.dropped_ttl + 1;
+    Om.Counter.incr m.m_drop_ttl
+  | Obs.Auth ->
+    c.dropped_auth <- c.dropped_auth + 1;
+    Om.Counter.incr m.m_drop_auth
+  | Obs.Dup ->
+    c.dropped_dup <- c.dropped_dup + 1;
+    Om.Counter.incr m.m_drop_dup
+  | Obs.Backpressure ->
+    c.dropped_backpressure <- c.dropped_backpressure + 1;
+    Om.Counter.incr m.m_drop_backpressure
+  | Obs.Overload ->
+    c.dropped_overload <- c.dropped_overload + 1;
+    Om.Counter.incr m.m_drop_overload
+  | Obs.Queue_full | Obs.Priority_evict | Obs.Wire_loss ->
+    invalid_arg "Node.drop: not a node drop"
+
+(* A counted drop that is also reported: with the packet, a Series tick and
+   a trace event naming it, so the causal path shows where and why it
+   died; without one (CPU overload), a bare trace event. *)
+let drop t ?pkt reason =
+  count_drop t reason;
+  match pkt with
+  | Some pkt ->
+    if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_dropped;
+    if Obs.armed () then
+      Obs.emit
+        ~flow:(Packet.obs_flow pkt.Packet.flow)
+        ~seq:pkt.Packet.seq ~node:t.id (Obs.Drop reason)
+  | None -> if Obs.armed () then Obs.emit ~node:t.id (Obs.Drop reason)
 
 let trace_pkt t pkt ev =
   if Obs.armed () then
@@ -387,8 +404,7 @@ let collect_outs t pkt ~from_link buf =
         buf.(0) <- l;
         1
       | None ->
-        t.ctrs.dropped_no_route <- t.ctrs.dropped_no_route + 1;
-        note_drop t pkt Obs.No_route t.om.m_drop_no_route;
+        drop t ~pkt Obs.No_route;
         0
     end
   in
@@ -419,8 +435,7 @@ let collect_outs t pkt ~from_link buf =
       | Some target when target <> t.id -> unicast_hop target
       | Some _ -> 0
       | None ->
-        t.ctrs.dropped_no_route <- t.ctrs.dropped_no_route + 1;
-        note_drop t pkt Obs.No_route t.om.m_drop_no_route;
+        drop t ~pkt Obs.No_route;
         0
     end
   end
@@ -469,11 +484,7 @@ let charge_cpu t work =
   | Some service ->
     let now = Engine.now t.engine in
     let start = Time.max now t.cpu_busy_until in
-    if Time.sub start now > t.cfg.cpu_queue then begin
-      t.ctrs.dropped_overload <- t.ctrs.dropped_overload + 1;
-      Om.Counter.incr t.om.m_drop_overload;
-      if Obs.armed () then Obs.emit ~node:t.id (Obs.Drop Obs.Overload)
-    end
+    if Time.sub start now > t.cfg.cpu_queue then drop t Obs.Overload
     else begin
       t.cpu_busy_until <- Time.add start service;
       ignore (Engine.schedule_at t.engine ~at:t.cpu_busy_until work)
@@ -488,9 +499,7 @@ let cpu_admit t =
     let now = Engine.now t.engine in
     let start = Time.max now t.cpu_busy_until in
     if Time.sub start now > t.cfg.cpu_queue then begin
-      t.ctrs.dropped_overload <- t.ctrs.dropped_overload + 1;
-      Om.Counter.incr t.om.m_drop_overload;
-      if Obs.armed () then Obs.emit ~node:t.id (Obs.Drop Obs.Overload);
+      drop t Obs.Overload;
       false
     end
     else begin
@@ -518,7 +527,7 @@ let rec get_proto t ep cls =
             charge_cpu t (fun () -> forward t ~from_link:ep.ep_link pkt));
         try_up = (fun pkt -> try_accept t ~from_link:ep.ep_link pkt);
         bandwidth_bps = ep.ep_bandwidth;
-        rtt_hint = ep.ep_rtt;
+        rtt_hint = (Link_monitor.health ep.ep_mon).Strovl_obs.Health.rtt_us;
       }
     in
     let p =
@@ -553,10 +562,7 @@ and send_prepped t ep pkt =
   | P_itp p -> It_priority.send p pkt
   | P_itr p ->
     (* Callers check capacity first via try_accept/originate. *)
-    if not (It_reliable.offer p pkt) then begin
-      t.ctrs.dropped_backpressure <- t.ctrs.dropped_backpressure + 1;
-      note_drop t pkt Obs.Backpressure t.om.m_drop_backpressure
-    end
+    if not (It_reliable.offer p pkt) then drop t ~pkt Obs.Backpressure
   | P_fec p -> Fec_link.send p pkt
 
 (* Verification of the origin signature on intrusion-tolerant data. *)
@@ -584,22 +590,13 @@ and needs_dedup pkt =
 
 (* The routing level: deliver locally, forward onward. *)
 and forward t ~from_link pkt =
-  if pkt.Packet.hops >= Packet.max_hops then begin
-    t.ctrs.dropped_ttl <- t.ctrs.dropped_ttl + 1;
-    note_drop t pkt Obs.Ttl t.om.m_drop_ttl
-  end
-  else if not (auth_ok t pkt) then begin
-    t.ctrs.dropped_auth <- t.ctrs.dropped_auth + 1;
-    note_drop t pkt Obs.Auth t.om.m_drop_auth
-  end
+  if pkt.Packet.hops >= Packet.max_hops then drop t ~pkt Obs.Ttl
+  else if not (auth_ok t pkt) then drop t ~pkt Obs.Auth
   else if
     needs_dedup pkt
     && Dedup.seen t.dedup pkt.Packet.flow pkt.Packet.seq
     && not pkt.Packet.replay
-  then begin
-    t.ctrs.dropped_dup <- t.ctrs.dropped_dup + 1;
-    note_drop t pkt Obs.Dup t.om.m_drop_dup
-  end
+  then drop t ~pkt Obs.Dup
   else begin
     deliver_locals t pkt;
     let buf = acquire_outs t in
@@ -622,14 +619,12 @@ and try_accept t ~from_link pkt =
   if pkt.Packet.hops >= Packet.max_hops then false
   else if not (cpu_admit t) then false
   else if not (auth_ok t pkt) then begin
-    t.ctrs.dropped_auth <- t.ctrs.dropped_auth + 1;
-    note_drop t pkt Obs.Auth t.om.m_drop_auth;
+    drop t ~pkt Obs.Auth;
     false
   end
   else if Dedup.peek t.dedup pkt.Packet.flow pkt.Packet.seq then begin
     (* Already accepted earlier: re-ack without reprocessing. *)
-    t.ctrs.dropped_dup <- t.ctrs.dropped_dup + 1;
-    Om.Counter.incr t.om.m_drop_dup;
+    count_drop t Obs.Dup;
     true
   end
   else begin
@@ -640,8 +635,7 @@ and try_accept t ~from_link pkt =
         (* Nowhere to take responsibility toward (e.g. destination currently
            unreachable): refuse rather than absorb — reliability must not be
            silently dropped. *)
-        t.ctrs.dropped_backpressure <- t.ctrs.dropped_backpressure + 1;
-        note_drop t pkt Obs.Backpressure t.om.m_drop_backpressure;
+        drop t ~pkt Obs.Backpressure;
         false
       end
       else begin
@@ -657,8 +651,7 @@ and try_accept t ~from_link pkt =
             | _ -> room (i + 1))
         in
         if not (room 0) then begin
-          t.ctrs.dropped_backpressure <- t.ctrs.dropped_backpressure + 1;
-          note_drop t pkt Obs.Backpressure t.om.m_drop_backpressure;
+          drop t ~pkt Obs.Backpressure;
           false
         end
         else begin
@@ -681,52 +674,23 @@ and try_accept t ~from_link pkt =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Hello protocol (link liveness + RTT)                                *)
+(* Link monitoring (the hello protocol, Link_monitor)                  *)
 (* ------------------------------------------------------------------ *)
-
-(* When probing is configured to drive routing, the probe protocol — not
-   the hello protocol — supplies the advertised metric and loss (the hello
-   protocol keeps its liveness role: timeout detection and ISP rotation). *)
-let probe_drives t = t.cfg.probe_routing && t.cfg.probe <> None
-
-let mark_alive t ep =
-  ep.ep_last_heard <- Engine.now t.engine;
-  if not (Conn_graph.local_view t.conn_graph ep.ep_link) then
-    flood_local_update t (Conn_graph.set_local t.conn_graph ~link:ep.ep_link ~up:true)
-
-let handle_hello t ep hseq sent_at =
-  mark_alive t ep;
-  ep.ep_xmit (Msg.Hello_ack { hseq; echo = sent_at })
-
-let handle_hello_ack t ep echo =
-  ep.ep_hello_window_acked <- ep.ep_hello_window_acked + 1;
-  let now = Engine.now t.engine in
-  let sample = Time.sub now echo in
-  if sample >= 0 then begin
-    (* EWMA 7/8, and advertise the one-way latency as the link metric. *)
-    ep.ep_rtt <-
-      if ep.ep_rtt = 0 then sample else ((7 * ep.ep_rtt) + sample) / 8;
-    if not (probe_drives t) then
-      flood_local_update t
-        (Conn_graph.set_local_metric t.conn_graph ~link:ep.ep_link
-           ~metric:(max 1 (ep.ep_rtt / 2)))
-  end;
-  mark_alive t ep
 
 (* A declared-dead link strands the packets its Reliable Data Link holds
    for retransmission; reliability survives the reroute by re-injecting
    them into the routing level (bypassing de-dup — they were already
    recorded when first forwarded). Destinations de-duplicate the subset
    that had in fact crossed before the failure. *)
-let reroute_stranded_reliable t ep =
-  match ep.ep_protos.(Packet.service_class Packet.Reliable) with
+let reroute_stranded_reliable t ~link protos =
+  match protos.(Packet.service_class Packet.Reliable) with
   | Some (P_rel p) ->
     let stranded = Reliable_link.drain_store p in
     List.iter
       (fun pkt ->
         let pkt = Packet.as_replay pkt in
         let buf = acquire_outs t in
-        let n = collect_outs t pkt ~from_link:ep.ep_link buf in
+        let n = collect_outs t pkt ~from_link:link buf in
         if n > 0 then begin
           let fwd = Packet.next_hop_copy pkt in
           for i = 0 to n - 1 do
@@ -739,45 +703,22 @@ let reroute_stranded_reliable t ep =
       stranded
   | Some (P_best _ | P_rt _ | P_itp _ | P_itr _ | P_fec _) | None -> ()
 
-let hello_tick t ep () =
-  let now = Engine.now t.engine in
-  (* Liveness check first: silence beyond the timeout takes the link down
-     (and lets the network layer try another ISP). While the link stays
-     silent, keep re-suspecting periodically so multihoming can rotate
-     through the remaining providers until one works (§II-A). *)
-  if Time.sub now ep.ep_last_heard > t.cfg.hello_timeout then begin
-    if Conn_graph.local_view t.conn_graph ep.ep_link then begin
-      flood_local_update t
-        (Conn_graph.set_local t.conn_graph ~link:ep.ep_link ~up:false);
-      reroute_stranded_reliable t ep;
-      ep.ep_last_suspect <- now;
-      t.suspect_hook ep.ep_link
-    end
-    else if Time.sub now ep.ep_last_suspect > t.cfg.hello_timeout then begin
-      ep.ep_last_suspect <- now;
-      t.suspect_hook ep.ep_link
-    end
-  end;
-  ep.ep_hello_seq <- ep.ep_hello_seq + 1;
-  ep.ep_hello_pending <-
-    (ep.ep_hello_seq, now) :: List.filteri (fun i _ -> i < 7) ep.ep_hello_pending;
-  (* Loss estimation: every 20 hellos, fold the window's hello round-trip
-     delivery ratio into an EWMA and advertise significant changes. The
-     hello round trip sees ~1-(1-p)^2 for per-direction loss p, which is
-     exactly the pessimism a retransmitting link protocol experiences. *)
-  ep.ep_hello_window_sent <- ep.ep_hello_window_sent + 1;
-  if ep.ep_hello_window_sent >= 20 then begin
-    let lost = max 0 (ep.ep_hello_window_sent - ep.ep_hello_window_acked) in
-    let sample = 1000 * lost / ep.ep_hello_window_sent in
-    ep.ep_loss_est <- ((3 * ep.ep_loss_est) + sample) / 4;
-    ep.ep_hello_window_sent <- 0;
-    ep.ep_hello_window_acked <- 0;
-    if not (probe_drives t) then
-      flood_local_update t
-        (Conn_graph.set_local_loss t.conn_graph ~link:ep.ep_link
-           ~loss:ep.ep_loss_est)
-  end;
-  ep.ep_xmit (Msg.Hello { hseq = ep.ep_hello_seq; sent_at = now })
+(* What one endpoint's monitor reports becomes shared state: the one-way
+   latency and round-trip loss are advertised, a dead link is taken down
+   (rerouting what it stranded) and its ISP rotated, and a link heard
+   again comes back up. *)
+let on_monitor t ~link protos = function
+  | Link_monitor.Rtt rtt ->
+    flood_local_update t
+      (Conn_graph.set_local_metric t.conn_graph ~link ~metric:(max 1 (rtt / 2)))
+  | Link_monitor.Loss loss ->
+    flood_local_update t (Conn_graph.set_local_loss t.conn_graph ~link ~loss)
+  | Link_monitor.Up ->
+    flood_local_update t (Conn_graph.set_local t.conn_graph ~link ~up:true)
+  | Link_monitor.Down ->
+    flood_local_update t (Conn_graph.set_local t.conn_graph ~link ~up:false);
+    reroute_stranded_reliable t ~link protos
+  | Link_monitor.Suspect -> t.suspect_hook link
 
 (* ------------------------------------------------------------------ *)
 (* Wire ingress                                                        *)
@@ -798,36 +739,20 @@ let receive t ~link msg =
   | Some _ when t.stopped -> ()
   | Some ep -> begin
     match msg with
-    | Msg.Hello { hseq; sent_at } -> handle_hello t ep hseq sent_at
-    | Msg.Hello_ack { echo; _ } -> handle_hello_ack t ep echo
-    | Msg.Probe { pseq; sent_at } ->
-      (* Stateless responder: echo the probe's timestamp. Any probe is
-         also liveness evidence, like a hello. *)
-      mark_alive t ep;
-      ep.ep_xmit (Msg.Probe_ack { pseq; echo = sent_at })
-    | Msg.Probe_ack { pseq; echo } ->
-      mark_alive t ep;
-      (match ep.ep_probe with
-      | Some p -> Probe_link.handle_ack p ~pseq ~echo
-      | None -> ())
+    | Msg.Hello _ | Msg.Hello_ack _ | Msg.Probe _ | Msg.Probe_ack _ ->
+      Link_monitor.recv ep.ep_mon msg
     | Msg.Lsu { origin; lsu_seq; links; auth } ->
       if verify_flood t ~origin msg auth then begin
         if Conn_graph.apply_lsu t.conn_graph ~origin ~lsu_seq links then
           flood t ~except:link msg
       end
-      else begin
-        t.ctrs.dropped_auth <- t.ctrs.dropped_auth + 1;
-        Om.Counter.incr t.om.m_drop_auth
-      end
+      else count_drop t Obs.Auth
     | Msg.Group_update { origin; gseq; memb; auth } ->
       if verify_flood t ~origin msg auth then begin
         if Group.apply_update t.group_state ~origin ~gseq memb then
           flood t ~except:link msg
       end
-      else begin
-        t.ctrs.dropped_auth <- t.ctrs.dropped_auth + 1;
-        Om.Counter.incr t.om.m_drop_auth
-      end
+      else count_drop t Obs.Auth
     | Msg.Data { cls; _ } -> proto_recv t ep cls msg
     | Msg.Link_ack { cls; _ } -> proto_recv t ep cls msg
     | Msg.Link_nack { cls; _ } -> proto_recv t ep cls msg
@@ -850,85 +775,32 @@ let receive t ~link msg =
 
 let attach_link t ~link ~neighbor ~bandwidth_bps ~xmit =
   if t.started then invalid_arg "Node.attach_link: already started";
-  let metric = Conn_graph.metric t.conn_graph link in
+  let protos = Array.make Packet.class_count None in
+  let health =
+    Strovl_obs.Health.create ~node:t.id ~link
+      ~rtt_us:(2 * Conn_graph.metric t.conn_graph link)
+  in
   let ep =
     {
       ep_link = link;
       ep_neighbor = neighbor;
       ep_bandwidth = bandwidth_bps;
       ep_xmit = xmit;
-      ep_protos = Array.make Packet.class_count None;
-      ep_last_heard = Time.zero;
-      ep_rtt = 2 * metric;
-      ep_hello_pending = [];
-      ep_hello_seq = 0;
-      ep_hello_window_sent = 0;
-      ep_hello_window_acked = 0;
-      ep_loss_est = 0;
-      ep_last_suspect = Time.zero;
-      ep_probe = None;
+      ep_protos = protos;
+      ep_mon =
+        Link_monitor.create ~engine:t.engine ~xmit
+          ~interval:t.cfg.hello_interval ~timeout:t.cfg.hello_timeout ~health
+          ~notify:(on_monitor t ~link protos);
     }
   in
   Hashtbl.replace t.endpoints link ep;
   refresh_topology t;
   t.eps.(link) <- Some ep
 
-(* Health probing on one endpoint. Observational by default; with
-   [probe_routing] the probe-derived expected-latency ingredients (one-way
-   latency + loss, which the connectivity graph expands into latency ×
-   1/(1-p)² when loss-aware routing is on) are what the node advertises,
-   and the k-missed verdict complements the hello timeout for take-down. *)
-let start_probe t ep pcfg =
-  let ctx =
-    {
-      Lproto.engine = t.engine;
-      node = t.id;
-      link = ep.ep_link;
-      xmit = ep.ep_xmit;
-      up = (fun _ -> ());
-      try_up = (fun _ -> false);
-      bandwidth_bps = ep.ep_bandwidth;
-      rtt_hint = ep.ep_rtt;
-    }
-  in
-  let p = Probe_link.create ~config:pcfg ctx in
-  if probe_drives t then begin
-    Probe_link.set_on_update p (fun h ->
-        flood_local_update t
-          (Conn_graph.set_local_metric t.conn_graph ~link:ep.ep_link
-             ~metric:(max 1 (h.Strovl_obs.Health.rtt_us / 2)));
-        flood_local_update t
-          (Conn_graph.set_local_loss t.conn_graph ~link:ep.ep_link
-             ~loss:(max 0 h.Strovl_obs.Health.loss_pm)));
-    Probe_link.set_on_verdict p (fun ~alive ->
-        if not alive && Conn_graph.local_view t.conn_graph ep.ep_link then begin
-          flood_local_update t
-            (Conn_graph.set_local t.conn_graph ~link:ep.ep_link ~up:false);
-          reroute_stranded_reliable t ep;
-          t.suspect_hook ep.ep_link
-        end
-        else if alive then mark_alive t ep)
-  end;
-  ep.ep_probe <- Some p;
-  Probe_link.start p
-
 let start t =
   if not t.started then begin
     t.started <- true;
-    Hashtbl.iter
-      (fun _ ep ->
-        ep.ep_last_heard <- Engine.now t.engine;
-        (match t.cfg.probe with
-        | Some pcfg -> start_probe t ep pcfg
-        | None -> ());
-        let rec tick () =
-          if not t.stopped then begin
-            hello_tick t ep ();
-            ignore (Engine.schedule t.engine ~delay:t.cfg.hello_interval tick)
-          end
-        in
-        tick ())
-      t.endpoints;
+    Hashtbl.iter (fun _ ep -> Link_monitor.start ep.ep_mon) t.endpoints;
     let rec refresh () =
       if not t.stopped then begin
         flood_local_update t (Some (Conn_graph.refresh_lsu t.conn_graph));
@@ -940,15 +812,12 @@ let start t =
 
 (* Shutdown for hosts whose engine outlives the node (the wall-clock
    runtime, the in-process loopback tests): periodic loops stop
-   rescheduling, probing is cancelled, and arriving wire messages are
-   dropped at the door. Pending one-shot events fire as no-ops. *)
+   rescheduling and arriving wire messages are dropped at the door.
+   Pending one-shot events fire as no-ops. *)
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Hashtbl.iter
-      (fun _ ep ->
-        match ep.ep_probe with Some p -> Probe_link.stop p | None -> ())
-      t.endpoints
+    Hashtbl.iter (fun _ ep -> Link_monitor.stop ep.ep_mon) t.endpoints
   end
 
 let register_session t ~port ~deliver = Hashtbl.replace t.sessions port deliver
@@ -995,5 +864,7 @@ let originate t pkt =
 
 let link_up_view t ~link = Conn_graph.local_view t.conn_graph link
 
-let rtt_estimate t ~link =
-  match ep_for t link with None -> 0 | Some ep -> ep.ep_rtt
+let link_health t ~link =
+  match ep_for t link with
+  | None -> None
+  | Some ep -> Some (Link_monitor.health ep.ep_mon)

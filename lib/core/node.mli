@@ -15,10 +15,14 @@
 type t
 
 type config = {
-  hello_interval : Strovl_sim.Time.t;  (** default 100 ms *)
+  hello_interval : Strovl_sim.Time.t;
+      (** period of the hello protocol, the node's one link monitor
+          ({!Link_monitor}): each hello round trip feeds the link's RTT and
+          loss estimate; default 100 ms *)
   hello_timeout : Strovl_sim.Time.t;
-      (** link declared down after this silence; default 350 ms — the knob
-          behind "sub-second rerouting" (§II-A) *)
+      (** link declared down after this silence, and re-suspected for ISP
+          rotation every further [hello_timeout] it stays silent; default
+          350 ms — the knob behind "sub-second rerouting" (§II-A) *)
   lsu_refresh : Strovl_sim.Time.t;  (** periodic re-flood; default 10 s *)
   proc_delay : Strovl_sim.Time.t;
       (** CPU time to process one packet; default 50 µs *)
@@ -44,18 +48,6 @@ type config = {
       (** route on the loss-inflated metric (§II-B: the connectivity graph
           shares "loss and latency characteristics") so lossy-but-alive
           links are avoided when a clean detour exists; default off *)
-  probe : Probe_link.config option;
-      (** run the health probe protocol on every incident link, feeding
-          [Strovl_obs.Health] (RTT/jitter/loss EWMAs + k-missed liveness
-          verdict); default [None] (off — and with it off the forward path
-          carries no probing cost at all) *)
-  probe_routing : bool;
-      (** advertise probe-derived latency/loss in LSUs instead of the
-          hello protocol's estimates (the hello protocol keeps its
-          liveness-timeout role), and let a dead probe verdict take the
-          link down; combine with [loss_aware_routing] to route on the
-          probe-derived expected latency (latency × 1/(1-p)², §IV).
-          Requires [probe]; default off *)
 }
 
 val default_config : config
@@ -111,8 +103,8 @@ val start : t -> unit
     link. *)
 
 val stop : t -> unit
-(** Shuts the node down in place: hello/LSU loops stop rescheduling, link
-    probing is cancelled, and subsequent {!receive} calls are dropped.
+(** Shuts the node down in place: hello/LSU loops stop rescheduling, and
+    subsequent {!receive} calls are dropped.
     For hosts whose engine outlives the node — the wall-clock runtime
     closing a daemon, or tests killing one node of an in-process overlay.
     Irreversible. *)
@@ -137,4 +129,7 @@ val originate : t -> Packet.t -> bool
 val link_up_view : t -> link:int -> bool
 (** This node's current hello-protocol verdict on an incident link. *)
 
-val rtt_estimate : t -> link:int -> Strovl_sim.Time.t
+val link_health : t -> link:int -> Strovl_obs.Health.t option
+(** The hello protocol's live estimate for an incident link (RTT, jitter,
+    loss, liveness) — the values this node advertises. [None] if the link
+    is not attached here. *)

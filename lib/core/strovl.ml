@@ -27,7 +27,7 @@ module Lproto = Lproto
 module Best_effort = Best_effort
 module Reliable_link = Reliable_link
 module Realtime_link = Realtime_link
-module Probe_link = Probe_link
+module Link_monitor = Link_monitor
 module It_priority = It_priority
 module It_reliable = It_reliable
 module Fec_link = Fec_link

@@ -3,20 +3,21 @@
     An overlay node never touches the medium its links run over: each
     incident link is wired with an {!endpoint} — a description of the link
     plus an opaque [xmit] closure — and incoming wire messages are pushed
-    into [Node.receive]. Everything above this seam (link protocols,
-    probing, routing, dedup, delivery) is medium-agnostic.
+    into [Node.receive]. Everything above this seam (link protocols, the
+    hello protocol, routing, dedup, delivery) is medium-agnostic.
 
     Two transports exist:
 
     - the simulated network ([Net]): [xmit] charges the modeled
       bandwidth/latency/loss of the underlay and delivers in virtual time;
-    - the real-time runtime ([Strovl_rt.Peer_link]): [xmit] frames the
-      message with the {!Wire} codec and writes a UDP datagram to the peer
-      daemon's socket.
+    - the real-time runtime ([Strovl_rt.Host], over [Rt_net]): [xmit]
+      frames the message with the {!Wire} codec and writes a UDP datagram
+      to the peer daemon's socket.
 
-    The companion clock seam is [Strovl_sim.Engine_intf]: the node reads
-    time and schedules timers only through its engine, whose clock is
-    virtual under simulation and monotonic wall-clock under the runtime. *)
+    Time needs no second seam: the node reads time and schedules timers
+    only through its {!Strovl_sim.Engine.t}, whose clock is virtual under
+    simulation and monotonic wall-clock when [Strovl_rt.Runtime] drives
+    it. *)
 
 type endpoint = {
   ep_link : int;  (** overlay link id (global, from the shared topology) *)

@@ -32,6 +32,16 @@ let gilbert_loss sim ~mean_loss ~burst =
 
 let run_for sim d = Engine.run ~until:(Time.add (Engine.now sim.engine) d) sim.engine
 
+let link_health sim =
+  let graph = Strovl.Net.graph sim.net in
+  List.concat_map
+    (fun link ->
+      let a, b = Graph.endpoints graph link in
+      List.filter_map
+        (fun n -> Strovl.Node.link_health (Strovl.Net.node sim.net n) ~link)
+        [ min a b; max a b ])
+    (List.init (Graph.link_count graph) Fun.id)
+
 let flow_stats sim ~src ~dst ~service ?(route = Strovl.Client.Table) ?deadline
     ?(interval = Time.ms 10) ?(bytes = 1200) ?(count = 500)
     ?(warmup = Time.zero) ?(drain = Time.sec 2) () =

@@ -28,6 +28,10 @@ val gilbert_loss :
 
 val run_for : sim -> Time.t -> unit
 
+val link_health : sim -> Strovl_obs.Health.t list
+(** Every link endpoint's hello-protocol estimate ({!Strovl.Node.link_health}),
+    ordered by (link, node). *)
+
 val flow_stats :
   sim ->
   src:int ->

@@ -371,8 +371,7 @@ let feed (r : Trace.record) =
   | Trace.Retransmit link -> on_retransmit st r.Trace.ts link
   | Trace.Reroute (link, up) -> on_reroute st r link up
   | Trace.Lsu_apply origin -> on_lsu_apply st r origin
-  | Trace.Enqueue | Trace.Drop _ | Trace.Lsu_flood | Trace.Probe _
-  | Trace.Probe_verdict _ | Trace.Strike _ ->
+  | Trace.Enqueue | Trace.Drop _ | Trace.Lsu_flood | Trace.Strike _ ->
     ());
   if r.Trace.ts >= st.next_sweep then sweep st r.Trace.ts
 

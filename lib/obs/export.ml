@@ -41,13 +41,6 @@ let event_fields ev =
   | Trace.Deliver -> [ ("ev", json_str "deliver") ]
   | Trace.Fec_recover l ->
     [ ("ev", json_str "fec_recover"); ("link", string_of_int l) ]
-  | Trace.Probe l -> [ ("ev", json_str "probe"); ("link", string_of_int l) ]
-  | Trace.Probe_verdict (l, alive) ->
-    [
-      ("ev", json_str "probe_verdict");
-      ("link", string_of_int l);
-      ("alive", if alive then "true" else "false");
-    ]
   | Trace.Lsu_apply origin ->
     [ ("ev", json_str "lsu_apply"); ("origin", string_of_int origin) ]
   | Trace.Forward_replay l ->

@@ -1,113 +1,69 @@
-(* Per-(node, link) link-health estimates fed by the probe protocol in
-   lib/core. Smoothing mirrors the hello protocol's: RTT is an EWMA with
-   gain 1/8, jitter an EWMA (gain 1/4) of the absolute deviation from the
-   smoothed RTT (RFC 6298 style), and loss folds windowed probe/ack counts
-   into a permille EWMA with gain 1/2. Probes measure a round trip, so an
-   ack ratio r estimates (1-p)^2 for per-direction loss p; the fold takes
-   the square root before smoothing. *)
+(* Per-(node, link) link-health estimate, fed by the hello protocol
+   (Strovl.Link_monitor) and held on the node's endpoint. The arithmetic is
+   the routing arithmetic: RTT is a 7/8 EWMA seeded by the caller, jitter
+   an EWMA (gain 1/4) of the absolute deviation from the smoothed RTT
+   (RFC 6298 style), and round-trip loss folds windowed hello/ack counts
+   into a permille EWMA with gain 1/4. A hello round trip survives with
+   probability (1-p)^2 for per-direction loss p, so the per-direction view
+   is derived from the stored round-trip value. *)
 
 type t = {
   h_node : int;
   h_link : int;
   mutable rtt_us : int;
   mutable jitter_us : int;
-  mutable loss_pm : int;  (* per-direction, permille *)
+  mutable rt_loss_pm : int;
   mutable alive : bool;
   mutable sent : int;
   mutable acked : int;
   mutable rtt_samples : int;
-  mutable loss_folds : int;
   s_rtt : Series.ch;
   s_loss : Series.ch;
 }
 
-(* The registry is domain-local, like every observability registry: each
-   parallel run's probe protocol instances feed their own tables. *)
-let dls : (int * int, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let registry () = Domain.DLS.get dls
-
-let get ~node ~link =
-  let registry = registry () in
-  match Hashtbl.find_opt registry (node, link) with
-  | Some h -> h
-  | None ->
-    let labels =
-      [ ("link", string_of_int link); ("node", string_of_int node) ]
-    in
-    let h =
-      {
-        h_node = node;
-        h_link = link;
-        rtt_us = 0;
-        jitter_us = 0;
-        loss_pm = 0;
-        alive = true;
-        sent = 0;
-        acked = 0;
-        rtt_samples = 0;
-        loss_folds = 0;
-        s_rtt = Series.channel ~labels "strovl_health_rtt_us";
-        s_loss = Series.channel ~labels "strovl_health_loss_pm";
-      }
-    in
-    Hashtbl.replace registry (node, link) h;
-    h
-
-let fresh ~node ~link =
-  Hashtbl.remove (registry ()) (node, link);
-  get ~node ~link
-
-let find ~node ~link = Hashtbl.find_opt (registry ()) (node, link)
-
-let all () =
-  Hashtbl.fold (fun _ h acc -> h :: acc) (registry ()) []
-  |> List.sort (fun a b -> compare (a.h_link, a.h_node) (b.h_link, b.h_node))
-
-let reset () = Hashtbl.reset (registry ())
-
-let note_sent h = h.sent <- h.sent + 1
-let note_acked h = h.acked <- h.acked + 1
+let create ~node ~link ~rtt_us =
+  let labels = [ ("link", string_of_int link); ("node", string_of_int node) ] in
+  {
+    h_node = node;
+    h_link = link;
+    rtt_us;
+    jitter_us = 0;
+    rt_loss_pm = 0;
+    alive = true;
+    sent = 0;
+    acked = 0;
+    rtt_samples = 0;
+    s_rtt = Series.channel ~labels "strovl_health_rtt_us";
+    s_loss = Series.channel ~labels "strovl_health_loss_pm";
+  }
 
 let observe_rtt h sample =
-  if h.rtt_samples = 0 then h.rtt_us <- sample
-  else begin
-    let dev = abs (sample - h.rtt_us) in
-    h.jitter_us <- ((3 * h.jitter_us) + dev) / 4;
-    h.rtt_us <- ((7 * h.rtt_us) + sample) / 8
-  end;
+  if h.rtt_samples > 0 then
+    h.jitter_us <- ((3 * h.jitter_us) + abs (sample - h.rtt_us)) / 4;
+  h.rtt_us <- (if h.rtt_us = 0 then sample else ((7 * h.rtt_us) + sample) / 8);
   h.rtt_samples <- h.rtt_samples + 1;
   if Series.armed () then Series.add h.s_rtt h.rtt_us
 
+let loss_pm h =
+  let survival = 1. -. (float_of_int (min 1000 h.rt_loss_pm) /. 1000.) in
+  int_of_float (Float.round (1000. *. (1. -. Float.sqrt survival)))
+
 let fold_loss h ~sent ~acked =
-  if sent > 0 then begin
-    let acked = min acked sent in
-    let ratio = float_of_int acked /. float_of_int sent in
-    (* round-trip survival is (1-p)^2 for per-direction loss p *)
-    let sample_pm =
-      int_of_float (Float.round (1000. *. (1. -. Float.sqrt ratio)))
-    in
-    if h.loss_folds = 0 then h.loss_pm <- sample_pm
-    else h.loss_pm <- (h.loss_pm + sample_pm) / 2;
-    h.loss_folds <- h.loss_folds + 1;
-    if Series.armed () then Series.add h.s_loss h.loss_pm
-  end
+  let sample = 1000 * max 0 (sent - acked) / sent in
+  h.rt_loss_pm <- ((3 * h.rt_loss_pm) + sample) / 4;
+  if Series.armed () then Series.add h.s_loss (loss_pm h)
 
-let set_alive h alive = h.alive <- alive
-
-(* Expected latency of one hop under hop-by-hop recovery: one-way latency
-   times the expected number of transmissions 1/(1-p)^2 (paper §IV) —
-   same retry expansion Conn_graph.effective_metric applies to advertised
-   costs. *)
+(* The loss-aware routing weight this endpoint's own estimate gives the
+   link: one-way latency times the retry expansion 1/(1-p)^2 (paper §IV)
+   that Conn_graph.effective_metric applies to the advertised loss. *)
 let expected_latency_us h =
-  let one_way = max 1 (h.rtt_us / 2) in
-  let q = 1000 - min 999 (max 0 h.loss_pm) in
-  one_way * 1_000_000 / (q * q)
+  let keep = 1000 - min 999 h.rt_loss_pm in
+  max 1 (h.rtt_us / 2) * 1000 / keep * 1000 / keep
 
 let json h =
   Printf.sprintf
     "{\"node\":%d,\"link\":%d,\"rtt_us\":%d,\"jitter_us\":%d,\"loss_pm\":%d,\
-     \"alive\":%b,\"sent\":%d,\"acked\":%d,\"expected_latency_us\":%d}"
-    h.h_node h.h_link h.rtt_us h.jitter_us h.loss_pm h.alive h.sent h.acked
-    (expected_latency_us h)
+     \"rt_loss_pm\":%d,\"alive\":%b,\"sent\":%d,\"acked\":%d,\
+     \"expected_latency_us\":%d}"
+    h.h_node h.h_link h.rtt_us h.jitter_us (loss_pm h) h.rt_loss_pm h.alive
+    h.sent h.acked (expected_latency_us h)

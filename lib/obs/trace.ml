@@ -23,8 +23,6 @@ type event =
   | Lsu_flood
   | Deliver
   | Fec_recover of int
-  | Probe of int
-  | Probe_verdict of int * bool
   | Lsu_apply of int
   | Forward_replay of int
   | Deliver_replay
@@ -145,8 +143,8 @@ let event_codes = function
   | Lsu_flood -> (6, 0, 0)
   | Deliver -> (7, 0, 0)
   | Fec_recover l -> (8, l, 0)
-  | Probe l -> (9, l, 0)
-  | Probe_verdict (l, alive) -> (10, l, if alive then 1 else 0)
+  (* 9 and 10 were the retired probe events; codes are never reused, so a
+     digest stays comparable across versions. *)
   | Lsu_apply origin -> (11, origin, 0)
   | Forward_replay l -> (12, l, 0)
   | Deliver_replay -> (13, 0, 0)
@@ -188,9 +186,6 @@ let event_to_string = function
   | Lsu_flood -> "lsu-flood"
   | Deliver -> "deliver"
   | Fec_recover l -> Printf.sprintf "fec-recover(link %d)" l
-  | Probe l -> Printf.sprintf "probe(link %d)" l
-  | Probe_verdict (l, alive) ->
-    Printf.sprintf "probe-verdict(link %d %s)" l (if alive then "alive" else "dead")
   | Lsu_apply origin -> Printf.sprintf "lsu-apply(origin %d)" origin
   | Forward_replay l -> Printf.sprintf "forward-replay(link %d)" l
   | Deliver_replay -> "deliver-replay"

@@ -45,10 +45,6 @@ type event =
   | Lsu_flood
   | Deliver  (** handed to a local session *)
   | Fec_recover of int  (** reconstructed from parity on link [l] *)
-  | Probe of int  (** health probe sent on link [l] *)
-  | Probe_verdict of int * bool
-      (** k-missed-probes liveness verdict for link [l] flipped to
-          alive/dead *)
   | Lsu_apply of int
       (** accepted a fresher link-state update originated by node
           [origin] *)

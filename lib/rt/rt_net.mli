@@ -10,7 +10,7 @@
     [Node.receive]. Session datagrams implement the client protocol of
     {!Strovl.Wire.Session}.
 
-    The protocol stack itself — hello, LSUs, probes, routing, the five
+    The protocol stack itself — hello, LSUs, routing, the five
     link service classes, dedup, delivery — is exactly the code the
     simulator runs; nothing here reimplements any of it. *)
 
@@ -34,7 +34,7 @@ val port : t -> int
 (** Actually-bound UDP port (differs from the file only when it said 0). *)
 
 val start : t -> unit
-(** Starts the protocol stack (hello, LSU refresh, probes per config) and
+(** Starts the protocol stack (hello, LSU refresh) and
     registers the socket with the runtime's select loop. *)
 
 val close : t -> unit

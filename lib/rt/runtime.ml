@@ -62,16 +62,3 @@ let run_until t deadline =
 
 let run_for t dur = run_until t (Time.add (Rt_clock.now_us ()) dur)
 let run t = run_until t Time.infinity
-
-module Sched = struct
-  type nonrec t = t
-
-  type handle = Engine.handle
-
-  let now = now
-  let schedule t ~delay f = Engine.schedule t.engine ~delay f
-  let schedule_at t ~at f = Engine.schedule_at t.engine ~at f
-  let cancel t h = Engine.cancel t.engine h
-  let is_pending t h = Engine.is_pending t.engine h
-  let pending_events t = Engine.pending_events t.engine
-end

@@ -1,8 +1,7 @@
 (** The wall-clock event runtime.
 
     Runs the identical protocol stack the simulator runs — same
-    {!Strovl_sim.Engine} event queue, same scheduling interface
-    ({!Strovl_sim.Engine_intf.S}), same handles — but driven by
+    {!Strovl_sim.Engine} event queue, same handles — but driven by
     CLOCK_MONOTONIC and a [select] loop over non-blocking UDP sockets
     instead of by virtual-time leaps. The trick is that [Engine.run
     ~until] advances the clock to [until] even when no event falls in the
@@ -57,7 +56,3 @@ val stop : t -> unit
 (** Makes the innermost [run]/[run_for] return after the current
     iteration. Safe to call from a signal handler. *)
 
-(** The scheduling interface, satisfied by delegation to the engine —
-    the compile-time witness that simulator components and real daemons
-    program against the same contract. *)
-module Sched : Strovl_sim.Engine_intf.S with type t = t

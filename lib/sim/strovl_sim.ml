@@ -10,6 +10,5 @@ module Time = Time
 module Rng = Rng
 module Heap = Heap
 module Engine = Engine
-module Engine_intf = Engine_intf
 module Stats = Stats
 module Loss = Loss

@@ -186,21 +186,25 @@ let link_direction_independence () =
   Engine.run engine;
   check_bool "reverse direction unqueued" true (!back < Time.ms 12)
 
-(* Probe link protocol: the health EWMAs converge to the configured
-   underlay latency / injected loss, and the k-missed-probes liveness
-   verdict flips when the link fails. *)
+(* The hello protocol's link estimate: the RTT and loss EWMAs converge to
+   the configured underlay latency / injected loss, the timeout verdict
+   flips when the link fails, and the RTT EWMA starts from its seed. *)
 
+module Graph = Strovl_topo.Graph
 module Health = Strovl_obs.Health
+module Node = Strovl.Node
 module Common = Strovl_expt.Common
 
-let probing_sim ?(loss = 0.) ?(probe = Strovl.Probe_link.default_config)
-    ~seed () =
-  Health.reset ();
+let monitored_sim ?(loss = 0.) ?(hello_timeout = Time.ms 350) ~seed () =
   let config =
     {
       Strovl.Net.default_config with
       Strovl.Net.node =
-        { Strovl.Node.default_config with Strovl.Node.probe = Some probe };
+        {
+          Node.default_config with
+          Node.hello_interval = Time.ms 50;
+          hello_timeout;
+        };
     }
   in
   let sim =
@@ -209,16 +213,14 @@ let probing_sim ?(loss = 0.) ?(probe = Strovl.Probe_link.default_config)
   if loss > 0. then Common.bernoulli_loss sim ~p:loss;
   sim
 
-let probe_health_convergence () =
-  (* k_missed raised: at 20% loss a 3-probe miss-run happens every few
-     hundred windows, legitimately (and transiently) flipping the verdict;
-     this test is about the estimators, not liveness. *)
-  let probe =
-    { Strovl.Probe_link.default_config with Strovl.Probe_link.k_missed = 10 }
-  in
-  let sim = probing_sim ~loss:0.2 ~probe ~seed:1234L () in
+let monitor_health_convergence () =
+  (* hello_timeout raised: at 20% loss a run of silent hellos long enough
+     to time out happens now and then, legitimately (and transiently)
+     flipping the verdict; this test is about the estimators, not
+     liveness. *)
+  let sim = monitored_sim ~loss:0.2 ~hello_timeout:(Time.sec 1) ~seed:1234L () in
   Common.run_for sim (Time.sec 30);
-  let entries = Health.all () in
+  let entries = Common.link_health sim in
   check_int "both ends of both chain links" 4 (List.length entries);
   List.iter
     (fun h ->
@@ -229,22 +231,23 @@ let probe_health_convergence () =
         (abs (h.Health.rtt_us - 20_000) <= 1_000);
       (* Injected per-traversal loss 0.2 = 200 permille per direction;
          the estimator must land within 5 points. *)
+      let loss = Health.loss_pm h in
       check_bool
-        (Printf.sprintf "loss %dpm within 50pm of 200" h.Health.loss_pm)
+        (Printf.sprintf "loss %dpm within 50pm of 200" loss)
         true
-        (abs (h.Health.loss_pm - 200) <= 50);
+        (abs (loss - 200) <= 50);
       check_bool "alive" true h.Health.alive;
-      check_bool "kept probing" true (h.Health.sent > 500))
+      check_bool "kept sending hellos" true (h.Health.sent > 500))
     entries
 
-let probe_verdict_flips_on_failure () =
-  let sim = probing_sim ~seed:7L () in
+let monitor_verdict_flips_on_failure () =
+  let sim = monitored_sim ~seed:7L () in
   Common.run_for sim (Time.sec 5);
   List.iter
     (fun h -> check_bool "alive before failure" true h.Health.alive)
-    (Health.all ());
+    (Common.link_health sim);
   Common.fail_link_everywhere sim ~link:0;
-  (* k_missed = 3 at 50ms period: one second is ample for the verdict. *)
+  (* hello_timeout = 350ms: one second is ample for the verdict. *)
   Common.run_for sim (Time.sec 1);
   List.iter
     (fun h ->
@@ -253,7 +256,54 @@ let probe_verdict_flips_on_failure () =
            h.Health.h_node)
         (h.Health.h_link <> 0)
         h.Health.alive)
-    (Health.all ())
+    (Common.link_health sim)
+
+let monitor_seeded_rtt_ewma () =
+  (* Two nodes whose link is configured at 10ms but measures a 1ms round
+     trip. The RTT EWMA starts at twice the configured metric, so the first
+     ack moves the advertised metric one 7/8 step, not to the sample. *)
+  let engine = Engine.create ~seed:1L () in
+  let graph = Graph.create ~n:2 in
+  let link = Graph.add_link graph 0 1 in
+  let metric _ = Time.ms 10 in
+  let nodes =
+    Array.init 2 (fun id -> Node.create ~engine ~graph ~id ~metric ())
+  in
+  Array.iteri
+    (fun id node ->
+      let peer = nodes.(1 - id) in
+      Node.attach_link node ~link ~neighbor:(1 - id)
+        ~bandwidth_bps:1_000_000_000 ~xmit:(fun msg ->
+          ignore
+            (Engine.schedule engine ~delay:(Time.us 500) (fun () ->
+                 Node.receive peer ~link msg))))
+    nodes;
+  Array.iter Node.start nodes;
+  (* The first round trip is done; the next hello is 100ms away. *)
+  Engine.run ~until:(Time.ms 2) engine;
+  let h = Option.get (Node.link_health nodes.(0) ~link) in
+  check_int "one ack" 1 h.Health.acked;
+  let rtt = ((7 * Time.ms 20) + Time.ms 1) / 8 in
+  check_int "rtt one step from the 20ms seed" rtt h.Health.rtt_us;
+  let advertised = Strovl.Conn_graph.metric (Node.conn nodes.(0)) link in
+  check_int "advertised metric" (rtt / 2) advertised;
+  check_bool "about 0.88 of the configured metric" true
+    (advertised > Time.ms 8 && advertised < Time.ms 9)
+
+let monitor_echoes_legacy_probe () =
+  (* Peers built before the hello protocol became the only monitor may
+     still probe: a Probe is echoed as a Probe_ack, statelessly. *)
+  let engine = Engine.create ~seed:1L () in
+  let graph = Graph.create ~n:2 in
+  let link = Graph.add_link graph 0 1 in
+  let node = Node.create ~engine ~graph ~id:0 ~metric:(fun _ -> Time.ms 5) () in
+  let sent = ref [] in
+  Node.attach_link node ~link ~neighbor:1 ~bandwidth_bps:1_000_000_000
+    ~xmit:(fun msg -> sent := msg :: !sent);
+  Node.receive node ~link (Strovl.Msg.Probe { pseq = 42; sent_at = 1234 });
+  match !sent with
+  | [ Strovl.Msg.Probe_ack { pseq = 42; echo = 1234 } ] -> ()
+  | _ -> Alcotest.fail "expected exactly one Probe_ack echoing the probe"
 
 let () =
   Alcotest.run "strovl_net"
@@ -278,9 +328,13 @@ let () =
           Alcotest.test_case "peering sites" `Quick underlay_peering_sites;
           Alcotest.test_case "direction independence" `Quick link_direction_independence;
         ] );
-      ( "probe",
+      ( "monitor",
         [
-          Alcotest.test_case "health converges" `Quick probe_health_convergence;
-          Alcotest.test_case "k-missed verdict" `Quick probe_verdict_flips_on_failure;
+          Alcotest.test_case "health converges" `Quick monitor_health_convergence;
+          Alcotest.test_case "timeout verdict" `Quick
+            monitor_verdict_flips_on_failure;
+          Alcotest.test_case "seeded rtt ewma" `Quick monitor_seeded_rtt_ewma;
+          Alcotest.test_case "legacy probe echoed" `Quick
+            monitor_echoes_legacy_probe;
         ] );
     ]

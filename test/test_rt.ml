@@ -2,12 +2,12 @@
    loopback UDP sockets — in one process, on one Strovl_rt.Runtime, which
    makes the test deterministic to schedule yet exercises the entire real
    path: datagram framing, non-blocking sockets, the select loop, session
-   clients, and the unmodified protocol stack (hello, LSUs, probes,
-   reliable links, routing, delivery).
+   clients, and the unmodified protocol stack (hello, LSUs, reliable
+   links, routing, delivery).
 
    Topology is a square — two disjoint 2-hop paths 0-1-3 and 0-2-3 — and
-   the flow runs 0 -> 3. The stack routes on *measured* latency (hello and
-   probe RTTs), which on loopback is near-equal everywhere, so the test
+   the flow runs 0 -> 3. The stack routes on *measured* latency (hello
+   RTTs), which on loopback is near-equal everywhere, so the test
    does not assume which relay wins: it discovers which middle node
    carried the first batch, kills that daemon (socket closed, node
    stopped), and shows the overlay reroutes onto the surviving relay
@@ -40,21 +40,13 @@ let free_ports n =
       port)
 
 (* Fast protocol timings so failure detection and rerouting fit a test
-   budget: hello every 30 ms with a 120 ms timeout, probes every 25 ms
-   with k=3 (both failure detectors race to ~75-120 ms). *)
+   budget: hello every 30 ms with a 120 ms timeout, so a dead link is
+   declared down within ~150 ms. *)
 let test_config =
   {
     Node.default_config with
     Node.hello_interval = Time.ms 30;
     hello_timeout = Time.ms 120;
-    probe =
-      Some
-        {
-          Strovl.Probe_link.period = Time.ms 25;
-          k_missed = 3;
-          loss_window = 20;
-        };
-    probe_routing = true;
   }
 
 (* Drives the runtime in slices until [cond] holds or [budget_ms] elapses. *)
@@ -154,7 +146,7 @@ let overlay_survives_relay_death () =
   in
   let forwarded id = (Node.counters (Rt.Host.node hosts.(id))).Node.forwarded in
 
-  (* Phase 2: the overlay converges (hellos, probes, LSU floods) and
+  (* Phase 2: the overlay converges (hellos, LSU floods) and
      delivers the flow end-to-end through one of the two relays. *)
   send_batch 0 5;
   check_bool "first batch delivered via overlay" true
@@ -163,16 +155,15 @@ let overlay_survives_relay_death () =
   check_bool "a relay carried the first batch" true
     (forwarded 1 + forwarded 2 >= 5);
 
-  (* Phase 3: kill the daemon that is actually on the path. Both failure
-     detectors (hello timeout, k missed probes) see silence; the overlay
-     must fail over to the surviving relay within the liveness window and
-     keep delivering. *)
+  (* Phase 3: kill the daemon that is actually on the path. The hello
+     timeout sees the silence; the overlay must fail over to the surviving
+     relay within the liveness window and keep delivering. *)
   let victim = if forwarded 1 >= forwarded 2 then 1 else 2 in
   let survivor = 3 - victim in
   let victim_forwarded = forwarded victim in
   let survivor_forwarded_before = forwarded survivor in
   Rt.Host.close hosts.(victim);
-  Rt.Runtime.run_for rt (Time.ms 400) (* > hello_timeout + probe k*period *);
+  Rt.Runtime.run_for rt (Time.ms 400) (* > hello_timeout + hello_interval *);
   send_batch 100 5;
   check_bool "rerouted after the active relay died" true
     (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
