@@ -2,19 +2,64 @@ type error = string
 
 (* ----------------------------- encoding ------------------------------ *)
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
-let put_u16 b v = Buffer.add_uint16_be b (v land 0xffff)
+(* The encoders append to a growable byte buffer whose bytes stay
+   reachable (unlike [Buffer]'s), so a link frame can be handed to
+   [sendto] in place and a one-shot encode of known size needs no copy. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
 
-let put_u32 b v =
+(* Ethernet's 1500-byte MTU minus the 20-byte IPv4 and 8-byte UDP headers:
+   the most a link frame carries without IP fragmentation. *)
+let max_frame = 1500 - 20 - 8
+
+let writer cap = { buf = Bytes.create cap; len = 0 }
+
+(* Doubling growth, but past [max_frame] only as far as one oversized
+   message needs: a link frame's buffer settles at the size its traffic
+   uses. *)
+let grow w need =
+  let nb = Bytes.create (max need (min max_frame (2 * Bytes.length w.buf))) in
+  Bytes.blit w.buf 0 nb 0 w.len;
+  w.buf <- nb
+
+let[@inline] reserve w n =
+  let need = w.len + n in
+  if need > Bytes.length w.buf then grow w need
+
+(* The exact-size encoders below size the writer with the arithmetic
+   [*_size] functions, so the result is the buffer itself. *)
+let contents w =
+  if w.len = Bytes.length w.buf then Bytes.unsafe_to_string w.buf
+  else Bytes.sub_string w.buf 0 w.len
+
+let put_u8 w v =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (v land 0xff));
+  w.len <- w.len + 1
+
+let put_u16 w v =
+  reserve w 2;
+  Bytes.set_uint16_be w.buf w.len (v land 0xffff);
+  w.len <- w.len + 2
+
+let put_u32 w v =
   if v < 0 then invalid_arg "Wire: negative u32";
-  Buffer.add_int32_be b (Int32.of_int v)
+  reserve w 4;
+  Bytes.set_int32_be w.buf w.len (Int32.of_int v);
+  w.len <- w.len + 4
 
-let put_i64 b v = Buffer.add_int64_be b (Int64.of_int v)
+let put_int64 w v =
+  reserve w 8;
+  Bytes.set_int64_be w.buf w.len v;
+  w.len <- w.len + 8
 
-let put_string b s =
+let put_i64 w v = put_int64 w (Int64.of_int v)
+
+let put_string w s =
   let n = min (String.length s) 0xffff in
-  put_u16 b n;
-  Buffer.add_substring b s 0 n
+  put_u16 w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
 
 let put_bool b v = put_u8 b (if v then 1 else 0)
 
@@ -22,7 +67,7 @@ let put_auth b = function
   | None -> put_u8 b 0
   | Some tag ->
     put_u8 b 1;
-    Buffer.add_int64_be b tag
+    put_int64 b tag
 
 let put_dest b = function
   | Packet.To_node n ->
@@ -42,7 +87,7 @@ let put_routing b = function
     put_u16 b (Strovl_topo.Bitmask.nlinks mask);
     let words = Strovl_topo.Bitmask.words mask in
     put_u16 b (Array.length words);
-    Array.iter (Buffer.add_int64_be b) words
+    Array.iter (put_int64 b) words
 
 let put_service b = function
   | Packet.Best_effort -> put_u8 b 0
@@ -78,9 +123,7 @@ let put_packet b (p : Packet.t) =
   put_u16 b (p.Packet.ingress + 1);
   put_bool b p.Packet.replay
 
-let encode msg =
-  let b = Buffer.create 64 in
-  (match msg with
+let put_msg b = function
   | Msg.Data { cls; lseq; pkt; auth } ->
     put_u8 b 1;
     put_u8 b cls;
@@ -149,8 +192,7 @@ let encode msg =
         put_u32 b g;
         put_bool b m)
       memb;
-    put_auth b auth);
-  Buffer.contents b
+    put_auth b auth
 
 (* ----------------------------- decoding ------------------------------ *)
 
@@ -276,11 +318,9 @@ let get_packet c =
       ~flow:{ Packet.f_src; f_sport; f_dest; f_dport }
       ~routing ~service ~seq ~sent_at ~bytes ~tag ?auth ()
   in
-  (* Reconstruct the transit fields that [make] initializes. *)
-  let base = if ingress >= 0 then Packet.with_ingress base ingress else base in
-  let base = if replay then Packet.as_replay base else base in
-  let rec add_hops p n = if n = 0 then p else add_hops (Packet.next_hop_copy p) (n - 1) in
-  add_hops base hops
+  (* The transit fields [make] initializes, set in one copy (a hop count
+     from the wire costs nothing per hop). *)
+  { base with Packet.hops; ingress; replay }
 
 let get_list c get =
   let n = get_u16 c in
@@ -290,82 +330,91 @@ let get_list c get =
   if n > String.length c.data - c.pos then raise (Bad "oversized list");
   List.init n (fun _ -> get c)
 
-let decode_exn c =
-  let msg =
-    match get_u8 c with
-    | 1 ->
-      let cls = get_u8 c in
-      let lseq = get_u32 c in
-      let auth = get_auth c in
-      let pkt = get_packet c in
-      Msg.Data { cls; lseq; pkt; auth }
-    | 2 ->
-      let cls = get_u8 c in
-      let cum = get_u32 c in
-      Msg.Link_ack { cls; cum }
-    | 3 ->
-      let cls = get_u8 c in
-      let missing = get_list c get_u32 in
-      Msg.Link_nack { cls; missing }
-    | 4 -> Msg.Rt_request { lseq = get_u32 c }
-    | 5 -> Msg.It_ack { lseq = get_u32 c }
-    | 6 ->
-      let hseq = get_u32 c in
-      let sent_at = get_time c in
-      Msg.Hello { hseq; sent_at }
-    | 7 ->
-      let hseq = get_u32 c in
-      let echo = get_time c in
-      Msg.Hello_ack { hseq; echo }
-    | 8 ->
-      let origin = get_u16 c in
-      let lsu_seq = get_u32 c in
-      let links =
-        get_list c (fun c ->
-            let l = get_u32 c in
-            let li_up = get_bool c in
-            let li_metric = get_u32 c in
-            let li_loss = get_u16 c in
-            (l, { Msg.li_up; li_metric; li_loss }))
-      in
-      let auth = get_auth c in
-      Msg.Lsu { origin; lsu_seq; links; auth }
-    | 9 ->
-      let origin = get_u16 c in
-      let gseq = get_u32 c in
-      let memb =
-        get_list c (fun c ->
-            let g = get_u32 c in
-            let m = get_bool c in
-            (g, m))
-      in
-      let auth = get_auth c in
-      Msg.Group_update { origin; gseq; memb; auth }
-    | 10 ->
-      let block = get_u32 c in
-      let idx = get_u8 c in
-      let k = get_u8 c in
-      let bytes = get_u32 c in
-      let n = get_u8 c in
-      let blk_pkts = List.init n (fun _ -> get_packet c) in
-      Msg.Fec_parity { block; idx; k; bytes; blk_pkts }
-    | 11 ->
-      let pseq = get_u32 c in
-      let sent_at = get_time c in
-      Msg.Probe { pseq; sent_at }
-    | 12 ->
-      let pseq = get_u32 c in
-      let echo = get_time c in
-      Msg.Probe_ack { pseq; echo }
-    | t -> raise (Bad (Printf.sprintf "unknown message tag %d" t))
-  in
-  if c.pos <> String.length c.data then raise (Bad "trailing bytes");
-  msg
+(* Decodes one message from the cursor; the caller owns the trailing-bytes
+   check, so messages can follow each other in a link frame. *)
+let get_msg c =
+  match get_u8 c with
+  | 1 ->
+    let cls = get_u8 c in
+    let lseq = get_u32 c in
+    let auth = get_auth c in
+    let pkt = get_packet c in
+    Msg.Data { cls; lseq; pkt; auth }
+  | 2 ->
+    let cls = get_u8 c in
+    let cum = get_u32 c in
+    Msg.Link_ack { cls; cum }
+  | 3 ->
+    let cls = get_u8 c in
+    let missing = get_list c get_u32 in
+    Msg.Link_nack { cls; missing }
+  | 4 -> Msg.Rt_request { lseq = get_u32 c }
+  | 5 -> Msg.It_ack { lseq = get_u32 c }
+  | 6 ->
+    let hseq = get_u32 c in
+    let sent_at = get_time c in
+    Msg.Hello { hseq; sent_at }
+  | 7 ->
+    let hseq = get_u32 c in
+    let echo = get_time c in
+    Msg.Hello_ack { hseq; echo }
+  | 8 ->
+    let origin = get_u16 c in
+    let lsu_seq = get_u32 c in
+    let links =
+      get_list c (fun c ->
+          let l = get_u32 c in
+          let li_up = get_bool c in
+          let li_metric = get_u32 c in
+          let li_loss = get_u16 c in
+          (l, { Msg.li_up; li_metric; li_loss }))
+    in
+    let auth = get_auth c in
+    Msg.Lsu { origin; lsu_seq; links; auth }
+  | 9 ->
+    let origin = get_u16 c in
+    let gseq = get_u32 c in
+    let memb =
+      get_list c (fun c ->
+          let g = get_u32 c in
+          let m = get_bool c in
+          (g, m))
+    in
+    let auth = get_auth c in
+    Msg.Group_update { origin; gseq; memb; auth }
+  | 10 ->
+    let block = get_u32 c in
+    let idx = get_u8 c in
+    let k = get_u8 c in
+    let bytes = get_u32 c in
+    let n = get_u8 c in
+    let blk_pkts = List.init n (fun _ -> get_packet c) in
+    Msg.Fec_parity { block; idx; k; bytes; blk_pkts }
+  | 11 ->
+    let pseq = get_u32 c in
+    let sent_at = get_time c in
+    Msg.Probe { pseq; sent_at }
+  | 12 ->
+    let pseq = get_u32 c in
+    let echo = get_time c in
+    Msg.Probe_ack { pseq; echo }
+  | t -> raise (Bad (Printf.sprintf "unknown message tag %d" t))
 
-let decode data =
-  try Ok (decode_exn { data; pos = 0 }) with
+let at_end c = if c.pos <> String.length c.data then raise (Bad "trailing bytes")
+
+(* Runs a decoder over the whole input: every hostile-input failure is an
+   [Error], never an exception. *)
+let decoding get data =
+  try
+    let c = { data; pos = 0 } in
+    let v = get c in
+    at_end c;
+    Ok v
+  with
   | Bad e -> Error e
   | Invalid_argument e -> Error e
+
+let decode = decoding get_msg
 
 let payload_bytes = function
   | Msg.Data { pkt; _ } -> pkt.Packet.bytes
@@ -418,6 +467,11 @@ let header_size = function
 
 let size msg = header_size msg + payload_bytes msg
 
+let encode msg =
+  let w = writer (header_size msg) in
+  put_msg w msg;
+  contents w
+
 (* --------------------- session frames (client <-> daemon) -------------- *)
 
 module Session = struct
@@ -441,9 +495,7 @@ module Session = struct
     | Stats of { json : string }
     | Close of { sport : int }
 
-  let encode frame =
-    let b = Buffer.create 64 in
-    (match frame with
+  let put_frame b = function
     | Open { sport } ->
       put_u8 b 1;
       put_u32 b sport
@@ -486,8 +538,7 @@ module Session = struct
       put_string b json
     | Close { sport } ->
       put_u8 b 10;
-      put_u32 b sport);
-    Buffer.contents b
+      put_u32 b sport
 
   (* Decodes one frame from the cursor; the caller owns the trailing-bytes
      check so the frame can be embedded in a larger datagram. *)
@@ -530,15 +581,7 @@ module Session = struct
     | 10 -> Close { sport = get_u32 c }
     | t -> raise (Bad (Printf.sprintf "unknown session frame tag %d" t))
 
-  let decode data =
-    try
-      let c = { data; pos = 0 } in
-      let f = get_frame c in
-      if c.pos <> String.length data then raise (Bad "trailing bytes");
-      Ok f
-    with
-    | Bad e -> Error e
-    | Invalid_argument e -> Error e
+  let decode = decoding get_frame
 
   let strlen s = Stdlib.min (String.length s) 0xffff
 
@@ -551,67 +594,130 @@ module Session = struct
     | Deliver { pkt; _ } -> 13 + packet_size pkt
     | Stats_req _ -> 2
     | Stats { json } -> 3 + strlen json
+
+  let encode frame =
+    let w = writer (size frame) in
+    put_frame w frame;
+    contents w
 end
 
 (* --------------------------- UDP datagrams ---------------------------- *)
 
 (* Framing for real sockets: a 4-byte preamble (magic, version, kind)
-   distinguishing overlay traffic from session traffic, then the encoded
-   message. Overlay datagrams name the sending node and the overlay link
-   they travel on, so the receiving daemon can dispatch into
-   [Node.receive ~link] and sanity-check the sender. As everywhere in this
+   distinguishing overlay traffic from session traffic. A link frame
+   (kind 0) names the sending node and the overlay link it travels on, so
+   the receiving daemon can dispatch into [Node.receive ~link] and
+   sanity-check the sender, then carries a message count n >= 1 and n
+   encoded messages back to back. The count makes every strict prefix of a
+   frame malformed, even one that ends on a message boundary. A session
+   datagram (kind 1) carries one session frame. As everywhere in this
    reproduction, application payload is represented by its byte count; a
-   deployment would append [payload_bytes] of application data after these
-   headers. *)
+   deployment would append [payload_bytes] of application data after each
+   message header. *)
 
 let magic0 = 'S'
 let magic1 = 'o'
-let version = 1
+
+let version = 2
+
+(* preamble 4 + src 2 + link 2 + count 2 *)
+let link_header_size = 10
+
+let put_preamble w kind =
+  put_u8 w (Char.code magic0);
+  put_u8 w (Char.code magic1);
+  put_u8 w version;
+  put_u8 w kind
+
+let put_link_header w ~src ~link ~count =
+  put_preamble w 0;
+  put_u16 w src;
+  put_u16 w link;
+  put_u16 w count
+
+module Link_frame = struct
+  type t = { w : writer; mutable count : int }
+
+  let count_offset = link_header_size - 2
+
+  let create ~src ~link =
+    let w = writer 256 in
+    put_link_header w ~src ~link ~count:0;
+    { w; count = 0 }
+
+  let add f msg =
+    if f.count = 0xffff then invalid_arg "Wire.Link_frame.add: frame full";
+    put_msg f.w msg;
+    f.count <- f.count + 1;
+    Bytes.set_uint16_be f.w.buf count_offset f.count
+
+  let count f = f.count
+  let length f = f.w.len
+  let bytes f = f.w.buf
+
+  let clear f =
+    f.w.len <- link_header_size;
+    f.count <- 0
+
+  let trim f =
+    clear f;
+    f.w.buf <- Bytes.sub f.w.buf 0 link_header_size
+end
 
 type datagram =
   | Dg_msg of { src : int; link : int; msg : Msg.t }
   | Dg_session of Session.frame
 
-let encode_datagram dg =
-  let b = Buffer.create 80 in
-  Buffer.add_char b magic0;
-  Buffer.add_char b magic1;
-  put_u8 b version;
-  (match dg with
-  | Dg_msg { src; link; msg } ->
-    put_u8 b 0;
-    put_u16 b src;
-    put_u16 b link;
-    Buffer.add_string b (encode msg)
-  | Dg_session frame ->
-    put_u8 b 1;
-    Buffer.add_string b (Session.encode frame));
-  Buffer.contents b
-
-let decode_datagram data =
-  try
-    let c = { data; pos = 0 } in
-    need c 4;
-    if data.[0] <> magic0 || data.[1] <> magic1 then raise (Bad "bad magic");
-    c.pos <- 2;
-    let v = get_u8 c in
-    if v <> version then raise (Bad (Printf.sprintf "unknown version %d" v));
-    match get_u8 c with
-    | 0 ->
-      let src = get_u16 c in
-      let link = get_u16 c in
-      let msg = decode_exn c in
-      (* [decode_exn] enforces the trailing-bytes check for the tail. *)
-      Ok (Dg_msg { src; link; msg })
-    | 1 ->
-      let f = Session.get_frame c in
-      if c.pos <> String.length data then raise (Bad "trailing bytes");
-      Ok (Dg_session f)
-    | k -> raise (Bad (Printf.sprintf "unknown datagram kind %d" k))
-  with
-  | Bad e -> Error e
-  | Invalid_argument e -> Error e
+type frame =
+  | Fr_link of { src : int; link : int; msgs : Msg.t list }
+  | Fr_session of Session.frame
 
 let datagram_size = function
-  | Dg_msg { msg; _ } -> 8 + header_size msg
+  | Dg_msg { msg; _ } -> link_header_size + header_size msg
   | Dg_session frame -> 4 + Session.size frame
+
+let encode_datagram dg =
+  let w = writer (datagram_size dg) in
+  (match dg with
+  | Dg_msg { src; link; msg } ->
+    put_link_header w ~src ~link ~count:1;
+    put_msg w msg
+  | Dg_session frame ->
+    put_preamble w 1;
+    Session.put_frame w frame);
+  contents w
+
+let rec get_msgs c n =
+  if n = 0 then []
+  else
+    let m = get_msg c in
+    m :: get_msgs c (n - 1)
+
+let get_frame c =
+  need c 4;
+  if c.data.[0] <> magic0 || c.data.[1] <> magic1 then raise (Bad "bad magic");
+  c.pos <- 2;
+  let v = get_u8 c in
+  if v <> version then raise (Bad (Printf.sprintf "unknown version %d" v));
+  match get_u8 c with
+  | 0 ->
+    let src = get_u16 c in
+    let link = get_u16 c in
+    let n = get_u16 c in
+    if n = 0 then raise (Bad "empty link frame");
+    (* Every message costs at least one byte: reject a hostile count
+       before allocating for it. *)
+    if n > String.length c.data - c.pos then raise (Bad "oversized message count");
+    Fr_link { src; link; msgs = get_msgs c n }
+  | 1 -> Fr_session (Session.get_frame c)
+  | k -> raise (Bad (Printf.sprintf "unknown datagram kind %d" k))
+
+let decode_frame = decoding get_frame
+
+let decode_datagram data =
+  match decode_frame data with
+  | Ok (Fr_link { src; link; msgs = [ msg ] }) -> Ok (Dg_msg { src; link; msg })
+  | Ok (Fr_link { msgs; _ }) ->
+    Error (Printf.sprintf "link frame of %d messages" (List.length msgs))
+  | Ok (Fr_session frame) -> Ok (Dg_session frame)
+  | Error e -> Error e

@@ -79,22 +79,80 @@ end
 (** {2 UDP datagram framing}
 
     What actually crosses a real socket: a 4-byte preamble (2-byte magic,
-    version, kind) followed by one encoded message. Overlay datagrams name
-    the sending node and the overlay link they travel on so the receiving
-    daemon can dispatch into [Node.receive ~link] and sanity-check the
-    sender; session datagrams carry one {!Session.frame}. Application
+    {!version}, kind) and a body. Session datagrams (kind 1) carry one
+    {!Session.frame} each, unbuffered. Overlay datagrams (kind 0, a {e link
+    frame}) carry every message one daemon had for one overlay link in one
+    runtime turn: the sending node, the link, a 16-bit message count
+    n >= 1, then n encoded messages in send order. Naming the node and the
+    link lets the receiving daemon dispatch into [Node.receive ~link] and
+    sanity-check the sender once per frame. A sender keeps a frame within
+    {!max_frame} bytes unless one message alone exceeds it. Application
     payload is, as everywhere in this reproduction, represented by its byte
-    count — a deployment would append [payload_bytes] of data after the
+    count — a deployment would append [payload_bytes] of data after each
     encoded header. *)
+
+val version : int
+(** 2. Version 1 carried exactly one message per overlay datagram and had
+    no message count; a version-2 decoder rejects it. *)
+
+val max_frame : int
+(** 1472: Ethernet's 1500-byte MTU minus the IPv4 (20) and UDP (8)
+    headers, so a link frame never needs IP fragmentation. *)
+
+(** A link frame under construction in a reusable buffer: the daemon's
+    per-link send buffer, encoded in place and handed to [sendto] without
+    a copy. *)
+module Link_frame : sig
+  type t
+
+  val create : src:int -> link:int -> t
+  (** An empty frame (count 0: not yet sendable). *)
+
+  val add : t -> Msg.t -> unit
+  (** Appends one encoded message. The caller keeps the frame within
+      {!max_frame} by flushing first when [length f + header_size msg]
+      would pass it. *)
+
+  val count : t -> int
+  val length : t -> int
+
+  val bytes : t -> Bytes.t
+  (** The frame is the first [length f] bytes; valid until the next [add]
+      or [clear]. *)
+
+  val clear : t -> unit
+  (** Back to empty, keeping the buffer. *)
+
+  val trim : t -> unit
+  (** Back to empty, giving back the buffer beyond the frame header (for a
+      daemon that closes). The frame stays usable. *)
+end
 
 type datagram =
   | Dg_msg of { src : int; link : int; msg : Msg.t }
+      (** a link frame of exactly one message *)
   | Dg_session of Session.frame
 
 val encode_datagram : datagram -> string
+(** A one-message [Dg_msg] encodes byte-identically to a {!Link_frame}
+    holding that message alone. *)
+
 val decode_datagram : string -> (datagram, error) result
 (** Never raises on hostile input: bad magic, unknown version or kind,
-    truncation, and trailing bytes all yield [Error]. *)
+    truncation, and trailing bytes all yield [Error]. A well-formed link
+    frame of more than one message is an [Error] here too; daemons read
+    link traffic with {!decode_frame}. *)
 
 val datagram_size : datagram -> int
 (** Exact [String.length (encode_datagram d)] without serializing. *)
+
+type frame =
+  | Fr_link of { src : int; link : int; msgs : Msg.t list }
+      (** n >= 1 messages, in send order *)
+  | Fr_session of Session.frame
+
+val decode_frame : string -> (frame, error) result
+(** Decodes and validates a whole datagram before returning any of it, so
+    a daemon dispatches all of a link frame's messages or none. Never
+    raises: a zero-message frame, an undecodable message anywhere in the
+    frame, truncation and trailing bytes all yield [Error]. *)

@@ -2,7 +2,8 @@ open Strovl_sim
 
 type t = {
   engine : Engine.t;
-  mutable watches : (Unix.file_descr * (unit -> unit)) list;
+  watches : (Unix.file_descr, unit -> unit) Hashtbl.t;
+  mutable fds : Unix.file_descr list;  (** the keys of [watches], for [select] *)
   mutable stopping : bool;
   max_sleep : Time.t;
 }
@@ -13,16 +14,21 @@ let create ?(seed = 1L) ?(max_sleep = Time.ms 100) () =
   (* Fast-forward virtual time to the monotonic epoch: from here on,
      Engine.now is wall-clock µs. *)
   Engine.run ~until:(Rt_clock.now_us ()) engine;
-  { engine; watches = []; stopping = false; max_sleep }
+  { engine; watches = Hashtbl.create 16; fds = []; stopping = false; max_sleep }
 
 let engine t = t.engine
 let now t = Engine.now t.engine
 
-let unwatch t fd = t.watches <- List.filter (fun (f, _) -> f <> fd) t.watches
+let unwatch t fd =
+  if Hashtbl.mem t.watches fd then begin
+    Hashtbl.remove t.watches fd;
+    t.fds <- List.filter (fun f -> f <> fd) t.fds
+  end
 
 let watch t fd callback =
-  unwatch t fd;
-  t.watches <- t.watches @ [ (fd, callback) ]
+  (* Registration order, which sets callback order (see runtime.mli). *)
+  if not (Hashtbl.mem t.watches fd) then t.fds <- t.fds @ [ fd ];
+  Hashtbl.replace t.watches fd callback
 
 let stop t = t.stopping <- true
 
@@ -35,15 +41,14 @@ let step t ~deadline =
     | None -> deadline
   in
   let sleep = Time.min t.max_sleep (Time.sub horizon (Rt_clock.now_us ())) in
-  if sleep > 0 || t.watches <> [] then begin
-    let fds = List.map fst t.watches in
-    match Unix.select fds [] [] (float_of_int (max 0 sleep) /. 1e6) with
+  if sleep > 0 || t.fds <> [] then begin
+    match Unix.select t.fds [] [] (float_of_int (max 0 sleep) /. 1e6) with
     | readable, _, _ ->
       List.iter
         (fun fd ->
           (* Re-lookup: an earlier callback this round may have unwatched
              (e.g. a daemon closing its socket on a Close frame). *)
-          match List.assoc_opt fd t.watches with
+          match Hashtbl.find_opt t.watches fd with
           | Some callback -> callback ()
           | None -> ())
         readable

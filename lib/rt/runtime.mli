@@ -36,7 +36,11 @@ val now : t -> Strovl_sim.Time.t
 val watch : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** Registers a readiness callback: whenever the descriptor selects
     readable, the callback runs (it should drain the socket — level
-    triggered). One callback per descriptor; re-registering replaces. *)
+    triggered). One callback per descriptor; re-registering replaces and
+    keeps its place. Within one turn, ready callbacks run in reverse
+    registration order ([Unix.select] reports ready descriptors that
+    way), so a control descriptor watched after the daemons' sockets is
+    read before they act on the same turn's input. *)
 
 val unwatch : t -> Unix.file_descr -> unit
 

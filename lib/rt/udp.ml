@@ -10,8 +10,10 @@ type t = {
 let max_datagram = 16384
 
 let bind ~host ~port =
+  (* No SO_REUSEADDR: UDP has no TIME_WAIT to work around, and on Linux the
+     option would let a second socket bind a port a live daemon holds and
+     split its datagrams. *)
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.set_nonblock fd;
   let inet =
     if host = "" then Unix.inet_addr_any else Unix.inet_addr_of_string host
@@ -29,11 +31,8 @@ let port t =
   | Unix.ADDR_INET (_, p) -> p
   | _ -> assert false
 
-let sendto t addr data =
-  match
-    Unix.sendto t.fd (Bytes.unsafe_of_string data) 0 (String.length data) []
-      addr
-  with
+let send t addr buf len =
+  match Unix.sendto t.fd buf 0 len [] addr with
   | _ -> true
   | exception
       Unix.Unix_error
@@ -42,6 +41,9 @@ let sendto t addr data =
           _,
           _ ) ->
     false
+
+let sendto t addr data =
+  send t addr (Bytes.unsafe_of_string data) (String.length data)
 
 let recvfrom t =
   match Unix.recvfrom t.fd t.buf 0 (Bytes.length t.buf) [] with

@@ -10,8 +10,10 @@
 type t
 
 val bind : host:string -> port:int -> t
-(** Bound, non-blocking, [SO_REUSEADDR] socket. [port = 0] asks the kernel
-    for an ephemeral port (see {!port}). *)
+(** Bound, non-blocking socket. [port = 0] asks the kernel for an
+    ephemeral port (see {!port}). Raises [Unix.Unix_error (EADDRINUSE, _, _)]
+    when a live socket holds the address: no [SO_REUSEADDR], so a second
+    daemon cannot silently share (and split) a port. *)
 
 val fd : t -> Unix.file_descr
 (** For [select]/{!Runtime.watch}. *)
@@ -23,6 +25,10 @@ val sendto : t -> Unix.sockaddr -> string -> bool
 (** One datagram. [false] when the kernel refused without prejudice
     (buffer full, or a previous send to this peer bounced) — UDP loss,
     not an error. Raises on real misuse (bad fd, message too long). *)
+
+val send : t -> Unix.sockaddr -> Bytes.t -> int -> bool
+(** [send t addr buf len] sends the first [len] bytes of [buf] as one
+    datagram, straight from the caller's buffer; otherwise as {!sendto}. *)
 
 val recvfrom : t -> (string * Unix.sockaddr) option
 (** One datagram, or [None] when nothing is ready (or a bounced-send

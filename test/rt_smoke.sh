@@ -1,0 +1,61 @@
+#!/bin/sh
+# Real-sockets check of the daemon binaries: three strovl_node daemons on
+# a loopback line 0-1-2, a receiver session at node 2, and a reliable
+# 50-packet strovl_send flow from node 0, two overlay hops away. Exits
+# non-zero (printing every process's output) unless the sender's Sends
+# are all accepted and the receiver gets all 50 packets.
+#
+#   sh test/rt_smoke.sh path/to/strovl_node.exe path/to/strovl_send.exe
+set -eu
+node=$1
+send=$2
+dir=$(mktemp -d)
+pids=
+cleanup() {
+  for p in $pids; do kill "$p" 2>/dev/null || true; done
+  wait 2>/dev/null || true
+  rm -rf "$dir"
+}
+trap cleanup EXIT
+
+# Ports no socket holds: plain sockets, all held at once, then released.
+ports=$(python3 -c '
+import socket
+ss = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(3)]
+for s in ss:
+    s.bind(("127.0.0.1", 0))
+print(" ".join(str(s.getsockname()[1]) for s in ss))
+')
+set -- $ports
+cat > "$dir/topo" <<EOF
+node 0 127.0.0.1:$1
+node 1 127.0.0.1:$2
+node 2 127.0.0.1:$3
+link 0 1 5
+link 1 2 5
+EOF
+
+for id in 0 1 2; do
+  "$node" --topo "$dir/topo" --id "$id" --hello-ms 20 --duration 30 \
+    > "$dir/node$id.out" 2>&1 &
+  pids="$pids $!"
+done
+"$send" --topo "$dir/topo" --node 2 --sport 9 --expect 50 --timeout-sec 20 \
+  > "$dir/receiver.out" 2>&1 &
+receiver=$!
+pids="$pids $receiver"
+# A few dozen hello intervals: links up, LSUs flooded, routes settled.
+sleep 2
+
+status=0
+"$send" --topo "$dir/topo" --node 0 --sport 8 --dest 2 --dport 9 \
+  --service reliable --count 50 > "$dir/sender.out" 2>&1 || status=1
+wait "$receiver" || status=1
+if [ "$status" -ne 0 ]; then
+  echo "rt_smoke: reliable flow across two daemon hops failed" >&2
+  for f in "$dir"/*.out; do
+    echo "== $(basename "$f")" >&2
+    cat "$f" >&2
+  done
+fi
+exit "$status"

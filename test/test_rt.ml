@@ -19,6 +19,7 @@ module Node = Strovl.Node
 module Wire = Strovl.Wire
 module Packet = Strovl.Packet
 module Rt = Strovl_rt
+module Metrics = Strovl_obs.Metrics
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -100,7 +101,8 @@ let count_acks c =
 let opened c =
   List.exists (function Wire.Session.Open_ok _ -> true | _ -> false) c.frames
 
-let overlay_survives_relay_death () =
+(* The square 0-1-3 / 0-2-3 on free loopback ports. *)
+let square_topo () =
   let ports = free_ports 4 in
   let topo_text =
     String.concat "\n"
@@ -109,11 +111,12 @@ let overlay_survives_relay_death () =
          ports
       @ [ "link 0 1 5"; "link 1 3 5"; "link 0 2 5"; "link 2 3 5" ])
   in
-  let topo =
-    match Rt.Topofile.parse topo_text with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "topofile: %s" e
-  in
+  match Rt.Topofile.parse topo_text with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "topofile: %s" e
+
+let overlay_survives_relay_death () =
+  let topo = square_topo () in
   let rt = Rt.Runtime.create () in
   let hosts =
     Array.init 4 (fun id ->
@@ -225,6 +228,163 @@ let runtime_scheduling () =
   check_bool "clock advanced with the wall" true
     (elapsed >= Time.ms 50 && elapsed < Time.sec 5)
 
+(* A burst of reliable packets across the square: every packet arrives
+   exactly once and, through the destination's reorder buffer, in order;
+   the overlay messages of a runtime turn share datagrams (fewer link
+   datagrams than link messages), and no link datagram is larger than
+   Ethernet's MTU allows ([Wire.max_frame]). *)
+let burst_is_coalesced () =
+  let topo = square_topo () in
+  let rt = Rt.Runtime.create () in
+  let hosts =
+    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
+  in
+  Array.iter Rt.Host.start hosts;
+  let sender = client rt topo 0 in
+  let receiver = client rt topo 3 in
+  tell sender (Wire.Session.Open { sport = 8 });
+  tell receiver (Wire.Session.Open { sport = 9 });
+  check_bool "sessions open" true
+    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
+  let send seq =
+    tell sender
+      (Wire.Session.Send
+         {
+           sport = 8;
+           dest = Packet.To_node 3;
+           dport = 9;
+           service = Packet.Reliable;
+           seq;
+           bytes = 1000;
+           tag = "burst";
+         })
+  in
+  (* One packet first, so that routes have converged before the burst. *)
+  send 0;
+  check_bool "first packet delivered" true
+    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 1));
+  Metrics.reset ();
+  (* 40 Sends per turn: node 0 drains them in one callback, so each turn's
+     Data messages on the first hop overflow one frame's 1472 bytes. *)
+  let bursts = 6 and per_burst = 40 in
+  let total = 1 + (bursts * per_burst) in
+  for b = 0 to bursts - 1 do
+    for i = 1 to per_burst do
+      send ((b * per_burst) + i)
+    done;
+    Rt.Runtime.run_for rt (Time.ms 5)
+  done;
+  check_bool "burst delivered" true
+    (run_until rt ~budget_ms:5000 (fun () -> count_delivers receiver >= total));
+  Rt.Runtime.run_for rt (Time.ms 50);
+  let arrivals = Array.make total 0 and ordered = ref [] in
+  let reorder =
+    Strovl.Deliver.create (Rt.Runtime.engine rt) Strovl.Deliver.Ordered
+      ~deliver:(fun pkt -> ordered := pkt.Packet.seq :: !ordered)
+  in
+  List.iter
+    (function
+      | Wire.Session.Deliver { pkt; _ } ->
+        let seq = pkt.Packet.seq in
+        if seq >= 0 && seq < total then
+          arrivals.(seq) <- arrivals.(seq) + 1;
+        Strovl.Deliver.push reorder pkt
+      | _ -> ())
+    (List.rev receiver.frames);
+  check_bool "every packet arrived exactly once" true
+    (Array.for_all (fun n -> n = 1) arrivals);
+  Alcotest.(check (list int))
+    "delivered in order" (List.init total Fun.id) (List.rev !ordered);
+  let sum f = Array.fold_left (fun acc h -> acc + f (Rt.Host.id h)) 0 hosts in
+  let labels id = [ ("node", string_of_int id) ] in
+  let frames id =
+    Metrics.histogram ~labels:(labels id) "strovl_rt_link_frame_bytes"
+  in
+  let datagrams = sum (fun id -> Metrics.Histogram.count (frames id)) in
+  let msgs =
+    sum (fun id ->
+        Metrics.find_counter ~labels:(labels id) "strovl_rt_tx_link_msgs_total")
+  in
+  let largest =
+    Array.fold_left
+      (fun acc h -> max acc (Metrics.Histogram.max (frames (Rt.Host.id h))))
+      0 hosts
+  in
+  check_bool "link traffic flowed" true (datagrams > 0);
+  check_bool
+    (Printf.sprintf "fewer link datagrams (%d) than link messages (%d)"
+       datagrams msgs)
+    true (datagrams < msgs);
+  check_bool
+    (Printf.sprintf "largest link datagram %d <= %d bytes" largest
+       Wire.max_frame)
+    true
+    (largest <= Wire.max_frame && Wire.max_frame = 1472);
+  check_bool "link frames carry many messages" true
+    (largest > Wire.max_frame / 2);
+  Array.iter Rt.Host.close hosts;
+  Rt.Udp.close sender.sock;
+  Rt.Udp.close receiver.sock
+
+(* No SO_REUSEADDR: a second socket on a live daemon's port must fail
+   rather than silently split the daemon's datagrams. *)
+let duplicate_bind_refused () =
+  let live = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let port = Rt.Udp.port live in
+  let refused f =
+    match f () with
+    | () -> false
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> true
+  in
+  check_bool "second Udp.bind raises" true
+    (refused (fun () -> Rt.Udp.close (Rt.Udp.bind ~host:"127.0.0.1" ~port)));
+  let topo =
+    match
+      Rt.Topofile.parse
+        (Printf.sprintf "node 0 127.0.0.1:%d\nnode 1 127.0.0.1:%d\nlink 0 1"
+           port (List.hd (free_ports 1)))
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "topofile: %s" e
+  in
+  let rt = Rt.Runtime.create () in
+  check_bool "Host.create on a live port raises" true
+    (refused (fun () -> Rt.Host.close (Rt.Host.create ~rt ~topo ~id:0 ())));
+  Rt.Udp.close live;
+  (* Once the holder closes, the port binds again. *)
+  let again = Rt.Udp.bind ~host:"127.0.0.1" ~port in
+  check_int "rebound" port (Rt.Udp.port again);
+  Rt.Udp.close again
+
+(* Within a turn, ready callbacks run last-registered first, and
+   Runtime.step re-looks up each readable descriptor, so a callback
+   unwatched by an earlier callback in the same turn does not fire. *)
+let unwatched_callback_skipped () =
+  let rt = Rt.Runtime.create () in
+  let a = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let b = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let addr s = Unix.ADDR_INET (Unix.inet_addr_loopback, Rt.Udp.port s) in
+  let fired = ref [] in
+  let watch name me other =
+    Rt.Runtime.watch rt (Rt.Udp.fd me) (fun () ->
+        fired := name :: !fired;
+        Rt.Udp.drain me ~f:(fun _ _ -> ());
+        Rt.Runtime.unwatch rt (Rt.Udp.fd other))
+  in
+  Rt.Runtime.watch rt (Rt.Udp.fd a) (fun () -> Alcotest.fail "replaced callback ran");
+  watch "a" a b;
+  watch "b" b a;
+  ignore (Rt.Udp.sendto a (addr b) "x");
+  ignore (Rt.Udp.sendto b (addr a) "x");
+  let readable, _, _ = Unix.select [ Rt.Udp.fd a; Rt.Udp.fd b ] [] [] 1.0 in
+  check_int "both sockets readable" 2 (List.length readable);
+  Rt.Runtime.step rt ~deadline:(Rt.Runtime.now rt + Time.ms 20);
+  Alcotest.(check (list string)) "only the last registered fired" [ "b" ] !fired;
+  Rt.Runtime.step rt ~deadline:(Rt.Runtime.now rt + Time.ms 20);
+  check_int "the unwatched one stays silent" 1 (List.length !fired);
+  Rt.Udp.close a;
+  Rt.Udp.close b
+
 let topofile_parsing () =
   let ok text =
     match Rt.Topofile.parse text with
@@ -269,5 +429,11 @@ let () =
           Alcotest.test_case "wall-clock scheduling" `Quick runtime_scheduling;
           Alcotest.test_case "loopback overlay survives relay death" `Quick
             overlay_survives_relay_death;
+          Alcotest.test_case "reliable burst is coalesced" `Quick
+            burst_is_coalesced;
+          Alcotest.test_case "duplicate bind refused" `Quick
+            duplicate_bind_refused;
+          Alcotest.test_case "unwatched callback skipped" `Quick
+            unwatched_callback_skipped;
         ] );
     ]

@@ -399,15 +399,113 @@ let hostile_datagrams_rejected () =
   let bad s =
     match Wire.decode_datagram s with Ok _ -> false | Error _ -> true
   in
+  let v = String.make 1 (Char.chr Wire.version) in
+  check_int "version" 2 Wire.version;
   check_bool "empty" true (bad "");
-  check_bool "bad magic" true (bad "Xo\x01\x00");
-  check_bool "bad version" true (bad "So\x02\x00");
-  check_bool "unknown kind" true (bad "So\x01\x07");
-  check_bool "preamble only" true (bad "So\x01\x00");
-  check_bool "session with unknown frame tag" true (bad "So\x01\x01\xff");
+  check_bool "bad magic" true (bad ("Xo" ^ v ^ "\x00"));
+  check_bool "version-1 datagram" true
+    (bad
+       (Wire.encode_datagram
+          (Wire.Dg_session (Wire.Session.Close { sport = 1 }))
+       |> String.mapi (fun i c -> if i = 2 then '\x01' else c)));
+  check_bool "unknown kind" true (bad ("So" ^ v ^ "\x07"));
+  check_bool "preamble only" true (bad ("So" ^ v ^ "\x00"));
+  check_bool "session with unknown frame tag" true (bad ("So" ^ v ^ "\x01\xff"));
   (* A session frame where an overlay message should be, and vice versa. *)
   let open_f = Wire.Session.encode (Wire.Session.Open { sport = 9 }) in
-  check_bool "kind/body mismatch" true (bad ("So\x01\x00\x00\x01\x00\x02" ^ open_f))
+  check_bool "kind/body mismatch" true
+    (bad ("So" ^ v ^ "\x00\x00\x01\x00\x02\x00\x01" ^ open_f))
+
+(* Link frames: n >= 1 messages per overlay datagram. *)
+
+let frame_of ~src ~link msgs =
+  let f = Wire.Link_frame.create ~src ~link in
+  List.iter (Wire.Link_frame.add f) msgs;
+  Bytes.sub_string (Wire.Link_frame.bytes f) 0 (Wire.Link_frame.length f)
+
+let gen_frame_msgs = QCheck.Gen.(list_size (int_range 1 8) gen_msg)
+
+let qcheck_link_frame_roundtrip =
+  QCheck.Test.make ~name:"link frame of 1..8 messages decodes in order"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(triple (int_bound 60000) (int_bound 60000) gen_frame_msgs))
+    (fun (src, link, msgs) ->
+      let s = frame_of ~src ~link msgs in
+      String.length s
+      = 10 + List.fold_left (fun acc m -> acc + Wire.header_size m) 0 msgs
+      && Wire.decode_frame s = Ok (Wire.Fr_link { src; link; msgs }))
+
+let one_message_frame_is_a_datagram =
+  QCheck.Test.make ~name:"one-message frame = encode_datagram (Dg_msg _)"
+    ~count:300 (QCheck.make gen_msg) (fun msg ->
+      let dg = Wire.Dg_msg { src = 7; link = 3; msg } in
+      let s = frame_of ~src:7 ~link:3 [ msg ] in
+      s = Wire.encode_datagram dg
+      && String.length s = Wire.datagram_size dg
+      && Wire.decode_datagram s = Ok dg)
+
+let rejected s =
+  match Wire.decode_frame s with
+  | Ok _ -> false
+  | Error _ -> true
+  | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let truncated_frames_rejected =
+  (* The message count makes even a prefix that ends on a message boundary
+     malformed. *)
+  QCheck.Test.make
+    ~name:"link frame prefixes and trailing bytes rejected, flips never raise"
+    ~count:200 (QCheck.make gen_frame_msgs) (fun msgs ->
+      let s = frame_of ~src:1 ~link:2 msgs in
+      let ok = ref (rejected (s ^ "\x00")) in
+      for n = 0 to String.length s - 1 do
+        if not (rejected (String.sub s 0 n)) then ok := false
+      done;
+      (* A flipped byte may still decode; it must never raise. *)
+      let b = Bytes.of_string s in
+      for i = 0 to Bytes.length b - 1 do
+        let orig = Bytes.get b i in
+        Bytes.set b i (Char.chr (Char.code orig lxor 0xff));
+        (match Wire.decode_frame (Bytes.to_string b) with Ok _ | Error _ -> ());
+        Bytes.set b i orig
+      done;
+      !ok)
+
+let cleared_frames_reusable () =
+  let hello = Msg.Hello { hseq = 1; sent_at = 2 } in
+  let ack = Msg.Link_ack { cls = 1; cum = 9 } in
+  let f = Wire.Link_frame.create ~src:4 ~link:5 in
+  let contents () =
+    Bytes.sub_string (Wire.Link_frame.bytes f) 0 (Wire.Link_frame.length f)
+  in
+  List.iter (Wire.Link_frame.add f) [ hello; hello; hello ];
+  Wire.Link_frame.clear f;
+  Wire.Link_frame.add f ack;
+  check_bool "after clear" true (contents () = frame_of ~src:4 ~link:5 [ ack ]);
+  Wire.Link_frame.trim f;
+  check_int "trim empties" 0 (Wire.Link_frame.count f);
+  Wire.Link_frame.add f hello;
+  check_bool "after trim" true (contents () = frame_of ~src:4 ~link:5 [ hello ])
+
+let hostile_frames_rejected () =
+  let hello = Msg.Hello { hseq = 1; sent_at = 2 } in
+  let empty = frame_of ~src:1 ~link:2 [] in
+  check_int "empty frame is the bare header" 10 (String.length empty);
+  check_bool "zero-message frame" true (rejected empty);
+  (* The second message's tag byte sits right after the first message. *)
+  let s = Bytes.of_string (frame_of ~src:1 ~link:2 [ hello; hello ]) in
+  Bytes.set s (10 + Wire.header_size hello) '\xee';
+  check_bool "unknown tag in the second message" true
+    (rejected (Bytes.to_string s));
+  check_bool "a count beyond the bytes" true
+    (rejected
+       (String.mapi
+          (fun i c -> if i = 8 || i = 9 then '\xff' else c)
+          (frame_of ~src:1 ~link:2 [ hello ])));
+  check_bool "two-message frame is not one datagram" true
+    (Result.is_error
+       (Wire.decode_datagram (frame_of ~src:1 ~link:2 [ hello; hello ])))
 
 let () =
   Alcotest.run "strovl_wire"
@@ -437,5 +535,14 @@ let () =
           QCheck_alcotest.to_alcotest truncated_datagrams_rejected;
           Alcotest.test_case "hostile datagrams" `Quick
             hostile_datagrams_rejected;
+        ] );
+      ( "link frame",
+        [
+          QCheck_alcotest.to_alcotest qcheck_link_frame_roundtrip;
+          QCheck_alcotest.to_alcotest one_message_frame_is_a_datagram;
+          QCheck_alcotest.to_alcotest truncated_frames_rejected;
+          Alcotest.test_case "hostile frames" `Quick hostile_frames_rejected;
+          Alcotest.test_case "cleared frames reusable" `Quick
+            cleared_frames_reusable;
         ] );
     ]
