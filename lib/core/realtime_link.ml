@@ -41,6 +41,7 @@ type t = {
   (* [mh_] prefix: the config field [m_retrans] already takes the name. *)
   mh_retrans : Strovl_obs.Metrics.Counter.t;
   mh_requests : Strovl_obs.Metrics.Counter.t;
+  mh_window_drops : Strovl_obs.Metrics.Counter.t;
 }
 
 let create ?(config = default_config) ctx =
@@ -99,6 +100,10 @@ let create ?(config = default_config) ctx =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "realtime") ]
         "strovl_link_nacks_total";
+    mh_window_drops =
+      Strovl_obs.Metrics.counter
+        ~labels:[ ("proto", "realtime") ]
+        "strovl_link_window_drops_total";
   }
 
 (* ---------------- sender ---------------- *)
@@ -184,7 +189,11 @@ let compact t =
   end
 
 let handle_data t lseq pkt =
-  if not (is_dup t lseq) then begin
+  if lseq - t.cum_floor > Reliable_link.max_window then
+    (* Same bound as the Reliable Data Link: a forged lseq must not buy
+       request timers for every slot it skips. *)
+    Strovl_obs.Metrics.Counter.incr t.mh_window_drops
+  else if not (is_dup t lseq) then begin
     cancel_pending t lseq;
     if lseq > t.recv_high then begin
       for g = t.recv_high + 1 to lseq - 1 do

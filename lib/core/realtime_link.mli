@@ -19,7 +19,11 @@
     Spacing: the recovery budget [B] (deadline minus path latency) is
     divided so the M-th response to the N-th request can still arrive:
     request i at [i·B/(N+1)] after detection, retransmission j at
-    [j·(B/(N+1))/(M+1)] after the request. *)
+    [j·(B/(N+1))/(M+1)] after the request.
+
+    A data packet more than {!Reliable_link.max_window} past the receiver's
+    duplicate-filter floor is dropped and counted in
+    [strovl_link_window_drops_total{proto="realtime"}]. *)
 
 type t
 

@@ -1,5 +1,4 @@
 open Strovl_sim
-module IntMap = Map.Make (Int)
 
 type config = {
   ack_every : int;
@@ -20,29 +19,52 @@ let default_config =
     max_nack_repeats = 50;
   }
 
+let max_window = 1 lsl 16
+
+(* Receive-window slot states. *)
+let absent = '\000'
+let passed = '\001' (* received and already handed up (or given up) *)
+let held = '\002' (* received, waiting for in-order forwarding *)
+
+(* Fills the ring slots that hold no packet, so a released packet is not
+   kept reachable by its old slot. *)
+let no_packet =
+  Packet.make
+    ~flow:{ Packet.f_src = 0; f_sport = 0; f_dest = Packet.To_node 0; f_dport = 0 }
+    ~routing:Packet.Link_state ~service:Packet.Reliable ~seq:0 ~sent_at:0
+    ~bytes:0 ()
+
+let initial_ring = 16
+
 type t = {
   ctx : Lproto.ctx;
   cfg : config;
   cls : int;
-  (* sender *)
+  (* sender: the unacked lseqs are exactly [s_lo, next_lseq] (empty when
+     s_lo > next_lseq); lseq l sits in store.(l land (length - 1)). *)
   mutable next_lseq : int;
-  mutable store : (Packet.t * int64 option) IntMap.t; (* unacked, by lseq *)
+  mutable s_lo : int;
+  mutable store : Packet.t array;
   mutable rto_timer : Engine.handle option;
+  mutable rto_fire : unit -> unit;
   mutable n_sent : int;
   mutable n_retrans : int;
-  (* receiver *)
+  (* receiver: slot l land (length - 1) of [state] and [held_pkts] covers
+     lseq l in (cum, cum + length]; [held_pkts] is only filled for [held]
+     slots (ablation mode). *)
   mutable recv_high : int; (* highest lseq received *)
   mutable cum : int; (* highest contiguous lseq received *)
   mutable missing : (int, Engine.handle) Hashtbl.t; (* gap lseq -> nack repeat timer *)
-  (* Received lseqs beyond cum. Value = Some pkt when the packet is being
-     held for in-order forwarding (ablation mode), None once passed up. *)
-  mutable seen : Packet.t option IntMap.t;
+  mutable state : Bytes.t;
+  mutable held_pkts : Packet.t array;
   mutable unacked_count : int; (* packets received since last cum ack *)
   mutable ack_timer : Engine.handle option;
+  mutable ack_fire : unit -> unit;
   mutable n_up : int;
   (* Domain-local metric handles, bound at [create] time (Strovl_obs.Ctx). *)
   m_retrans : Strovl_obs.Metrics.Counter.t;
   m_nacks : Strovl_obs.Metrics.Counter.t;
+  m_window_drops : Strovl_obs.Metrics.Counter.t;
 }
 
 let nack_repeat t =
@@ -69,79 +91,72 @@ let note_retrans t pkt =
          "strovl_link_retransmits");
   Lproto.trace_pkt t.ctx pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
 
-let create ?(config = default_config) ctx =
-  {
-    ctx;
-    cfg = config;
-    cls = Packet.service_class Packet.Reliable;
-    next_lseq = 0;
-    store = IntMap.empty;
-    rto_timer = None;
-    n_sent = 0;
-    n_retrans = 0;
-    recv_high = 0;
-    cum = 0;
-    missing = Hashtbl.create 8;
-    seen = IntMap.empty;
-    unacked_count = 0;
-    ack_timer = None;
-    n_up = 0;
-    m_retrans =
-      Strovl_obs.Metrics.counter
-        ~labels:[ ("proto", "reliable") ]
-        "strovl_link_retransmits_total";
-    m_nacks =
-      Strovl_obs.Metrics.counter
-        ~labels:[ ("proto", "reliable") ]
-        "strovl_link_nacks_total";
-  }
-
 (* ---------------- sender side ---------------- *)
 
-let xmit_data t lseq pkt auth =
-  t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth })
+let xmit_data t lseq pkt =
+  t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth = None })
 
-let rec arm_rto t =
+let[@inline] stored t lseq = t.store.(lseq land (Array.length t.store - 1))
+
+let release t lseq = t.store.(lseq land (Array.length t.store - 1)) <- no_packet
+
+let arm_rto t =
   (match t.rto_timer with
   | Some h -> Engine.cancel t.ctx.Lproto.engine h
   | None -> ());
-  if IntMap.is_empty t.store then t.rto_timer <- None
+  if t.s_lo > t.next_lseq then t.rto_timer <- None
   else
     t.rto_timer <-
-      Some
-        (Engine.schedule t.ctx.Lproto.engine ~delay:(rto t) (fun () ->
-             t.rto_timer <- None;
-             (* Tail-loss probe: retransmit the oldest unacked packet. *)
-             (match IntMap.min_binding_opt t.store with
-             | Some (lseq, (pkt, auth)) ->
-               note_retrans t pkt;
-               xmit_data t lseq pkt auth
-             | None -> ());
-             arm_rto t))
+      Some (Engine.schedule t.ctx.Lproto.engine ~delay:(rto t) t.rto_fire)
+
+(* Tail-loss probe: retransmit the oldest unacked packet. *)
+let fire_rto t () =
+  t.rto_timer <- None;
+  if t.s_lo <= t.next_lseq then begin
+    let pkt = stored t t.s_lo in
+    note_retrans t pkt;
+    xmit_data t t.s_lo pkt
+  end;
+  arm_rto t
+
+let grow_store t =
+  let old = t.store in
+  let omask = Array.length old - 1 in
+  let store = Array.make (2 * Array.length old) no_packet in
+  let mask = Array.length store - 1 in
+  for l = t.s_lo to t.next_lseq do
+    store.(l land mask) <- old.(l land omask)
+  done;
+  t.store <- store
 
 let send t pkt =
-  t.next_lseq <- t.next_lseq + 1;
-  let lseq = t.next_lseq in
-  t.store <- IntMap.add lseq (pkt, None) t.store;
+  let lseq = t.next_lseq + 1 in
+  if lseq - t.s_lo >= Array.length t.store then grow_store t;
+  t.next_lseq <- lseq;
+  t.store.(lseq land (Array.length t.store - 1)) <- pkt;
   t.n_sent <- t.n_sent + 1;
-  xmit_data t lseq pkt None;
+  xmit_data t lseq pkt;
   if t.rto_timer = None then arm_rto t
 
 let handle_ack t cum =
-  (* Keep only lseq > cum; split also discards the binding at cum itself,
-     which is acked. *)
-  let _, _, keep = IntMap.split cum t.store in
-  t.store <- keep;
+  (* Everything <= cum is acked; an ack beyond what was sent clears the
+     store and no more. *)
+  let hi = min cum t.next_lseq in
+  for l = t.s_lo to hi do
+    release t l
+  done;
+  if hi >= t.s_lo then t.s_lo <- hi + 1;
   arm_rto t
 
 let handle_nack t missing =
   List.iter
     (fun lseq ->
-      match IntMap.find_opt lseq t.store with
-      | Some (pkt, auth) ->
+      if lseq >= t.s_lo && lseq <= t.next_lseq then begin
+        let pkt = stored t lseq in
         note_retrans t pkt;
-        xmit_data t lseq pkt auth
-      | None -> () (* already acked: the nack crossed a retransmission *))
+        xmit_data t lseq pkt
+      end
+      (* else already acked: the nack crossed a retransmission *))
     missing;
   arm_rto t
 
@@ -155,30 +170,59 @@ let send_cum_ack t =
   t.unacked_count <- 0;
   t.ctx.Lproto.xmit (Msg.Link_ack { cls = t.cls; cum = t.cum })
 
+let fire_ack t () =
+  t.ack_timer <- None;
+  send_cum_ack t
+
 let schedule_ack t =
   t.unacked_count <- t.unacked_count + 1;
   if t.unacked_count >= t.cfg.ack_every then send_cum_ack t
   else if t.ack_timer = None then
     t.ack_timer <-
-      Some
-        (Engine.schedule t.ctx.Lproto.engine ~delay:t.cfg.ack_delay (fun () ->
-             t.ack_timer <- None;
-             send_cum_ack t))
+      Some (Engine.schedule t.ctx.Lproto.engine ~delay:t.cfg.ack_delay t.ack_fire)
+
+(* Whether lseq > cum has been received. *)
+let seen t lseq =
+  lseq - t.cum <= Bytes.length t.state
+  && Bytes.get t.state (lseq land (Bytes.length t.state - 1)) <> absent
+
+(* Grows the receive window until it covers lseq (<= cum + max_window). *)
+let cover t lseq =
+  let len = Bytes.length t.state in
+  if lseq - t.cum > len then begin
+    let nlen = ref (2 * len) in
+    while lseq - t.cum > !nlen do
+      nlen := 2 * !nlen
+    done;
+    let state = Bytes.make !nlen absent in
+    let held_pkts = Array.make !nlen no_packet in
+    let omask = len - 1 and mask = !nlen - 1 in
+    for l = t.cum + 1 to t.cum + len do
+      Bytes.set state (l land mask) (Bytes.get t.state (l land omask));
+      held_pkts.(l land mask) <- t.held_pkts.(l land omask)
+    done;
+    t.state <- state;
+    t.held_pkts <- held_pkts
+  end
+
+let mark t lseq s = Bytes.set t.state (lseq land (Bytes.length t.state - 1)) s
 
 let advance_cum t =
   let rec go () =
     let next = t.cum + 1 in
-    match IntMap.find_opt next t.seen with
-    | Some held ->
-      t.seen <- IntMap.remove next t.seen;
+    let i = next land (Bytes.length t.state - 1) in
+    let s = Bytes.get t.state i in
+    if s <> absent then begin
+      Bytes.set t.state i absent;
       t.cum <- next;
-      (match held with
-      | Some pkt ->
+      if s = held then begin
+        let pkt = t.held_pkts.(i) in
+        t.held_pkts.(i) <- no_packet;
         t.n_up <- t.n_up + 1;
         t.ctx.Lproto.up pkt
-      | None -> ());
+      end;
       go ()
-    | None -> ()
+    end
   in
   go ()
 
@@ -189,7 +233,7 @@ let rec nack_loop t lseq tries () =
          link): abandon the slot so timers do not fire forever. The slot is
          marked received-and-forwarded so cum can advance past it. *)
       Hashtbl.remove t.missing lseq;
-      t.seen <- IntMap.add lseq None t.seen;
+      mark t lseq passed;
       advance_cum t
     end
     else begin
@@ -212,8 +256,12 @@ let note_gap t lseq =
   end
 
 let handle_data t lseq pkt =
-  let duplicate = lseq <= t.cum || IntMap.mem lseq t.seen in
-  if duplicate then send_cum_ack t (* our ack was probably lost; refresh *)
+  if lseq - t.cum > max_window then
+    (* Beyond any window an honest sender reaches: a forged or corrupt lseq
+       must not buy a NACK timer per skipped slot. *)
+    Strovl_obs.Metrics.Counter.incr t.m_window_drops
+  else if lseq <= t.cum || seen t lseq then
+    send_cum_ack t (* duplicate: our ack was probably lost; refresh *)
   else begin
     (match Hashtbl.find_opt t.missing lseq with
     | Some h ->
@@ -223,24 +271,61 @@ let handle_data t lseq pkt =
     if lseq > t.recv_high then begin
       (* New gap slots between recv_high and lseq. *)
       for g = t.recv_high + 1 to lseq - 1 do
-        if g > t.cum && not (IntMap.mem g t.seen) then note_gap t g
+        if g > t.cum && not (seen t g) then note_gap t g
       done;
       t.recv_high <- lseq
     end;
+    cover t lseq;
     if t.cfg.in_order_forwarding then begin
       (* Ablation: hold until contiguous, forwarding inside advance_cum. *)
-      t.seen <- IntMap.add lseq (Some pkt) t.seen;
+      mark t lseq held;
+      t.held_pkts.(lseq land (Array.length t.held_pkts - 1)) <- pkt;
       advance_cum t
     end
     else begin
       (* Out-of-order forwarding (§III-A): packets go up as they arrive. *)
-      t.seen <- IntMap.add lseq None t.seen;
+      mark t lseq passed;
       advance_cum t;
       t.n_up <- t.n_up + 1;
       t.ctx.Lproto.up pkt
     end;
     schedule_ack t
   end
+
+let create ?(config = default_config) ctx =
+  let counter name =
+    Strovl_obs.Metrics.counter ~labels:[ ("proto", "reliable") ] name
+  in
+  let t =
+    {
+      ctx;
+      cfg = config;
+      cls = Packet.service_class Packet.Reliable;
+      next_lseq = 0;
+      s_lo = 1;
+      store = Array.make initial_ring no_packet;
+      rto_timer = None;
+      rto_fire = ignore;
+      n_sent = 0;
+      n_retrans = 0;
+      recv_high = 0;
+      cum = 0;
+      missing = Hashtbl.create 8;
+      state = Bytes.make initial_ring absent;
+      held_pkts = Array.make initial_ring no_packet;
+      unacked_count = 0;
+      ack_timer = None;
+      ack_fire = ignore;
+      n_up = 0;
+      m_retrans = counter "strovl_link_retransmits_total";
+      m_nacks = counter "strovl_link_nacks_total";
+      m_window_drops = counter "strovl_link_window_drops_total";
+    }
+  in
+  (* Built once here, not on every re-arm. *)
+  t.rto_fire <- fire_rto t;
+  t.ack_fire <- fire_ack t;
+  t
 
 let recv t = function
   | Msg.Data { lseq; pkt; _ } -> handle_data t lseq pkt
@@ -252,15 +337,19 @@ let recv t = function
     ()
 
 let drain_store t =
-  let pkts = List.map (fun (_, (pkt, _)) -> pkt) (IntMap.bindings t.store) in
-  t.store <- IntMap.empty;
+  let pkts = ref [] in
+  for l = t.next_lseq downto t.s_lo do
+    pkts := stored t l :: !pkts;
+    release t l
+  done;
+  t.s_lo <- t.next_lseq + 1;
   (match t.rto_timer with
   | Some h -> Engine.cancel t.ctx.Lproto.engine h
   | None -> ());
   t.rto_timer <- None;
-  pkts
+  !pkts
 
 let sent t = t.n_sent
 let retransmissions t = t.n_retrans
-let store_size t = IntMap.cardinal t.store
+let store_size t = t.next_lseq - t.s_lo + 1
 let delivered_up t = t.n_up

@@ -13,7 +13,15 @@
     ~RTT until filled); cumulative ACKs let the sender garbage-collect its
     retransmission store; a sender-side RTO covers tail losses with no
     following packet. The retransmission store is unbounded, leveraging the
-    overlay node's "ample memory" (§II-B). *)
+    overlay node's "ample memory" (§II-B).
+
+    Both windows are rings indexed by [lseq land mask], so the per-packet
+    bookkeeping allocates nothing. The sender's unacked lseqs are always one
+    contiguous range, held in a power-of-two packet array that doubles when
+    full (it never shrinks, and is still unbounded). The receiver keeps one
+    state byte per lseq above its cumulative point [cum] (absent, passed up,
+    or held for in-order forwarding), grown on demand up to
+    {!max_window}. *)
 
 type t
 
@@ -36,6 +44,13 @@ type config = {
 }
 
 val default_config : config
+
+val max_window : int
+(** 2{^16}: a [Data] message more than this far past [cum] is dropped and
+    counted in [strovl_link_window_drops_total{proto="reliable"}], so one
+    forged or corrupt lseq (a u32 on the wire) cannot schedule a NACK timer
+    for every slot it skips. The largest gap any experiment of the suite
+    opens is a few hundred lseqs. *)
 
 val create : ?config:config -> Lproto.ctx -> t
 val send : t -> Packet.t -> unit

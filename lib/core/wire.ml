@@ -241,7 +241,7 @@ let get_time c =
 let get_string c =
   let n = get_u16 c in
   need c n;
-  let s = String.sub c.data c.pos n in
+  let s = if n = 0 then "" else String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
 
@@ -313,14 +313,21 @@ let get_packet c =
   let hops = get_u16 c in
   let ingress = get_u16 c - 1 in
   let replay = get_bool c in
-  let base =
-    Packet.make
-      ~flow:{ Packet.f_src; f_sport; f_dest; f_dport }
-      ~routing ~service ~seq ~sent_at ~bytes ~tag ?auth ()
-  in
-  (* The transit fields [make] initializes, set in one copy (a hop count
-     from the wire costs nothing per hop). *)
-  { base with Packet.hops; ingress; replay }
+  (* Built in one piece, transit fields included ([bytes] is a u32, so
+     [Packet.make]'s size check cannot fail here). *)
+  {
+    Packet.flow = { Packet.f_src; f_sport; f_dest; f_dport };
+    routing;
+    service;
+    seq;
+    sent_at;
+    bytes;
+    tag;
+    auth;
+    hops;
+    ingress;
+    replay;
+  }
 
 let get_list c get =
   let n = get_u16 c in
@@ -686,6 +693,21 @@ let encode_datagram dg =
     put_preamble w 1;
     Session.put_frame w frame);
   contents w
+
+module Session_buf = struct
+  type t = writer
+
+  let create () = writer 256
+
+  let encode w frame =
+    w.len <- 0;
+    reserve w (4 + Session.size frame);
+    put_preamble w 1;
+    Session.put_frame w frame
+
+  let length w = w.len
+  let bytes w = w.buf
+end
 
 let rec get_msgs c n =
   if n = 0 then []

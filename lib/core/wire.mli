@@ -137,6 +137,23 @@ val encode_datagram : datagram -> string
 (** A one-message [Dg_msg] encodes byte-identically to a {!Link_frame}
     holding that message alone. *)
 
+(** A reusable buffer for outgoing session datagrams: a daemon encodes each
+    session frame into it and hands it to [sendto] without a copy. *)
+module Session_buf : sig
+  type t
+
+  val create : unit -> t
+
+  val encode : t -> Session.frame -> unit
+  (** Replaces the contents with the datagram of one frame: the first
+      [length b] bytes then equal [encode_datagram (Dg_session f)]. *)
+
+  val length : t -> int
+
+  val bytes : t -> Bytes.t
+  (** Valid until the next [encode]. *)
+end
+
 val decode_datagram : string -> (datagram, error) result
 (** Never raises on hostile input: bad magic, unknown version or kind,
     truncation, and trailing bytes all yield [Error]. A well-formed link

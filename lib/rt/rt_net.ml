@@ -15,6 +15,7 @@ type t = {
       (** [peer_of_link.(l)] is the far end of link [l] iff [l] is incident
           to this node — the validity check for inbound link frames *)
   outs : out array;  (** one per incident link *)
+  sbuf : Wire.Session_buf.t;  (** every outgoing session datagram *)
   mutable flush_pending : bool;
   sessions : (int, Unix.sockaddr) Hashtbl.t;  (** sport -> client *)
   m_rx : Metrics.Counter.t;
@@ -35,9 +36,14 @@ let bindable_host host =
   | _ -> host
   | exception Failure _ -> ""
 
+(* Session frames go out one per datagram, at once, encoded into the
+   host's one session buffer. *)
 let send_session t addr frame =
   Metrics.Counter.incr t.m_tx;
-  ignore (Udp.sendto t.sock addr (Wire.encode_datagram (Wire.Dg_session frame)))
+  Wire.Session_buf.encode t.sbuf frame;
+  ignore
+    (Udp.send t.sock addr (Wire.Session_buf.bytes t.sbuf)
+       (Wire.Session_buf.length t.sbuf))
 
 let deliver t sport pkt =
   match Hashtbl.find_opt t.sessions sport with
@@ -175,6 +181,7 @@ let create ?config ~rt ~topo ~id () =
       sock;
       peer_of_link = Array.make nlinks None;
       outs;
+      sbuf = Wire.Session_buf.create ();
       flush_pending = false;
       sessions = Hashtbl.create 8;
       m_rx = Metrics.counter ~labels "strovl_rt_rx_datagrams_total";

@@ -727,6 +727,423 @@ let qcheck_fec_invariants =
       in
       no_dups && sorted = expected)
 
+(* ------------------- Reliable link: model and bounds ------------------- *)
+
+(* The Reliable Data Link as it was written with persistent [Map]s for both
+   windows, kept verbatim in behaviour as the oracle for the ring-window
+   implementation: same timers, same xmits, same up-calls. *)
+module Rel_oracle = struct
+  module IntMap = Map.Make (Int)
+  module R = Strovl.Reliable_link
+
+  type t = {
+    ctx : Lproto.ctx;
+    cfg : R.config;
+    cls : int;
+    mutable next_lseq : int;
+    mutable store : P.t IntMap.t;
+    mutable rto_timer : Engine.handle option;
+    mutable recv_high : int;
+    mutable cum : int;
+    missing : (int, Engine.handle) Hashtbl.t;
+    mutable seen : P.t option IntMap.t;
+    mutable unacked_count : int;
+    mutable ack_timer : Engine.handle option;
+  }
+
+  let create cfg ctx =
+    {
+      ctx;
+      cfg;
+      cls = P.service_class P.Reliable;
+      next_lseq = 0;
+      store = IntMap.empty;
+      rto_timer = None;
+      recv_high = 0;
+      cum = 0;
+      missing = Hashtbl.create 8;
+      seen = IntMap.empty;
+      unacked_count = 0;
+      ack_timer = None;
+    }
+
+  let nack_repeat t =
+    match t.cfg.R.nack_repeat with
+    | Some d -> d
+    | None -> Time.max (Time.ms 2) (2 * t.ctx.Lproto.rtt_hint)
+
+  let rto t =
+    match t.cfg.R.rto with
+    | Some d -> d
+    | None -> Time.max (Time.ms 5) ((3 * t.ctx.Lproto.rtt_hint) + t.cfg.R.ack_delay)
+
+  let xmit_data t lseq pkt =
+    t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth = None })
+
+  let rec arm_rto t =
+    Option.iter (Engine.cancel t.ctx.Lproto.engine) t.rto_timer;
+    if IntMap.is_empty t.store then t.rto_timer <- None
+    else
+      t.rto_timer <-
+        Some
+          (Engine.schedule t.ctx.Lproto.engine ~delay:(rto t) (fun () ->
+               t.rto_timer <- None;
+               (match IntMap.min_binding_opt t.store with
+               | Some (lseq, pkt) -> xmit_data t lseq pkt
+               | None -> ());
+               arm_rto t))
+
+  let send t pkt =
+    t.next_lseq <- t.next_lseq + 1;
+    t.store <- IntMap.add t.next_lseq pkt t.store;
+    xmit_data t t.next_lseq pkt;
+    if t.rto_timer = None then arm_rto t
+
+  let handle_ack t cum =
+    let _, _, keep = IntMap.split cum t.store in
+    t.store <- keep;
+    arm_rto t
+
+  let handle_nack t missing =
+    List.iter
+      (fun lseq ->
+        match IntMap.find_opt lseq t.store with
+        | Some pkt -> xmit_data t lseq pkt
+        | None -> ())
+      missing;
+    arm_rto t
+
+  let send_cum_ack t =
+    Option.iter (Engine.cancel t.ctx.Lproto.engine) t.ack_timer;
+    t.ack_timer <- None;
+    t.unacked_count <- 0;
+    t.ctx.Lproto.xmit (Msg.Link_ack { cls = t.cls; cum = t.cum })
+
+  let schedule_ack t =
+    t.unacked_count <- t.unacked_count + 1;
+    if t.unacked_count >= t.cfg.R.ack_every then send_cum_ack t
+    else if t.ack_timer = None then
+      t.ack_timer <-
+        Some
+          (Engine.schedule t.ctx.Lproto.engine ~delay:t.cfg.R.ack_delay (fun () ->
+               t.ack_timer <- None;
+               send_cum_ack t))
+
+  let rec advance_cum t =
+    let next = t.cum + 1 in
+    match IntMap.find_opt next t.seen with
+    | Some held ->
+      t.seen <- IntMap.remove next t.seen;
+      t.cum <- next;
+      Option.iter t.ctx.Lproto.up held;
+      advance_cum t
+    | None -> ()
+
+  let rec nack_loop t lseq tries () =
+    if Hashtbl.mem t.missing lseq then
+      if tries >= t.cfg.R.max_nack_repeats then begin
+        Hashtbl.remove t.missing lseq;
+        t.seen <- IntMap.add lseq None t.seen;
+        advance_cum t
+      end
+      else begin
+        t.ctx.Lproto.xmit (Msg.Link_nack { cls = t.cls; missing = [ lseq ] });
+        Hashtbl.replace t.missing lseq
+          (Engine.schedule t.ctx.Lproto.engine ~delay:(nack_repeat t)
+             (nack_loop t lseq (tries + 1)))
+      end
+
+  let handle_data t lseq pkt =
+    if lseq <= t.cum || IntMap.mem lseq t.seen then send_cum_ack t
+    else begin
+      (match Hashtbl.find_opt t.missing lseq with
+      | Some h ->
+        Engine.cancel t.ctx.Lproto.engine h;
+        Hashtbl.remove t.missing lseq
+      | None -> ());
+      if lseq > t.recv_high then begin
+        for g = t.recv_high + 1 to lseq - 1 do
+          if g > t.cum && (not (IntMap.mem g t.seen)) && not (Hashtbl.mem t.missing g)
+          then
+            Hashtbl.replace t.missing g
+              (Engine.schedule t.ctx.Lproto.engine ~delay:Time.zero
+                 (nack_loop t g 0))
+        done;
+        t.recv_high <- lseq
+      end;
+      if t.cfg.R.in_order_forwarding then begin
+        t.seen <- IntMap.add lseq (Some pkt) t.seen;
+        advance_cum t
+      end
+      else begin
+        t.seen <- IntMap.add lseq None t.seen;
+        advance_cum t;
+        t.ctx.Lproto.up pkt
+      end;
+      schedule_ack t
+    end
+
+  let recv t = function
+    | Msg.Data { lseq; pkt; _ } -> handle_data t lseq pkt
+    | Msg.Link_ack { cum; _ } -> handle_ack t cum
+    | Msg.Link_nack { missing; _ } -> handle_nack t missing
+    | _ -> ()
+
+  let drain_store t =
+    let pkts = List.map snd (IntMap.bindings t.store) in
+    t.store <- IntMap.empty;
+    Option.iter (Engine.cancel t.ctx.Lproto.engine) t.rto_timer;
+    t.rto_timer <- None;
+    pkts
+
+  let store_size t = IntMap.cardinal t.store
+end
+
+type rel_op =
+  | Op_send
+  | Op_ack of int
+  | Op_nack of int list
+  | Op_data of int
+  | Op_drain
+  | Op_wait of int  (** µs of virtual time *)
+
+let pp_rel_op ppf = function
+  | Op_send -> Format.fprintf ppf "send"
+  | Op_ack c -> Format.fprintf ppf "ack %d" c
+  | Op_nack l ->
+    Format.fprintf ppf "nack [%s]" (String.concat ";" (List.map string_of_int l))
+  | Op_data l -> Format.fprintf ppf "data %d" l
+  | Op_drain -> Format.fprintf ppf "drain"
+  | Op_wait d -> Format.fprintf ppf "wait %d" d
+
+(* Data lseqs up to 40 and acks/nacks up to 80, against up to ~70 sends:
+   duplicates, reordering, gaps, stale acks and acks beyond anything sent
+   all occur, and both rings outgrow their initial 16 slots. *)
+let gen_rel_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, return Op_send);
+        (2, map (fun c -> Op_ack c) (int_bound 80));
+        (2, map (fun l -> Op_nack l) (list_size (int_bound 3) (int_bound 80)));
+        (6, map (fun l -> Op_data l) (int_range 1 40));
+        (1, return Op_drain);
+        (3, map (fun d -> Op_wait d) (int_bound 30_000));
+      ])
+
+let gen_rel_case =
+  QCheck.Gen.(
+    pair
+      (quad bool (int_range 1 5) (int_range 1 10) (int_range 1 4))
+      (list_size (int_range 1 160) gen_rel_op))
+
+let print_rel_case ((in_order, ack_every, ack_delay_ms, max_nack), ops) =
+  Format.asprintf "in_order=%b ack_every=%d ack_delay=%dms max_nack=%d@ %a"
+    in_order ack_every ack_delay_ms max_nack
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_rel_op)
+    ops
+
+(* Drives one endpoint (sender and receiver at once) through [ops] and
+   returns everything it did: timed xmits, timed up-calls, and the store
+   size and drained packets after every op. *)
+let run_rel_model ~create ~recv ~send ~drain ~store_size cfg ops =
+  let engine = Engine.create ~seed:3L () in
+  let xmits = ref [] and ups = ref [] and sizes = ref [] and drained = ref [] in
+  let ctx =
+    {
+      Lproto.engine;
+      node = -1;
+      link = -1;
+      xmit = (fun m -> xmits := (Engine.now engine, m) :: !xmits);
+      up = (fun pkt -> ups := (Engine.now engine, pkt.P.seq) :: !ups);
+      try_up = (fun _ -> true);
+      bandwidth_bps = 1_000_000_000;
+      rtt_hint = Time.ms 4;
+    }
+  in
+  let t = create cfg ctx in
+  let sent = ref 0 in
+  let cls = P.service_class P.Reliable in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_send ->
+        incr sent;
+        send t (packet ~seq:(1000 + !sent) engine)
+      | Op_ack cum -> recv t (Msg.Link_ack { cls; cum })
+      | Op_nack missing -> recv t (Msg.Link_nack { cls; missing })
+      | Op_data lseq ->
+        recv t (Msg.Data { cls; lseq; pkt = packet ~seq:lseq engine; auth = None })
+      | Op_drain -> drained := List.map (fun p -> p.P.seq) (drain t) :: !drained
+      | Op_wait d -> Engine.run ~until:(Engine.now engine + d) engine);
+      sizes := store_size t :: !sizes)
+    ops;
+  Engine.run ~until:(Engine.now engine + Time.sec 1) engine;
+  (List.rev !xmits, List.rev !ups, List.rev !sizes, List.rev !drained)
+
+let qcheck_reliable_matches_model =
+  QCheck.Test.make ~name:"reliable: ring windows match the Map model" ~count:400
+    (QCheck.make ~print:print_rel_case gen_rel_case)
+    (fun ((in_order, ack_every, ack_delay_ms, max_nack), ops) ->
+      let cfg =
+        {
+          Strovl.Reliable_link.default_config with
+          Strovl.Reliable_link.ack_every;
+          ack_delay = Time.ms ack_delay_ms;
+          in_order_forwarding = in_order;
+          max_nack_repeats = max_nack;
+        }
+      in
+      let real =
+        run_rel_model
+          ~create:(fun config ctx -> Strovl.Reliable_link.create ~config ctx)
+          ~recv:Strovl.Reliable_link.recv ~send:Strovl.Reliable_link.send
+          ~drain:Strovl.Reliable_link.drain_store
+          ~store_size:Strovl.Reliable_link.store_size cfg ops
+      in
+      let model =
+        run_rel_model ~create:Rel_oracle.create ~recv:Rel_oracle.recv
+          ~send:Rel_oracle.send ~drain:Rel_oracle.drain_store
+          ~store_size:Rel_oracle.store_size cfg ops
+      in
+      real = model)
+
+let window_drops proto =
+  Strovl_obs.Metrics.find_counter
+    ~labels:[ ("proto", proto) ]
+    "strovl_link_window_drops_total"
+
+(* One forged Data far past the window costs a counter increment: no NACK
+   timer per skipped slot, nothing handed up, and the link keeps working. *)
+let reliable_window_bound () =
+  let p, _, ctx_b = make_pipe () in
+  let got = ref [] in
+  let b =
+    Strovl.Reliable_link.create
+      { ctx_b with Lproto.up = (fun pkt -> got := pkt.P.seq :: !got) }
+  in
+  let cls = P.service_class P.Reliable in
+  let data lseq = Msg.Data { cls; lseq; pkt = packet ~seq:lseq p.engine; auth = None } in
+  let before = window_drops "reliable" in
+  Strovl.Reliable_link.recv b (data (Strovl.Reliable_link.max_window + 1));
+  check_int "dropped and counted" (before + 1) (window_drops "reliable");
+  check_int "no timers" 0 (Engine.pending_events p.engine);
+  (* The edge of the window is still accepted. *)
+  Strovl.Reliable_link.recv b (data 1);
+  Strovl.Reliable_link.recv b (data (1 + Strovl.Reliable_link.max_window));
+  Engine.run ~until:(Time.ms 1) p.engine;
+  Alcotest.(check (list int)) "in-window data up"
+    [ 1; 1 + Strovl.Reliable_link.max_window ]
+    (List.rev !got);
+  check_int "one drop only" (before + 1) (window_drops "reliable");
+  (* Same bound on the NM-Strikes link. *)
+  let rt = Strovl.Realtime_link.create ctx_b in
+  let rt_before = window_drops "realtime" in
+  let rt_data lseq =
+    Msg.Data
+      {
+        cls = P.service_class (P.Realtime { deadline = 0; n_requests = 1; m_retrans = 1 });
+        lseq;
+        pkt = packet ~seq:lseq p.engine;
+        auth = None;
+      }
+  in
+  let pending = Engine.pending_events p.engine in
+  Strovl.Realtime_link.recv rt (rt_data 20_000_000);
+  check_int "realtime dropped and counted" (rt_before + 1) (window_drops "realtime");
+  check_int "no realtime timers" pending (Engine.pending_events p.engine);
+  check_int "nothing up" 0 (Strovl.Realtime_link.delivered_up rt)
+
+(* Both rings let go of a packet once it is acked, drained or handed up:
+   the slots hold no stale reference that would keep it from being
+   collected. *)
+let reliable_releases_packets () =
+  let engine = Engine.create () in
+  let ctx =
+    {
+      Lproto.engine;
+      node = -1;
+      link = -1;
+      xmit = ignore;
+      up = ignore;
+      try_up = (fun _ -> true);
+      bandwidth_bps = 1_000_000_000;
+      rtt_hint = Time.ms 2;
+    }
+  in
+  let config =
+    { Strovl.Reliable_link.default_config with Strovl.Reliable_link.in_order_forwarding = true }
+  in
+  let t = Strovl.Reliable_link.create ~config ctx in
+  let cls = P.service_class P.Reliable in
+  let tracked = Weak.create 4 in
+  let fresh i =
+    let pkt = packet ~seq:i engine in
+    Weak.set tracked i (Some pkt);
+    pkt
+  in
+  let send i = Strovl.Reliable_link.send t (fresh i) in
+  let data i lseq =
+    Strovl.Reliable_link.recv t (Msg.Data { cls; lseq; pkt = fresh i; auth = None })
+  in
+  send 0;
+  send 1;
+  Strovl.Reliable_link.recv t (Msg.Link_ack { cls; cum = 1 });
+  ignore (Strovl.Reliable_link.drain_store t);
+  (* Held for in-order forwarding, then handed up once lseq 1 arrives. *)
+  data 2 2;
+  data 3 1;
+  check_int "both handed up" 2 (Strovl.Reliable_link.delivered_up t);
+  Gc.full_major ();
+  for i = 0 to 3 do
+    check_bool (Printf.sprintf "packet %d collectable" i) false (Weak.check tracked i)
+  done
+
+(* Steady-state allocation of a directly wired reliable pair: sender and
+   receiver call each other synchronously, the engine runs the delayed ack,
+   and one packet record is reused, so every word counted is the link's
+   own (plus the Data and Link_ack messages themselves). *)
+let reliable_pair_words_per_packet () =
+  let engine = Engine.create () in
+  let a_recv = ref ignore and b_recv = ref ignore in
+  let ctx xmit =
+    {
+      Lproto.engine;
+      node = -1;
+      link = -1;
+      xmit;
+      up = ignore;
+      try_up = (fun _ -> true);
+      bandwidth_bps = 1_000_000_000;
+      rtt_hint = Time.ms 2;
+    }
+  in
+  let a = Strovl.Reliable_link.create (ctx (fun m -> !b_recv m)) in
+  let b = Strovl.Reliable_link.create (ctx (fun m -> !a_recv m)) in
+  a_recv := Strovl.Reliable_link.recv a;
+  b_recv := Strovl.Reliable_link.recv b;
+  let pkt = packet engine in
+  let burst () =
+    for _ = 1 to 40 do
+      Strovl.Reliable_link.send a pkt
+    done;
+    Engine.run engine
+  in
+  for _ = 1 to 100 do
+    burst ()
+  done;
+  let rounds = 500 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    burst ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (40 * rounds) in
+  check_int "store drained" 0 (Strovl.Reliable_link.store_size a);
+  (* Measured 9.7 words per packet (the Data message and its share of the
+     acks and timer options); the Map windows took 55.6. *)
+  if words > 11.0 then
+    Alcotest.failf "reliable pair: %.1f minor words per packet (bound 11)" words
+
 let () =
   Alcotest.run "strovl_protocols"
     [
@@ -742,6 +1159,10 @@ let () =
           Alcotest.test_case "ack loss refresh" `Quick reliable_ack_loss_recovered_by_refresh;
           Alcotest.test_case "drain store" `Quick reliable_drain_store;
           Alcotest.test_case "nack give-up" `Quick reliable_nack_gives_up_eventually;
+          Alcotest.test_case "window bound" `Quick reliable_window_bound;
+          Alcotest.test_case "releases packets" `Quick reliable_releases_packets;
+          Alcotest.test_case "words per packet" `Quick reliable_pair_words_per_packet;
+          QCheck_alcotest.to_alcotest qcheck_reliable_matches_model;
         ] );
       ( "realtime_link",
         [

@@ -326,6 +326,99 @@ let burst_is_coalesced () =
   Rt.Udp.close sender.sock;
   Rt.Udp.close receiver.sock
 
+(* One forged link datagram naming a real neighbour as its source and an
+   lseq 20 million past the window: the relay drops and counts it instead
+   of scheduling a NACK timer per skipped slot, nothing raises out of the
+   runtime, and the flow keeps going. *)
+let forged_lseq_is_dropped () =
+  let topo = square_topo () in
+  let rt = Rt.Runtime.create () in
+  let hosts =
+    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
+  in
+  Array.iter Rt.Host.start hosts;
+  let sender = client rt topo 0 in
+  let receiver = client rt topo 3 in
+  tell sender (Wire.Session.Open { sport = 8 });
+  tell receiver (Wire.Session.Open { sport = 9 });
+  check_bool "sessions open" true
+    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
+  let send_batch lo n =
+    for seq = lo to lo + n - 1 do
+      tell sender
+        (Wire.Session.Send
+           {
+             sport = 8;
+             dest = Packet.To_node 3;
+             dport = 9;
+             service = Packet.Reliable;
+             seq;
+             bytes = 1000;
+             tag = "f";
+           })
+    done
+  in
+  let forwarded id = (Node.counters (Rt.Host.node hosts.(id))).Node.forwarded in
+  send_batch 0 5;
+  check_bool "first batch delivered" true
+    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 5));
+  (* The relay on the path, and its link from node 0 (square_topo's links
+     are 0-1, 1-3, 0-2, 2-3 in that order). *)
+  let relay = if forwarded 1 >= forwarded 2 then 1 else 2 in
+  let link = if relay = 1 then 0 else 2 in
+  let drops () =
+    Metrics.find_counter
+      ~labels:[ ("proto", "reliable") ]
+      "strovl_link_window_drops_total"
+  in
+  let drops_before = drops () in
+  let pkt =
+    Packet.make
+      ~flow:{ Packet.f_src = 0; f_sport = 8; f_dest = Packet.To_node 3; f_dport = 9 }
+      ~routing:Packet.Link_state ~service:Packet.Reliable ~seq:999
+      ~sent_at:(Rt.Runtime.now rt) ~bytes:1000 ()
+  in
+  let forged =
+    Wire.Dg_msg
+      {
+        src = 0;
+        link;
+        msg =
+          Strovl.Msg.Data
+            {
+              cls = Packet.service_class Packet.Reliable;
+              lseq = 20_000_000;
+              pkt;
+              auth = None;
+            };
+      }
+  in
+  let attacker = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  ignore
+    (Rt.Udp.sendto attacker (Rt.Topofile.addr topo relay)
+       (Wire.encode_datagram forged));
+  Rt.Runtime.run_for rt (Time.ms 50);
+  check_int "forged datagram dropped and counted" (drops_before + 1) (drops ());
+  check_bool "no NACK timer storm" true
+    (Strovl_sim.Engine.pending_events (Rt.Runtime.engine rt) < 10_000);
+  let relayed_before = forwarded 1 + forwarded 2 in
+  send_batch 100 5;
+  check_bool "flow keeps being delivered" true
+    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
+  check_bool "relays keep forwarding" true
+    (forwarded 1 + forwarded 2 >= relayed_before + 5);
+  check_int "the forged packet never arrived" 0
+    (List.length
+       (List.filter
+          (function
+            | Wire.Session.Deliver { pkt; _ } -> pkt.Packet.seq = 999
+            | _ -> false)
+          receiver.frames));
+  Array.iter Rt.Host.close hosts;
+  Rt.Udp.close attacker;
+  Rt.Udp.close sender.sock;
+  Rt.Udp.close receiver.sock
+
 (* No SO_REUSEADDR: a second socket on a live daemon's port must fail
    rather than silently split the daemon's datagrams. *)
 let duplicate_bind_refused () =
@@ -431,6 +524,8 @@ let () =
             overlay_survives_relay_death;
           Alcotest.test_case "reliable burst is coalesced" `Quick
             burst_is_coalesced;
+          Alcotest.test_case "forged lseq is dropped" `Quick
+            forged_lseq_is_dropped;
           Alcotest.test_case "duplicate bind refused" `Quick
             duplicate_bind_refused;
           Alcotest.test_case "unwatched callback skipped" `Quick
