@@ -106,7 +106,6 @@ type proto =
 
 type endpoint = {
   ep_link : int;
-  ep_neighbor : int;
   ep_bandwidth : int;
   ep_xmit : Msg.t -> unit;
   ep_protos : proto option array;
@@ -773,7 +772,7 @@ let receive t ~link msg =
 (* Setup and the session interface                                     *)
 (* ------------------------------------------------------------------ *)
 
-let attach_link t ~link ~neighbor ~bandwidth_bps ~xmit =
+let attach_link t ~link ~bandwidth_bps ~xmit =
   if t.started then invalid_arg "Node.attach_link: already started";
   let protos = Array.make Packet.class_count None in
   let health =
@@ -783,7 +782,6 @@ let attach_link t ~link ~neighbor ~bandwidth_bps ~xmit =
   let ep =
     {
       ep_link = link;
-      ep_neighbor = neighbor;
       ep_bandwidth = bandwidth_bps;
       ep_xmit = xmit;
       ep_protos = protos;

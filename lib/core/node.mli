@@ -86,7 +86,6 @@ val engine : t -> Strovl_sim.Engine.t
 val attach_link :
   t ->
   link:int ->
-  neighbor:int ->
   bandwidth_bps:int ->
   xmit:(Msg.t -> unit) ->
   unit

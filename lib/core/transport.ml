@@ -6,5 +6,5 @@ type endpoint = {
 }
 
 let attach node ep =
-  Node.attach_link node ~link:ep.ep_link ~neighbor:ep.ep_peer
-    ~bandwidth_bps:ep.ep_bandwidth_bps ~xmit:ep.ep_xmit
+  Node.attach_link node ~link:ep.ep_link ~bandwidth_bps:ep.ep_bandwidth_bps
+    ~xmit:ep.ep_xmit

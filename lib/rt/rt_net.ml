@@ -17,15 +17,18 @@ type t = {
   outs : out array;  (** one per incident link *)
   sbuf : Wire.Session_buf.t;  (** every outgoing session datagram *)
   mutable flush_pending : bool;
+  mutable flush_ev : unit -> unit;  (** the turn's flush; built once *)
   sessions : (int, Unix.sockaddr) Hashtbl.t;  (** sport -> client *)
   m_rx : Metrics.Counter.t;
   m_tx : Metrics.Counter.t;
+  m_batches : Metrics.Counter.t;  (** [sendmmsg] calls *)
   m_tx_msgs : Metrics.Counter.t;  (** overlay messages sent, over all frames *)
   m_frame_bytes : Metrics.Histogram.t;  (** size of each link frame sent *)
   m_bad : Metrics.Counter.t;  (** undecodable datagrams *)
   m_misdirected : Metrics.Counter.t;
       (** well-formed but wrong: unknown/non-incident link, source not the
-          link's far end, or a daemon-bound-only session frame *)
+          link's far end, a daemon-bound-only session frame, or a [Close]
+          from a client other than the session's opener *)
   mutable closed : bool;
 }
 
@@ -36,14 +39,66 @@ let bindable_host host =
   | _ -> host
   | exception Failure _ -> ""
 
-(* Session frames go out one per datagram, at once, encoded into the
-   host's one session buffer. *)
-let send_session t addr frame =
+(* ------------------------------ sending ------------------------------- *)
+
+(* Every outgoing datagram is queued on the socket, and one zero-delay
+   engine event per turn sends the queue in one batch. Link traffic is
+   also coalesced: [xmit] appends each message to its link's frame, and
+   the event first queues every non-empty frame. The event fires inside
+   the engine catch-up that opens the next [Runtime.step] (or the current
+   one, for datagrams queued by engine events), always before that step
+   sleeps in [select], so no datagram waits in a buffer across a sleep. *)
+
+let request_flush t =
+  if not t.flush_pending then begin
+    t.flush_pending <- true;
+    ignore (Strovl_sim.Engine.schedule (Runtime.engine t.rt) ~delay:0 t.flush_ev)
+  end
+
+let enqueue t addr buf len =
   Metrics.Counter.incr t.m_tx;
-  Wire.Session_buf.encode t.sbuf frame;
-  ignore
-    (Udp.send t.sock addr (Wire.Session_buf.bytes t.sbuf)
-       (Wire.Session_buf.length t.sbuf))
+  Metrics.Counter.add t.m_batches (Udp.queue t.sock addr buf len)
+
+(* Session frames are one datagram each, encoded into the host's one
+   session buffer and copied into the queue. *)
+let send_session t addr frame =
+  if not t.closed then begin
+    Wire.Session_buf.encode t.sbuf frame;
+    enqueue t addr (Wire.Session_buf.bytes t.sbuf)
+      (Wire.Session_buf.length t.sbuf);
+    request_flush t
+  end
+
+let send_frame t o =
+  let f = o.frame in
+  let n = Wire.Link_frame.count f in
+  if n > 0 then begin
+    let len = Wire.Link_frame.length f in
+    enqueue t o.addr (Wire.Link_frame.bytes f) len;
+    Metrics.Counter.add t.m_tx_msgs n;
+    Metrics.Histogram.observe t.m_frame_bytes len;
+    Wire.Link_frame.clear f
+  end
+
+let flush t =
+  t.flush_pending <- false;
+  if not t.closed then begin
+    for i = 0 to Array.length t.outs - 1 do
+      send_frame t t.outs.(i)
+    done;
+    Metrics.Counter.add t.m_batches (Udp.flush t.sock)
+  end
+
+let xmit t o msg =
+  if not t.closed then begin
+    let f = o.frame in
+    if
+      Wire.Link_frame.count f > 0
+      && Wire.Link_frame.length f + Wire.header_size msg > Wire.max_frame
+    then send_frame t o;
+    Wire.Link_frame.add f msg;
+    request_flush t
+  end
 
 let deliver t sport pkt =
   match Hashtbl.find_opt t.sessions sport with
@@ -55,13 +110,14 @@ let deliver t sport pkt =
 let stats_json t =
   let c = Node.counters t.node in
   Printf.sprintf
-    {|{"node":%d,"now_us":%d,"forwarded":%d,"delivered":%d,"dropped_no_route":%d,"dropped_ttl":%d,"dropped_auth":%d,"dropped_dup":%d,"dropped_backpressure":%d,"dropped_overload":%d,"lsu_floods":%d,"group_floods":%d,"rx_datagrams":%d,"tx_datagrams":%d,"tx_link_msgs":%d,"bad_datagrams":%d,"misdirected":%d,"sessions":%d}|}
+    {|{"node":%d,"now_us":%d,"forwarded":%d,"delivered":%d,"dropped_no_route":%d,"dropped_ttl":%d,"dropped_auth":%d,"dropped_dup":%d,"dropped_backpressure":%d,"dropped_overload":%d,"lsu_floods":%d,"group_floods":%d,"rx_datagrams":%d,"tx_datagrams":%d,"tx_batches":%d,"tx_link_msgs":%d,"bad_datagrams":%d,"misdirected":%d,"sessions":%d}|}
     t.me (Runtime.now t.rt) c.Node.forwarded c.Node.delivered
     c.Node.dropped_no_route c.Node.dropped_ttl c.Node.dropped_auth
     c.Node.dropped_dup c.Node.dropped_backpressure c.Node.dropped_overload
     c.Node.lsu_floods c.Node.group_floods
     (Metrics.Counter.value t.m_rx)
     (Metrics.Counter.value t.m_tx)
+    (Metrics.Counter.value t.m_batches)
     (Metrics.Counter.value t.m_tx_msgs)
     (Metrics.Counter.value t.m_bad)
     (Metrics.Counter.value t.m_misdirected)
@@ -87,14 +143,25 @@ let handle_session t frame from =
     let accepted = Node.originate t.node pkt in
     send_session t from (Wire.Session.Sent { sport; seq; accepted })
   | Stats_req _ -> send_session t from (Wire.Session.Stats { json = stats_json t })
-  | Close { sport } ->
-    if Hashtbl.mem t.sessions sport then begin
+  | Close { sport } -> (
+    match Hashtbl.find_opt t.sessions sport with
+    | Some opener when opener = from ->
       Hashtbl.remove t.sessions sport;
       Node.unregister_session t.node ~port:sport
-    end
+    | Some _ ->
+      (* only the client that opened a session may close it *)
+      Metrics.Counter.incr t.m_misdirected
+    | None -> ())
   | Open_ok _ | Sent _ | Deliver _ | Stats _ ->
     (* client-bound frames have no business arriving at a daemon *)
     Metrics.Counter.incr t.m_misdirected
+
+(* [List.iter] would build a closure per datagram. *)
+let rec receive_all node link = function
+  | [] -> ()
+  | msg :: rest ->
+    Node.receive node ~link msg;
+    receive_all node link rest
 
 let handle_datagram t data from =
   Metrics.Counter.incr t.m_rx;
@@ -107,48 +174,9 @@ let handle_datagram t data from =
       else None
     with
     | Some peer when peer = src ->
-      List.iter (fun msg -> Node.receive t.node ~link msg) msgs
+      receive_all t.node link msgs
     | _ -> Metrics.Counter.incr t.m_misdirected)
   | Ok (Wire.Fr_session frame) -> handle_session t frame from
-
-(* ------------------------------ sending ------------------------------- *)
-
-(* Link traffic is coalesced: [xmit] appends each message to its link's
-   frame, and one zero-delay engine event per turn sends every non-empty
-   frame. The event fires inside the engine catch-up that opens the next
-   [Runtime.step] (or the current one, for messages sent by engine
-   events), always before that step sleeps in [select], so no message
-   waits in a buffer across a sleep. *)
-
-let send_frame t o =
-  let f = o.frame in
-  let n = Wire.Link_frame.count f in
-  if n > 0 then begin
-    let len = Wire.Link_frame.length f in
-    ignore (Udp.send t.sock o.addr (Wire.Link_frame.bytes f) len);
-    Metrics.Counter.incr t.m_tx;
-    Metrics.Counter.add t.m_tx_msgs n;
-    Metrics.Histogram.observe t.m_frame_bytes len;
-    Wire.Link_frame.clear f
-  end
-
-let flush t =
-  t.flush_pending <- false;
-  Array.iter (send_frame t) t.outs
-
-let xmit t ~flush_ev o msg =
-  if not t.closed then begin
-    let f = o.frame in
-    if
-      Wire.Link_frame.count f > 0
-      && Wire.Link_frame.length f + Wire.header_size msg > Wire.max_frame
-    then send_frame t o;
-    Wire.Link_frame.add f msg;
-    if not t.flush_pending then begin
-      t.flush_pending <- true;
-      ignore (Strovl_sim.Engine.schedule (Runtime.engine t.rt) ~delay:0 flush_ev)
-    end
-  end
 
 let create ?config ~rt ~topo ~id () =
   let graph = Topofile.graph topo in
@@ -183,9 +211,11 @@ let create ?config ~rt ~topo ~id () =
       outs;
       sbuf = Wire.Session_buf.create ();
       flush_pending = false;
+      flush_ev = ignore;
       sessions = Hashtbl.create 8;
       m_rx = Metrics.counter ~labels "strovl_rt_rx_datagrams_total";
       m_tx = Metrics.counter ~labels "strovl_rt_tx_datagrams_total";
+      m_batches = Metrics.counter ~labels "strovl_rt_tx_batches_total";
       m_tx_msgs = Metrics.counter ~labels "strovl_rt_tx_link_msgs_total";
       m_frame_bytes = Metrics.histogram ~labels "strovl_rt_link_frame_bytes";
       m_bad = Metrics.counter ~labels "strovl_rt_bad_datagrams_total";
@@ -193,7 +223,7 @@ let create ?config ~rt ~topo ~id () =
       closed = false;
     }
   in
-  let flush_ev () = flush t in
+  t.flush_ev <- (fun () -> flush t);
   List.iteri
     (fun i link ->
       t.peer_of_link.(link) <- Some (peer link);
@@ -202,7 +232,7 @@ let create ?config ~rt ~topo ~id () =
           Transport.ep_link = link;
           ep_peer = peer link;
           ep_bandwidth_bps = Topofile.bandwidth_bps topo link;
-          ep_xmit = xmit t ~flush_ev outs.(i);
+          ep_xmit = xmit t outs.(i);
         })
     incident;
   t
@@ -213,8 +243,9 @@ let port t = Udp.port t.sock
 
 let start t =
   Node.start t.node;
+  let on_datagram = handle_datagram t in
   Runtime.watch t.rt (Udp.fd t.sock) (fun () ->
-      Udp.drain t.sock ~f:(handle_datagram t))
+      Udp.drain t.sock ~f:on_datagram)
 
 let close t =
   if not t.closed then begin

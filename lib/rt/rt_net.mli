@@ -3,18 +3,23 @@
     This is {!Strovl.Net}'s role under the wall-clock runtime — the glue
     between the transport seam and the wire. Each incident overlay link is
     attached through {!Strovl.Transport} with an [xmit] that appends the
-    message to the link's {!Strovl.Wire.Link_frame}; one zero-delay engine
-    event per runtime turn sends every non-empty frame as one datagram to
-    the peer daemon's address from the shared topology file, and a frame
-    is sent early when the next message would push it past
-    {!Strovl.Wire.max_frame}. The event always fires before the runtime
-    next sleeps in [select], so coalescing never holds a message across a
-    sleep. Inbound datagrams are decoded and validated whole
-    ({!Strovl.Wire.decode_frame}), checked against the topology (the named
-    link must be incident and the claimed source must be its far end),
-    and their messages dispatched into [Node.receive] in order. Session
-    datagrams implement the client protocol of {!Strovl.Wire.Session},
-    one frame per datagram, sent at once.
+    message to the link's {!Strovl.Wire.Link_frame}. Every outgoing
+    datagram goes through the socket's send queue ({!Udp.queue}): session
+    replies ([Open_ok], [Sent], [Deliver], [Stats]) as they are made, and
+    link frames when one zero-delay engine event per runtime turn queues
+    every non-empty frame — one datagram to the peer daemon's address from
+    the shared topology file — and then sends the whole queue in one batch
+    ({!Udp.flush}). A frame is queued early when the next message would
+    push it past {!Strovl.Wire.max_frame}. The event always fires before
+    the runtime next sleeps in [select], so no link message or session
+    reply is held across a sleep. Inbound datagrams are decoded and
+    validated whole ({!Strovl.Wire.decode_frame}), checked against the
+    topology (the named link must be incident and the claimed source must
+    be its far end), and their messages dispatched into [Node.receive] in
+    order. Session datagrams implement the client protocol of
+    {!Strovl.Wire.Session}, one frame per datagram; a session is closed
+    only by a [Close] from the address that opened it, and any other
+    [Close] for it is counted as misdirected and ignored.
 
     The protocol stack itself — hello, LSUs, routing, the five
     link service classes, dedup, delivery — is exactly the code the
@@ -45,12 +50,13 @@ val start : t -> unit
 
 val close : t -> unit
 (** Stops the node in place ({!Strovl.Node.stop}), detaches from the
-    runtime, drops unsent link frames and their buffers, and closes the
-    socket. The runtime and other hosts on it keep
+    runtime, drops unsent link frames, the send queue and their buffers,
+    and closes the socket; the turn's pending flush then sends nothing. The runtime and other hosts on it keep
     running — this is how a test kills one daemon of an in-process
     overlay. Idempotent. *)
 
 val stats_json : t -> string
 (** One-line JSON snapshot: node id, engine clock, forwarding counters,
-    datagrams received and sent ([tx_link_msgs] counts the overlay messages
-    the sent link frames carried), live session count. Also what a [Stats_req] session frame returns. *)
+    datagrams received and sent, [sendmmsg] calls ([tx_batches]; each
+    segment of a segmented send counts as one datagram), overlay messages
+    the sent link frames carried ([tx_link_msgs]), live session count. Also what a [Stats_req] session frame returns. *)

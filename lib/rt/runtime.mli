@@ -18,7 +18,15 @@
 
     Single-threaded by design, like the simulator: socket callbacks and
     timer events interleave on one domain, so protocol code keeps its
-    no-locks discipline. *)
+    no-locks discipline.
+
+    Output batching rests on one invariant of {!step}: a zero-delay event
+    scheduled during a turn fires in the engine catch-up that opens the
+    next turn (or in the current catch-up, when an engine event scheduled
+    it), always before the runtime sleeps in [select]. A daemon
+    ({!Rt_net}) queues every outgoing datagram of a turn, link frames and
+    session replies alike, and sends them from one such event, so nothing
+    it sends waits across a sleep. *)
 
 type t
 

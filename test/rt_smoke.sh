@@ -1,9 +1,12 @@
 #!/bin/sh
 # Real-sockets check of the daemon binaries: three strovl_node daemons on
 # a loopback line 0-1-2, a receiver session at node 2, and a reliable
-# 50-packet strovl_send flow from node 0, two overlay hops away. Exits
-# non-zero (printing every process's output) unless the sender's Sends
-# are all accepted and the receiver gets all 50 packets.
+# 200-packet strovl_send flow from node 0, two overlay hops away, sent
+# unpaced, so the daemons' batched sends carry several replies and link
+# frames at a time. Exits non-zero (printing every process's output)
+# unless the sender's Sends are all accepted and acknowledged and the
+# receiver gets all 200 packets: every frame must still arrive as a
+# datagram of its own to decode.
 #
 #   sh test/rt_smoke.sh path/to/strovl_node.exe path/to/strovl_send.exe
 set -eu
@@ -40,7 +43,7 @@ for id in 0 1 2; do
     > "$dir/node$id.out" 2>&1 &
   pids="$pids $!"
 done
-"$send" --topo "$dir/topo" --node 2 --sport 9 --expect 50 --timeout-sec 20 \
+"$send" --topo "$dir/topo" --node 2 --sport 9 --expect 200 --timeout-sec 20 \
   > "$dir/receiver.out" 2>&1 &
 receiver=$!
 pids="$pids $receiver"
@@ -49,8 +52,11 @@ sleep 2
 
 status=0
 "$send" --topo "$dir/topo" --node 0 --sport 8 --dest 2 --dport 9 \
-  --service reliable --count 50 > "$dir/sender.out" 2>&1 || status=1
+  --service reliable --count 200 --interval-ms 0 --stats \
+  > "$dir/sender.out" 2>&1 || status=1
 wait "$receiver" || status=1
+# A reply merged with another would not decode, and go unacknowledged.
+grep -q '^sent 200: 200 acknowledged, 0 refused$' "$dir/sender.out" || status=1
 if [ "$status" -ne 0 ]; then
   echo "rt_smoke: reliable flow across two daemon hops failed" >&2
   for f in "$dir"/*.out; do

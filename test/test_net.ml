@@ -272,7 +272,7 @@ let monitor_seeded_rtt_ewma () =
   Array.iteri
     (fun id node ->
       let peer = nodes.(1 - id) in
-      Node.attach_link node ~link ~neighbor:(1 - id)
+      Node.attach_link node ~link
         ~bandwidth_bps:1_000_000_000 ~xmit:(fun msg ->
           ignore
             (Engine.schedule engine ~delay:(Time.us 500) (fun () ->
@@ -298,7 +298,7 @@ let monitor_echoes_legacy_probe () =
   let link = Graph.add_link graph 0 1 in
   let node = Node.create ~engine ~graph ~id:0 ~metric:(fun _ -> Time.ms 5) () in
   let sent = ref [] in
-  Node.attach_link node ~link ~neighbor:1 ~bandwidth_bps:1_000_000_000
+  Node.attach_link node ~link ~bandwidth_bps:1_000_000_000
     ~xmit:(fun msg -> sent := msg :: !sent);
   Node.receive node ~link (Strovl.Msg.Probe { pseq = 42; sent_at = 1234 });
   match !sent with

@@ -478,6 +478,372 @@ let unwatched_callback_skipped () =
   Rt.Udp.close a;
   Rt.Udp.close b
 
+(* ------------------------- the batched send path ------------------------ *)
+
+(* The send planner. Runs cover the queue in order; each has one address
+   and one length, at most Udp.max_segments datagrams, and more than one
+   only for a length of 1..Wire.max_frame bytes and a total of at most
+   Udp.max_run_bytes. With segmentation on, runs are greedy: the next run
+   could not have been appended to the one before it. *)
+let check_plan ~segment addr len n =
+  let runs = Array.make (3 * max n 1) (-1) in
+  let nruns = Rt.Udp.plan ~segment addr len n runs in
+  let ok = ref (nruns >= 0 && nruns <= n) and next = ref 0 in
+  for k = 0 to nruns - 1 do
+    let first = runs.(3 * k) and size = runs.((3 * k) + 1)
+    and segs = runs.((3 * k) + 2) in
+    let one_run =
+      first = !next && segs >= 1 && first + segs <= n
+      && segs <= Rt.Udp.max_segments
+      && (segs = 1
+         || segment && size > 0 && size <= Wire.max_frame
+            && segs * size <= Rt.Udp.max_run_bytes)
+      && List.for_all
+           (fun i -> len.(i) = size && addr.(i) = addr.(first))
+           (List.init segs (fun j -> first + j))
+    in
+    let greedy =
+      k = 0
+      || (not segment)
+      ||
+      let pfirst = runs.(3 * (k - 1)) and psegs = runs.((3 * (k - 1)) + 2) in
+      not
+        (addr.(first) = addr.(pfirst)
+        && size = len.(pfirst)
+        && size > 0 && size <= Wire.max_frame
+        && psegs < Rt.Udp.max_segments
+        && (psegs + 1) * size <= Rt.Udp.max_run_bytes)
+    in
+    if not (one_run && greedy) then ok := false;
+    next := first + segs
+  done;
+  !ok && !next = n
+
+(* Blocks of repeated (address, length): long runs, address and length
+   changes, zero-length and over-MTU datagrams. *)
+let gen_queue =
+  QCheck.Gen.(
+    let block =
+      map3
+        (fun a l k -> (a, l, k))
+        (int_bound 2)
+        (oneof
+           [
+             oneofl [ 0; 14; Wire.max_frame; Wire.max_frame + 1; 3000 ];
+             int_range 1 1100;
+           ])
+        (oneof [ int_range 1 3; int_range 60 140 ])
+    in
+    map
+      (fun blocks ->
+        let dgs =
+          List.concat_map (fun (a, l, k) -> List.init k (fun _ -> (a, l))) blocks
+        in
+        let dgs = List.filteri (fun i _ -> i < Rt.Udp.max_queue) dgs in
+        let addrs =
+          [|
+            Unix.ADDR_INET (Unix.inet_addr_loopback, 9000);
+            Unix.ADDR_INET (Unix.inet_addr_loopback, 9001);
+            Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.2", 9000);
+          |]
+        in
+        ( Array.of_list (List.map (fun (a, _) -> addrs.(a)) dgs),
+          Array.of_list (List.map snd dgs) ))
+      (list_size (int_range 0 8) block))
+
+let qcheck_plan =
+  QCheck.Test.make ~count:500 ~name:"send plan covers the queue in runs"
+    (QCheck.make
+       ~print:(fun (_, len) ->
+         String.concat "," (Array.to_list (Array.map string_of_int len)))
+       gen_queue)
+    (fun (addr, len) ->
+      let n = Array.length len in
+      check_plan ~segment:true addr len n && check_plan ~segment:false addr len n)
+
+(* Two sockets on loopback; [b] gets a large receive buffer so nothing a
+   test flushes at it is lost. *)
+let socket_pair () =
+  let a = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let b = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  Unix.setsockopt_int (Rt.Udp.fd b) Unix.SO_RCVBUF (1 lsl 20);
+  (a, b, Unix.ADDR_INET (Unix.inet_addr_loopback, Rt.Udp.port b))
+
+let received sock =
+  let got = ref [] in
+  ignore (Unix.select [ Rt.Udp.fd sock ] [] [] 0.2);
+  let rec more () =
+    Rt.Udp.drain sock ~f:(fun data _ -> got := data :: !got);
+    match Unix.select [ Rt.Udp.fd sock ] [] [] 0.05 with
+    | [], _, _ -> ()
+    | _ -> more ()
+  in
+  more ();
+  List.rev !got
+
+(* Whatever is queued arrives as queued: one datagram each, with its own
+   length and bytes, in order, across segmented runs, singles over the MTU
+   and a second destination. A full queue flushes itself; a flush
+   allocates nothing; a closed socket sends nothing. *)
+let queue_and_flush () =
+  let a, b, to_b = socket_pair () in
+  let c = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let to_c = Unix.ADDR_INET (Unix.inet_addr_loopback, Rt.Udp.port c) in
+  let datagram i len = String.init len (fun j -> Char.chr ((i + j) land 0xff)) in
+  let plan = [ (90, 30, to_b); (1, 30, to_c); (2, 1500, to_b); (30, 40, to_b) ] in
+  let expected = ref [] and i = ref 0 and calls = ref 0 in
+  List.iter
+    (fun (k, len, addr) ->
+      for _ = 1 to k do
+        let d = datagram !i len in
+        incr i;
+        calls := !calls + Rt.Udp.queue a addr (Bytes.of_string d) len;
+        if addr == to_b then expected := d :: !expected
+      done)
+    plan;
+  check_int "no flush while there is room" 0 !calls;
+  check_int "one sendmmsg call" 1 (Rt.Udp.flush a);
+  check_int "an empty queue makes no call" 0 (Rt.Udp.flush a);
+  Alcotest.(check (list string))
+    "every datagram on its own, in order" (List.rev !expected) (received b);
+  Alcotest.(check (list string)) "the other address" [ datagram 90 30 ] (received c);
+  (* One more than a queue holds: the last queue call flushes first. *)
+  let buf = Bytes.make 20 'q' in
+  for _ = 1 to Rt.Udp.max_queue do
+    calls := !calls + Rt.Udp.queue a to_b buf 20
+  done;
+  check_int "a queue's worth fits" 0 !calls;
+  check_int "full queue flushed" 1 (Rt.Udp.queue a to_b buf 20);
+  check_int "the rest" 1 (Rt.Udp.flush a);
+  check_int "all arrived" (Rt.Udp.max_queue + 1) (List.length (received b));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 200 do
+    for _ = 1 to 10 do
+      ignore (Rt.Udp.queue a to_b buf 20)
+    done;
+    ignore (Rt.Udp.flush a)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "queue and flush allocate nothing (%.0f words)" words)
+    true (words < 100.);
+  ignore (received b);
+  ignore (Rt.Udp.queue a to_b buf 20);
+  Rt.Udp.close a;
+  check_int "closed: queue is a no-op" 0 (Rt.Udp.queue a to_b buf 20);
+  check_int "closed: flush is a no-op" 0 (Rt.Udp.flush a);
+  check_int "the queued datagram was dropped" 0 (List.length (received b));
+  Rt.Udp.close b;
+  Rt.Udp.close c
+
+external set_no_check : Unix.file_descr -> unit = "strovl_test_set_no_check"
+
+(* A socket whose segmented sends the kernel refuses (SO_NO_CHECK): the
+   refused flush still delivers every datagram, singly and in order, and
+   the socket stops segmenting, so the next flush is one plain sendmmsg. *)
+let segmentation_fallback () =
+  let a, b, to_b = socket_pair () in
+  set_no_check (Rt.Udp.fd a);
+  let burst tag =
+    let sent = List.init 100 (fun i -> Printf.sprintf "%s%04d" tag i) in
+    List.iter
+      (fun d -> ignore (Rt.Udp.queue a to_b (Bytes.of_string d) (String.length d)))
+      sent;
+    (sent, Rt.Udp.flush a)
+  in
+  let sent, calls = burst "x" in
+  check_bool (Printf.sprintf "refused, then resent singly (%d calls)" calls) true
+    (calls >= 2);
+  Alcotest.(check (list string)) "every datagram arrived once, in order" sent
+    (received b);
+  let sent, calls = burst "y" in
+  check_int "no longer segmenting: one call" 1 calls;
+  Alcotest.(check (list string)) "and again" sent (received b);
+  Rt.Udp.close a;
+  Rt.Udp.close b
+
+(* One daemon, no links, on a free loopback port. *)
+let lone_host rt =
+  match
+    Rt.Topofile.parse
+      (Printf.sprintf "node 0 127.0.0.1:%d" (List.hd (free_ports 1)))
+  with
+  | Ok topo -> (topo, Rt.Host.create ~config:test_config ~rt ~topo ~id:0 ())
+  | Error e -> Alcotest.failf "topofile: %s" e
+
+let stat host key =
+  let j = Rt.Host.stats_json host in
+  let pat = Printf.sprintf "\"%s\":" key in
+  let rec find i =
+    if String.sub j i (String.length pat) = pat then i + String.length pat
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < String.length j && j.[!stop] >= '0' && j.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub j start (!stop - start))
+
+let send_frame sport seq =
+  Wire.Session.Send
+    {
+      sport;
+      dest = Packet.To_node 0;
+      dport = 1;
+      service = Packet.Best_effort;
+      seq;
+      bytes = 100;
+      tag = "b";
+    }
+
+(* A burst of Sends larger than one send queue and than one segmented
+   run: every Sent reply comes back exactly once, as one frame per
+   datagram, in seq order, and the daemon made fewer sendmmsg calls than
+   it sent datagrams. 250 Sends: the daemon socket's default receive
+   buffer holds 256 datagrams this small, and the burst lands in it before
+   the daemon reads. *)
+let session_replies_batched () =
+  let rt = Rt.Runtime.create () in
+  let topo, host = lone_host rt in
+  Rt.Host.start host;
+  let sock = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  Unix.setsockopt_int (Rt.Udp.fd sock) Unix.SO_RCVBUF (1 lsl 20);
+  let daemon = Rt.Topofile.addr topo 0 in
+  let tell frame =
+    ignore (Rt.Udp.sendto sock daemon (Wire.encode_datagram (Wire.Dg_session frame)))
+  in
+  let replies = ref [] in
+  let collect () =
+    Rt.Udp.drain sock ~f:(fun data _ -> replies := data :: !replies)
+  in
+  tell (Wire.Session.Open { sport = 8 });
+  check_bool "session open" true
+    (run_until rt ~budget_ms:2000 (fun () ->
+         collect ();
+         !replies <> []));
+  replies := [];
+  let tx0 = stat host "tx_datagrams" and batches0 = stat host "tx_batches" in
+  let n = 250 in
+  check_bool "more than one queue" true (n > Rt.Udp.max_queue);
+  for seq = 0 to n - 1 do
+    tell (send_frame 8 seq)
+  done;
+  ignore
+    (run_until rt ~budget_ms:3000 (fun () ->
+         collect ();
+         List.length !replies >= n));
+  Rt.Runtime.run_for rt (Time.ms 50);
+  collect ();
+  let seqs =
+    List.rev_map
+      (fun data ->
+        match Wire.decode_datagram data with
+        | Ok (Wire.Dg_session (Wire.Session.Sent { sport = 8; seq; _ })) -> seq
+        | _ -> Alcotest.failf "not one Sent frame: %S" data)
+      !replies
+  in
+  Alcotest.(check (list int)) "every Sent once, in seq order" (List.init n Fun.id) seqs;
+  let tx = stat host "tx_datagrams" - tx0
+  and batches = stat host "tx_batches" - batches0 in
+  check_int "tx_datagrams counts each reply" n tx;
+  check_bool
+    (Printf.sprintf "batched: %d sendmmsg calls for %d datagrams" batches tx)
+    true
+    (batches >= 2 && batches < tx);
+  Rt.Host.close host;
+  Rt.Udp.close sock
+
+(* Host.close with replies still queued: the pending flush finds nothing,
+   raises nothing, and no datagram leaves afterwards. *)
+let close_drops_queue () =
+  let rt = Rt.Runtime.create () in
+  let topo, host = lone_host rt in
+  Rt.Host.start host;
+  let sock = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let daemon = Rt.Topofile.addr topo 0 in
+  let tell frame =
+    ignore (Rt.Udp.sendto sock daemon (Wire.encode_datagram (Wire.Dg_session frame)))
+  in
+  tell (Wire.Session.Open { sport = 8 });
+  check_bool "session open" true
+    (run_until rt ~budget_ms:2000 (fun () ->
+         match Rt.Udp.recvfrom sock with Some _ -> true | None -> false));
+  let rx0 = stat host "rx_datagrams" in
+  for seq = 0 to 4 do
+    tell (send_frame 8 seq)
+  done;
+  (* A turn reads the Sends and queues their replies; the flush would come
+     at the start of the next turn. *)
+  let deadline = Rt.Clock.now_us () + 2_000_000 in
+  while stat host "rx_datagrams" = rx0 && Rt.Clock.now_us () < deadline do
+    Rt.Runtime.step rt ~deadline:(Rt.Runtime.now rt + Time.ms 20)
+  done;
+  check_bool "the Sends were read" true (stat host "rx_datagrams" > rx0);
+  Rt.Host.close host;
+  Rt.Runtime.run_for rt (Time.ms 50);
+  check_bool "nothing sent after close" true
+    (match Unix.select [ Rt.Udp.fd sock ] [] [] 0.1 with
+    | [], _, _ -> true
+    | _ -> false);
+  Rt.Udp.close sock
+
+(* Close binds to the session's opener: a Close for sport 9 from another
+   socket is counted as misdirected and ignored, and the receiver keeps
+   getting its packets. *)
+let close_from_stranger_ignored () =
+  let topo = square_topo () in
+  let rt = Rt.Runtime.create () in
+  let hosts =
+    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
+  in
+  Array.iter Rt.Host.start hosts;
+  let sender = client rt topo 0 in
+  let receiver = client rt topo 3 in
+  tell sender (Wire.Session.Open { sport = 8 });
+  tell receiver (Wire.Session.Open { sport = 9 });
+  check_bool "sessions open" true
+    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
+  let send_batch lo n =
+    for seq = lo to lo + n - 1 do
+      tell sender
+        (Wire.Session.Send
+           {
+             sport = 8;
+             dest = Packet.To_node 3;
+             dport = 9;
+             service = Packet.Reliable;
+             seq;
+             bytes = 1000;
+             tag = "c";
+           })
+    done
+  in
+  send_batch 0 5;
+  check_bool "first batch delivered" true
+    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 5));
+  let misdirected () =
+    Metrics.find_counter ~labels:[ ("node", "3") ] "strovl_rt_misdirected_total"
+  in
+  let before = misdirected () in
+  let stranger = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  ignore
+    (Rt.Udp.sendto stranger receiver.daemon
+       (Wire.encode_datagram (Wire.Dg_session (Wire.Session.Close { sport = 9 }))));
+  Rt.Runtime.run_for rt (Time.ms 50);
+  check_int "the stranger's Close is misdirected" (before + 1) (misdirected ());
+  check_int "the session survives" 1 (stat hosts.(3) "sessions");
+  send_batch 100 5;
+  check_bool "and keeps delivering" true
+    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
+  tell receiver (Wire.Session.Close { sport = 9 });
+  check_bool "the opener's Close works" true
+    (run_until rt ~budget_ms:500 (fun () -> stat hosts.(3) "sessions" = 0));
+  check_int "and is not misdirected" (before + 1) (misdirected ());
+  Array.iter Rt.Host.close hosts;
+  Rt.Udp.close stranger;
+  Rt.Udp.close sender.sock;
+  Rt.Udp.close receiver.sock
+
 let topofile_parsing () =
   let ok text =
     match Rt.Topofile.parse text with
@@ -526,6 +892,16 @@ let () =
             burst_is_coalesced;
           Alcotest.test_case "forged lseq is dropped" `Quick
             forged_lseq_is_dropped;
+          QCheck_alcotest.to_alcotest qcheck_plan;
+          Alcotest.test_case "queue and flush" `Quick queue_and_flush;
+          Alcotest.test_case "segmentation fallback" `Quick
+            segmentation_fallback;
+          Alcotest.test_case "session replies are batched" `Quick
+            session_replies_batched;
+          Alcotest.test_case "close drops the send queue" `Quick
+            close_drops_queue;
+          Alcotest.test_case "close from a stranger is ignored" `Quick
+            close_from_stranger_ignored;
           Alcotest.test_case "duplicate bind refused" `Quick
             duplicate_bind_refused;
           Alcotest.test_case "unwatched callback skipped" `Quick
