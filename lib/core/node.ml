@@ -545,9 +545,20 @@ let rec get_proto t ep cls =
     ep.ep_protos.(cls) <- Some p;
     p
 
-(* Send one already-hop-bumped packet down a link's protocol instance. The
-   caller makes the [next_hop_copy] once per routing decision and shares it
-   across the fan-out (the packet record is immutable). *)
+(* Send [pkt] on the first [n] links of [buf] (as filled by
+   [collect_outs]). One [next_hop_copy] per routing decision is shared
+   across the fan-out: the packet record is immutable. *)
+and fan_out t pkt buf n =
+  if n > 0 then begin
+    let fwd = Packet.next_hop_copy pkt in
+    for i = 0 to n - 1 do
+      match ep_for t buf.(i) with
+      | Some ep -> send_prepped t ep fwd
+      | None -> ()
+    done
+  end
+
+(* Send one already-hop-bumped packet down a link's protocol instance. *)
 and send_prepped t ep pkt =
   t.ctrs.forwarded <- t.ctrs.forwarded + 1;
   Om.Counter.incr t.om.m_forwarded;
@@ -599,15 +610,7 @@ and forward t ~from_link pkt =
   else begin
     deliver_locals t pkt;
     let buf = acquire_outs t in
-    let n = collect_outs t pkt ~from_link buf in
-    if n > 0 then begin
-      let fwd = Packet.next_hop_copy pkt in
-      for i = 0 to n - 1 do
-        match ep_for t buf.(i) with
-        | Some ep -> send_prepped t ep fwd
-        | None -> ()
-      done
-    end;
+    fan_out t pkt buf (collect_outs t pkt ~from_link buf);
     release_outs t buf
   end
 
@@ -656,14 +659,7 @@ and try_accept t ~from_link pkt =
         else begin
           ignore (Dedup.seen t.dedup pkt.Packet.flow pkt.Packet.seq);
           deliver_locals t pkt;
-          if n > 0 then begin
-            let fwd = Packet.next_hop_copy pkt in
-            for i = 0 to n - 1 do
-              match ep_for t buf.(i) with
-              | Some ep -> send_prepped t ep fwd
-              | None -> ()
-            done
-          end;
+          fan_out t pkt buf n;
           true
         end
       end
@@ -689,15 +685,7 @@ let reroute_stranded_reliable t ~link protos =
       (fun pkt ->
         let pkt = Packet.as_replay pkt in
         let buf = acquire_outs t in
-        let n = collect_outs t pkt ~from_link:link buf in
-        if n > 0 then begin
-          let fwd = Packet.next_hop_copy pkt in
-          for i = 0 to n - 1 do
-            match ep_for t buf.(i) with
-            | Some ep' -> send_prepped t ep' fwd
-            | None -> ()
-          done
-        end;
+        fan_out t pkt buf (collect_outs t pkt ~from_link:link buf);
         release_outs t buf)
       stranded
   | Some (P_best _ | P_rt _ | P_itp _ | P_itr _ | P_fec _) | None -> ()

@@ -1,6 +1,6 @@
 (** Wall-clock time for the real-time runtime.
 
-    CLOCK_MONOTONIC via bechamel's C stub — immune to NTP steps and
+    CLOCK_MONOTONIC via a [clock_gettime] stub — immune to NTP steps and
     [settimeofday], which is what a protocol stack full of timeouts wants.
     Expressed in the engine's native unit (integer microseconds,
     {!Strovl_sim.Time.t}) so wall instants can be fed straight into

@@ -12,6 +12,7 @@
 #include <errno.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <netinet/in.h>
@@ -19,6 +20,7 @@
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
+#include <caml/alloc.h>
 #include <caml/fail.h>
 #include <caml/unixsupport.h>
 #include <caml/socketaddr.h>
@@ -153,4 +155,20 @@ CAMLprim value strovl_udp_sendmmsg(value vfd, value vbuf, value vaddrs,
     }
   }
   return Val_int(2 * calls + refused);
+}
+
+/* Rt_clock.now_ns: CLOCK_MONOTONIC in nanoseconds. The unboxed entry is
+   the one native code calls, without allocating; the boxed one serves
+   bytecode. */
+CAMLprim int64_t strovl_clock_now_ns_unboxed(value unit)
+{
+  struct timespec ts;
+  (void)unit;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+CAMLprim value strovl_clock_now_ns(value unit)
+{
+  return caml_copy_int64(strovl_clock_now_ns_unboxed(unit));
 }

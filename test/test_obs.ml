@@ -322,6 +322,39 @@ let audit_exemptions () =
   List.iter (fun v -> Format.eprintf "%a@." A.pp_violation v) vs;
   check_int "no violations" 0 (List.length vs)
 
+(* The per-hop cost gate (paper SII-D) on the forward-path fixture, on a
+   fresh domain with tracing and metrics off. Minor words per packet are
+   deterministic: 201.0 when the bound was set, so one more small
+   allocation per hop (4 hops, 4+ words each) fails it. The disabled
+   recorder and time-series layer must not have collected anything, and
+   40 us per packet (10 us per hop, a hundredth of the paper's budget)
+   only trips on a gross regression. The @smoke alias gates wall time
+   more tightly, as a ratio to a calibration loop (test/fwd_ratio.ml). *)
+let forward_path_cost () =
+  let n = 10_000 in
+  let words, us, delivered, events, channels =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let f = Fwd_path.create () in
+           let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+           for _ = 1 to n do
+             Fwd_path.packet f
+           done;
+           let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int n in
+           ( (Gc.minor_words () -. w0) /. float_of_int n,
+             us,
+             Fwd_path.delivered f,
+             T.total (),
+             List.length (Strovl_obs.Series.channels ()) )))
+  in
+  check_int "trace events while disabled" 0 events;
+  check_int "series channels while disabled" 0 channels;
+  check_bool "delivered" true (delivered > 0);
+  if words > 211. then
+    Alcotest.failf "forward path: %.1f minor words per packet (bound 211)" words;
+  if us > 40. then
+    Alcotest.failf "forward path: %.1f us per packet (bound 40)" us
+
 let () =
   Alcotest.run "strovl_obs"
     [
@@ -344,6 +377,8 @@ let () =
         ] );
       ( "series",
         [ Alcotest.test_case "bucketing and ring" `Quick series_bucketing ] );
+      ( "forward path",
+        [ Alcotest.test_case "per-hop cost" `Quick forward_path_cost ] );
       ( "audit",
         [
           Alcotest.test_case "clean stream" `Quick audit_clean_stream;

@@ -203,6 +203,22 @@ let overlay_survives_relay_death () =
   Rt.Udp.close sender.sock;
   Rt.Udp.close receiver.sock
 
+(* Rt.Clock reads CLOCK_MONOTONIC: it never goes backwards, and it tracks
+   real sleeps in nanoseconds. *)
+let monotonic_clock () =
+  let prev = ref (Rt.Clock.now_ns ()) in
+  for _ = 1 to 10_000 do
+    let now = Rt.Clock.now_ns () in
+    if Int64.compare now !prev < 0 then
+      Alcotest.failf "clock went back: %Ld after %Ld" now !prev;
+    prev := now
+  done;
+  let t0 = Rt.Clock.now_ns () in
+  Unix.sleepf 0.05;
+  let ms = Int64.to_float (Int64.sub (Rt.Clock.now_ns ()) t0) /. 1e6 in
+  if ms < 50. || ms > 500. then
+    Alcotest.failf "a 50 ms sleep read %.1f ms" ms
+
 let runtime_scheduling () =
   (* The Runtime satisfies the engine scheduling contract over the wall
      clock: timers fire in order, cancellation works, now() advances. *)
@@ -906,5 +922,6 @@ let () =
             duplicate_bind_refused;
           Alcotest.test_case "unwatched callback skipped" `Quick
             unwatched_callback_skipped;
+          Alcotest.test_case "monotonic clock" `Quick monotonic_clock;
         ] );
     ]
