@@ -1,10 +1,62 @@
-(* Command-line experiment runner: lists and executes the paper-reproduction
-   experiments individually, fans them over a domain pool with [-j], and
-   sweeps one experiment across a seed range. Each run executes in a fresh
-   per-run observability context (Strovl_obs.Ctx), so [-j 1] and [-j N]
-   produce byte-identical output. *)
+(* The experiment CLI: runs, sweeps, audits and traces the paper-reproduction
+   experiments, and reads the hello protocol's link estimates.
+
+   - [run], [sweep], [list]: result tables (fanned over a domain pool with
+     [-j]), one experiment aggregated across a seed range, the catalogue.
+   - [health]: the US backbone's per-endpoint hello-protocol estimates.
+   - [series]: an experiment's windowed time-series channels.
+   - [audit]: experiments under the online invariant auditor; violations
+     are printed with their causal path and the exit status is 1.
+   - [watch]: a per-window event dashboard over the flight recorder.
+   - [trace], [path], [drops], [links], [summary]: a traced run and queries
+     over its flight recorder and metrics.
+   - [digest]: each experiment's trace-digest determinism fingerprint.
+
+   Every run goes through Strovl_expt.isolated (experiments through its
+   run_isolated wrapper): a fresh per-run observability context with the recorder, series or auditor the command
+   asked for armed, so [-j 1] and [-j N] produce byte-identical output and
+   a query sees only its own run. *)
 
 open Cmdliner
+module Time = Strovl_sim.Time
+module Trace = Strovl_obs.Trace
+module Export = Strovl_obs.Export
+module Series = Strovl_obs.Series
+module Health = Strovl_obs.Health
+module Audit = Strovl_obs.Audit
+module Table = Strovl_expt.Table
+
+(* ------------------------------ targets ------------------------------ *)
+
+let find id =
+  match Strovl_expt.find id with
+  | Some e -> Some e
+  | None ->
+    Printf.eprintf "unknown experiment: %s (try `strovl_run list`)\n" id;
+    None
+
+(* No ids, or the pseudo-id [all], select the whole catalogue in paper
+   order. Each unknown id gets one stderr line and the known ones still
+   run, but the second component is false so the command exits 1: scripts
+   must not mistake a typo for a clean pass. *)
+let resolve ids =
+  let named = List.filter (( <> ) "all") ids in
+  let found = List.filter_map find named in
+  ( (if ids <> [] && named = ids then found else Strovl_expt.all),
+    List.length found = List.length named )
+
+(* The one-experiment commands: [query]'s exit code, or 1 for an unknown
+   id. *)
+let observe_one ?trace ?series ?audit (id, quick, seed) query =
+  match find id with
+  | None -> 1
+  | Some e -> Strovl_expt.run_isolated ?trace ?series ?audit ~quick ~seed e query
+
+let print_table json t =
+  if json then print_endline (Table.to_json t)
+  else Table.print Format.std_formatter t
+
+(* ------------------------------ run/sweep ---------------------------- *)
 
 let report_outcome ~what = function
   | Strovl_par.Pool.Done v -> Some v
@@ -14,21 +66,7 @@ let report_outcome ~what = function
     None
 
 let run_experiments ids quick seed json jobs =
-  let unknown = ref false in
-  let targets =
-    (* [all] (or no ids) selects the whole catalogue in paper order. *)
-    if ids = [] || List.mem "all" ids then Strovl_expt.all
-    else
-      List.filter_map
-        (fun id ->
-          match Strovl_expt.find id with
-          | Some e -> Some e
-          | None ->
-            Printf.eprintf "unknown experiment: %s (try `list`)\n" id;
-            unknown := true;
-            None)
-        ids
-  in
+  let targets, known = resolve ids in
   let outcomes = Strovl_expt.run_many ~jobs ~quick ~seed targets in
   let failed = ref false in
   (* Outcomes come back in input order; printing happens here, on the main
@@ -37,13 +75,9 @@ let run_experiments ids quick seed json jobs =
     (fun i (e : Strovl_expt.experiment) ->
       match report_outcome ~what:("experiment " ^ e.id) outcomes.(i) with
       | None -> failed := true
-      | Some (table, _digest) ->
-        if json then print_endline (Strovl_expt.Table.to_json table)
-        else Strovl_expt.Table.print Format.std_formatter table)
+      | Some (table, _digest) -> print_table json table)
     targets;
-  (* Any unknown id is a failure even when other ids ran: callers scripting
-     the runner must not mistake a typo for a clean pass. *)
-  if !unknown || !failed then 1 else 0
+  if known && not !failed then 0 else 1
 
 (* "a..b" (inclusive), "a,b,c", or a single seed. Errors are specific —
    a descending range in particular must not be mistaken for an empty
@@ -76,10 +110,8 @@ let parse_seeds s =
         (Printf.sprintf "bad --seeds %S (want a..b, a,b,c or a single seed)" s)
 
 let sweep_experiment id seeds_spec quick json jobs per_seed =
-  match Strovl_expt.find id with
-  | None ->
-    Printf.eprintf "unknown experiment: %s (try `list`)\n" id;
-    1
+  match find id with
+  | None -> 1
   | Some e -> begin
     match parse_seeds seeds_spec with
     | Error e ->
@@ -102,33 +134,314 @@ let sweep_experiment id seeds_spec quick json jobs per_seed =
       let tables = List.rev !tables in
       if !failed || tables = [] then 1
       else begin
-        let print t =
-          if json then print_endline (Strovl_expt.Table.to_json t)
-          else Strovl_expt.Table.print Format.std_formatter t
-        in
-        if per_seed then List.iter print tables;
-        let agg = Strovl_expt.Table.aggregate tables in
-        print
-          {
-            agg with
-            Strovl_expt.Table.notes =
-              agg.Strovl_expt.Table.notes
-              @ [ Printf.sprintf "seeds: %s" seeds_spec ];
-          };
+        if per_seed then List.iter (print_table json) tables;
+        let agg = Table.aggregate tables in
+        print_table json
+          { agg with Table.notes = agg.Table.notes @ [ "seeds: " ^ seeds_spec ] };
         0
       end
   end
 
-let list_experiments () =
-  Strovl_expt.print_list ();
-  0
+(* ------------------------------- health ------------------------------ *)
+
+(* A dedicated scenario rather than an experiment rerun: the US backbone
+   with the requested underlay loss, run until the hello protocol's
+   estimators converge, then every endpoint's estimate as its node holds
+   it, one per (link, node). *)
+let health_main seed loss duration_s json =
+  Strovl_expt.isolated
+    (fun () ->
+      let sim = Strovl_expt.Common.build ~seed (Strovl_topo.Gen.us_backbone ()) in
+      if loss > 0. then Strovl_expt.Common.bernoulli_loss sim ~p:loss;
+      Strovl_expt.Common.run_for sim (Time.sec duration_s);
+      Strovl_expt.Common.link_health sim)
+    (fun entries ->
+      if json then List.iter (fun h -> print_endline (Health.json h)) entries
+      else begin
+        Printf.printf "%-6s %-6s %9s %9s %8s %7s %7s %7s %12s\n" "link" "node"
+          "rtt_ms" "jit_ms" "loss_pm" "alive" "sent" "acked" "exp_lat_ms";
+        List.iter
+          (fun h ->
+            Printf.printf "%-6d %-6d %9.2f %9.2f %8d %7s %7d %7d %12.2f\n"
+              h.Health.h_link h.Health.h_node
+              (float_of_int h.Health.rtt_us /. 1000.)
+              (float_of_int h.Health.jitter_us /. 1000.)
+              (Health.loss_pm h)
+              (if h.Health.alive then "up" else "DOWN")
+              h.Health.sent h.Health.acked
+              (float_of_int (Health.expected_latency_us h) /. 1000.))
+          entries
+      end;
+      0)
+
+(* ------------------------------- series ------------------------------ *)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let series_main one window_ms buckets json filter =
+  observe_one one ~series:(window_ms * 1000, buckets) (fun _table ->
+      let chans =
+        List.filter
+          (fun ch ->
+            match filter with
+            | None -> true
+            | Some sub -> contains ~sub (Series.name ch))
+          (Series.channels ())
+      in
+      if chans = [] then begin
+        Printf.eprintf "no series points collected\n";
+        1
+      end
+      else if json then begin
+        List.iter
+          (fun ch ->
+            List.iter
+              (fun p -> print_endline (Series.point_json ch p))
+              (Series.points ch))
+          chans;
+        0
+      end
+      else begin
+        List.iter
+          (fun ch ->
+            let pts = Series.points ch in
+            let n = List.fold_left (fun a p -> a + p.Series.p_n) 0 pts in
+            let sum = List.fold_left (fun a p -> a + p.Series.p_sum) 0 pts in
+            let mx = List.fold_left (fun a p -> max a p.Series.p_max) min_int pts in
+            Printf.printf "%s{%s}: %d buckets, n=%d mean=%.2f max=%d\n"
+              (Series.name ch)
+              (String.concat ","
+                 (List.map (fun (k, v) -> k ^ "=" ^ v) (Series.labels ch)))
+              (List.length pts) n
+              (if n = 0 then 0. else float_of_int sum /. float_of_int n)
+              mx;
+            List.iter
+              (fun p ->
+                Printf.printf "  t=%8.1fms n=%6d sum=%10d max=%8d mean=%10.2f\n"
+                  (float_of_int p.Series.p_t0 /. 1000.)
+                  p.Series.p_n p.Series.p_sum p.Series.p_max (Series.mean p))
+              pts)
+          chans;
+        0
+      end)
+
+(* ------------------------------- audit ------------------------------- *)
+
+let audit_report ~json (e : Strovl_expt.experiment) _table =
+  let violations = Audit.finish () in
+  if json then
+    List.iter
+      (fun v ->
+        Printf.printf "{\"experiment\":%s,%s\n" (Export.json_str e.id)
+          (let s = Audit.violation_json v in
+           String.sub s 1 (String.length s - 1)))
+      violations
+  else begin
+    Printf.printf "%-18s %s (%d trace events, %d violations)\n" e.id
+      (if violations = [] then "CLEAN" else "VIOLATIONS")
+      (Trace.total ()) (List.length violations);
+    List.iter
+      (fun v ->
+        Format.printf "  %a@." Audit.pp_violation v;
+        (* The causal path behind each packet-bearing violation. *)
+        if v.Audit.v_flow <> Trace.no_flow then begin
+          Format.printf "  causal path:@.";
+          Export.print_path Format.std_formatter ~flow:v.Audit.v_flow
+            ~seq:v.Audit.v_seq
+        end)
+      violations
+  end;
+  List.length violations
+
+let audit_main ids quick seed capacity json =
+  let targets, known = resolve ids in
+  let total =
+    List.fold_left
+      (fun acc e ->
+        acc
+        + Strovl_expt.run_isolated ~trace:capacity ~audit:true ~quick ~seed e
+            (audit_report ~json e))
+      0 targets
+  in
+  if (not json) && total = 0 && targets <> [] then
+    Printf.printf "all audited experiments clean\n";
+  if known && total = 0 then 0 else 1
+
+(* ------------------------------- watch ------------------------------- *)
+
+(* A per-window dashboard: folds the flight-recorder ring into one row
+   per sim-time window. The fold runs over the retained ring after the
+   run rather than as a live sink — experiments that ride under
+   [Audit.checked] own the one streaming sink slot for the duration, and
+   the timeline is in simulated time either way; only the ring capacity
+   bounds how far back the dashboard reaches. *)
+let watch_main one capacity interval_ms =
+  observe_one one ~trace:capacity (fun _table ->
+      let w = interval_ms * 1000 in
+      let cur = ref min_int in
+      let dlv = ref 0
+      and fwd = ref 0
+      and drp = ref 0
+      and rtx = ref 0
+      and rr = ref 0 in
+      let flush () =
+        if !cur > min_int then
+          Printf.printf "%12.1f %9d %9d %7d %7d %9d\n"
+            (float_of_int !cur /. 1000.)
+            !dlv !fwd !drp !rtx !rr;
+        List.iter (fun c -> c := 0) [ dlv; fwd; drp; rtx; rr ]
+      in
+      Printf.printf "%12s %9s %9s %7s %7s %9s\n" "t_ms" "deliver" "forward"
+        "drop" "retx" "reroute";
+      Trace.iter (fun (r : Trace.record) ->
+          let t0 = r.Trace.ts - (r.Trace.ts mod w) in
+          if t0 <> !cur then begin
+            flush ();
+            cur := t0
+          end;
+          match r.Trace.ev with
+          | Trace.Deliver | Trace.Deliver_replay -> incr dlv
+          | Trace.Forward _ | Trace.Forward_replay _ -> incr fwd
+          | Trace.Drop _ -> incr drp
+          | Trace.Retransmit _ -> incr rtx
+          | Trace.Reroute _ -> incr rr
+          | _ -> ());
+      flush ();
+      if Trace.total () > Trace.length () then
+        Printf.printf
+          "(ring wrapped: first %d of %d events lost; raise --capacity)\n"
+          (Trace.total () - Trace.length ())
+          (Trace.total ());
+      0)
+
+(* ------------------------------- traces ------------------------------ *)
+
+(* "src:sport:dst:dport" (as printed by the summaries) -> flow_id. *)
+let parse_flow s =
+  match List.map int_of_string_opt (String.split_on_char ':' s) with
+  | [ Some fi_src; Some fi_sport; Some fi_dst; Some fi_dport ] ->
+    Some { Trace.fi_src; fi_sport; fi_dst; fi_dport }
+  | _ -> None
+
+let trace_main one capacity json jsonl_path =
+  observe_one one ~trace:capacity (fun table ->
+      Option.iter
+        (fun path ->
+          let oc = open_out path in
+          Export.jsonl oc;
+          close_out oc;
+          Printf.eprintf "wrote %d trace records to %s\n" (Trace.length ()) path)
+        jsonl_path;
+      print_table json table;
+      if json then print_endline (Export.summary_json ())
+      else begin
+        Export.print_summary Format.std_formatter;
+        match Export.sample_packet () with
+        | Some (flow, seq) ->
+          Format.printf "@.sampled packet path:@.";
+          Export.print_path Format.std_formatter ~flow ~seq
+        | None -> ()
+      end;
+      0)
+
+let path_main one capacity flow_s seq =
+  (* Reject a malformed --flow before paying for the run. *)
+  match Option.map (fun s -> (s, parse_flow s)) flow_s with
+  | Some (s, None) ->
+    Printf.eprintf "bad --flow %S (want src:sport:dst:dport)\n" s;
+    1
+  | explicit ->
+    observe_one one ~trace:capacity (fun _table ->
+        let target =
+          match explicit with
+          | Some (_, Some flow) -> Some (flow, seq)
+          | _ -> Export.sample_packet ()
+        in
+        match target with
+        | None ->
+          Printf.eprintf "no packet to trace (empty flight recorder?)\n";
+          1
+        | Some (flow, seq) when Export.path_of ~flow ~seq = [] ->
+          Printf.eprintf
+            "no events for that flow/seq in the trace window (try `summary` \
+             for live flows)\n";
+          1
+        | Some (flow, seq) ->
+          Export.print_path Format.std_formatter ~flow ~seq;
+          0)
+
+let drops_main one capacity =
+  observe_one one ~trace:capacity (fun _table ->
+      (match Export.drop_counts () with
+      | [] -> print_endline "no drops recorded"
+      | counts ->
+        List.iter (fun (reason, n) -> Printf.printf "%-16s %d\n" reason n) counts);
+      0)
+
+let links_main one capacity =
+  observe_one one ~trace:capacity (fun _table ->
+      Printf.printf "%-12s %10s %12s %8s\n" "link" "packets" "bytes" "qdrops";
+      List.iter
+        (fun (label, pkts, bytes, drops) ->
+          Printf.printf "%-12s %10d %12d %8d\n" label pkts bytes drops)
+        (Export.links_table ());
+      0)
+
+let summary_main one capacity json =
+  observe_one one ~trace:capacity (fun _table ->
+      if json then print_endline (Export.summary_json ())
+      else Export.print_summary Format.std_formatter;
+      0)
+
+(* One line per experiment: the run's trace-digest determinism fingerprint,
+   from the pooled runner's traced outcome (the path the tier-1
+   determinism tests check), so it is stable across invocations and [-j]
+   at a fixed seed. @smoke diffs this output against the committed
+   DIGESTS.quick to prove a refactor left the simulated fast path
+   byte-identical. *)
+let digest_main ids quick seed =
+  let targets, known = resolve ids in
+  let outcomes = Strovl_expt.run_many ~jobs:1 ~quick ~traced:true ~seed targets in
+  let failed = ref false in
+  List.iteri
+    (fun i (e : Strovl_expt.experiment) ->
+      match report_outcome ~what:("experiment " ^ e.id) outcomes.(i) with
+      | Some (_table, Some digest) -> Printf.printf "%-18s %016Lx\n" e.id digest
+      | Some (_, None) | None -> failed := true)
+    targets;
+  if known && not !failed then 0 else 1
+
+(* -------------------------- cmdliner glue --------------------------- *)
+
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a probability in [0,1]" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let ids =
   let doc =
-    "Experiment ids to run (default: all; the pseudo-id $(b,all) also \
-     selects every experiment). Use the list command to enumerate."
+    "Experiment ids (default: all; the pseudo-id $(b,all) also selects \
+     every experiment). Use the list command to enumerate."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
+
+let id =
+  let doc = "Experiment id (see the list command)." in
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
 
 let quick =
   let doc = "Reduced packet counts and sweeps (for smoke testing)." in
@@ -139,8 +452,12 @@ let seed =
   Arg.(value & opt int64 7L & info [ "seed" ] ~doc)
 
 let json =
-  let doc = "Emit each result table as one JSON object per line." in
+  let doc = "Machine-readable JSON output, one object per line." in
   Arg.(value & flag & info [ "json" ] ~doc)
+
+let capacity =
+  let doc = "Flight-recorder ring capacity (events retained)." in
+  Arg.(value & opt pos_int Trace.default_capacity & info [ "capacity" ] ~doc)
 
 let jobs =
   let doc =
@@ -150,44 +467,113 @@ let jobs =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let run_cmd =
-  let doc = "run paper-reproduction experiments" in
-  Cmd.v
-    (Cmd.info "run" ~doc)
-    Term.(const run_experiments $ ids $ quick $ seed $ json $ jobs)
+(* One experiment id with the flags that fix its run. *)
+let one = Term.(const (fun id quick seed -> (id, quick, seed)) $ id $ quick $ seed)
 
-let sweep_id =
-  let doc = "Experiment id to sweep." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
-let seeds_spec =
-  let doc = "Seeds to sweep: $(b,a..b) (inclusive), $(b,a,b,c) or one seed." in
-  Arg.(value & opt string "1..8" & info [ "seeds" ] ~docv:"SPEC" ~doc)
-
-let per_seed =
-  let doc = "Also print each per-seed table before the aggregate." in
-  Arg.(value & flag & info [ "per-seed" ] ~doc)
+let run_term = Term.(const run_experiments $ ids $ quick $ seed $ json $ jobs)
 
 let sweep_cmd =
-  let doc =
+  let seeds_spec =
+    let doc = "Seeds to sweep: $(b,a..b) (inclusive), $(b,a,b,c) or one seed." in
+    Arg.(value & opt string "1..8" & info [ "seeds" ] ~docv:"SPEC" ~doc)
+  in
+  let per_seed =
+    let doc = "Also print each per-seed table before the aggregate." in
+    Arg.(value & flag & info [ "per-seed" ] ~doc)
+  in
+  cmd "sweep"
     "run one experiment across a seed range and aggregate the tables \
      (per-row mean/min/max)"
-  in
-  Cmd.v
-    (Cmd.info "sweep" ~doc)
     Term.(
-      const sweep_experiment $ sweep_id $ seeds_spec $ quick $ json $ jobs
-      $ per_seed)
+      const sweep_experiment $ id $ seeds_spec $ quick $ json $ jobs $ per_seed)
 
-let list_cmd =
-  let doc = "list available experiments" in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const list_experiments $ const ())
+let health_cmd =
+  let loss =
+    let doc = "Inject this underlay per-packet loss probability." in
+    Arg.(value & opt probability 0. & info [ "loss" ] ~doc)
+  in
+  let duration_s =
+    let doc = "Simulated seconds to let the estimators converge." in
+    Arg.(value & opt int 30 & info [ "duration" ] ~doc)
+  in
+  cmd "health" "print every overlay link endpoint's hello-protocol estimate"
+    Term.(const health_main $ seed $ loss $ duration_s $ json)
+
+let series_cmd =
+  let window_ms =
+    let doc = "Time-series bucket width in milliseconds." in
+    Arg.(value & opt pos_int 100 & info [ "window-ms" ] ~doc)
+  in
+  let buckets =
+    let doc = "Buckets retained per channel (ring capacity)." in
+    Arg.(value & opt pos_int 600 & info [ "buckets" ] ~doc)
+  in
+  let filter =
+    let doc = "Only channels whose name contains $(docv)." in
+    Arg.(value & opt (some string) None & info [ "filter" ] ~docv:"SUBSTR" ~doc)
+  in
+  cmd "series" "run an experiment with windowed time-series armed"
+    Term.(const series_main $ one $ window_ms $ buckets $ json $ filter)
+
+let watch_cmd =
+  let interval_ms =
+    let doc = "Dashboard window width in simulated milliseconds." in
+    Arg.(value & opt pos_int 500 & info [ "interval-ms" ] ~doc)
+  in
+  cmd "watch" "print a per-window event dashboard of an experiment's run"
+    Term.(const watch_main $ one $ capacity $ interval_ms)
+
+let trace_cmd =
+  let jsonl_path =
+    let doc = "Also dump every retained trace record as JSONL to $(docv)." in
+    Arg.(value & opt (some string) None & info [ "jsonl" ] ~docv:"FILE" ~doc)
+  in
+  cmd "trace" "run an experiment traced; print its table, summary and a sample path"
+    Term.(const trace_main $ one $ capacity $ json $ jsonl_path)
+
+let path_cmd =
+  let flow =
+    let doc = "Flow to trace, as src:sport:dst:dport (default: a sampled packet)." in
+    Arg.(value & opt (some string) None & info [ "flow" ] ~doc)
+  in
+  let seq =
+    let doc = "Sequence number within --flow (-1: all of the flow)." in
+    Arg.(value & opt int (-1) & info [ "seq" ] ~doc)
+  in
+  cmd "path" "reconstruct one packet's causal path through the overlay"
+    Term.(const path_main $ one $ capacity $ flow $ seq)
+
+let list_experiments () =
+  List.iter
+    (fun (e : Strovl_expt.experiment) -> Printf.printf "%-18s %s\n" e.id e.summary)
+    Strovl_expt.all;
+  0
 
 let main =
   let doc = "structured overlay network experiments (Babay et al., ICDCS 2017)" in
-  Cmd.group
-    ~default:Term.(const run_experiments $ ids $ quick $ seed $ json $ jobs)
+  Cmd.group ~default:run_term
     (Cmd.info "strovl_run" ~doc)
-    [ run_cmd; sweep_cmd; list_cmd ]
+    [
+      cmd "run" "run paper-reproduction experiments" run_term;
+      sweep_cmd;
+      cmd "list" "list available experiments" Term.(const list_experiments $ const ());
+      health_cmd;
+      series_cmd;
+      cmd "audit" "run experiments under the online invariant auditor"
+        Term.(const audit_main $ ids $ quick $ seed $ capacity $ json);
+      watch_cmd;
+      trace_cmd;
+      path_cmd;
+      cmd "drops" "drop events grouped by reason"
+        Term.(const drops_main $ one $ capacity);
+      cmd "links" "per-link utilization from the metrics registry"
+        Term.(const links_main $ one $ capacity);
+      cmd "summary" "trace + metrics summary (tables or --json)"
+        Term.(const summary_main $ one $ capacity $ json);
+      cmd "digest" "print each experiment's deterministic trace digest (one line per id)"
+        Term.(const digest_main $ ids $ quick $ seed);
+    ]
 
 let () = exit (Cmd.eval' main)

@@ -37,16 +37,10 @@ let parse_service s =
   | "best-effort" | "be" -> Ok Packet.Best_effort
   | "reliable" -> Ok Packet.Reliable
   | "realtime" ->
-    Ok
-      (Packet.Realtime
-         {
-           Packet.deadline = Strovl_sim.Time.ms 200;
-           n_requests = 2;
-           m_retrans = 2;
-         })
+    Ok (Packet.Realtime { deadline = Strovl_sim.Time.ms 200 })
   | "it-priority" -> Ok (Packet.It_priority 1)
   | "it-reliable" -> Ok Packet.It_reliable
-  | "fec" -> Ok (Packet.Fec { Packet.fec_k = 8; fec_r = 2 })
+  | "fec" -> Ok Packet.Fec
   | _ ->
     Error
       (Printf.sprintf

@@ -8,18 +8,28 @@ module Dijkstra = Strovl_topo.Dijkstra
 module Disjoint = Strovl_topo.Disjoint
 module Dissem = Strovl_topo.Dissem
 
+(* Synthetic topologies take N sites within [lo, max_sites]: [Gen] rejects
+   fewer, and the all-pairs [info] diameter grows as N^2 log N. *)
+let max_sites = 1024
+
 let parse_spec name =
+  let hop_delay = Strovl_sim.Time.ms 10 in
+  let sized n ~lo make =
+    match int_of_string_opt n with
+    | Some n when n >= lo && n <= max_sites -> Ok (make n)
+    | _ ->
+      Error
+        (`Msg
+          (Printf.sprintf "%s: N must be an integer in [%d, %d]" name lo
+             max_sites))
+  in
   match String.split_on_char ':' name with
   | [ "us" ] -> Ok (Gen.us_backbone ())
   | [ "global" ] -> Ok (Gen.global_backbone ())
-  | [ "chain"; n ] ->
-    Ok (Gen.chain ~n:(int_of_string n) ~hop_delay:(Strovl_sim.Time.ms 10))
-  | [ "ring"; n ] ->
-    Ok (Gen.ring ~n:(int_of_string n) ~hop_delay:(Strovl_sim.Time.ms 10))
+  | [ "chain"; n ] -> sized n ~lo:2 (fun n -> Gen.chain ~n ~hop_delay)
+  | [ "ring"; n ] -> sized n ~lo:3 (fun n -> Gen.ring ~n ~hop_delay)
   | [ "circulant"; n ] ->
-    Ok
-      (Gen.circulant ~n:(int_of_string n) ~jumps:[ 1; 2 ]
-         ~hop_delay:(Strovl_sim.Time.ms 10))
+    sized n ~lo:3 (fun n -> Gen.circulant ~n ~jumps:[ 1; 2 ] ~hop_delay)
   | _ -> Error (`Msg (name ^ ": expected us | global | chain:N | ring:N | circulant:N"))
 
 let spec_conv = Arg.conv ((fun s -> parse_spec s), fun ppf _ -> Format.fprintf ppf "<topology>")

@@ -63,7 +63,7 @@ let () =
     let sender =
       Strovl.Client.sender console
         ~service:
-          (P.Realtime { deadline = one_way_deadline; n_requests = 1; m_retrans = 1 })
+          (P.Realtime { deadline = one_way_deadline })
         ~route ~dest:(P.To_node patient) ~dport ()
     in
     let src =

@@ -22,8 +22,8 @@ let deliver_app t pkt =
 let mode_for pkt =
   match pkt.Packet.service with
   | Packet.Reliable | Packet.It_reliable -> Deliver.Ordered
-  | Packet.Realtime { deadline; _ } -> Deliver.Deadline deadline
-  | Packet.Best_effort | Packet.It_priority _ | Packet.Fec _ ->
+  | Packet.Realtime { deadline } -> Deliver.Deadline deadline
+  | Packet.Best_effort | Packet.It_priority _ | Packet.Fec ->
     Deliver.Unordered
 
 let on_packet t pkt =

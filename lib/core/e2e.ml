@@ -121,15 +121,8 @@ let make_packet t ~bytes ~tag =
       (match t.service with
       | Best_effort -> Packet.Best_effort
       | Reliable _ -> Packet.Reliable
-      | Realtime cfg ->
-        Packet.Realtime
-          {
-            deadline = cfg.Realtime_link.budget;
-            n_requests = cfg.Realtime_link.n_requests;
-            m_retrans = cfg.Realtime_link.m_retrans;
-          }
-      | Fec cfg ->
-        Packet.Fec { fec_k = cfg.Fec_link.k; fec_r = cfg.Fec_link.r })
+      | Realtime cfg -> Packet.Realtime { deadline = cfg.Realtime_link.budget }
+      | Fec _ -> Packet.Fec)
     ~seq:t.seq ~sent_at:(Engine.now t.engine) ~bytes ~tag ()
 
 let send t ?(bytes = 1200) ?(tag = "") () =

@@ -40,7 +40,7 @@ let create ?(config = default_config) ctx =
   {
     ctx;
     cfg = config;
-    cls = Packet.service_class (Packet.Fec { fec_k = config.k; fec_r = config.r });
+    cls = Packet.service_class Packet.Fec;
     next_lseq = 0;
     cur = [];
     flush_timer = None;

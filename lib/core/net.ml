@@ -76,10 +76,9 @@ let create ?(config = default_config) ?underlay engine spec =
       Some (Auth.create_registry ~master:config.master_secret ~nodes:(Graph.n graph))
     else None
   in
-  let node_cfg = { config.node with Node.authenticate = config.authenticate } in
   let nodes =
     Array.init (Graph.n graph) (fun id ->
-        Node.create ~config:node_cfg ?registry ~engine ~graph ~id
+        Node.create ~config:config.node ?registry ~engine ~graph ~id
           ~metric:(fun l -> metrics.(l))
           ())
   in
@@ -152,7 +151,7 @@ let create ?(config = default_config) ?underlay engine spec =
     (fun node ->
       Node.set_link_suspect_hook node (fun l ->
           let now = Engine.now engine in
-          let min_gap = node_cfg.Node.hello_timeout in
+          let min_gap = config.node.Node.hello_timeout in
           if
             t.last_rotation.(l) = Time.zero
             || Time.sub now t.last_rotation.(l) >= min_gap

@@ -16,7 +16,6 @@ type config = {
   it_priority : It_priority.config;
   it_reliable : It_reliable.config;
   fec : Fec_link.config;
-  authenticate : bool;
   loss_aware_routing : bool;
 }
 
@@ -34,7 +33,6 @@ let default_config =
     it_priority = It_priority.default_config;
     it_reliable = It_reliable.default_config;
     fec = Fec_link.default_config;
-    authenticate = false;
     loss_aware_routing = false;
   }
 
@@ -205,7 +203,7 @@ let create ?(config = default_config) ?registry ~engine ~graph ~id ~metric () =
     conn_graph;
     group_state;
     routing = Route.create conn_graph group_state;
-    registry = (if config.authenticate then registry else None);
+    registry;
     endpoints = Hashtbl.create 8;
     eps = Array.make (max 1 (Graph.link_count graph)) None;
     incident = Array.of_list (Graph.incident graph id);
@@ -538,7 +536,7 @@ let rec get_proto t ep cls =
         P_itp (It_priority.create ~config:t.cfg.it_priority ctx)
       else if cls = Packet.service_class Packet.It_reliable then
         P_itr (It_reliable.create ~config:t.cfg.it_reliable ctx)
-      else if cls = Packet.service_class (Packet.Fec { fec_k = 1; fec_r = 1 })
+      else if cls = Packet.service_class Packet.Fec
       then P_fec (Fec_link.create ~config:t.cfg.fec ctx)
       else P_rt (Realtime_link.create ~config:t.cfg.realtime ctx)
     in
@@ -578,7 +576,7 @@ and send_prepped t ep pkt =
 (* Verification of the origin signature on intrusion-tolerant data. *)
 and auth_ok t pkt =
   match pkt.Packet.service with
-  | Packet.Best_effort | Packet.Reliable | Packet.Realtime _ | Packet.Fec _ ->
+  | Packet.Best_effort | Packet.Reliable | Packet.Realtime _ | Packet.Fec ->
     true
   | Packet.It_priority _ | Packet.It_reliable -> begin
     match t.registry with
@@ -746,13 +744,13 @@ let receive t ~link msg =
     | Msg.Rt_request _ ->
       proto_recv t ep
         (Packet.service_class
-           (Packet.Realtime { deadline = 0; n_requests = 1; m_retrans = 1 }))
+           (Packet.Realtime { deadline = 0 }))
         msg
     | Msg.It_ack _ ->
       proto_recv t ep (Packet.service_class Packet.It_reliable) msg
     | Msg.Fec_parity _ ->
       proto_recv t ep
-        (Packet.service_class (Packet.Fec { fec_k = 1; fec_r = 1 }))
+        (Packet.service_class Packet.Fec)
         msg
   end
 

@@ -42,8 +42,6 @@ type config = {
   it_priority : It_priority.config;
   it_reliable : It_reliable.config;
   fec : Fec_link.config;
-  authenticate : bool;
-      (** sign and verify flooded state updates and IT data (§IV-B) *)
   loss_aware_routing : bool;
       (** route on the loss-inflated metric (§II-B: the connectivity graph
           shares "loss and latency characteristics") so lossy-but-alive
@@ -74,6 +72,8 @@ val create :
   metric:(int -> int) ->
   unit ->
   t
+(** With [registry], the node signs and verifies flooded state updates and
+    IT data (§IV-B); without one it does neither. *)
 
 val id : t -> int
 val config : t -> config

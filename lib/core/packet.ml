@@ -6,21 +6,13 @@ type dest = To_node of node | To_group of group | Any_of_group of group
 
 type routing = Link_state | Source_mask of Strovl_topo.Bitmask.t
 
-type rt_params = {
-  deadline : Strovl_sim.Time.t;
-  n_requests : int;
-  m_retrans : int;
-}
-
-type fec_params = { fec_k : int; fec_r : int }
-
 type service =
   | Best_effort
   | Reliable
-  | Realtime of rt_params
+  | Realtime of { deadline : Strovl_sim.Time.t }
   | It_priority of int
   | It_reliable
-  | Fec of fec_params
+  | Fec
 
 type flow = { f_src : node; f_sport : port; f_dest : dest; f_dport : port }
 
@@ -72,7 +64,7 @@ let service_class = function
   | Realtime _ -> 2
   | It_priority _ -> 3
   | It_reliable -> 4
-  | Fec _ -> 5
+  | Fec -> 5
 
 let class_count = 6
 
@@ -134,7 +126,7 @@ let service_name = function
   | Realtime _ -> "realtime"
   | It_priority _ -> "it-priority"
   | It_reliable -> "it-reliable"
-  | Fec _ -> "fec"
+  | Fec -> "fec"
 
 let pp ppf t =
   Format.fprintf ppf "[%a #%d %s %dB]" pp_flow t.flow t.seq

@@ -24,27 +24,18 @@ type routing =
           mask — a path, k disjoint paths, a dissemination graph, or
           constrained flooding (§II-B) *)
 
-type rt_params = {
-  deadline : Strovl_sim.Time.t;
-      (** one-way delivery budget, e.g. 200 ms for live TV (§IV-A) *)
-  n_requests : int;  (** N spaced retransmission requests *)
-  m_retrans : int;  (** M spaced retransmissions per request *)
-}
-
-type fec_params = {
-  fec_k : int;  (** data packets per block *)
-  fec_r : int;  (** parity packets per block *)
-}
-
 type service =
   | Best_effort
   | Reliable  (** hop-by-hop Reliable Data Link (§III-A) *)
-  | Realtime of rt_params  (** NM-Strikes real-time link (§IV-A) *)
+  | Realtime of { deadline : Strovl_sim.Time.t }
+      (** NM-Strikes real-time link (§IV-A); [deadline] is the one-way
+          delivery budget, e.g. 200 ms for live TV. N, M and the link
+          budget come from the link's {!Realtime_link.config}. *)
   | It_priority of int
       (** intrusion-tolerant priority messaging; the int is the message
           priority assigned by the source (§IV-B) *)
   | It_reliable  (** intrusion-tolerant reliable messaging (§IV-B) *)
-  | Fec of fec_params
+  | Fec
       (** forward-error-corrected link: proactive parity instead of
           reactive retransmission — the OverQoS-style alternative the
           related work contrasts (§VI), included as a baseline and as the

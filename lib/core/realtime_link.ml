@@ -78,7 +78,7 @@ let create ?(config = default_config) ctx =
   {
     ctx;
     cfg = config;
-    cls = Packet.service_class (Packet.Realtime { deadline = config.budget; n_requests = config.n_requests; m_retrans = config.m_retrans });
+    cls = Packet.service_class (Packet.Realtime { deadline = config.budget });
     request_spacing;
     retrans_spacing;
     next_lseq = 0;

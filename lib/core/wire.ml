@@ -92,19 +92,14 @@ let put_routing b = function
 let put_service b = function
   | Packet.Best_effort -> put_u8 b 0
   | Packet.Reliable -> put_u8 b 1
-  | Packet.Realtime { deadline; n_requests; m_retrans } ->
+  | Packet.Realtime { deadline } ->
     put_u8 b 2;
-    put_i64 b deadline;
-    put_u8 b n_requests;
-    put_u8 b m_retrans
+    put_i64 b deadline
   | Packet.It_priority prio ->
     put_u8 b 3;
     put_u32 b prio
   | Packet.It_reliable -> put_u8 b 4
-  | Packet.Fec { fec_k; fec_r } ->
-    put_u8 b 5;
-    put_u8 b fec_k;
-    put_u8 b fec_r
+  | Packet.Fec -> put_u8 b 5
 
 let put_packet b (p : Packet.t) =
   put_u16 b p.Packet.flow.Packet.f_src;
@@ -285,17 +280,10 @@ let get_service c =
   match get_u8 c with
   | 0 -> Packet.Best_effort
   | 1 -> Packet.Reliable
-  | 2 ->
-    let deadline = get_time c in
-    let n_requests = get_u8 c in
-    let m_retrans = get_u8 c in
-    Packet.Realtime { deadline; n_requests; m_retrans }
+  | 2 -> Packet.Realtime { deadline = get_time c }
   | 3 -> Packet.It_priority (get_u32 c)
   | 4 -> Packet.It_reliable
-  | 5 ->
-    let fec_k = get_u8 c in
-    let fec_r = get_u8 c in
-    Packet.Fec { fec_k; fec_r }
+  | 5 -> Packet.Fec
   | _ -> raise (Bad "bad service kind")
 
 let get_packet c =
@@ -445,10 +433,9 @@ let routing_size = function
   | Packet.Source_mask mask -> 5 + Strovl_topo.Bitmask.byte_size mask
 
 let service_size = function
-  | Packet.Best_effort | Packet.Reliable | Packet.It_reliable -> 1
-  | Packet.Realtime _ -> 11
+  | Packet.Best_effort | Packet.Reliable | Packet.It_reliable | Packet.Fec -> 1
+  | Packet.Realtime _ -> 9
   | Packet.It_priority _ -> 5
-  | Packet.Fec _ -> 3
 
 (* src 2 + sport 4 + dest 5 + dport 4 + seq 4 + sent_at 8 + bytes 4
    + tag length prefix 2 + hops 2 + ingress 2 + replay 1 = 38. *)
@@ -625,7 +612,7 @@ end
 let magic0 = 'S'
 let magic1 = 'o'
 
-let version = 2
+let version = 3
 
 (* preamble 4 + src 2 + link 2 + count 2 *)
 let link_header_size = 10

@@ -92,8 +92,10 @@ end
     encoded header. *)
 
 val version : int
-(** 2. Version 1 carried exactly one message per overlay datagram and had
-    no message count; a version-2 decoder rejects it. *)
+(** 3. Version 1 carried exactly one message per overlay datagram and had
+    no message count; version 2 also carried N and M in every real-time
+    packet and k and r in every FEC packet, which no receiver read. A
+    decoder rejects every version but its own. *)
 
 val max_frame : int
 (** 1472: Ethernet's 1500-byte MTU minus the IPv4 (20) and UDP (8)

@@ -77,7 +77,7 @@ let row name p (collect, sent) =
 
 (* The whole sweep runs under the online invariant auditor (no duplicate
    delivery, loops, or blown recovery budgets slip by unnoticed); when an
-   outer auditor is already armed (strovl_mon audit), this is a no-op
+   outer auditor is already armed (`strovl_run audit`), this is a no-op
    passthrough. *)
 let run ?(quick = false) ~seed () =
   Strovl_obs.Audit.checked ~label:"fig3-recovery" @@ fun () ->

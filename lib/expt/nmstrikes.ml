@@ -107,7 +107,7 @@ let run_overlay_hbh ~seed ~mean_loss ~burst ~count =
         ~mean_bad:(int_of_float bad));
   let collect, sent =
     Common.flow_stats sim ~src:0 ~dst:5
-      ~service:(Strovl.Packet.Realtime { deadline; n_requests = 3; m_retrans = 3 })
+      ~service:(Strovl.Packet.Realtime { deadline })
       ~deadline ~interval ~bytes:1316 ~count ()
   in
   Strovl_apps.Collect.on_time_fraction collect ~sent

@@ -73,9 +73,7 @@ let run_scheme ~seed ~count (name, route) =
   let before = total_forwarded sim.net in
   let collect, sent =
     Common.flow_stats sim ~src ~dst
-      ~service:
-        (Strovl.Packet.Realtime
-           { deadline; n_requests = 1; m_retrans = 1 })
+      ~service:(Strovl.Packet.Realtime { deadline })
       ~route ~deadline ~interval:(Time.ms 2) ~bytes:64 ~count ()
   in
   let copies =

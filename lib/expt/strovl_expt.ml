@@ -101,41 +101,54 @@ let all : experiment list =
 
 let find id = List.find_opt (fun e -> e.id = id) all
 
-(* One line per experiment, shared by every CLI's `list` subcommand so the
-   catalogue renders identically everywhere. *)
-let list_lines () =
-  List.map (fun e -> Printf.sprintf "%-18s %s" e.id e.summary) all
-
-let print_list () = List.iter print_endline (list_lines ())
-
 (* --------------------- isolated / parallel running --------------------- *)
 
-(* One experiment as a self-contained unit: runs inside a fresh
-   observability context (Strovl_obs.Ctx.isolate) so it neither sees nor
-   leaves behind domain state — the property that makes a pool-scheduled
-   run's tables and trace digest independent of which domain executes it
-   and what ran there before. With [traced], the flight recorder is armed
-   for the duration and the run's trace digest is returned as a
-   determinism fingerprint. *)
-let run_isolated ?quick ?(traced = false) ~seed (e : experiment) =
+(* The one way anything runs: [run] executes inside a fresh observability
+   context (Strovl_obs.Ctx.isolate), so it neither sees nor leaves behind
+   domain state — the property that makes a pool-scheduled run's tables
+   and trace digest independent of which domain executes it and what ran
+   there before. Before [run], [trace] arms the flight recorder with a
+   ring of that many events, [series] arms the windowed time-series with
+   (window in sim-us, buckets per channel), and [audit] feeds the recorder
+   into the online invariant auditor (arming the recorder at its default
+   capacity when [trace] is not given, since the auditor sees only what
+   the recorder emits). [query] gets [run]'s result and runs before the
+   context is dropped, so it can read the ring, channels, auditor and
+   metrics the run filled; its result is returned. *)
+let isolated ?trace ?series ?(audit = false) run query =
   Strovl_obs.Ctx.isolate (fun () ->
-      if traced then Strovl_obs.Trace.enable ();
-      let table = e.run ?quick ~seed () in
-      let digest = if traced then Some (Strovl_obs.Trace.digest ()) else None in
-      (table, digest))
+      let trace =
+        match trace with
+        | None when audit -> Some Strovl_obs.Trace.default_capacity
+        | t -> t
+      in
+      Option.iter (fun capacity -> Strovl_obs.Trace.enable ~capacity ()) trace;
+      Option.iter
+        (fun (window, capacity) -> Strovl_obs.Series.enable ~window ~capacity ())
+        series;
+      if audit then Strovl_obs.Audit.arm ();
+      query (run ()))
+
+(* One experiment as a self-contained unit: [isolated] around its run. *)
+let run_isolated ?trace ?series ?audit ?quick ~seed (e : experiment) query =
+  isolated ?trace ?series ?audit (fun () -> e.run ?quick ~seed ()) query
 
 (* Fans experiments over a domain pool; the outcome array is in input
    order (Strovl_par.Pool's determinism contract), so printing it from the
-   main domain reproduces the sequential catalogue order byte for byte. *)
+   main domain reproduces the sequential catalogue order byte for byte.
+   With [traced], each run arms the flight recorder at its default
+   capacity and its outcome carries the run's trace digest as a
+   determinism fingerprint. *)
 let run_many ?jobs ?quick ?(traced = false) ~seed (es : experiment list) =
+  let trace = if traced then Some Strovl_obs.Trace.default_capacity else None in
   Strovl_par.Pool.map ?jobs
-    (fun _ e -> run_isolated ?quick ~traced ~seed e)
+    (fun _ e ->
+      run_isolated ?trace ?quick ~seed e (fun table ->
+          (table, if traced then Some (Strovl_obs.Trace.digest ()) else None)))
     (Array.of_list es)
 
 (* One experiment across many seeds, one isolated run per seed. *)
 let sweep ?jobs ?quick (e : experiment) ~seeds =
   Strovl_par.Pool.map ?jobs
-    (fun _ seed ->
-      let table, _ = run_isolated ?quick ~seed e in
-      table)
+    (fun _ seed -> run_isolated ?quick ~seed e Fun.id)
     (Array.of_list seeds)

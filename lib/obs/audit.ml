@@ -431,7 +431,7 @@ let violation_json v =
     (Export.json_str v.v_detail)
 
 (* Run [f] with the auditor riding along. If an outer auditor is already
-   armed (e.g. `strovl_mon audit`), [f] just runs — the outer collection
+   armed (e.g. `strovl_run audit`), [f] just runs — the outer collection
    sees everything. Otherwise arm (enabling tracing for the duration if it
    was off), run, and report any violations on stderr; the registry's
    [strovl_audit_violations_total] counter records the tally either way. *)

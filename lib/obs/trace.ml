@@ -63,7 +63,9 @@ let now () = (state ()).st_clock ()
 let set_sink f = (state ()).st_sink <- Some f
 let clear_sink () = (state ()).st_sink <- None
 
-let enable ?(capacity = 1 lsl 18) () =
+let default_capacity = 1 lsl 18
+
+let enable ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Trace.enable: capacity must be positive";
   let st = state () in
   st.st_ring <-

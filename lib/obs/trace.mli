@@ -89,8 +89,12 @@ val set_sink : (record -> unit) -> unit
 val clear_sink : unit -> unit
 (** Removes the streaming consumer. *)
 
+val default_capacity : int
+(** 2^18 events: the ring [enable] arms when no capacity is given. *)
+
 val enable : ?capacity:int -> unit -> unit
-(** Arms the recorder with a fresh ring (default capacity 2^18 events). *)
+(** Arms the recorder with a fresh ring of [capacity] events (default
+    {!default_capacity}). *)
 
 val disable : unit -> unit
 (** Disarms and discards the ring. *)

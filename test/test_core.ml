@@ -31,10 +31,10 @@ let packet_service_classes () =
       [
         P.Best_effort;
         P.Reliable;
-        P.Realtime { deadline = 1; n_requests = 1; m_retrans = 1 };
+        P.Realtime { deadline = 1 };
         P.It_priority 3;
         P.It_reliable;
-        P.Fec { fec_k = 8; fec_r = 2 };
+        P.Fec;
       ]
   in
   check_int "distinct classes" P.class_count

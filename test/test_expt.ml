@@ -135,11 +135,101 @@ let reroute_vs_bgp () =
     check_bool "bgp orders of magnitude worse" true (ms bgp > 10. *. ms ov_rr)
   | _ -> Alcotest.fail "expected 3 rows"
 
+(* ----------------------------- isolated runs ---------------------------- *)
+
+let expt id = Option.get (Strovl_expt.find id)
+
+(* What a run must never leave behind on its domain. *)
+let check_pristine what =
+  check_bool (what ^ ": recorder disarmed") false (Strovl_obs.Trace.armed ());
+  check_bool (what ^ ": auditor disarmed") false (Strovl_obs.Audit.armed ());
+  check_int (what ^ ": no series channels") 0
+    (List.length (Strovl_obs.Series.channels ()));
+  check_int (what ^ ": empty metrics") 0
+    (List.length (Strovl_obs.Metrics.dump ()))
+
+(* The helper hides what ran before, arms what it is asked for, lets the
+   query read it, and drops all of it afterwards — also when the query
+   raises. *)
+let isolated_leaves_nothing () =
+  let fig3 = expt "fig3-recovery" in
+  let observe query =
+    Strovl_expt.run_isolated ~trace:(1 lsl 16) ~series:(100_000, 600)
+      ~audit:true ~quick:true ~seed:7L fig3 query
+  in
+  Strovl_obs.Metrics.Counter.incr (Strovl_obs.Metrics.counter "leaked_before");
+  let leaked, events, channels, metrics, audited =
+    observe (fun _table ->
+        ( Strovl_obs.Metrics.find_counter "leaked_before",
+          Strovl_obs.Trace.total (),
+          List.length (Strovl_obs.Series.channels ()),
+          List.length (Strovl_obs.Metrics.dump ()),
+          Strovl_obs.Audit.armed () ))
+  in
+  check_int "query saw no earlier metrics" 0 leaked;
+  check_bool "query saw trace events" true (events > 0);
+  check_bool "query saw series channels" true (channels > 0);
+  check_bool "query saw metrics" true (metrics > 0);
+  check_bool "query saw the auditor armed" true audited;
+  check_pristine "after the query returns";
+  (match observe (fun _table -> failwith "query failed") with
+  | () -> Alcotest.fail "the query's exception was swallowed"
+  | exception Failure _ -> ());
+  check_pristine "after the query raises"
+
+(* The auditor sees only what the recorder emits, so asking for it alone
+   still arms a recorder: the run is really audited, and the experiment's
+   own self-audit stands down to it. *)
+let isolated_audit_alone () =
+  let events, audited =
+    Strovl_expt.run_isolated ~audit:true ~quick:true ~seed:7L
+      (expt "fig3-recovery") (fun _table ->
+        (Strovl_obs.Trace.total (), Strovl_obs.Audit.armed ()))
+  in
+  check_bool "auditor armed" true audited;
+  check_bool "recorder fed the auditor" true (events > 0);
+  check_pristine "after the audited run"
+
+(* A traced run's digest ignores whatever ran before it on the domain: here
+   a reroute-bgp run that leaves its recorder, series and metrics behind.
+   The digest comes from the pooled runner, the path `strovl_run digest`
+   prints from. *)
+let isolated_digest_after_leaky_run () =
+  let expected =
+    In_channel.with_open_text "../DIGESTS.quick" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun line ->
+           Scanf.sscanf_opt line "fig3-recovery %Lx" Fun.id)
+    |> Option.get
+  in
+  Strovl_obs.Trace.enable ();
+  Strovl_obs.Series.enable ();
+  ignore ((expt "reroute-bgp").run ~quick:true ~seed:7L ());
+  let digest =
+    match
+      Strovl_expt.run_many ~jobs:1 ~quick:true ~traced:true ~seed:7L
+        [ expt "fig3-recovery" ]
+    with
+    | [| outcome |] -> snd (Strovl_par.Pool.outcome_exn outcome)
+    | _ -> Alcotest.fail "expected one outcome"
+  in
+  Alcotest.(check (option int64)) "DIGESTS.quick" (Some expected) digest;
+  check_pristine "after the traced run"
+
 let () =
   Alcotest.run "strovl_expt"
     [
       ( "registry",
         [ Alcotest.test_case "complete" `Quick registry_complete ] );
+      ( "isolated run",
+        [
+          Alcotest.test_case "leaves nothing behind" `Quick
+            isolated_leaves_nothing;
+          Alcotest.test_case "audit alone arms the recorder" `Quick
+            isolated_audit_alone;
+          Alcotest.test_case "digest after a leaky run" `Quick
+            isolated_digest_after_leaky_run;
+        ] );
       ( "claims",
         [
           Alcotest.test_case "coverage" `Quick coverage_claims;

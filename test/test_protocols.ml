@@ -1042,7 +1042,7 @@ let reliable_window_bound () =
   let rt_data lseq =
     Msg.Data
       {
-        cls = P.service_class (P.Realtime { deadline = 0; n_requests = 1; m_retrans = 1 });
+        cls = P.service_class (P.Realtime { deadline = 0 });
         lseq;
         pkt = packet ~seq:lseq p.engine;
         auth = None;

@@ -36,7 +36,7 @@ let all_services_coexist () =
   let be, be_got = mk_flow 0 P.Best_effort in
   let rel, rel_got = mk_flow 1 P.Reliable in
   let rt, rt_got =
-    mk_flow 2 (P.Realtime { deadline = Time.ms 200; n_requests = 3; m_retrans = 3 })
+    mk_flow 2 (P.Realtime { deadline = Time.ms 200 })
   in
   let itp, itp_got = mk_flow 3 (P.It_priority 5) in
   let itr, itr_got = mk_flow 4 P.It_reliable in

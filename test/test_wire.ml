@@ -32,7 +32,7 @@ let data_roundtrip () =
   let mask = Bitmask.of_links ~nlinks:100 [ 0; 13; 64; 99 ] in
   let pkt =
     sample_packet ~routing:(P.Source_mask mask)
-      ~service:(P.Realtime { deadline = 65_000; n_requests = 1; m_retrans = 1 })
+      ~service:(P.Realtime { deadline = 65_000 })
       ~auth:(Some 0x1234_5678_9abc_def0L) ~hops:3 ~ingress:7 ~replay:true ()
   in
   let msg = Msg.Data { cls = 2; lseq = 42; pkt; auth = Some (-1L) } in
@@ -76,7 +76,7 @@ let service_variants_roundtrip () =
     [
       P.Best_effort;
       P.Reliable;
-      P.Realtime { deadline = 200_000; n_requests = 3; m_retrans = 3 };
+      P.Realtime { deadline = 200_000 };
       P.It_priority 9;
       P.It_reliable;
     ]
@@ -191,14 +191,10 @@ let gen_service =
       [
         return P.Best_effort;
         return P.Reliable;
-        map3
-          (fun d n m ->
-            P.Realtime { deadline = d; n_requests = 1 + n; m_retrans = 1 + m })
-          (int_bound 1_000_000) (int_bound 8) (int_bound 8);
+        map (fun d -> P.Realtime { deadline = d }) (int_bound 1_000_000);
         map (fun p -> P.It_priority p) (int_bound 100);
         return P.It_reliable;
-        map2 (fun k r -> P.Fec { fec_k = 1 + k; fec_r = 1 + r })
-          (int_bound 30) (int_bound 7);
+        return P.Fec;
       ])
 
 let gen_routing =
@@ -400,14 +396,17 @@ let hostile_datagrams_rejected () =
     match Wire.decode_datagram s with Ok _ -> false | Error _ -> true
   in
   let v = String.make 1 (Char.chr Wire.version) in
-  check_int "version" 2 Wire.version;
+  check_int "version" 3 Wire.version;
   check_bool "empty" true (bad "");
   check_bool "bad magic" true (bad ("Xo" ^ v ^ "\x00"));
-  check_bool "version-1 datagram" true
-    (bad
-       (Wire.encode_datagram
-          (Wire.Dg_session (Wire.Session.Close { sport = 1 }))
-       |> String.mapi (fun i c -> if i = 2 then '\x01' else c)));
+  List.iter
+    (fun old ->
+      check_bool (Printf.sprintf "version-%d datagram" old) true
+        (bad
+           (Wire.encode_datagram
+              (Wire.Dg_session (Wire.Session.Close { sport = 1 }))
+           |> String.mapi (fun i c -> if i = 2 then Char.chr old else c))))
+    [ 1; 2 ];
   check_bool "unknown kind" true (bad ("So" ^ v ^ "\x07"));
   check_bool "preamble only" true (bad ("So" ^ v ^ "\x00"));
   check_bool "session with unknown frame tag" true (bad ("So" ^ v ^ "\x01\xff"));
