@@ -14,23 +14,25 @@ module Clock = Strovl_rt.Clock
 
 let ( let* ) = Result.bind
 
-(* Waits for one session frame until [deadline] (monotonic µs). *)
+(* Waits for one session frame until [deadline] (monotonic µs). Reads
+   before it sleeps: datagrams that [Udp.recvfrom] kept from a coalesced
+   receive do not make the socket readable. *)
 let rec recv_frame sock ~deadline =
-  let now = Clock.now_us () in
-  if now >= deadline then None
-  else
-    match
-      Unix.select [ Udp.fd sock ] [] [] (float_of_int (deadline - now) /. 1e6)
-    with
-    | [], _, _ -> None
-    | _, _, _ -> (
-      match Udp.recvfrom sock with
-      | Some (data, _) -> (
-        match Wire.decode_datagram data with
-        | Ok (Wire.Dg_session f) -> Some f
-        | Ok (Wire.Dg_msg _) | Error _ -> recv_frame sock ~deadline)
-      | None -> recv_frame sock ~deadline)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv_frame sock ~deadline
+  match Udp.recvfrom sock with
+  | Some (data, _) -> (
+    match Wire.decode_datagram data with
+    | Ok (Wire.Dg_session f) -> Some f
+    | Ok (Wire.Dg_msg _) | Error _ -> recv_frame sock ~deadline)
+  | None -> (
+    let now = Clock.now_us () in
+    if now >= deadline then None
+    else
+      match
+        Unix.select [ Udp.fd sock ] [] [] (float_of_int (deadline - now) /. 1e6)
+      with
+      | [], _, _ -> None
+      | _, _, _ -> recv_frame sock ~deadline
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv_frame sock ~deadline)
 
 let parse_service s =
   match String.lowercase_ascii s with

@@ -19,16 +19,19 @@ type t = {
   mutable flush_pending : bool;
   mutable flush_ev : unit -> unit;  (** the turn's flush; built once *)
   sessions : (int, Unix.sockaddr) Hashtbl.t;  (** sport -> client *)
-  m_rx : Metrics.Counter.t;
+  m_rx : Metrics.Counter.t;  (** datagrams, one per segment of a receive *)
+  m_rx_batches : Metrics.Counter.t;  (** receives that returned data *)
   m_tx : Metrics.Counter.t;
   m_batches : Metrics.Counter.t;  (** [sendmmsg] calls *)
   m_tx_msgs : Metrics.Counter.t;  (** overlay messages sent, over all frames *)
   m_frame_bytes : Metrics.Histogram.t;  (** size of each link frame sent *)
-  m_bad : Metrics.Counter.t;  (** undecodable datagrams *)
+  m_bad : Metrics.Counter.t;
+      (** undecodable datagrams, and receives dropped for [MSG_TRUNC] *)
   m_misdirected : Metrics.Counter.t;
       (** well-formed but wrong: unknown/non-incident link, source not the
-          link's far end, a daemon-bound-only session frame, or a [Close]
-          from a client other than the session's opener *)
+          link's far end, a client-bound session frame, or a [Send],
+          [Join], [Leave] or [Close] from a client other than the session's
+          opener *)
   mutable closed : bool;
 }
 
@@ -110,18 +113,31 @@ let deliver t sport pkt =
 let stats_json t =
   let c = Node.counters t.node in
   Printf.sprintf
-    {|{"node":%d,"now_us":%d,"forwarded":%d,"delivered":%d,"dropped_no_route":%d,"dropped_ttl":%d,"dropped_auth":%d,"dropped_dup":%d,"dropped_backpressure":%d,"dropped_overload":%d,"lsu_floods":%d,"group_floods":%d,"rx_datagrams":%d,"tx_datagrams":%d,"tx_batches":%d,"tx_link_msgs":%d,"bad_datagrams":%d,"misdirected":%d,"sessions":%d}|}
+    {|{"node":%d,"now_us":%d,"forwarded":%d,"delivered":%d,"dropped_no_route":%d,"dropped_ttl":%d,"dropped_auth":%d,"dropped_dup":%d,"dropped_backpressure":%d,"dropped_overload":%d,"lsu_floods":%d,"group_floods":%d,"rx_datagrams":%d,"rx_batches":%d,"tx_datagrams":%d,"tx_batches":%d,"tx_link_msgs":%d,"bad_datagrams":%d,"misdirected":%d,"sessions":%d}|}
     t.me (Runtime.now t.rt) c.Node.forwarded c.Node.delivered
     c.Node.dropped_no_route c.Node.dropped_ttl c.Node.dropped_auth
     c.Node.dropped_dup c.Node.dropped_backpressure c.Node.dropped_overload
     c.Node.lsu_floods c.Node.group_floods
     (Metrics.Counter.value t.m_rx)
+    (Metrics.Counter.value t.m_rx_batches)
     (Metrics.Counter.value t.m_tx)
     (Metrics.Counter.value t.m_batches)
     (Metrics.Counter.value t.m_tx_msgs)
     (Metrics.Counter.value t.m_bad)
     (Metrics.Counter.value t.m_misdirected)
     (Hashtbl.length t.sessions)
+
+(* Whether [from] may act on session [sport]: once a client has opened it,
+   only that client; any other is counted as misdirected. *)
+let from_opener t sport from =
+  match Hashtbl.find t.sessions sport with
+  | opener ->
+    opener == from || opener = from
+    || begin
+      Metrics.Counter.incr t.m_misdirected;
+      false
+    end
+  | exception Not_found -> true
 
 let handle_session t frame from =
   match frame with
@@ -130,28 +146,28 @@ let handle_session t frame from =
       Node.register_session t.node ~port:sport ~deliver:(deliver t sport);
     Hashtbl.replace t.sessions sport from;
     send_session t from (Wire.Session.Open_ok { node = t.me; sport })
-  | Join { group; sport } -> Node.join_group t.node ~group ~port:sport
-  | Leave { group; sport } -> Node.leave_group t.node ~group ~port:sport
+  | Join { group; sport } ->
+    if from_opener t sport from then Node.join_group t.node ~group ~port:sport
+  | Leave { group; sport } ->
+    if from_opener t sport from then Node.leave_group t.node ~group ~port:sport
   | Send { sport; dest; dport; service; seq; bytes; tag } ->
-    let flow =
-      { Packet.f_src = t.me; f_sport = sport; f_dest = dest; f_dport = dport }
-    in
-    let pkt =
-      Packet.make ~flow ~routing:Packet.Link_state ~service ~seq
-        ~sent_at:(Runtime.now t.rt) ~bytes ~tag ()
-    in
-    let accepted = Node.originate t.node pkt in
-    send_session t from (Wire.Session.Sent { sport; seq; accepted })
+    if from_opener t sport from then begin
+      let flow =
+        { Packet.f_src = t.me; f_sport = sport; f_dest = dest; f_dport = dport }
+      in
+      let pkt =
+        Packet.make ~flow ~routing:Packet.Link_state ~service ~seq
+          ~sent_at:(Runtime.now t.rt) ~bytes ~tag ()
+      in
+      let accepted = Node.originate t.node pkt in
+      send_session t from (Wire.Session.Sent { sport; seq; accepted })
+    end
   | Stats_req _ -> send_session t from (Wire.Session.Stats { json = stats_json t })
-  | Close { sport } -> (
-    match Hashtbl.find_opt t.sessions sport with
-    | Some opener when opener = from ->
+  | Close { sport } ->
+    if Hashtbl.mem t.sessions sport && from_opener t sport from then begin
       Hashtbl.remove t.sessions sport;
       Node.unregister_session t.node ~port:sport
-    | Some _ ->
-      (* only the client that opened a session may close it *)
-      Metrics.Counter.incr t.m_misdirected
-    | None -> ())
+    end
   | Open_ok _ | Sent _ | Deliver _ | Stats _ ->
     (* client-bound frames have no business arriving at a daemon *)
     Metrics.Counter.incr t.m_misdirected
@@ -214,6 +230,7 @@ let create ?config ~rt ~topo ~id () =
       flush_ev = ignore;
       sessions = Hashtbl.create 8;
       m_rx = Metrics.counter ~labels "strovl_rt_rx_datagrams_total";
+      m_rx_batches = Metrics.counter ~labels "strovl_rt_rx_batches_total";
       m_tx = Metrics.counter ~labels "strovl_rt_tx_datagrams_total";
       m_batches = Metrics.counter ~labels "strovl_rt_tx_batches_total";
       m_tx_msgs = Metrics.counter ~labels "strovl_rt_tx_link_msgs_total";
@@ -245,7 +262,10 @@ let start t =
   Node.start t.node;
   let on_datagram = handle_datagram t in
   Runtime.watch t.rt (Udp.fd t.sock) (fun () ->
-      Udp.drain t.sock ~f:on_datagram)
+      let batches = Udp.rx_batches t.sock and truncated = Udp.truncated t.sock in
+      Udp.drain t.sock ~f:on_datagram;
+      Metrics.Counter.add t.m_rx_batches (Udp.rx_batches t.sock - batches);
+      Metrics.Counter.add t.m_bad (Udp.truncated t.sock - truncated))
 
 let close t =
   if not t.closed then begin

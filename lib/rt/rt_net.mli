@@ -17,9 +17,10 @@
     topology (the named link must be incident and the claimed source must
     be its far end), and their messages dispatched into [Node.receive] in
     order. Session datagrams implement the client protocol of
-    {!Strovl.Wire.Session}, one frame per datagram; a session is closed
-    only by a [Close] from the address that opened it, and any other
-    [Close] for it is counted as misdirected and ignored.
+    {!Strovl.Wire.Session}, one frame per datagram. Once a client has
+    opened a session, only that client's address may [Send], [Join],
+    [Leave] or [Close] on it; the same frames from any other address are
+    counted as misdirected and ignored.
 
     The protocol stack itself — hello, LSUs, routing, the five
     link service classes, dedup, delivery — is exactly the code the
@@ -55,8 +56,17 @@ val close : t -> unit
     running — this is how a test kills one daemon of an in-process
     overlay. Idempotent. *)
 
+val handle_datagram : t -> string -> Unix.sockaddr -> unit
+(** One received datagram from the given source, as the select loop hands
+    each on: decoded, validated and dispatched, or counted as bad or
+    misdirected. Never raises on hostile input. Exposed for tests. *)
+
 val stats_json : t -> string
 (** One-line JSON snapshot: node id, engine clock, forwarding counters,
-    datagrams received and sent, [sendmmsg] calls ([tx_batches]; each
-    segment of a segmented send counts as one datagram), overlay messages
-    the sent link frames carried ([tx_link_msgs]), live session count. Also what a [Stats_req] session frame returns. *)
+    datagrams received ([rx_datagrams], one per segment of a coalesced
+    receive), receive calls that returned data ([rx_batches]), datagrams
+    sent and [sendmmsg] calls ([tx_datagrams], [tx_batches]; each segment
+    of a segmented send counts as one datagram), overlay messages the sent
+    link frames carried ([tx_link_msgs]), undecodable datagrams and
+    truncated receives ([bad_datagrams]), misdirected frames, live session
+    count. Also what a [Stats_req] session frame returns. *)

@@ -1,7 +1,19 @@
 type t = {
   fd : Unix.file_descr;
-  buf : Bytes.t;  (** reused receive buffer — no per-datagram allocation *)
+  gro : bool;  (** the kernel took UDP_GRO at bind *)
   mutable closed : bool;
+  info : int array;
+      (** the last receive's segment size, MSG_TRUNC flag, source address
+          and source port, as {!recv} fills them *)
+  mutable src_ip : int;
+  mutable src_port : int;
+  mutable src : Unix.sockaddr;
+      (** the last receive's source, rebuilt only when it changes *)
+  mutable pending : (string * Unix.sockaddr) list;
+      (** segments of a coalesced receive that {!recvfrom} has not yet
+          returned, in order *)
+  mutable rx_batches : int;
+  mutable truncated : int;
   mutable qbuf : Bytes.t;
       (** the queued datagrams back to back, in queue order; sized lazily *)
   mutable qbytes : int;
@@ -13,15 +25,18 @@ type t = {
   mutable segment : bool;  (** false once the kernel refused UDP_SEGMENT *)
 }
 
-(* Max UDP payload we ever expect: overlay headers are small (the codec
-   never materializes application payload), but session Stats frames carry
-   JSON. Comfortably under the 64k datagram limit. *)
-let max_datagram = 16384
+(* At least the largest UDP payload, and so the largest coalesced
+   receive: a smaller buffer would have the kernel cut a long run short. *)
+let max_datagram = 65535
 
 let max_queue = 128
 let max_queue_bytes = 1 lsl 18
 let max_segments = 64
 let max_run_bytes = 65507
+
+external set_gro : Unix.file_descr -> bool = "strovl_udp_set_gro"
+
+let no_addr = Unix.ADDR_UNIX ""
 
 let bind ~host ~port =
   (* No SO_REUSEADDR: UDP has no TIME_WAIT to work around, and on Linux the
@@ -38,18 +53,28 @@ let bind ~host ~port =
      raise e);
   {
     fd;
-    buf = Bytes.create max_datagram;
+    gro = set_gro fd;
     closed = false;
+    info = Array.make 4 0;
+    src_ip = -1;
+    src_port = -1;
+    src = no_addr;
+    pending = [];
+    rx_batches = 0;
+    truncated = 0;
     qbuf = Bytes.empty;
     qbytes = 0;
     qn = 0;
-    qaddr = Array.make max_queue (Unix.ADDR_UNIX "");
+    qaddr = Array.make max_queue no_addr;
     qlen = Array.make max_queue 0;
     runs = Array.make (3 * max_queue) 0;
     segment = true;
   }
 
 let fd t = t.fd
+let gro t = t.gro
+let rx_batches t = t.rx_batches
+let truncated t = t.truncated
 
 let port t =
   match Unix.getsockname t.fd with
@@ -136,29 +161,119 @@ let queue t addr buf len =
     calls
   end
 
-(* Nothing to read: the socket would block, a bounced-send [ECONNREFUSED]
-   notification was pending instead of data, or a signal interrupted. *)
-let nothing_ready = function
-  | Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ECONNREFUSED | Unix.EINTR -> true
-  | _ -> false
+(* ------------------------------- receive ------------------------------- *)
 
-let recvfrom t =
-  match Unix.recvfrom t.fd t.buf 0 (Bytes.length t.buf) [] with
-  | n, addr -> Some (Bytes.sub_string t.buf 0 n, addr)
-  | exception Unix.Unix_error (e, _, _) when nothing_ready e -> None
+external recv : Unix.file_descr -> Bytes.t -> int array -> int
+  = "strovl_udp_recvmsg"
 
-(* Not through [recvfrom]: no option and pair to box per datagram. *)
+(* The domain's one receive buffer; [busy] while a drain still has
+   segments of it to hand on. *)
+type rx = { rbuf : Bytes.t; mutable busy : bool }
+
+let rx_key =
+  Domain.DLS.new_key (fun () ->
+      { rbuf = Bytes.create max_datagram; busy = false })
+
+let split buf n ~gso_size ~truncated from ~f =
+  if truncated then ()
+  else if gso_size <= 0 || gso_size >= n then f (Bytes.sub_string buf 0 n) from
+  else begin
+    let off = ref 0 in
+    while !off < n do
+      let len = min gso_size (n - !off) in
+      f (Bytes.sub_string buf !off len) from;
+      off := !off + len
+    done
+  end
+
+let inet_of_int ip =
+  Unix.inet_addr_of_string
+    (Printf.sprintf "%d.%d.%d.%d" (ip lsr 24) ((ip lsr 16) land 0xff)
+       ((ip lsr 8) land 0xff) (ip land 0xff))
+
+let new_source t ip port =
+  let inet =
+    match t.src with
+    | Unix.ADDR_INET (inet, _) when ip = t.src_ip -> inet
+    | _ -> inet_of_int ip
+  in
+  t.src_ip <- ip;
+  t.src_port <- port;
+  t.src <- Unix.ADDR_INET (inet, port);
+  t.src
+
+(* Inlined, so a receive from the previous source costs two compares and
+   no call. *)
+let[@inline] source t =
+  let ip = t.info.(2) and port = t.info.(3) in
+  if ip = t.src_ip && port = t.src_port then t.src else new_source t ip port
+
+(* One receive into [buf]: its byte count, or -1 when nothing is ready. *)
+let[@inline] receive t buf =
+  let n = recv t.fd buf t.info in
+  if n >= 0 then begin
+    t.rx_batches <- t.rx_batches + 1;
+    if t.info.(1) <> 0 then t.truncated <- t.truncated + 1
+  end;
+  n
+
+let rec recvfrom t =
+  match t.pending with
+  | d :: rest ->
+    t.pending <- rest;
+    Some d
+  | [] ->
+    if t.closed then None
+    else
+      let rx = Domain.DLS.get rx_key in
+      let buf = if rx.busy then Bytes.create max_datagram else rx.rbuf in
+      let n = receive t buf in
+      if n < 0 then None
+      else
+        let gso_size = t.info.(0) and truncated = t.info.(1) <> 0 in
+        let from = source t in
+        if (not truncated) && (gso_size <= 0 || gso_size >= n) then
+          Some (Bytes.sub_string buf 0 n, from)
+        else begin
+          let segs = ref [] in
+          split buf n ~gso_size ~truncated from ~f:(fun d a ->
+              segs := (d, a) :: !segs);
+          t.pending <- List.rev !segs;
+          recvfrom t
+        end
+
+let rec drain_into t buf f =
+  if not t.closed then begin
+    let n = receive t buf in
+    if n >= 0 then begin
+      split buf n ~gso_size:t.info.(0) ~truncated:(t.info.(1) <> 0) (source t)
+        ~f;
+      drain_into t buf f
+    end
+  end
+
 let rec drain t ~f =
-  if not t.closed then
-    match Unix.recvfrom t.fd t.buf 0 (Bytes.length t.buf) [] with
-    | n, addr ->
-      f (Bytes.sub_string t.buf 0 n) addr;
-      drain t ~f
-    | exception Unix.Unix_error (e, _, _) when nothing_ready e -> ()
+  match t.pending with
+  | (d, from) :: rest ->
+    t.pending <- rest;
+    f d from;
+    drain t ~f
+  | [] ->
+    let rx = Domain.DLS.get rx_key in
+    if rx.busy then drain_into t (Bytes.create max_datagram) f
+    else begin
+      rx.busy <- true;
+      match drain_into t rx.rbuf f with
+      | () -> rx.busy <- false
+      | exception e ->
+        rx.busy <- false;
+        raise e
+    end
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
+    t.pending <- [];
     t.qn <- 0;
     t.qbytes <- 0;
     t.qbuf <- Bytes.empty;

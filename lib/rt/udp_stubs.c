@@ -1,12 +1,17 @@
-/* sendmmsg(2) with UDP generic segmentation offload for Udp.flush.
+/* The Udp module's socket calls that the Unix library lacks.
 
+   Sending (Udp.flush): sendmmsg(2) with UDP generic segmentation offload.
    The OCaml side plans the queue into runs (Udp.plan): 3 ints per run,
    [first datagram; segment size; segment count]. Runs are contiguous in
    the queue buffer in order, so a run's offset is the sum of the sizes of
    the runs before it. A run of more than one segment goes out as one
-   message carrying a UDP_SEGMENT control message, which the kernel splits
-   into [count] datagrams of [size] bytes each. Everything lives on the C
-   stack: the stub allocates nothing, in C or on the OCaml heap. */
+   message carrying a UDP_SEGMENT control message; the kernel delivers it
+   as [count] datagrams of [size] bytes each, or whole to a socket that
+   set UDP_GRO. Everything lives on the C stack: the stub allocates
+   nothing, in C or on the OCaml heap.
+
+   Receiving (Udp.drain, Udp.recvfrom): recvmsg(2) on a UDP_GRO socket,
+   reporting the segment size the OCaml side splits a coalesced run at. */
 
 #define _GNU_SOURCE
 #include <errno.h>
@@ -27,6 +32,9 @@
 
 #ifndef UDP_SEGMENT
 #define UDP_SEGMENT 103
+#endif
+#ifndef UDP_GRO
+#define UDP_GRO 104
 #endif
 
 /* Udp.max_queue and Udp.max_segments. */
@@ -155,6 +163,70 @@ CAMLprim value strovl_udp_sendmmsg(value vfd, value vbuf, value vaddrs,
     }
   }
   return Val_int(2 * calls + refused);
+}
+
+/* strovl_udp_set_gro fd: asks the kernel to hand this socket a UDP_SEGMENT
+   run as one coalesced receive; true if it agreed. */
+CAMLprim value strovl_udp_set_gro(value vfd)
+{
+  int one = 1;
+  return Val_bool(setsockopt(Int_val(vfd), SOL_UDP, UDP_GRO, &one,
+                             sizeof(one)) == 0);
+}
+
+/* strovl_udp_recvmsg fd buf info: one non-blocking receive into buf.
+   Returns the byte count, or -1 when nothing is ready: the socket would
+   block, a bounced-send ECONNREFUSED notification was pending instead of
+   data, or a signal interrupted. On data it fills info with the
+   segment size from the UDP_GRO control message (0 for a plain
+   datagram), 1 if the kernel cut the receive short (MSG_TRUNC) or 0,
+   and the IPv4 source address and port, in host byte order. Allocates
+   nothing, and raises Unix_error on any other error. */
+CAMLprim value strovl_udp_recvmsg(value vfd, value vbuf, value vinfo)
+{
+  struct sockaddr_storage ss;
+  struct sockaddr_in *sin = (struct sockaddr_in *)(void *)&ss;
+  struct iovec io;
+  struct msghdr m;
+  struct cmsghdr *c;
+  union {
+    char buf[CMSG_SPACE(sizeof(int))];
+    struct cmsghdr align;
+  } ctl;
+  int gso = 0;
+  ssize_t n;
+
+  if (Wosize_val(vinfo) < 4) caml_invalid_argument("Udp: bad info array");
+  io.iov_base = Bytes_val(vbuf);
+  io.iov_len = caml_string_length(vbuf);
+  memset(&m, 0, sizeof(m));
+  m.msg_name = &ss;
+  m.msg_namelen = sizeof(ss);
+  m.msg_iov = &io;
+  m.msg_iovlen = 1;
+  m.msg_control = ctl.buf;
+  m.msg_controllen = sizeof(ctl.buf);
+  n = recvmsg(Int_val(vfd), &m, MSG_DONTWAIT);
+  if (n < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNREFUSED
+        || errno == EINTR)
+      return Val_int(-1);
+    caml_uerror("recvmsg", Nothing);
+  }
+  for (c = CMSG_FIRSTHDR(&m); c != NULL; c = CMSG_NXTHDR(&m, c))
+    if (c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO)
+      memcpy(&gso, CMSG_DATA(c), sizeof(gso));
+  /* Immediate ints: no write barrier needed. */
+  Field(vinfo, 0) = Val_int(gso);
+  Field(vinfo, 1) = Val_bool(m.msg_flags & MSG_TRUNC);
+  if (ss.ss_family == AF_INET) {
+    Field(vinfo, 2) = Val_long(ntohl(sin->sin_addr.s_addr));
+    Field(vinfo, 3) = Val_int(ntohs(sin->sin_port));
+  } else {
+    Field(vinfo, 2) = Val_int(0);
+    Field(vinfo, 3) = Val_int(0);
+  }
+  return Val_long(n);
 }
 
 /* Rt_clock.now_ns: CLOCK_MONOTONIC in nanoseconds. The unboxed entry is

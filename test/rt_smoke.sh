@@ -4,9 +4,10 @@
 # 200-packet strovl_send flow from node 0, two overlay hops away, sent
 # unpaced, so the daemons' batched sends carry several replies and link
 # frames at a time. Exits non-zero (printing every process's output)
-# unless the sender's Sends are all accepted and acknowledged and the
-# receiver gets all 200 packets: every frame must still arrive as a
-# datagram of its own to decode.
+# unless the sender's Sends are all accepted and acknowledged, the
+# receiver gets all 200 packets and node 0's stats show no bad datagram:
+# every frame must still come out of a receive as a datagram of its own
+# to decode.
 #
 #   sh test/rt_smoke.sh path/to/strovl_node.exe path/to/strovl_send.exe
 set -eu
@@ -55,8 +56,14 @@ status=0
   --service reliable --count 200 --interval-ms 0 --stats \
   > "$dir/sender.out" 2>&1 || status=1
 wait "$receiver" || status=1
-# A reply merged with another would not decode, and go unacknowledged.
+# The sender's socket receives the daemon's Sent replies as coalesced runs
+# and splits them back into datagrams; a reply cut at the wrong place would
+# not decode, and go unacknowledged.
 grep -q '^sent 200: 200 acknowledged, 0 refused$' "$dir/sender.out" || status=1
+# Node 0's stats (--stats): it counts its receives, and decoded every
+# datagram it split out of them.
+grep -q '"rx_batches":' "$dir/sender.out" || status=1
+grep -q '"bad_datagrams":0,' "$dir/sender.out" || status=1
 if [ "$status" -ne 0 ]; then
   echo "rt_smoke: reliable flow across two daemon hops failed" >&2
   for f in "$dir"/*.out; do

@@ -803,9 +803,10 @@ let close_drops_queue () =
     | _ -> false);
   Rt.Udp.close sock
 
-(* Close binds to the session's opener: a Close for sport 9 from another
-   socket is counted as misdirected and ignored, and the receiver keeps
-   getting its packets. *)
+(* A session binds to its opener: a Close, Send, Join or Leave for sport 9
+   from another socket is counted as misdirected and ignored — the session
+   and its group memberships stay, nothing is sent or acknowledged — and
+   the receiver keeps getting its packets. *)
 let close_from_stranger_ignored () =
   let topo = square_topo () in
   let rt = Rt.Runtime.create () in
@@ -848,17 +849,213 @@ let close_from_stranger_ignored () =
   Rt.Runtime.run_for rt (Time.ms 50);
   check_int "the stranger's Close is misdirected" (before + 1) (misdirected ());
   check_int "the session survives" 1 (stat hosts.(3) "sessions");
+  let ports group = Strovl.Group.local_ports (Node.group (Rt.Host.node hosts.(3))) ~group in
+  tell receiver (Wire.Session.Join { group = 5; sport = 9 });
+  check_bool "the opener joins" true
+    (run_until rt ~budget_ms:500 (fun () -> ports 5 = [ 9 ]));
+  let delivers = count_delivers receiver in
+  let delivered () = (Node.counters (Rt.Host.node hosts.(3))).Node.delivered in
+  let delivered0 = delivered () in
+  List.iter
+    (fun frame ->
+      ignore
+        (Rt.Udp.sendto stranger receiver.daemon
+           (Wire.encode_datagram (Wire.Dg_session frame))))
+    [
+      Wire.Session.Send
+        {
+          sport = 9;
+          dest = Packet.To_node 3;
+          dport = 9;
+          service = Packet.Best_effort;
+          seq = 777;
+          bytes = 100;
+          tag = "s";
+        };
+      Wire.Session.Join { group = 6; sport = 9 };
+      Wire.Session.Leave { group = 5; sport = 9 };
+    ];
+  Rt.Runtime.run_for rt (Time.ms 50);
+  check_int "the stranger's Send, Join and Leave are misdirected" (before + 4)
+    (misdirected ());
+  check_bool "still in group 5, not in group 6" true (ports 5 = [ 9 ] && ports 6 = []);
+  check_int "nothing originated or delivered" delivered0 (delivered ());
+  check_int "the receiver got nothing" delivers (count_delivers receiver);
+  check_bool "the stranger got no reply" true (Rt.Udp.recvfrom stranger = None);
   send_batch 100 5;
   check_bool "and keeps delivering" true
     (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
   tell receiver (Wire.Session.Close { sport = 9 });
   check_bool "the opener's Close works" true
     (run_until rt ~budget_ms:500 (fun () -> stat hosts.(3) "sessions" = 0));
-  check_int "and is not misdirected" (before + 1) (misdirected ());
+  check_int "and is not misdirected" (before + 4) (misdirected ());
   Array.iter Rt.Host.close hosts;
   Rt.Udp.close stranger;
   Rt.Udp.close sender.sock;
   Rt.Udp.close receiver.sock
+
+(* ------------------------ the coalesced receive path ------------------------ *)
+
+(* A link frame on link 0, which a lone daemon has not got: whole, it is
+   well-formed but misdirected. The magic pair "So" occurs only at its
+   start, so no segment that starts inside it can decode. *)
+let probe_frame =
+  Wire.encode_datagram
+    (Wire.Dg_msg
+       { src = 1; link = 0; msg = Strovl.Msg.Hello { hseq = 7; sent_at = 1234 } })
+
+let segments_of buf n ~gso_size ~truncated =
+  if truncated then []
+  else if gso_size <= 0 || gso_size >= n then [ Bytes.sub_string buf 0 n ]
+  else
+    List.init
+      ((n + gso_size - 1) / gso_size)
+      (fun i -> Bytes.sub_string buf (i * gso_size) (min gso_size (n - (i * gso_size))))
+
+(* Receives of [n] bytes of back-to-back probe frames (the last one cut
+   when [n] is not a multiple of its length), split at random segment
+   sizes: short last segments, 0, [n] and over, one over Wire.max_frame,
+   the frame length and its multiples. *)
+let gen_receive =
+  QCheck.Gen.(
+    let l = String.length probe_frame in
+    oneof [ int_range 0 64; int_range 0 4000; int_range 60000 65535 ]
+    >>= fun n ->
+    oneof
+      [
+        return 0;
+        return n;
+        map (fun k -> n + k) (int_range 1 100);
+        return (Wire.max_frame + 1);
+        int_range 1 (max 1 n);
+        map (fun k -> k * l) (int_range 1 4);
+        map (fun k -> (k * l) + 1) (int_range 0 4);
+      ]
+    >>= fun gso_size -> map (fun truncated -> (n, gso_size, truncated)) bool)
+
+(* Segments cover the receive in order and byte-exact, [ceil (n / g)] of
+   them for [0 < g < n], one otherwise, none when truncated; each carries
+   the receive's source. Fed to a daemon, each segment that is one whole
+   probe frame is misdirected, and every other one (a frame cut short, a
+   segment starting mid-frame, or more than one frame) is bad. *)
+let receive_split () =
+  let rt = Rt.Runtime.create () in
+  let _, host = lone_host rt in
+  let from = Unix.ADDR_INET (Unix.inet_addr_loopback, 4242) in
+  let l = String.length probe_frame in
+  let prop (n, gso_size, truncated) =
+    let buf = Bytes.init n (fun i -> probe_frame.[i mod l]) in
+    let got = ref [] in
+    Rt.Udp.split buf n ~gso_size ~truncated from ~f:(fun d a ->
+        got := (d, a) :: !got);
+    let got = List.rev !got in
+    let count = List.length got in
+    let bad0 = stat host "bad_datagrams" and mis0 = stat host "misdirected" in
+    List.iter (fun (d, a) -> Rt.Host.handle_datagram host d a) got;
+    let whole = List.length (List.filter (fun (d, _) -> d = probe_frame) got) in
+    List.map fst got = segments_of buf n ~gso_size ~truncated
+    && List.for_all (fun (_, a) -> a == from) got
+    && String.concat "" (List.map fst got) = (if truncated then "" else Bytes.to_string buf)
+    && stat host "bad_datagrams" - bad0 = count - whole
+    && stat host "misdirected" - mis0 = whole
+  in
+  let magic_at i = probe_frame.[i] = 'S' && probe_frame.[i + 1] = 'o' in
+  check_bool "the magic pair only at the start" true
+    (magic_at 0 && not (List.exists magic_at (List.init (l - 2) (fun i -> i + 1))));
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"receive split"
+       (QCheck.make
+          ~print:(fun (n, g, t) -> Printf.sprintf "n=%d gso_size=%d truncated=%b" n g t)
+          gen_receive)
+       prop);
+  Rt.Host.close host
+
+(* [k] distinct datagrams of [len] bytes, numbered from [first]. *)
+let numbered first k len =
+  List.init k (fun i ->
+      let tag = Printf.sprintf "%05d:" (first + i) in
+      String.init len (fun j ->
+          if j < String.length tag then tag.[j] else Char.chr ((first + i + j) land 0xff)))
+
+(* Queues [dgs] on [a] for [addr] and flushes them: one segmented run. *)
+let send_run a addr dgs =
+  List.iter (fun d -> ignore (Rt.Udp.queue a addr (Bytes.of_string d) (String.length d))) dgs;
+  ignore (Rt.Udp.flush a);
+  dgs
+
+let wait_readable sock =
+  check_bool "readable" true
+    (match Unix.select [ Rt.Udp.fd sock ] [] [] 1.0 with
+    | [], _, _ -> false
+    | _ -> true)
+
+(* A 32- and a 64-segment run of 200-byte datagrams come out of one drain
+   as 96 datagrams, byte-exact and in order, from 2 receives when the
+   kernel took UDP_GRO. A run of the largest size a flush sends, 64
+   segments of 1023 bytes (65472 bytes), fits the receive buffer whole. *)
+let coalesced_drain () =
+  let a, b, to_b = socket_pair () in
+  let from_a = Unix.ADDR_INET (Unix.inet_addr_loopback, Rt.Udp.port a) in
+  let sent = send_run a to_b (numbered 0 32 200) in
+  let sent = sent @ send_run a to_b (numbered 32 64 200) in
+  wait_readable b;
+  let batches0 = Rt.Udp.rx_batches b in
+  let got = ref [] in
+  Rt.Udp.drain b ~f:(fun d src -> got := (d, src) :: !got);
+  Alcotest.(check (list string)) "96 datagrams in order" sent (List.rev_map fst !got);
+  check_bool "each from the sender" true (List.for_all (fun (_, src) -> src = from_a) !got);
+  if Rt.Udp.gro b then check_int "two receives" 2 (Rt.Udp.rx_batches b - batches0);
+  let big = send_run a to_b (numbered 96 Rt.Udp.max_segments 1023) in
+  check_bool "the largest run a flush sends" true
+    (Rt.Udp.max_segments * 1023 <= Rt.Udp.max_run_bytes
+    && Rt.Udp.max_segments * 1023 > Rt.Udp.max_run_bytes - 1023);
+  Alcotest.(check (list string)) "a maximal run, whole" big (received b);
+  check_int "nothing truncated" 0 (Rt.Udp.truncated b);
+  Rt.Udp.close a;
+  Rt.Udp.close b
+
+(* recvfrom returns the same 96 datagrams one per call, keeping the rest
+   of each receive for the next calls; a drain after a partial recvfrom
+   goes on where it stopped. *)
+let coalesced_recvfrom () =
+  let a, b, to_b = socket_pair () in
+  let sent = send_run a to_b (numbered 0 32 200) in
+  let sent = sent @ send_run a to_b (numbered 32 64 200) in
+  wait_readable b;
+  let rec take acc =
+    match Rt.Udp.recvfrom b with Some (d, _) -> take (d :: acc) | None -> List.rev acc
+  in
+  Alcotest.(check (list string)) "96 datagrams, one per call" sent (take []);
+  let sent = send_run a to_b (numbered 0 32 200) in
+  wait_readable b;
+  let first =
+    match Rt.Udp.recvfrom b with Some (d, _) -> d | None -> Alcotest.fail "nothing"
+  in
+  let rest = ref [] in
+  Rt.Udp.drain b ~f:(fun d _ -> rest := d :: !rest);
+  Alcotest.(check (list string)) "drain goes on after recvfrom" sent (first :: List.rev !rest);
+  Rt.Udp.close a;
+  Rt.Udp.close b
+
+(* A drain of another socket from inside [f], while the outer drain still
+   has segments of its receive to hand on, corrupts neither. *)
+let nested_drain () =
+  let a, b, to_b = socket_pair () in
+  let c = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let to_c = Unix.ADDR_INET (Unix.inet_addr_loopback, Rt.Udp.port c) in
+  let outer_sent = send_run a to_b (numbered 0 64 200) in
+  let inner_sent = send_run a to_c (numbered 1000 32 300) in
+  wait_readable b;
+  wait_readable c;
+  let outer = ref [] and inner = ref [] in
+  Rt.Udp.drain b ~f:(fun d _ ->
+      outer := d :: !outer;
+      if !inner = [] then Rt.Udp.drain c ~f:(fun d _ -> inner := d :: !inner));
+  Alcotest.(check (list string)) "the inner drain" inner_sent (List.rev !inner);
+  Alcotest.(check (list string)) "the outer drain" outer_sent (List.rev !outer);
+  Rt.Udp.close a;
+  Rt.Udp.close b;
+  Rt.Udp.close c
 
 let topofile_parsing () =
   let ok text =
@@ -918,6 +1115,10 @@ let () =
             close_drops_queue;
           Alcotest.test_case "close from a stranger is ignored" `Quick
             close_from_stranger_ignored;
+          Alcotest.test_case "receive split" `Quick receive_split;
+          Alcotest.test_case "coalesced drain" `Quick coalesced_drain;
+          Alcotest.test_case "coalesced recvfrom" `Quick coalesced_recvfrom;
+          Alcotest.test_case "nested drain" `Quick nested_drain;
           Alcotest.test_case "duplicate bind refused" `Quick
             duplicate_bind_refused;
           Alcotest.test_case "unwatched callback skipped" `Quick
