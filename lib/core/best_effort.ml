@@ -1,9 +1,9 @@
 type t = { ctx : Lproto.ctx; mutable lseq : int; mutable n_sent : int; mutable n_recv : int }
 
-let create ctx = { ctx; lseq = 0; n_sent = 0; n_recv = 0 }
+let create ?(lseq = 0) ctx = { ctx; lseq; n_sent = 0; n_recv = 0 }
 
 let send t pkt =
-  t.lseq <- t.lseq + 1;
+  t.lseq <- Lproto.next_lseq t.lseq;
   t.n_sent <- t.n_sent + 1;
   t.ctx.Lproto.xmit
     (Msg.Data { cls = Packet.service_class pkt.Packet.service; lseq = t.lseq; pkt; auth = None })

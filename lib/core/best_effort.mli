@@ -7,7 +7,10 @@
 
 type t
 
-val create : Lproto.ctx -> t
+val create : ?lseq:int -> Lproto.ctx -> t
+(** [lseq] is the lseq of the last message sent (default 0); the next
+    message carries its successor, which wraps to 0 past 2^32 - 1. *)
+
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
 val sent : t -> int

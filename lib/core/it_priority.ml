@@ -100,7 +100,7 @@ let rec service t =
       | pkt :: rest ->
         q := rest;
         if rest <> [] then enter_rotation t key;
-        t.lseq <- t.lseq + 1;
+        t.lseq <- Lproto.next_lseq t.lseq;
         t.n_sent <- t.n_sent + 1;
         bump t.sent (source_of pkt);
         let msg =

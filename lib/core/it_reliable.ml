@@ -82,7 +82,7 @@ let has_sendable q = List.exists (fun e -> (not e.e_inflight) && not e.e_done) !
    timer, and pace the scheduler at link bandwidth. *)
 let rec transmit t flow e =
   if e.e_lseq < 0 then begin
-    t.next_lseq <- t.next_lseq + 1;
+    t.next_lseq <- Lproto.next_lseq t.next_lseq;
     e.e_lseq <- t.next_lseq;
     bump t.sent flow.Packet.f_src
   end

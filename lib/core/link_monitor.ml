@@ -88,7 +88,8 @@ let tick m =
       m.notify Suspect
     end
   end;
-  m.seq <- m.seq + 1;
+  (* The peer only echoes [hseq]: wrap it at the wire's u32 width. *)
+  m.seq <- (m.seq + 1) land 0xffff_ffff;
   m.health.Health.sent <- m.health.Health.sent + 1;
   (* Every [loss_window] hellos, fold the window's round-trip loss. A hello
      round trip sees 1-(1-p)^2 for per-direction loss p: exactly the

@@ -23,6 +23,14 @@ type ctx = {
       (** the link's round-trip estimate, for retransmission timers *)
 }
 
+(** The lseq after [l] for a protocol that never orders by lseq (Best
+    Effort, IT-Priority, IT-Reliable): it wraps at 2^32, the width of the
+    wire's lseq field, so the codec's range check is never reached.
+    Protocols that order by lseq (Reliable, Realtime, FEC) cannot wrap
+    without a per-link epoch; a message of theirs past 2^32 - 1 is dropped
+    by the daemon's transmit path. *)
+let next_lseq l = (l + 1) land 0xffff_ffff
+
 (** Flight-recorder helpers: guard first so the disabled path costs one
     dereference and no allocation. *)
 let trace_pkt ctx pkt ev =
@@ -36,6 +44,6 @@ let trace ctx ev =
 
 (** Serialization time of [bytes] at the context's bandwidth (µs, ≥1). *)
 let tx_time ctx bytes =
-  max 1
+  Int.max 1
     (int_of_float
        (Float.round (float_of_int (bytes * 8) *. 1e6 /. float_of_int ctx.bandwidth_bps)))

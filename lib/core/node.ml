@@ -694,8 +694,10 @@ let reroute_stranded_reliable t ~link protos =
    again comes back up. *)
 let on_monitor t ~link protos = function
   | Link_monitor.Rtt rtt ->
-    flood_local_update t
-      (Conn_graph.set_local_metric t.conn_graph ~link ~metric:(max 1 (rtt / 2)))
+    (* Capped at the LSU's u32 metric field: a forged hello echo can make
+       the measured round trip as long as the node's uptime. *)
+    let metric = Int.min 0xffff_ffff (Int.max 1 (rtt / 2)) in
+    flood_local_update t (Conn_graph.set_local_metric t.conn_graph ~link ~metric)
   | Link_monitor.Loss loss ->
     flood_local_update t (Conn_graph.set_local_loss t.conn_graph ~link ~loss)
   | Link_monitor.Up ->

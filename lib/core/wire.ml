@@ -4,7 +4,11 @@ type error = string
 
 (* The encoders append to a growable byte buffer whose bytes stay
    reachable (unlike [Buffer]'s), so a link frame can be handed to
-   [sendto] in place and a one-shot encode of known size needs no copy. *)
+   [sendto] in place and a one-shot encode of known size needs no copy.
+   Each entry point ([encode], [Session.encode], [Link_frame.add],
+   [Session_buf.encode]) reserves room once, from the arithmetic sizes
+   below; every field is then one bounds-checked store with no room check
+   of its own. *)
 type writer = { mutable buf : Bytes.t; mutable len : int }
 
 (* Ethernet's 1500-byte MTU minus the 20-byte IPv4 and 8-byte UDP headers:
@@ -17,7 +21,9 @@ let writer cap = { buf = Bytes.create cap; len = 0 }
    message needs: a link frame's buffer settles at the size its traffic
    uses. *)
 let grow w need =
-  let nb = Bytes.create (max need (min max_frame (2 * Bytes.length w.buf))) in
+  let nb =
+    Bytes.create (Int.max need (Int.min max_frame (2 * Bytes.length w.buf)))
+  in
   Bytes.blit w.buf 0 nb 0 w.len;
   w.buf <- nb
 
@@ -31,33 +37,34 @@ let contents w =
   if w.len = Bytes.length w.buf then Bytes.unsafe_to_string w.buf
   else Bytes.sub_string w.buf 0 w.len
 
-let put_u8 w v =
-  reserve w 1;
-  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (v land 0xff));
+(* A field that does not fit its width is a caller bug, never wrapped: a
+   masked value would go on the wire as a different valid one. *)
+let[@inline] put_u8 w v =
+  if v land lnot 0xff <> 0 then invalid_arg "Wire: u8 out of range";
+  Bytes.set_uint8 w.buf w.len v;
   w.len <- w.len + 1
 
-let put_u16 w v =
-  reserve w 2;
-  Bytes.set_uint16_be w.buf w.len (v land 0xffff);
+let[@inline] put_u16 w v =
+  if v land lnot 0xffff <> 0 then invalid_arg "Wire: u16 out of range";
+  Bytes.set_uint16_be w.buf w.len v;
   w.len <- w.len + 2
 
-let put_u32 w v =
-  if v < 0 then invalid_arg "Wire: negative u32";
-  reserve w 4;
+let[@inline] put_u32 w v =
+  if v land lnot 0xffff_ffff <> 0 then invalid_arg "Wire: u32 out of range";
   Bytes.set_int32_be w.buf w.len (Int32.of_int v);
   w.len <- w.len + 4
 
-let put_int64 w v =
-  reserve w 8;
+let[@inline] put_int64 w v =
   Bytes.set_int64_be w.buf w.len v;
   w.len <- w.len + 8
 
-let put_i64 w v = put_int64 w (Int64.of_int v)
+let[@inline] put_i64 w v =
+  Bytes.set_int64_be w.buf w.len (Int64.of_int v);
+  w.len <- w.len + 8
 
 let put_string w s =
-  let n = min (String.length s) 0xffff in
+  let n = Int.min (String.length s) 0xffff in
   put_u16 w n;
-  reserve w n;
   Bytes.blit_string s 0 w.buf w.len n;
   w.len <- w.len + n
 
@@ -195,38 +202,32 @@ exception Bad of string
 
 type cursor = { data : string; mutable pos : int }
 
+(* Each fixed-width field is one bounds-checked load: a field that runs
+   past the input raises [Invalid_argument], which [decoding] turns into
+   an [Error] like every other malformed input. *)
+
 let need c n =
   if c.pos + n > String.length c.data then raise (Bad "truncated message")
 
-let get_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
+let[@inline] get_u8 c =
+  let v = String.get_uint8 c.data c.pos in
   c.pos <- c.pos + 1;
   v
 
-let get_u16 c =
-  need c 2;
-  let v = (Char.code c.data.[c.pos] lsl 8) lor Char.code c.data.[c.pos + 1] in
+let[@inline] get_u16 c =
+  let v = String.get_uint16_be c.data c.pos in
   c.pos <- c.pos + 2;
   v
 
-let get_u32 c =
-  need c 4;
-  let v = ref 0 in
-  for i = 0 to 3 do
-    v := (!v lsl 8) lor Char.code c.data.[c.pos + i]
-  done;
+let[@inline] get_u32 c =
+  let v = Int32.to_int (String.get_int32_be c.data c.pos) land 0xffff_ffff in
   c.pos <- c.pos + 4;
-  !v
+  v
 
-let get_i64 c =
-  need c 8;
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.data.[c.pos + i]))
-  done;
+let[@inline] get_i64 c =
+  let v = String.get_int64_be c.data c.pos in
   c.pos <- c.pos + 8;
-  !v
+  v
 
 let get_time c =
   let v = Int64.to_int (get_i64 c) in
@@ -266,7 +267,7 @@ let get_routing c =
     let nlinks = get_u16 c in
     let nwords = get_u16 c in
     if nwords > 1024 then raise (Bad "oversized bitmask");
-    if nwords <> max 1 ((nlinks + 63) / 64) then raise (Bad "bitmask size mismatch");
+    if nwords <> Int.max 1 ((nlinks + 63) / 64) then raise (Bad "bitmask size mismatch");
     let mask = Strovl_topo.Bitmask.create ~nlinks in
     (* Whole-word decode; [set_word] drops out-of-range bits exactly like
        the per-bit range check used to. *)
@@ -443,7 +444,7 @@ let packet_size (p : Packet.t) =
   38
   + routing_size p.Packet.routing
   + service_size p.Packet.service
-  + min (String.length p.Packet.tag) 0xffff
+  + Int.min (String.length p.Packet.tag) 0xffff
   + auth_size p.Packet.auth
 
 let header_size = function
@@ -577,7 +578,7 @@ module Session = struct
 
   let decode = decoding get_frame
 
-  let strlen s = Stdlib.min (String.length s) 0xffff
+  let strlen s = Int.min (String.length s) 0xffff
 
   let size = function
     | Open _ | Close _ -> 5
@@ -623,39 +624,66 @@ let put_preamble w kind =
   put_u8 w version;
   put_u8 w kind
 
-let put_link_header w ~src ~link ~count =
-  put_preamble w 0;
-  put_u16 w src;
-  put_u16 w link;
-  put_u16 w count
+let session_preamble_size = 4
 
+(* A link frame is a writer whose message count lives in the frame
+   header itself, so the one-shot encoder below allocates nothing beyond
+   the writer. *)
 module Link_frame = struct
-  type t = { w : writer; mutable count : int }
+  type t = writer
 
   let count_offset = link_header_size - 2
 
-  let create ~src ~link =
-    let w = writer 256 in
-    put_link_header w ~src ~link ~count:0;
-    { w; count = 0 }
+  let with_capacity ~src ~link cap =
+    let w = writer cap in
+    put_preamble w 0;
+    put_u16 w src;
+    put_u16 w link;
+    put_u16 w 0;
+    w
 
-  let add f msg =
-    if f.count = 0xffff then invalid_arg "Wire.Link_frame.add: frame full";
-    put_msg f.w msg;
-    f.count <- f.count + 1;
-    Bytes.set_uint16_be f.w.buf count_offset f.count
+  let create ~src ~link = with_capacity ~src ~link 256
+  let count w = Bytes.get_uint16_be w.buf count_offset
 
-  let count f = f.count
-  let length f = f.w.len
-  let bytes f = f.w.buf
+  let add w ~size msg =
+    let n = count w in
+    if n = 0xffff then invalid_arg "Wire.Link_frame.add: frame full";
+    let start = w.len in
+    reserve w size;
+    (* A field out of range raises mid-message: drop the partial message
+       so the frame stays sendable. *)
+    (match put_msg w msg with
+    | () -> ()
+    | exception e ->
+      w.len <- start;
+      raise e);
+    Bytes.set_uint16_be w.buf count_offset (n + 1)
 
-  let clear f =
-    f.w.len <- link_header_size;
-    f.count <- 0
+  let length w = w.len
+  let bytes w = w.buf
 
-  let trim f =
-    clear f;
-    f.w.buf <- Bytes.sub f.w.buf 0 link_header_size
+  let clear w =
+    w.len <- link_header_size;
+    Bytes.set_uint16_be w.buf count_offset 0
+
+  let trim w =
+    clear w;
+    w.buf <- Bytes.sub w.buf 0 link_header_size
+end
+
+module Session_buf = struct
+  type t = writer
+
+  let create () = writer 256
+
+  let encode w frame =
+    w.len <- 0;
+    reserve w (session_preamble_size + Session.size frame);
+    put_preamble w 1;
+    Session.put_frame w frame
+
+  let length w = w.len
+  let bytes w = w.buf
 end
 
 type datagram =
@@ -668,33 +696,20 @@ type frame =
 
 let datagram_size = function
   | Dg_msg { msg; _ } -> link_header_size + header_size msg
-  | Dg_session frame -> 4 + Session.size frame
+  | Dg_session frame -> session_preamble_size + Session.size frame
 
-let encode_datagram dg =
-  let w = writer (datagram_size dg) in
-  (match dg with
+(* The one-shot encoders are the reusable buffers sized exactly, so the
+   result is the buffer itself. *)
+let encode_datagram = function
   | Dg_msg { src; link; msg } ->
-    put_link_header w ~src ~link ~count:1;
-    put_msg w msg
+    let size = header_size msg in
+    let w = Link_frame.with_capacity ~src ~link (link_header_size + size) in
+    Link_frame.add w ~size msg;
+    contents w
   | Dg_session frame ->
-    put_preamble w 1;
-    Session.put_frame w frame);
-  contents w
-
-module Session_buf = struct
-  type t = writer
-
-  let create () = writer 256
-
-  let encode w frame =
-    w.len <- 0;
-    reserve w (4 + Session.size frame);
-    put_preamble w 1;
-    Session.put_frame w frame
-
-  let length w = w.len
-  let bytes w = w.buf
-end
+    let w = writer (session_preamble_size + Session.size frame) in
+    Session_buf.encode w frame;
+    contents w
 
 let rec get_msgs c n =
   if n = 0 then []

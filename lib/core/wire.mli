@@ -110,10 +110,15 @@ module Link_frame : sig
   val create : src:int -> link:int -> t
   (** An empty frame (count 0: not yet sendable). *)
 
-  val add : t -> Msg.t -> unit
-  (** Appends one encoded message. The caller keeps the frame within
-      {!max_frame} by flushing first when [length f + header_size msg]
-      would pass it. *)
+  val add : t -> size:int -> Msg.t -> unit
+  (** [add f ~size msg] appends one encoded message; [size] is
+      [header_size msg], which the caller has already computed to keep the
+      frame within {!max_frame} (flushing first when [length f + size]
+      would pass it), so a message is sized once per send. [size] only
+      reserves room: the bytes appended are always [msg]'s encoding. Raises
+      [Invalid_argument], leaving the frame as it was, when a field is out
+      of its width's range or when [size] falls short and the buffer has
+      no spare room. *)
 
   val count : t -> int
   val length : t -> int
@@ -136,8 +141,10 @@ type datagram =
   | Dg_session of Session.frame
 
 val encode_datagram : datagram -> string
-(** A one-message [Dg_msg] encodes byte-identically to a {!Link_frame}
-    holding that message alone. *)
+(** The one-shot case of the reusable buffers: a [Dg_msg] is a
+    {!Link_frame} holding that message alone, and a [Dg_session] is what
+    {!Session_buf.encode} writes, each built in a buffer of exactly
+    {!datagram_size} bytes. *)
 
 (** A reusable buffer for outgoing session datagrams: a daemon encodes each
     session frame into it and hands it to [sendto] without a copy. *)

@@ -102,7 +102,7 @@ let half_for t src =
    (at least 1). *)
 let tx_time t bytes =
   let bits = (bytes + t.cfg.overhead_bytes) * 8 in
-  max 1 (int_of_float (Float.round (float_of_int bits *. 1e6 /. float_of_int t.cfg.bandwidth_bps)))
+  Int.max 1 (int_of_float (Float.round (float_of_int bits *. 1e6 /. float_of_int t.cfg.bandwidth_bps)))
 
 let send t ~src ~bytes ~deliver =
   let h = half_for t src in

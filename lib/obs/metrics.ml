@@ -45,13 +45,14 @@ module Histogram = struct
         incr i;
         v := !v lsr 1
       done;
-      min !i (nbuckets - 1)
+      Int.min !i (nbuckets - 1)
     end
 
   let observe h v =
     if !(h.on) then begin
-      let v = Stdlib.max 0 v in
-      h.counts.(bucket_of v) <- h.counts.(bucket_of v) + 1;
+      let v = Int.max 0 v in
+      let b = bucket_of v in
+      h.counts.(b) <- h.counts.(b) + 1;
       h.n <- h.n + 1;
       h.total <- h.total + v;
       if h.n = 1 || v < h.vmin then h.vmin <- v;

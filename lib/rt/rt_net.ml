@@ -3,7 +3,7 @@ module Metrics = Strovl_obs.Metrics
 
 (* One incident link's send side: the link frame buffering this turn's
    messages for the peer. *)
-type out = { addr : Unix.sockaddr; frame : Wire.Link_frame.t }
+type out = { link : int; addr : Unix.sockaddr; frame : Wire.Link_frame.t }
 
 type t = {
   rt : Runtime.t;
@@ -25,6 +25,9 @@ type t = {
   m_batches : Metrics.Counter.t;  (** [sendmmsg] calls *)
   m_tx_msgs : Metrics.Counter.t;  (** overlay messages sent, over all frames *)
   m_frame_bytes : Metrics.Histogram.t;  (** size of each link frame sent *)
+  m_unencodable : Metrics.Counter.t;
+      (** link messages dropped because a field does not fit its wire
+          width *)
   m_bad : Metrics.Counter.t;
       (** undecodable datagrams, and receives dropped for [MSG_TRUNC] *)
   m_misdirected : Metrics.Counter.t;
@@ -95,12 +98,18 @@ let flush t =
 let xmit t o msg =
   if not t.closed then begin
     let f = o.frame in
+    let size = Wire.header_size msg in
     if
       Wire.Link_frame.count f > 0
-      && Wire.Link_frame.length f + Wire.header_size msg > Wire.max_frame
+      && Wire.Link_frame.length f + size > Wire.max_frame
     then send_frame t o;
-    Wire.Link_frame.add f msg;
-    request_flush t
+    match Wire.Link_frame.add f ~size msg with
+    | () -> request_flush t
+    | exception Invalid_argument _ ->
+      (* A field past its wire width, such as the lseq of a link protocol
+         that orders by lseq after 2^32 messages: [add] left the frame
+         sendable, so lose the message, not the daemon. *)
+      Metrics.Counter.incr t.m_unencodable
   end
 
 let deliver t sport pkt =
@@ -210,6 +219,7 @@ let create ?config ~rt ~topo ~id () =
       (List.map
          (fun link ->
            {
+             link;
              addr = Topofile.addr topo (peer link);
              frame = Wire.Link_frame.create ~src:id ~link;
            })
@@ -235,6 +245,7 @@ let create ?config ~rt ~topo ~id () =
       m_batches = Metrics.counter ~labels "strovl_rt_tx_batches_total";
       m_tx_msgs = Metrics.counter ~labels "strovl_rt_tx_link_msgs_total";
       m_frame_bytes = Metrics.histogram ~labels "strovl_rt_link_frame_bytes";
+      m_unencodable = Metrics.counter ~labels "strovl_rt_tx_unencodable_total";
       m_bad = Metrics.counter ~labels "strovl_rt_bad_datagrams_total";
       m_misdirected = Metrics.counter ~labels "strovl_rt_misdirected_total";
       closed = false;
@@ -253,6 +264,11 @@ let create ?config ~rt ~topo ~id () =
         })
     incident;
   t
+
+let link_xmit t ~link msg =
+  match Array.find_opt (fun o -> o.link = link) t.outs with
+  | Some o -> xmit t o msg
+  | None -> invalid_arg "Rt_net.link_xmit: link not incident"
 
 let node t = t.node
 let id t = t.me

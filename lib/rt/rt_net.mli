@@ -61,6 +61,13 @@ val handle_datagram : t -> string -> Unix.sockaddr -> unit
     each on: decoded, validated and dispatched, or counted as bad or
     misdirected. Never raises on hostile input. Exposed for tests. *)
 
+val link_xmit : t -> link:int -> Strovl.Msg.t -> unit
+(** The [xmit] incident link [link] is attached with: appends the message
+    to the link's frame for this turn's flush. A message with a field past
+    its wire width is dropped and counted
+    ([strovl_rt_tx_unencodable_total]), never raised. Raises
+    [Invalid_argument] if [link] is not incident. Exposed for tests. *)
+
 val stats_json : t -> string
 (** One-line JSON snapshot: node id, engine clock, forwarding counters,
     datagrams received ([rx_datagrams], one per segment of a coalesced

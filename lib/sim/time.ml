@@ -10,8 +10,8 @@ let to_ms_float t = float_of_int t /. 1_000.
 let to_sec_float t = float_of_int t /. 1_000_000.
 let add = ( + )
 let sub = ( - )
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 let compare = Int.compare
 let infinity = Stdlib.max_int
 

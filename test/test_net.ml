@@ -305,6 +305,34 @@ let monitor_echoes_legacy_probe () =
   | [ Strovl.Msg.Probe_ack { pseq = 42; echo = 1234 } ] -> ()
   | _ -> Alcotest.fail "expected exactly one Probe_ack echoing the probe"
 
+let monitor_metric_fits_lsu () =
+  (* A forged hello echo of time 0 after 2^34 us (about 4.8 h) of uptime
+     measures a round trip of 2^34 us. Repeated, it drags the RTT EWMA
+     there; the advertised metric (half the RTT) stops at the LSU's u32
+     field, so every LSU the node floods still encodes. *)
+  let engine = Engine.create ~seed:1L () in
+  let graph = Graph.create ~n:2 in
+  let link = Graph.add_link graph 0 1 in
+  let node = Node.create ~engine ~graph ~id:0 ~metric:(fun _ -> Time.ms 5) () in
+  let lsus = ref [] in
+  Node.attach_link node ~link ~bandwidth_bps:1_000_000_000 ~xmit:(function
+    | Strovl.Msg.Lsu _ as m -> lsus := m :: !lsus
+    | _ -> ());
+  ignore (Engine.schedule engine ~delay:(1 lsl 34) ignore);
+  Engine.run engine;
+  for _ = 1 to 200 do
+    Node.receive node ~link (Strovl.Msg.Hello_ack { hseq = 1; echo = 0 })
+  done;
+  check_bool "the node flooded LSUs" true (!lsus <> []);
+  List.iter
+    (fun m ->
+      match Strovl.Wire.decode (Strovl.Wire.encode m) with
+      | Ok m' -> check_bool "LSU round-trips" true (m = m')
+      | Error e -> Alcotest.failf "LSU does not decode: %s" e)
+    !lsus;
+  check_int "advertised metric capped at 2^32 - 1" 0xffff_ffff
+    (Strovl.Conn_graph.metric (Node.conn node) link)
+
 let () =
   Alcotest.run "strovl_net"
     [
@@ -336,5 +364,7 @@ let () =
           Alcotest.test_case "seeded rtt ewma" `Quick monitor_seeded_rtt_ewma;
           Alcotest.test_case "legacy probe echoed" `Quick
             monitor_echoes_legacy_probe;
+          Alcotest.test_case "metric fits the LSU" `Quick
+            monitor_metric_fits_lsu;
         ] );
     ]

@@ -597,6 +597,88 @@ let received sock =
   more ();
   List.rev !got
 
+(* Link protocols that never order by lseq wrap it at the wire's u32
+   width, so a long-running daemon keeps transmitting: a Best Effort link
+   whose counter stands at 2^32 - 2 sends 2^32 - 1, then 0, then 1 through
+   the daemon's link path. A message whose lseq does not fit (where a
+   Reliable link would be after 2^32 messages) is dropped and counted, and
+   the daemon keeps sending. The far end is a bare socket on node 1's
+   address, so the test sees exactly the link frames node 0 sent. *)
+let lseq_wrap_keeps_daemon_up () =
+  let p0, p1 =
+    match free_ports 2 with [ a; b ] -> (a, b) | _ -> assert false
+  in
+  let topo =
+    match
+      Rt.Topofile.parse
+        (Printf.sprintf "node 0 127.0.0.1:%d\nnode 1 127.0.0.1:%d\nlink 0 1 5"
+           p0 p1)
+    with
+    | Ok topo -> topo
+    | Error e -> Alcotest.failf "topofile: %s" e
+  in
+  let rt = Rt.Runtime.create () in
+  let host = Rt.Host.create ~config:test_config ~rt ~topo ~id:0 () in
+  Rt.Host.start host;
+  let peer = Rt.Udp.bind ~host:"127.0.0.1" ~port:p1 in
+  Unix.setsockopt_int (Rt.Udp.fd peer) Unix.SO_RCVBUF (1 lsl 20);
+  let xmit = Rt.Host.link_xmit host ~link:0 in
+  let be =
+    Strovl.Best_effort.create ~lseq:(0xffff_ffff - 1)
+      {
+        Strovl.Lproto.engine = Rt.Runtime.engine rt;
+        node = 0;
+        link = 0;
+        xmit;
+        up = ignore;
+        try_up = (fun _ -> true);
+        bandwidth_bps = 10_000_000;
+        rtt_hint = Time.ms 5;
+      }
+  in
+  let pkt seq =
+    Packet.make
+      ~flow:{ Packet.f_src = 0; f_sport = 1; f_dest = Packet.To_node 1; f_dport = 2 }
+      ~routing:Packet.Link_state ~service:Packet.Best_effort ~seq
+      ~sent_at:(Rt.Runtime.now rt) ~bytes:100 ()
+  in
+  let unencodable () =
+    Metrics.find_counter ~labels:[ ("node", "0") ] "strovl_rt_tx_unencodable_total"
+  in
+  let before = unencodable () in
+  Strovl.Best_effort.send be (pkt 1);
+  Strovl.Best_effort.send be (pkt 2);
+  xmit
+    (Strovl.Msg.Data
+       {
+         cls = Packet.service_class Packet.Reliable;
+         lseq = 1 lsl 32;
+         pkt = pkt 3;
+         auth = None;
+       });
+  Strovl.Best_effort.send be (pkt 4);
+  Rt.Runtime.run_for rt (Time.ms 20);
+  let data =
+    List.concat_map
+      (fun d ->
+        match Wire.decode_frame d with
+        | Ok (Wire.Fr_link { msgs; _ }) ->
+          List.filter_map
+            (function
+              | Strovl.Msg.Data { lseq; pkt; _ } -> Some (pkt.Packet.seq, lseq)
+              | _ -> None)
+            msgs
+        | Ok (Wire.Fr_session _) | Error _ -> Alcotest.fail "not a link frame")
+      (received peer)
+  in
+  Alcotest.(check (list (pair int int)))
+    "(seq, lseq) sent" [ (1, 0xffff_ffff); (2, 0); (4, 1) ] data;
+  check_int "the oversized lseq was dropped and counted" (before + 1)
+    (unencodable ());
+  check_int "sent by Best Effort" 3 (Strovl.Best_effort.sent be);
+  Rt.Host.close host;
+  Rt.Udp.close peer
+
 (* Whatever is queued arrives as queued: one datagram each, with its own
    length and bytes, in order, across segmented runs, singles over the MTU
    and a second destination. A full queue flushes itself; a flush
@@ -1105,6 +1187,8 @@ let () =
             burst_is_coalesced;
           Alcotest.test_case "forged lseq is dropped" `Quick
             forged_lseq_is_dropped;
+          Alcotest.test_case "lseq wrap keeps the daemon up" `Quick
+            lseq_wrap_keeps_daemon_up;
           QCheck_alcotest.to_alcotest qcheck_plan;
           Alcotest.test_case "queue and flush" `Quick queue_and_flush;
           Alcotest.test_case "segmentation fallback" `Quick
