@@ -6,11 +6,9 @@ module Auth = Strovl_crypto.Auth
 type config = {
   hello_interval : Time.t;
   hello_timeout : Time.t;
-  lsu_refresh : Time.t;
   proc_delay : Time.t;
   proc_rate_pps : int option;
   cluster_size : int;
-  cpu_queue : Time.t;
   reliable : Reliable_link.config;
   realtime : Realtime_link.config;
   it_priority : It_priority.config;
@@ -23,11 +21,9 @@ let default_config =
   {
     hello_interval = Time.ms 100;
     hello_timeout = Time.ms 350;
-    lsu_refresh = Time.sec 10;
     proc_delay = Time.us 50;
     proc_rate_pps = None;
     cluster_size = 1;
-    cpu_queue = Time.ms 20;
     reliable = Reliable_link.default_config;
     realtime = Realtime_link.default_config;
     it_priority = It_priority.default_config;
@@ -35,6 +31,12 @@ let default_config =
     fec = Fec_link.default_config;
     loss_aware_routing = false;
   }
+
+(* Period of the full LSU re-flood. *)
+let lsu_refresh = Time.sec 10
+
+(* CPU backlog beyond which a finite-capacity node drops (§II-D). *)
+let cpu_queue = Time.ms 20
 
 (* Observability: domain-local labelled metrics (always-available twins of
    the per-node [counters]) and flight-recorder events. Handles live in the
@@ -114,22 +116,19 @@ type t = {
   id : int;
   engine : Engine.t;
   cfg : config;
-  graph : Graph.t;
   conn_graph : Conn_graph.t;
   group_state : Group.t;
   routing : Route.t;
   registry : Auth.registry option;
-  endpoints : (int, endpoint) Hashtbl.t; (* by link id *)
-  (* Data-path twins of [endpoints]: O(1), allocation-free lookup by link
-     id, plus the incident link ids as a flat array. [endpoints] keeps the
-     control-plane iteration order (floods). *)
-  mutable eps : endpoint option array;
-  mutable incident : int array;
-  mutable links_seen : int;
+  (* The one endpoint table, fixed at [create] like the topology: attached
+     endpoints by link id, and this node's incident link ids in
+     [Graph.incident] order, which floods, start and stop walk. *)
+  eps : endpoint option array;
+  incident : int array;
   (* Reusable out-links scratch buffer for the forwarding plane; the busy
      flag covers re-entrant forwarding (a deliver callback originating a
      packet synchronously), which falls back to a fresh buffer. *)
-  mutable out_buf : int array;
+  out_buf : int array;
   mutable out_busy : bool;
   sessions : (int, Packet.t -> unit) Hashtbl.t; (* by port *)
   dedup : Dedup.t;
@@ -195,20 +194,18 @@ let create ?(config = default_config) ?registry ~engine ~graph ~id ~metric () =
   let conn_graph = Conn_graph.create ~self:id graph ~metric in
   Conn_graph.use_effective_metric conn_graph config.loss_aware_routing;
   let group_state = Group.create ~self:id ~nnodes:(Graph.n graph) in
+  let incident = Array.of_list (Graph.incident graph id) in
   {
     id;
     engine;
     cfg = config;
-    graph;
     conn_graph;
     group_state;
     routing = Route.create conn_graph group_state;
     registry;
-    endpoints = Hashtbl.create 8;
-    eps = Array.make (max 1 (Graph.link_count graph)) None;
-    incident = Array.of_list (Graph.incident graph id);
-    links_seen = Graph.link_count graph;
-    out_buf = Array.make (max 1 (List.length (Graph.incident graph id))) 0;
+    eps = Array.make (Graph.link_count graph) None;
+    incident;
+    out_buf = Array.make (Array.length incident + 1) 0;
     out_busy = false;
     sessions = Hashtbl.create 8;
     dedup = Dedup.create ();
@@ -241,22 +238,16 @@ let create ?(config = default_config) ?registry ~engine ~graph ~id ~metric () =
     s_flow_delivered = Hashtbl.create 8;
   }
 
-(* Re-sync the data-path arrays with the graph/endpoint tables. Called
-   when a link is attached and (defensively) when the graph gained links
-   since the last sync. *)
-let refresh_topology t =
-  t.links_seen <- Graph.link_count t.graph;
-  if Array.length t.eps < t.links_seen then begin
-    let n = Array.make t.links_seen None in
-    Array.blit t.eps 0 n 0 (Array.length t.eps);
-    t.eps <- n
-  end;
-  t.incident <- Array.of_list (Graph.incident t.graph t.id);
-  if Array.length t.out_buf < Array.length t.incident + 1 then
-    t.out_buf <- Array.make (Array.length t.incident + 1) 0
-
 let ep_for t link =
   if link >= 0 && link < Array.length t.eps then t.eps.(link) else None
+
+(* Every attached endpoint but the one on [except], in incident order. *)
+let iter_eps t ?(except = -1) f =
+  for i = 0 to Array.length t.incident - 1 do
+    let l = t.incident.(i) in
+    if l <> except then
+      match t.eps.(l) with Some ep -> f ep | None -> ()
+  done
 
 let id t = t.id
 let config t = t.cfg
@@ -297,10 +288,7 @@ let verify_flood t ~origin msg auth =
       in
       Auth.verify_sign reg ~node:origin (Msg.signable unsigned) tag)
 
-let flood t ?except msg =
-  Hashtbl.iter
-    (fun l ep -> if Some l <> except then ep.ep_xmit msg)
-    t.endpoints
+let flood t ?except msg = iter_eps t ?except (fun ep -> ep.ep_xmit msg)
 
 let flood_local_update t msg_opt =
   match msg_opt with
@@ -392,7 +380,6 @@ let has_local_ports t pkt =
    written into [buf]; returns the count. Fill order matches the list the
    old code built, so traces are byte-identical. *)
 let collect_outs t pkt ~from_link buf =
-  if Graph.link_count t.graph <> t.links_seen then refresh_topology t;
   let unicast_hop dst =
     if dst = t.id then 0
     else begin
@@ -444,7 +431,7 @@ let collect_outs t pkt ~from_link buf =
         if
           l <> from_link
           && Bitmask.mem mask l
-          && (match ep_for t l with Some _ -> true | None -> false)
+          && Option.is_some t.eps.(l)
         then begin
           buf.(n) <- l;
           fill (i + 1) (n + 1)
@@ -467,42 +454,36 @@ let release_outs t buf = if buf == t.out_buf then t.out_busy <- false
 (* CPU model (§II-D)                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let cpu_service_time t =
-  match t.cfg.proc_rate_pps with
-  | None -> None
-  | Some rate -> Some (max 1 (1_000_000 / (rate * max 1 t.cfg.cluster_size)))
-
-(* Run [work] once the node's CPU has processed the packet: either a flat
-   per-packet cost (unbounded capacity) or a serial server at the cluster's
-   aggregate rate, with overload drops beyond the CPU queue. *)
-let charge_cpu t work =
-  match cpu_service_time t with
-  | None -> ignore (Engine.schedule t.engine ~delay:t.cfg.proc_delay work)
-  | Some service ->
-    let now = Engine.now t.engine in
-    let start = Time.max now t.cpu_busy_until in
-    if Time.sub start now > t.cfg.cpu_queue then drop t Obs.Overload
-    else begin
-      t.cpu_busy_until <- Time.add start service;
-      ignore (Engine.schedule_at t.engine ~at:t.cpu_busy_until work)
-    end
-
-(* Synchronous admission for IT-Reliable acceptance: an overloaded CPU
-   refuses (backpressure) instead of queueing. *)
+(* Admission to the node's CPU: always with unbounded capacity; with a
+   finite one, a serial server at the cluster's aggregate rate that takes
+   the packet onto its backlog, or refuses it (an overload drop) beyond the
+   CPU queue. IT-Reliable acceptance calls it directly, so an overloaded
+   CPU becomes backpressure instead of a queue. *)
 let cpu_admit t =
-  match cpu_service_time t with
+  match t.cfg.proc_rate_pps with
   | None -> true
-  | Some service ->
+  | Some rate ->
     let now = Engine.now t.engine in
     let start = Time.max now t.cpu_busy_until in
-    if Time.sub start now > t.cfg.cpu_queue then begin
+    if Time.sub start now > cpu_queue then begin
       drop t Obs.Overload;
       false
     end
     else begin
+      let service = max 1 (1_000_000 / (rate * max 1 t.cfg.cluster_size)) in
       t.cpu_busy_until <- Time.add start service;
       true
     end
+
+(* Run [work] once the node's CPU has processed the packet: after a flat
+   per-packet cost (unbounded capacity) or when the serial server is done
+   with it. *)
+let charge_cpu t work =
+  match t.cfg.proc_rate_pps with
+  | None -> ignore (Engine.schedule t.engine ~delay:t.cfg.proc_delay work)
+  | Some _ ->
+    if cpu_admit t then
+      ignore (Engine.schedule_at t.engine ~at:t.cpu_busy_until work)
 
 (* ------------------------------------------------------------------ *)
 (* Link protocol instances                                             *)
@@ -762,6 +743,8 @@ let receive t ~link msg =
 
 let attach_link t ~link ~bandwidth_bps ~xmit =
   if t.started then invalid_arg "Node.attach_link: already started";
+  if not (Array.mem link t.incident) then
+    invalid_arg "Node.attach_link: link not incident to this node";
   let protos = Array.make Packet.class_count None in
   let health =
     Strovl_obs.Health.create ~node:t.id ~link
@@ -779,21 +762,19 @@ let attach_link t ~link ~bandwidth_bps ~xmit =
           ~notify:(on_monitor t ~link protos);
     }
   in
-  Hashtbl.replace t.endpoints link ep;
-  refresh_topology t;
   t.eps.(link) <- Some ep
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    Hashtbl.iter (fun _ ep -> Link_monitor.start ep.ep_mon) t.endpoints;
+    iter_eps t (fun ep -> Link_monitor.start ep.ep_mon);
     let rec refresh () =
       if not t.stopped then begin
         flood_local_update t (Some (Conn_graph.refresh_lsu t.conn_graph));
-        ignore (Engine.schedule t.engine ~delay:t.cfg.lsu_refresh refresh)
+        ignore (Engine.schedule t.engine ~delay:lsu_refresh refresh)
       end
     in
-    ignore (Engine.schedule t.engine ~delay:t.cfg.lsu_refresh refresh)
+    ignore (Engine.schedule t.engine ~delay:lsu_refresh refresh)
   end
 
 (* Shutdown for hosts whose engine outlives the node (the wall-clock
@@ -803,7 +784,7 @@ let start t =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Hashtbl.iter (fun _ ep -> Link_monitor.stop ep.ep_mon) t.endpoints
+    iter_eps t (fun ep -> Link_monitor.stop ep.ep_mon)
   end
 
 let register_session t ~port ~deliver = Hashtbl.replace t.sessions port deliver

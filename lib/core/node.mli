@@ -23,20 +23,17 @@ type config = {
       (** link declared down after this silence, and re-suspected for ISP
           rotation every further [hello_timeout] it stays silent; default
           350 ms — the knob behind "sub-second rerouting" (§II-A) *)
-  lsu_refresh : Strovl_sim.Time.t;  (** periodic re-flood; default 10 s *)
   proc_delay : Strovl_sim.Time.t;
       (** CPU time to process one packet; default 50 µs *)
   proc_rate_pps : int option;
       (** finite processing capacity (§II-D): with [Some r], the node is a
           serial CPU server handling [r × cluster_size] packets/s; packets
-          queue for the CPU and are dropped beyond [cpu_queue] of backlog.
+          queue for the CPU and are dropped beyond 20 ms of backlog.
           [None] (default) models a node comfortably at line speed. *)
   cluster_size : int;
       (** computers in this node's data-center cluster (§II-D: "additional
           processing resources can be deployed as clusters"); multiplies
           [proc_rate_pps]; default 1 *)
-  cpu_queue : Strovl_sim.Time.t;
-      (** max CPU backlog before overload drops; default 20 ms *)
   reliable : Reliable_link.config;
   realtime : Realtime_link.config;
   it_priority : It_priority.config;
@@ -90,7 +87,10 @@ val attach_link :
   xmit:(Msg.t -> unit) ->
   unit
 (** Wires an incident overlay link. [xmit] must carry the message to the
-    neighbor's {!receive}. Must be called before {!start}. *)
+    neighbor's {!receive}. Must be called before {!start}. The node's links
+    are fixed at {!create}: [link] must be one of [Graph.incident graph id].
+    @raise Invalid_argument for a link not incident to the node, or after
+    {!start}. *)
 
 val set_link_suspect_hook : t -> (int -> unit) -> unit
 (** Called when the hello protocol declares an incident link down — the

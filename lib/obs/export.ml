@@ -234,7 +234,7 @@ let links_table () =
 (* ------------------------------- output ------------------------------ *)
 
 let value_json = function
-  | Metrics.Counter_v n | Metrics.Gauge_v n -> string_of_int n
+  | Metrics.Counter_v n -> string_of_int n
   | Metrics.Histogram_v { count; sum; p50; p99; max } ->
     Printf.sprintf "{\"count\":%d,\"sum\":%d,\"p50\":%.1f,\"p99\":%.1f,\"max\":%d}"
       count sum p50 p99 max

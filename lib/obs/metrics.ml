@@ -15,13 +15,6 @@ module Counter = struct
   let value c = c.v
 end
 
-module Gauge = struct
-  type t = { mutable v : int; on : bool ref }
-
-  let set g v = if !(g.on) then g.v <- v
-  let value g = g.v
-end
-
 module Histogram = struct
   (* Log2 buckets: bucket i holds samples in [2^(i-1), 2^i), bucket 0 holds
      {0}. 63 buckets cover the whole non-negative int range in O(1) memory
@@ -102,7 +95,6 @@ end
 
 type item =
   | C of Counter.t
-  | G of Gauge.t
   | H of Histogram.t
 
 type state = {
@@ -150,15 +142,6 @@ let counter ?(labels = []) name =
   | C c -> c
   | _ -> assert false
 
-let gauge ?(labels = []) name =
-  match
-    get_or_create name labels
-      ~kind:(function G _ -> true | _ -> false)
-      ~make:(fun on -> G { Gauge.v = 0; on })
-  with
-  | G g -> g
-  | _ -> assert false
-
 let histogram ?(labels = []) name =
   match
     get_or_create name labels
@@ -179,7 +162,6 @@ let histogram ?(labels = []) name =
 
 type value =
   | Counter_v of int
-  | Gauge_v of int
   | Histogram_v of { count : int; sum : int; p50 : float; p99 : float; max : int }
 
 let dump () =
@@ -189,7 +171,6 @@ let dump () =
         let v =
           match item with
           | C c -> Counter_v c.Counter.v
-          | G g -> Gauge_v g.Gauge.v
           | H h ->
             Histogram_v
               {
@@ -215,7 +196,6 @@ let reset () =
     (fun _ item ->
       match item with
       | C c -> c.Counter.v <- 0
-      | G g -> g.Gauge.v <- 0
       | H h -> Histogram.clear h)
     (state ()).st_registry
 

@@ -1,4 +1,4 @@
-(** Per-domain registry of labelled counters, gauges and histograms.
+(** Per-domain registry of labelled counters and histograms.
 
     Handles are created (or looked up) once at component-construction time;
     hot-path updates are O(1) field writes guarded by the owning domain's
@@ -30,13 +30,6 @@ module Counter : sig
   val value : t -> int
 end
 
-module Gauge : sig
-  type t
-
-  val set : t -> int -> unit
-  val value : t -> int
-end
-
 module Histogram : sig
   type t
 
@@ -60,7 +53,6 @@ module Histogram : sig
 end
 
 val counter : ?labels:labels -> string -> Counter.t
-val gauge : ?labels:labels -> string -> Gauge.t
 val histogram : ?labels:labels -> string -> Histogram.t
 (** Get-or-create: the same (name, labels) always returns the same handle,
     so registration is idempotent across repeated component construction.
@@ -68,7 +60,6 @@ val histogram : ?labels:labels -> string -> Histogram.t
 
 type value =
   | Counter_v of int
-  | Gauge_v of int
   | Histogram_v of { count : int; sum : int; p50 : float; p99 : float; max : int }
 
 val dump : unit -> (string * labels * value) list

@@ -5,7 +5,6 @@
 
 module Graph = Graph
 module Dijkstra = Dijkstra
-module Maxflow = Maxflow
 module Disjoint = Disjoint
 module Bitmask = Bitmask
 module Mcast = Mcast

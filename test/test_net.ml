@@ -333,6 +333,61 @@ let monitor_metric_fits_lsu () =
   check_int "advertised metric capped at 2^32 - 1" 0xffff_ffff
     (Strovl.Conn_graph.metric (Node.conn node) link)
 
+let node_rejects_foreign_link () =
+  (* A node's links are fixed at create: attaching one that does not end
+     at the node is refused, not silently wired. *)
+  let engine = Engine.create ~seed:1L () in
+  let graph = Graph.create ~n:3 in
+  let own = Graph.add_link graph 0 1 in
+  let foreign = Graph.add_link graph 1 2 in
+  let node = Node.create ~engine ~graph ~id:0 ~metric:(fun _ -> Time.ms 5) () in
+  Node.attach_link node ~link:own ~bandwidth_bps:1_000_000_000
+    ~xmit:ignore;
+  Alcotest.check_raises "foreign link"
+    (Invalid_argument "Node.attach_link: link not incident to this node")
+    (fun () ->
+      Node.attach_link node ~link:foreign ~bandwidth_bps:1_000_000_000
+        ~xmit:ignore)
+
+let node_floods_in_incident_order () =
+  (* Node 0 has three incident links, with other nodes' links between
+     them. A fresh LSU arriving on one goes out on the other two, in
+     [Graph.incident] order, and never back on the arrival link. *)
+  let engine = Engine.create ~seed:1L () in
+  let graph = Graph.create ~n:6 in
+  let l_a = Graph.add_link graph 0 1 in
+  ignore (Graph.add_link graph 1 2);
+  let l_b = Graph.add_link graph 0 2 in
+  ignore (Graph.add_link graph 2 3);
+  ignore (Graph.add_link graph 3 4);
+  let l_c = Graph.add_link graph 0 5 in
+  let node = Node.create ~engine ~graph ~id:0 ~metric:(fun _ -> Time.ms 5) () in
+  let sent = ref [] in
+  (* Attached out of incident order: the table, not attach order, decides. *)
+  List.iter
+    (fun link ->
+      Node.attach_link node ~link ~bandwidth_bps:1_000_000_000 ~xmit:(function
+        | Strovl.Msg.Lsu _ -> sent := link :: !sent
+        | _ -> ()))
+    [ l_c; l_a; l_b ];
+  Alcotest.(check (list int)) "incident order" [ l_a; l_b; l_c ]
+    (Graph.incident graph 0);
+  let info = { Strovl.Msg.li_up = true; li_metric = Time.ms 7; li_loss = 0 } in
+  let lsu origin link =
+    Strovl.Msg.Lsu { origin; lsu_seq = 1; links = [ (link, info) ]; auth = None }
+  in
+  Node.receive node ~link:l_b (lsu 2 l_b);
+  Alcotest.(check (list int)) "from l_b" [ l_a; l_c ] (List.rev !sent);
+  sent := [];
+  Node.receive node ~link:l_a (lsu 1 l_a);
+  Alcotest.(check (list int)) "from l_a" [ l_b; l_c ] (List.rev !sent);
+  sent := [];
+  Node.receive node ~link:l_c (lsu 5 l_c);
+  Alcotest.(check (list int)) "from l_c" [ l_a; l_b ] (List.rev !sent);
+  sent := [];
+  Node.receive node ~link:l_c (lsu 5 l_c);
+  Alcotest.(check (list int)) "a stale LSU is not re-flooded" [] !sent
+
 let () =
   Alcotest.run "strovl_net"
     [
@@ -366,5 +421,12 @@ let () =
             monitor_echoes_legacy_probe;
           Alcotest.test_case "metric fits the LSU" `Quick
             monitor_metric_fits_lsu;
+        ] );
+      ( "node",
+        [
+          Alcotest.test_case "foreign link rejected" `Quick
+            node_rejects_foreign_link;
+          Alcotest.test_case "flood in incident order" `Quick
+            node_floods_in_incident_order;
         ] );
     ]

@@ -25,7 +25,7 @@ let metrics_counters_and_labels () =
   check_int "labelled lookup" 1 (M.find_counter ~labels:[ ("x", "a") ] "obs_test_labelled");
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics: obs_test_total already registered with another kind")
-    (fun () -> ignore (M.gauge "obs_test_total"))
+    (fun () -> ignore (M.histogram "obs_test_total"))
 
 let metrics_disabled_is_noop () =
   M.reset ();

@@ -120,28 +120,6 @@ let qcheck_dijkstra_next_hop_consistent =
       done;
       !ok)
 
-(* ------------------------------ Maxflow ------------------------------ *)
-
-let maxflow_basic () =
-  (* Two parallel unit paths plus a cross edge: classic flow of 2. *)
-  let f = Maxflow.create ~n:4 in
-  let a1 = Maxflow.add_arc f ~src:0 ~dst:1 ~cap:1 in
-  let _ = Maxflow.add_arc f ~src:0 ~dst:2 ~cap:1 in
-  let _ = Maxflow.add_arc f ~src:1 ~dst:3 ~cap:1 in
-  let _ = Maxflow.add_arc f ~src:2 ~dst:3 ~cap:1 in
-  let _ = Maxflow.add_arc f ~src:1 ~dst:2 ~cap:1 in
-  check_int "max flow" 2 (Maxflow.max_flow f ~src:0 ~dst:3);
-  check_int "arc flow" 1 (Maxflow.flow_on f a1);
-  let cut = Maxflow.min_cut_reachable f ~src:0 in
-  check_bool "src side" true cut.(0);
-  check_bool "sink not reachable" false cut.(3)
-
-let maxflow_capacities () =
-  let f = Maxflow.create ~n:3 in
-  let _ = Maxflow.add_arc f ~src:0 ~dst:1 ~cap:5 in
-  let _ = Maxflow.add_arc f ~src:1 ~dst:2 ~cap:3 in
-  check_int "bottleneck" 3 (Maxflow.max_flow f ~src:0 ~dst:2)
-
 (* ------------------------------ Disjoint ----------------------------- *)
 
 let disjoint_diamond () =
@@ -401,11 +379,6 @@ let () =
           Alcotest.test_case "usable reroute" `Quick dijkstra_usable_reroute;
           Alcotest.test_case "diameter" `Quick dijkstra_diameter;
           q qcheck_dijkstra_next_hop_consistent;
-        ] );
-      ( "maxflow",
-        [
-          Alcotest.test_case "basic" `Quick maxflow_basic;
-          Alcotest.test_case "capacities" `Quick maxflow_capacities;
         ] );
       ( "disjoint",
         [
