@@ -60,7 +60,6 @@ let received t = t.n_received
 let on_time t = t.n_on_time
 let late t = t.n_late
 let latencies_ms t = t.lat
-let gaps_ms t = t.gaps
 let max_gap_ms t = Stats.Series.max t.gaps
 let mean_ms t = Stats.Series.mean t.lat
 let p99_ms t = Stats.Series.percentile t.lat 99.

@@ -26,11 +26,10 @@ val late : t -> int
 val latencies_ms : t -> Strovl_sim.Stats.Series.t
 (** Origin-to-application latency of every delivered packet, ms. *)
 
-val gaps_ms : t -> Strovl_sim.Stats.Series.t
-(** Interarrival gaps, ms — the max gap during a failure is the measured
-    service interruption. *)
-
 val max_gap_ms : t -> float
+(** Largest interarrival gap, ms — the max gap during a failure is the
+    measured service interruption. *)
+
 val mean_ms : t -> float
 val p99_ms : t -> float
 val max_ms : t -> float

@@ -59,8 +59,6 @@ let attach node ~port =
   t
 
 let detach t = Node.unregister_session t.node ~port:t.port
-let node_id t = Node.id t.node
-let port t = t.port
 let join t ~group = Node.join_group t.node ~group ~port:t.port
 let leave t ~group = Node.leave_group t.node ~group ~port:t.port
 
@@ -127,11 +125,3 @@ let send s ?(bytes = 1200) ?(tag = "") () =
   accepted
 
 let sent s = s.seq
-
-let flow_of s =
-  {
-    Packet.f_src = node_id s.client;
-    f_sport = s.client.port;
-    f_dest = s.dest;
-    f_dport = s.dport;
-  }

@@ -19,8 +19,6 @@ val attach : Node.t -> port:int -> t
 (** Connects a client at a virtual port of an overlay node. *)
 
 val detach : t -> unit
-val node_id : t -> int
-val port : t -> int
 
 val join : t -> group:int -> unit
 val leave : t -> group:int -> unit
@@ -58,4 +56,3 @@ val send : sender -> ?bytes:int -> ?tag:string -> unit -> bool
     dense). *)
 
 val sent : sender -> int
-val flow_of : sender -> Packet.flow

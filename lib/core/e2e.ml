@@ -20,7 +20,6 @@ type t = {
   mutable receiver : side;
   buffer : Deliver.t;
   mutable seq : int;
-  mutable n_delivered : int;
   service : service;
 }
 
@@ -49,7 +48,6 @@ let create engine link ~service ~deliver =
       receiver = S_best;
       buffer = Deliver.create engine mode ~deliver;
       seq = 0;
-      n_delivered = 0;
       service;
     }
   in
@@ -59,9 +57,7 @@ let create engine link ~service ~deliver =
         match to_side () with
         | S_best -> begin
           match msg with
-          | Msg.Data { pkt; _ } ->
-            t.n_delivered <- t.n_delivered + 1;
-            Deliver.push t.buffer pkt
+          | Msg.Data { pkt; _ } -> Deliver.push t.buffer pkt
           | _ -> ()
         end
         | side -> side_recv side msg)
@@ -85,10 +81,7 @@ let create engine link ~service ~deliver =
       node = Link.b link;
       link = -1;
       xmit = xmit_from (Link.b link);
-      up =
-        (fun pkt ->
-          t.n_delivered <- t.n_delivered + 1;
-          Deliver.push t.buffer pkt);
+      up = Deliver.push t.buffer;
       try_up = (fun _ -> true);
       bandwidth_bps = 1_000_000_000;
       rtt_hint;
@@ -135,12 +128,7 @@ let send t ?(bytes = 1200) ?(tag = "") () =
   | S_best ->
     let msg = Msg.Data { cls = 0; lseq = t.seq; pkt; auth = None } in
     Link.send t.link ~src:(Link.a t.link) ~bytes:(Msg.bytes msg)
-      ~deliver:(fun () ->
-        t.n_delivered <- t.n_delivered + 1;
-        Deliver.push t.buffer pkt)
-
-let sent t = t.seq
-let delivered t = t.n_delivered
+      ~deliver:(fun () -> Deliver.push t.buffer pkt)
 
 let retransmissions t =
   match t.sender with

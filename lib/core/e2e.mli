@@ -32,6 +32,4 @@ val create :
 val send : t -> ?bytes:int -> ?tag:string -> unit -> unit
 (** Sends the next packet of the end-to-end stream. *)
 
-val sent : t -> int
-val delivered : t -> int
 val retransmissions : t -> int

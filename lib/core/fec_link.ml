@@ -21,7 +21,6 @@ type t = {
   mutable next_lseq : int;
   mutable cur : (int * Packet.t) list; (* current block, newest first *)
   mutable flush_timer : Engine.handle option;
-  mutable n_sent : int;
   mutable n_parity : int;
   mutable data_bytes : int;
   mutable parity_bytes : int;
@@ -31,7 +30,6 @@ type t = {
   mutable recv_high : int;
   blocks : (int, block_state) Hashtbl.t;
   mutable n_recovered : int;
-  mutable n_up : int;
   m_recovered : Strovl_obs.Metrics.Counter.t;
 }
 
@@ -44,7 +42,6 @@ let create ?(config = default_config) ctx =
     next_lseq = 0;
     cur = [];
     flush_timer = None;
-    n_sent = 0;
     n_parity = 0;
     data_bytes = 0;
     parity_bytes = 0;
@@ -53,7 +50,6 @@ let create ?(config = default_config) ctx =
     recv_high = 0;
     blocks = Hashtbl.create 8;
     n_recovered = 0;
-    n_up = 0;
     m_recovered =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "fec") ]
@@ -93,7 +89,6 @@ let send t pkt =
   t.next_lseq <- t.next_lseq + 1;
   let lseq = t.next_lseq in
   let msg = Msg.Data { cls = t.cls; lseq; pkt; auth = None } in
-  t.n_sent <- t.n_sent + 1;
   t.data_bytes <- t.data_bytes + Msg.bytes msg;
   t.ctx.Lproto.xmit msg;
   t.cur <- (lseq, pkt) :: t.cur;
@@ -132,10 +127,6 @@ let compact t =
     t.recv_floor <- new_floor
   end
 
-let deliver t pkt =
-  t.n_up <- t.n_up + 1;
-  t.ctx.Lproto.up pkt
-
 (* If enough symbols of the block are present, reconstruct and deliver the
    missing data packets (any k of k+r symbols suffice: MDS model). *)
 let try_decode t base bs =
@@ -156,7 +147,7 @@ let try_decode t base bs =
             t.n_recovered <- t.n_recovered + 1;
             Strovl_obs.Metrics.Counter.incr t.m_recovered;
             Lproto.trace_pkt t.ctx bs.bs_pkts.(i) (Strovl_obs.Trace.Fec_recover t.ctx.Lproto.link);
-            deliver t bs.bs_pkts.(i)
+            t.ctx.Lproto.up bs.bs_pkts.(i)
           end)
         (List.rev !missing)
     end
@@ -192,7 +183,7 @@ let handle_data t lseq pkt =
         end)
       t.blocks;
     compact t;
-    deliver t pkt
+    t.ctx.Lproto.up pkt
   end
 
 let handle_parity t ~block ~k ~blk_pkts =
@@ -212,10 +203,8 @@ let recv t = function
   | Msg.Lsu _ | Msg.Group_update _ ->
     ()
 
-let sent t = t.n_sent
 let parity_sent t = t.n_parity
 let recovered t = t.n_recovered
-let delivered_up t = t.n_up
 
 let wire_overhead t =
   if t.data_bytes = 0 then 1.0

@@ -32,14 +32,9 @@ val create : ?config:config -> Lproto.ctx -> t
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
 
-val sent : t -> int
-(** Data packets transmitted. *)
-
 val parity_sent : t -> int
 val recovered : t -> int
 (** Packets reconstructed from parity at the receiver. *)
-
-val delivered_up : t -> int
 
 val wire_overhead : t -> float
 (** (data bytes + parity bytes) / data bytes ≈ 1 + r/k. *)

@@ -22,7 +22,6 @@ let create ~self ~nnodes =
     version = 0;
   }
 
-let self t = t.self
 let version t = t.version
 
 let node_set t group =

@@ -14,7 +14,6 @@ type t
 
 val create : self:int -> nnodes:int -> t
 
-val self : t -> int
 val version : t -> int
 (** Increments whenever remote or local membership changes (multicast trees
     must be recomputed). *)

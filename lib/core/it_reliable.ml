@@ -29,7 +29,6 @@ type t = {
   by_lseq : (int, Packet.flow * entry) Hashtbl.t;
   mutable busy : bool;
   mutable next_lseq : int;
-  sent : (int, int) Hashtbl.t;
   mutable n_retrans : int;
   mutable n_acked : int;
   m_retrans : Strovl_obs.Metrics.Counter.t;
@@ -46,7 +45,6 @@ let create ?(config = default_config) ctx =
     by_lseq = Hashtbl.create 64;
     busy = false;
     next_lseq = 0;
-    sent = Hashtbl.create 16;
     n_retrans = 0;
     n_acked = 0;
     m_retrans =
@@ -59,8 +57,6 @@ let base_rto t =
   match t.cfg.rto with
   | Some d -> d
   | None -> Time.max (Time.ms 5) (3 * t.ctx.Lproto.rtt_hint)
-
-let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
 let flow_queue t flow =
   match FlowMap.find_opt flow t.flows with
@@ -83,8 +79,7 @@ let has_sendable q = List.exists (fun e -> (not e.e_inflight) && not e.e_done) !
 let rec transmit t flow e =
   if e.e_lseq < 0 then begin
     t.next_lseq <- Lproto.next_lseq t.next_lseq;
-    e.e_lseq <- t.next_lseq;
-    bump t.sent flow.Packet.f_src
+    e.e_lseq <- t.next_lseq
   end
   else begin
     t.n_retrans <- t.n_retrans + 1;
@@ -192,10 +187,6 @@ let recv t = function
   | Msg.It_ack { lseq } -> handle_ack t lseq
   | _ -> ()
 
-let buffered t ~flow =
-  match FlowMap.find_opt flow t.flows with None -> 0 | Some q -> List.length !q
-
 let total_buffered t = FlowMap.fold (fun _ q acc -> acc + List.length !q) t.flows 0
-let sent_for t ~source = Option.value ~default:0 (Hashtbl.find_opt t.sent source)
 let retransmissions t = t.n_retrans
 let acked t = t.n_acked

@@ -42,8 +42,6 @@ val recv : t -> Msg.t -> unit
 (** Handles incoming Data (acceptance decided by the context's [try_up]) and
     It_acks. *)
 
-val buffered : t -> flow:Packet.flow -> int
 val total_buffered : t -> int
-val sent_for : t -> source:int -> int
 val retransmissions : t -> int
 val acked : t -> int

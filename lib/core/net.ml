@@ -32,7 +32,6 @@ type t = {
   nodes : Node.t array;
   links : Link.t array;
   metrics : int array;
-  registry : Auth.registry option;
   last_rotation : Time.t array;
   taps : tap option array;
   cfg : config;
@@ -91,7 +90,6 @@ let create ?(config = default_config) ?underlay engine spec =
       nodes;
       links;
       metrics;
-      registry;
       last_rotation = Array.make nlinks Time.zero;
       taps = Array.make (Graph.n graph) None;
       cfg = config;
@@ -99,46 +97,36 @@ let create ?(config = default_config) ?underlay engine spec =
     }
   in
   (* Wire each endpoint of each overlay link to its node, routing every
-     message through the endpoint nodes' wire taps. *)
+     message through the endpoint nodes' wire taps. A tap is looked up when
+     the message reaches it (sender at xmit, receiver at delivery), and the
+     continuations after each tap are built once per endpoint, so an
+     untapped message allocates only its delivery closure. *)
   Array.iteri
     (fun l link ->
       let a, b = Graph.endpoints graph l in
+      let tapped node dir msg k =
+        match t.taps.(node) with
+        | None -> k msg
+        | Some tap -> begin
+          match tap ~dir ~link:l msg with
+          | Pass -> k msg
+          | Drop -> ()
+          | Replace msg' -> k msg'
+          | Delay d -> ignore (Engine.schedule engine ~delay:d (fun () -> k msg))
+        end
+      in
       let wire src dst =
-        let apply_tap node dir msg k =
-          match t.taps.(node) with
-          | None -> k msg
-          | Some tap -> begin
-            match tap ~dir ~link:l msg with
-            | Pass -> k msg
-            | Drop -> ()
-            | Replace msg' -> k msg'
-            | Delay d -> ignore (Engine.schedule engine ~delay:d (fun () -> k msg))
-          end
-        in
-        let xmit msg =
-          match t.taps.(src) with
-          | None ->
-            (* Fast path: no sender tap installed, so skip the continuation
-               plumbing. The receiver tap is still consulted at delivery
-               time, exactly like the slow path. *)
-            Link.send link ~src ~bytes:(Msg.bytes msg) ~deliver:(fun () ->
-                match t.taps.(dst) with
-                | None -> Node.receive t.nodes.(dst) ~link:l msg
-                | Some _ ->
-                  apply_tap dst `In msg (fun msg ->
-                      Node.receive t.nodes.(dst) ~link:l msg))
-          | Some _ ->
-            apply_tap src `Out msg (fun msg ->
-                Link.send link ~src ~bytes:(Msg.bytes msg) ~deliver:(fun () ->
-                    apply_tap dst `In msg (fun msg ->
-                        Node.receive t.nodes.(dst) ~link:l msg)))
+        let receive msg = Node.receive t.nodes.(dst) ~link:l msg in
+        let send msg =
+          Link.send link ~src ~bytes:(Msg.bytes msg) ~deliver:(fun () ->
+              tapped dst `In msg receive)
         in
         Transport.attach t.nodes.(src)
           {
             Transport.ep_link = l;
             ep_peer = dst;
             ep_bandwidth_bps = config.link.Link.bandwidth_bps;
-            ep_xmit = xmit;
+            ep_xmit = (fun msg -> tapped src `Out msg send);
           }
       in
       wire a b;
@@ -175,7 +163,6 @@ let graph t = t.graph
 let nnodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let net_link t l = t.links.(l)
-let registry t = t.registry
 
 let start t = Array.iter Node.start t.nodes
 

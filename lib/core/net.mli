@@ -42,8 +42,6 @@ val node : t -> int -> Node.t
 val net_link : t -> int -> Strovl_net.Link.t
 (** The transport carrying a given overlay link. *)
 
-val registry : t -> Strovl_crypto.Auth.registry option
-
 val start : t -> unit
 (** Starts every node (hello protocols, LSU refresh). *)
 

@@ -38,62 +38,73 @@ let lsu_refresh = Time.sec 10
 (* CPU backlog beyond which a finite-capacity node drops (§II-D). *)
 let cpu_queue = Time.ms 20
 
-(* Observability: domain-local labelled metrics (always-available twins of
-   the per-node [counters]) and flight-recorder events. Handles live in the
-   node record and are looked up at [create] time, so they always belong to
-   the run's own registry (registries are purged between pool-scheduled
-   runs; see {!Strovl_obs.Ctx}). All nodes of one run share the same
-   handles via get-or-create, and hot-path updates stay O(1). *)
+(* Observability: domain-local labelled metrics and flight-recorder
+   events. Handles live in the node record and are looked up at [create]
+   time, so they always belong to the run's own registry (registries are
+   purged between pool-scheduled runs; see {!Strovl_obs.Ctx}). All nodes of
+   one run share the same handles via get-or-create, and hot-path updates
+   stay O(1). *)
 module Obs = Strovl_obs.Trace
 module Om = Strovl_obs.Metrics
 
-type metrics = {
-  m_forwarded : Om.Counter.t;
-  m_delivered : Om.Counter.t;
-  m_enqueued : Om.Counter.t;
-  m_lsu_floods : Om.Counter.t;
-  m_group_floods : Om.Counter.t;
-  m_delivery_latency : Om.Histogram.t;
-  m_drop_no_route : Om.Counter.t;
-  m_drop_ttl : Om.Counter.t;
-  m_drop_auth : Om.Counter.t;
-  m_drop_dup : Om.Counter.t;
-  m_drop_backpressure : Om.Counter.t;
-  m_drop_overload : Om.Counter.t;
-}
+(* The one counter path: each counted event has a slot in the node's own
+   tally and in its metric handles, and [count] bumps both. *)
+type event =
+  | Forwarded
+  | Delivered
+  | Enqueued
+  | Lsu_flood
+  | Group_flood
+  | Dropped of Obs.reason
 
-let make_metrics () =
-  let m_drop reason =
+let drop_slot = function
+  | Obs.No_route -> 5
+  | Obs.Ttl -> 6
+  | Obs.Auth -> 7
+  | Obs.Dup -> 8
+  | Obs.Backpressure -> 9
+  | Obs.Overload -> 10
+  | Obs.Queue_full | Obs.Priority_evict | Obs.Wire_loss ->
+    invalid_arg "Node.drop: not a node drop"
+
+let[@inline] slot = function
+  | Forwarded -> 0
+  | Delivered -> 1
+  | Enqueued -> 2
+  | Lsu_flood -> 3
+  | Group_flood -> 4
+  | Dropped reason -> drop_slot reason
+
+(* Every event, in slot order. *)
+let events =
+  Array.append
+    [| Forwarded; Delivered; Enqueued; Lsu_flood; Group_flood |]
+    (Array.map
+       (fun reason -> Dropped reason)
+       Obs.[| No_route; Ttl; Auth; Dup; Backpressure; Overload |])
+
+let counter_of = function
+  | Forwarded -> Om.counter "strovl_node_forwarded_total"
+  | Delivered -> Om.counter "strovl_node_delivered_total"
+  | Enqueued -> Om.counter "strovl_node_enqueued_total"
+  | Lsu_flood -> Om.counter "strovl_lsu_floods_total"
+  | Group_flood -> Om.counter "strovl_group_floods_total"
+  | Dropped reason ->
     Om.counter
       ~labels:[ ("reason", Obs.reason_to_string reason) ]
       "strovl_node_dropped_total"
-  in
-  {
-    m_forwarded = Om.counter "strovl_node_forwarded_total";
-    m_delivered = Om.counter "strovl_node_delivered_total";
-    m_enqueued = Om.counter "strovl_node_enqueued_total";
-    m_lsu_floods = Om.counter "strovl_lsu_floods_total";
-    m_group_floods = Om.counter "strovl_group_floods_total";
-    m_delivery_latency = Om.histogram "strovl_delivery_latency_us";
-    m_drop_no_route = m_drop Obs.No_route;
-    m_drop_ttl = m_drop Obs.Ttl;
-    m_drop_auth = m_drop Obs.Auth;
-    m_drop_dup = m_drop Obs.Dup;
-    m_drop_backpressure = m_drop Obs.Backpressure;
-    m_drop_overload = m_drop Obs.Overload;
-  }
 
 type counters = {
-  mutable forwarded : int;
-  mutable delivered : int;
-  mutable dropped_no_route : int;
-  mutable dropped_ttl : int;
-  mutable dropped_auth : int;
-  mutable dropped_dup : int;
-  mutable dropped_backpressure : int;
-  mutable dropped_overload : int;
-  mutable lsu_floods : int;
-  mutable group_floods : int;
+  forwarded : int;
+  delivered : int;
+  dropped_no_route : int;
+  dropped_ttl : int;
+  dropped_auth : int;
+  dropped_dup : int;
+  dropped_backpressure : int;
+  dropped_overload : int;
+  lsu_floods : int;
+  group_floods : int;
 }
 
 type proto =
@@ -132,8 +143,9 @@ type t = {
   mutable out_busy : bool;
   sessions : (int, Packet.t -> unit) Hashtbl.t; (* by port *)
   dedup : Dedup.t;
-  ctrs : counters;
-  om : metrics;
+  tally : int array; (* by [slot] *)
+  om : Om.Counter.t array; (* by [slot] *)
+  m_delivery_latency : Om.Histogram.t;
   mutable suspect_hook : int -> unit;
   mutable started : bool;
   mutable stopped : bool;
@@ -144,37 +156,18 @@ type t = {
   s_flow_delivered : (Packet.flow, Strovl_obs.Series.ch) Hashtbl.t;
 }
 
-(* The one counter path for node drops: the per-node field and the metric
-   that shadows it. *)
-let count_drop t reason =
-  let c = t.ctrs and m = t.om in
-  match reason with
-  | Obs.No_route ->
-    c.dropped_no_route <- c.dropped_no_route + 1;
-    Om.Counter.incr m.m_drop_no_route
-  | Obs.Ttl ->
-    c.dropped_ttl <- c.dropped_ttl + 1;
-    Om.Counter.incr m.m_drop_ttl
-  | Obs.Auth ->
-    c.dropped_auth <- c.dropped_auth + 1;
-    Om.Counter.incr m.m_drop_auth
-  | Obs.Dup ->
-    c.dropped_dup <- c.dropped_dup + 1;
-    Om.Counter.incr m.m_drop_dup
-  | Obs.Backpressure ->
-    c.dropped_backpressure <- c.dropped_backpressure + 1;
-    Om.Counter.incr m.m_drop_backpressure
-  | Obs.Overload ->
-    c.dropped_overload <- c.dropped_overload + 1;
-    Om.Counter.incr m.m_drop_overload
-  | Obs.Queue_full | Obs.Priority_evict | Obs.Wire_loss ->
-    invalid_arg "Node.drop: not a node drop"
+let[@inline] bump t i =
+  t.tally.(i) <- t.tally.(i) + 1;
+  Om.Counter.incr t.om.(i)
+
+let[@inline] count t ev = bump t (slot ev)
 
 (* A counted drop that is also reported: with the packet, a Series tick and
    a trace event naming it, so the causal path shows where and why it
-   died; without one (CPU overload), a bare trace event. *)
+   died; without one (CPU overload), a bare trace event. It bumps the drop
+   slot directly, so a drop with a variable reason builds no [Dropped]. *)
 let drop t ?pkt reason =
-  count_drop t reason;
+  bump t (drop_slot reason);
   match pkt with
   | Some pkt ->
     if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_dropped;
@@ -209,20 +202,9 @@ let create ?(config = default_config) ?registry ~engine ~graph ~id ~metric () =
     out_busy = false;
     sessions = Hashtbl.create 8;
     dedup = Dedup.create ();
-    om = make_metrics ();
-    ctrs =
-      {
-        forwarded = 0;
-        delivered = 0;
-        dropped_no_route = 0;
-        dropped_ttl = 0;
-        dropped_auth = 0;
-        dropped_dup = 0;
-        dropped_backpressure = 0;
-        dropped_overload = 0;
-        lsu_floods = 0;
-        group_floods = 0;
-      };
+    tally = Array.make (Array.length events) 0;
+    om = Array.map counter_of events;
+    m_delivery_latency = Om.histogram "strovl_delivery_latency_us";
     suspect_hook = (fun _ -> ());
     started = false;
     stopped = false;
@@ -254,7 +236,20 @@ let config t = t.cfg
 let conn t = t.conn_graph
 let group t = t.group_state
 let route t = t.routing
-let counters t = t.ctrs
+let counters t =
+  let n ev = t.tally.(slot ev) in
+  {
+    forwarded = n Forwarded;
+    delivered = n Delivered;
+    dropped_no_route = n (Dropped Obs.No_route);
+    dropped_ttl = n (Dropped Obs.Ttl);
+    dropped_auth = n (Dropped Obs.Auth);
+    dropped_dup = n (Dropped Obs.Dup);
+    dropped_backpressure = n (Dropped Obs.Backpressure);
+    dropped_overload = n (Dropped Obs.Overload);
+    lsu_floods = n Lsu_flood;
+    group_floods = n Group_flood;
+  }
 let engine t = t.engine
 let set_link_suspect_hook t f = t.suspect_hook <- f
 
@@ -296,12 +291,9 @@ let flood_local_update t msg_opt =
   | Some msg ->
     (match msg with
     | Msg.Lsu _ ->
-      t.ctrs.lsu_floods <- t.ctrs.lsu_floods + 1;
-      Om.Counter.incr t.om.m_lsu_floods;
+      count t Lsu_flood;
       if Obs.armed () then Obs.emit ~node:t.id Obs.Lsu_flood
-    | Msg.Group_update _ ->
-      t.ctrs.group_floods <- t.ctrs.group_floods + 1;
-      Om.Counter.incr t.om.m_group_floods
+    | Msg.Group_update _ -> count t Group_flood
     | _ -> ());
     flood t (sign_flood t msg)
 
@@ -313,9 +305,8 @@ let deliver_local t pkt ~port =
   match Hashtbl.find t.sessions port with
   | exception Not_found -> ()
   | deliver ->
-    t.ctrs.delivered <- t.ctrs.delivered + 1;
-    Om.Counter.incr t.om.m_delivered;
-    Om.Histogram.observe t.om.m_delivery_latency
+    count t Delivered;
+    Om.Histogram.observe t.m_delivery_latency
       (Time.sub (Engine.now t.engine) pkt.Packet.sent_at);
     if Strovl_obs.Series.armed () then begin
       Strovl_obs.Series.incr t.s_delivered;
@@ -539,8 +530,7 @@ and fan_out t pkt buf n =
 
 (* Send one already-hop-bumped packet down a link's protocol instance. *)
 and send_prepped t ep pkt =
-  t.ctrs.forwarded <- t.ctrs.forwarded + 1;
-  Om.Counter.incr t.om.m_forwarded;
+  count t Forwarded;
   trace_pkt t pkt
     (if pkt.Packet.replay then Obs.Forward_replay ep.ep_link
      else Obs.Forward ep.ep_link);
@@ -605,7 +595,7 @@ and try_accept t ~from_link pkt =
   end
   else if Dedup.peek t.dedup pkt.Packet.flow pkt.Packet.seq then begin
     (* Already accepted earlier: re-ack without reprocessing. *)
-    count_drop t Obs.Dup;
+    count t (Dropped Obs.Dup);
     true
   end
   else begin
@@ -714,13 +704,13 @@ let receive t ~link msg =
         if Conn_graph.apply_lsu t.conn_graph ~origin ~lsu_seq links then
           flood t ~except:link msg
       end
-      else count_drop t Obs.Auth
+      else count t (Dropped Obs.Auth)
     | Msg.Group_update { origin; gseq; memb; auth } ->
       if verify_flood t ~origin msg auth then begin
         if Group.apply_update t.group_state ~origin ~gseq memb then
           flood t ~except:link msg
       end
-      else count_drop t Obs.Auth
+      else count t (Dropped Obs.Auth)
     | Msg.Data { cls; _ } -> proto_recv t ep cls msg
     | Msg.Link_ack { cls; _ } -> proto_recv t ep cls msg
     | Msg.Link_nack { cls; _ } -> proto_recv t ep cls msg
@@ -821,7 +811,7 @@ let originate t pkt =
     end
     | _ -> pkt
   in
-  Om.Counter.incr t.om.m_enqueued;
+  count t Enqueued;
   trace_pkt t pkt Obs.Enqueue;
   match pkt.Packet.service with
   | Packet.It_reliable -> try_accept t ~from_link:(-1) pkt

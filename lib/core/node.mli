@@ -48,16 +48,16 @@ type config = {
 val default_config : config
 
 type counters = {
-  mutable forwarded : int;  (** data packets sent onward *)
-  mutable delivered : int;  (** data packets handed to local sessions *)
-  mutable dropped_no_route : int;
-  mutable dropped_ttl : int;
-  mutable dropped_auth : int;  (** failed origin-signature verification *)
-  mutable dropped_dup : int;  (** redundant copies suppressed (de-dup) *)
-  mutable dropped_backpressure : int;  (** IT-Reliable refusals *)
-  mutable dropped_overload : int;  (** CPU queue overflow (§II-D) *)
-  mutable lsu_floods : int;
-  mutable group_floods : int;
+  forwarded : int;  (** data packets sent onward *)
+  delivered : int;  (** data packets handed to local sessions *)
+  dropped_no_route : int;
+  dropped_ttl : int;
+  dropped_auth : int;  (** failed origin-signature verification *)
+  dropped_dup : int;  (** redundant copies suppressed (de-dup) *)
+  dropped_backpressure : int;  (** IT-Reliable refusals *)
+  dropped_overload : int;  (** CPU queue overflow (§II-D) *)
+  lsu_floods : int;
+  group_floods : int;
 }
 
 val create :
@@ -78,6 +78,9 @@ val conn : t -> Conn_graph.t
 val group : t -> Group.t
 val route : t -> Route.t
 val counters : t -> counters
+(** A snapshot of this node's counts so far; each is also a
+    [Strovl_obs.Metrics] counter summed over the run's nodes. *)
+
 val engine : t -> Strovl_sim.Engine.t
 
 val attach_link :

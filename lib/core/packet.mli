@@ -115,5 +115,4 @@ val obs_flow : flow -> Strovl_obs.Trace.flow_id
     destinations are offset into distinct integer ranges). *)
 
 val flow_compare : flow -> flow -> int
-val pp_flow : Format.formatter -> flow -> unit
 val pp : Format.formatter -> t -> unit

@@ -215,7 +215,6 @@ let recv t = function
   | Msg.Lsu _ | Msg.Group_update _ ->
     ()
 
-let sent t = t.n_sent
 let retransmissions t = t.n_retrans
 let requests_sent t = t.n_requests_sent
 let delivered_up t = t.n_up

@@ -50,7 +50,6 @@ val create : ?config:config -> Lproto.ctx -> t
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
 
-val sent : t -> int
 val retransmissions : t -> int
 val requests_sent : t -> int
 val delivered_up : t -> int

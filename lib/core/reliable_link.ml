@@ -47,7 +47,6 @@ type t = {
   mutable store : Packet.t array;
   mutable rto_timer : Engine.handle option;
   mutable rto_fire : unit -> unit;
-  mutable n_sent : int;
   mutable n_retrans : int;
   (* receiver: slot l land (length - 1) of [state] and [held_pkts] covers
      lseq l in (cum, cum + length]; [held_pkts] is only filled for [held]
@@ -134,7 +133,6 @@ let send t pkt =
   if lseq - t.s_lo >= Array.length t.store then grow_store t;
   t.next_lseq <- lseq;
   t.store.(lseq land (Array.length t.store - 1)) <- pkt;
-  t.n_sent <- t.n_sent + 1;
   xmit_data t lseq pkt;
   if t.rto_timer = None then arm_rto t
 
@@ -306,7 +304,6 @@ let create ?(config = default_config) ctx =
       store = Array.make initial_ring no_packet;
       rto_timer = None;
       rto_fire = ignore;
-      n_sent = 0;
       n_retrans = 0;
       recv_high = 0;
       cum = 0;
@@ -349,7 +346,6 @@ let drain_store t =
   t.rto_timer <- None;
   !pkts
 
-let sent t = t.n_sent
 let retransmissions t = t.n_retrans
 let store_size t = t.next_lseq - t.s_lo + 1
 let delivered_up t = t.n_up

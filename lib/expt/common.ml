@@ -18,18 +18,6 @@ let bernoulli_loss sim ~p =
         (Rng.split_named sim.rng (Printf.sprintf "loss/%d" si))
         ~p)
 
-let gilbert_loss sim ~mean_loss ~burst =
-  (* Bad state drops everything for ~[burst]; good-state duration chosen so
-     that burst/(burst+good) = mean_loss. *)
-  if mean_loss <= 0. || mean_loss >= 1. then invalid_arg "gilbert_loss";
-  let bad = float_of_int burst in
-  let good = bad *. ((1. /. mean_loss) -. 1.) in
-  Underlay.set_all_segment_loss (Strovl.Net.underlay sim.net) (fun si _ ->
-      Loss.gilbert_elliott
-        (Rng.split_named sim.rng (Printf.sprintf "ge/%d" si))
-        ~p_good_loss:0. ~p_bad_loss:1. ~mean_good:(int_of_float good)
-        ~mean_bad:(int_of_float bad))
-
 let run_for sim d = Engine.run ~until:(Time.add (Engine.now sim.engine) d) sim.engine
 
 let link_health sim =

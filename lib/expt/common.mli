@@ -20,12 +20,6 @@ val bernoulli_loss : sim -> p:float -> unit
 (** Independent per-packet loss with probability [p] on every fiber
     segment. *)
 
-val gilbert_loss :
-  sim -> mean_loss:float -> burst:Time.t -> unit
-(** Bursty Gilbert–Elliott loss on every segment: bad-state bursts of mean
-    duration [burst] dropping everything, good state clean, with state
-    durations tuned so the long-run loss rate is [mean_loss]. *)
-
 val run_for : sim -> Time.t -> unit
 
 val link_health : sim -> Strovl_obs.Health.t list

@@ -25,8 +25,8 @@ type t = {
   peer_cache : (int, int * int * int) Hashtbl.t;
       (* isps,src,dst -> epoch, peer site (-1 none), total delay *)
   presence : bool array array; (* isp -> site -> has fiber *)
-  mutable peering_delay : Time.t;
-  mutable peering_loss : Loss.t;
+  peering_delay : Time.t;
+  peering_loss : Loss.t;
   (* Metric handles from this domain's registry, bound at [create] time so
      they belong to the run that owns this underlay (see Strovl_obs.Ctx). *)
   m_seg_fail : Strovl_obs.Metrics.Counter.t;
@@ -213,21 +213,7 @@ let transmit_latency t ~isp ~src ~dst =
   | None -> min_int
   | Some segs -> walk_segs t segs 0 Time.zero ~now:(Engine.now t.engine)
 
-let transmit_result t ~isp ~src ~dst =
-  match transmit_latency t ~isp ~src ~dst with
-  | d when d = min_int -> `Lost
-  | d -> `Delivered d
-
-let transmit t ~isp ~src ~dst ~deliver =
-  match transmit_latency t ~isp ~src ~dst with
-  | d when d = min_int -> note_lost t src
-  | d -> ignore (Engine.schedule t.engine ~delay:d deliver)
-
 (* --------------------------- off-net paths --------------------------- *)
-
-let set_peering t ~delay ~loss =
-  t.peering_delay <- delay;
-  t.peering_loss <- loss
 
 let isp_present t ~isp site = t.presence.(isp).(site)
 

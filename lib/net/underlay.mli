@@ -54,24 +54,6 @@ val path_delay : t -> isp:int -> src:int -> dst:int -> Strovl_sim.Time.t option
 val routed_path : t -> isp:int -> src:int -> dst:int -> int list option
 (** Segment indices of the currently routed path. *)
 
-val transmit :
-  t ->
-  isp:int ->
-  src:int ->
-  dst:int ->
-  deliver:(unit -> unit) ->
-  unit
-(** Injects one packet. If the routing view yields a path and every
-    traversed segment is up and lossless at its crossing instant, [deliver]
-    runs after the path delay; otherwise the packet vanishes (no
-    notification — exactly what IP gives you). *)
-
-val transmit_result :
-  t -> isp:int -> src:int -> dst:int -> [ `Delivered of Strovl_sim.Time.t | `Lost ]
-(** Like {!transmit} but synchronous: evaluates the fate and latency of a
-    packet sent now, without scheduling. Used by tests and fast-path
-    experiments. *)
-
 (** {2 Off-net paths (§II-A)}
 
     An overlay link normally uses the same provider at both endpoints
@@ -80,11 +62,8 @@ val transmit_result :
     site where both providers have presence, crosses the (congested,
     best-effort) public peering, and continues on provider B. The paper
     notes on-net "generally results in better performance" — the peering
-    penalty below is why. *)
-
-val set_peering : t -> delay:Strovl_sim.Time.t -> loss:Strovl_sim.Loss.t -> unit
-(** Configures the peering-point penalty (defaults: 2 ms, 1% Bernoulli
-    derived from the engine seed). *)
+    penalty is why: 2 ms and 1% Bernoulli loss (derived from the engine
+    seed) at the peering site. *)
 
 val isp_present : t -> isp:int -> int -> bool
 (** Whether the ISP has fiber touching the site. *)
@@ -105,6 +84,8 @@ val transmit_result_pair :
   src:int ->
   dst:int ->
   [ `Delivered of Strovl_sim.Time.t | `Lost ]
+(** Like {!transmit_pair} but synchronous: evaluates the fate and latency
+    of a packet sent now, without scheduling. *)
 
 val transmit_pair :
   t ->
@@ -114,3 +95,9 @@ val transmit_pair :
   dst:int ->
   deliver:(unit -> unit) ->
   unit
+(** Injects one packet, on-net when [isp_src = isp_dst] and otherwise
+    through the best peering site. If the routing views yield a path and
+    every traversed segment (and, off-net, the peering crossing) is up and
+    lossless at its crossing instant, [deliver] runs after the path delay;
+    otherwise the packet vanishes (no notification — exactly what IP gives
+    you). *)

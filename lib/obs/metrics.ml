@@ -108,7 +108,6 @@ let dls : state Domain.DLS.key =
 
 let state () = Domain.DLS.get dls
 
-let enabled () = !((state ()).st_on)
 let set_enabled v = (state ()).st_on := v
 
 let normalize labels = List.sort compare labels

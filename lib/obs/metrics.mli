@@ -15,12 +15,10 @@
 type labels = (string * string) list
 (** Sorted on registration; [("link", "3-7")]-style dimensions. *)
 
-val enabled : unit -> bool
-(** This domain's armed flag. Default [true] — the counters are the cheap
-    always-available layer; flip off for microbenchmarks. *)
-
 val set_enabled : bool -> unit
-(** When [false] every update on this domain is a no-op. *)
+(** Arms or disarms this domain's registry. Default [true] — the counters
+    are the cheap always-available layer; flip off for microbenchmarks.
+    When [false] every update on this domain is a no-op. *)
 
 module Counter : sig
   type t

@@ -155,13 +155,3 @@ let point_json ch p =
           (fun (k, v) -> Export.json_str k ^ ":" ^ Export.json_str v)
           ch.ch_labels))
     p.p_t0 p.p_n p.p_sum p.p_max (mean p)
-
-let jsonl oc =
-  List.iter
-    (fun ch ->
-      List.iter
-        (fun p ->
-          output_string oc (point_json ch p);
-          output_char oc '\n')
-        (points ch))
-    (channels ())

@@ -66,8 +66,3 @@ val mean : point -> float
 
 val point_json : ch -> point -> string
 (** One bucket as a flat JSON object (the JSONL line format). *)
-
-val jsonl : out_channel -> unit
-(** Every retained bucket of every channel, one JSON object per line:
-    [{"series":name,"labels":{...},"t0":µs,"n":count,"sum":s,"max":m,
-    "mean":s/n}]. *)

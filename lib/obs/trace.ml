@@ -77,14 +77,6 @@ let disable () =
   st.st_armed <- false;
   st.st_ring <- None
 
-let clear () =
-  match (state ()).st_ring with
-  | None -> ()
-  | Some r ->
-    r.next <- 0;
-    r.filled <- 0;
-    r.emitted <- 0
-
 let emit ?(flow = no_flow) ?(seq = -1) ~node ev =
   let st = state () in
   match st.st_ring with

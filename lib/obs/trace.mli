@@ -99,9 +99,6 @@ val enable : ?capacity:int -> unit -> unit
 val disable : unit -> unit
 (** Disarms and discards the ring. *)
 
-val clear : unit -> unit
-(** Empties the ring but keeps recording. *)
-
 val emit : ?flow:flow_id -> ?seq:int -> node:int -> event -> unit
 (** Records one event at the current sim-time. No-op when disarmed. *)
 
@@ -109,7 +106,7 @@ val length : unit -> int
 (** Events currently retained. *)
 
 val total : unit -> int
-(** Events ever emitted since [enable]/[clear] (≥ [length]; the difference
+(** Events ever emitted since [enable] (≥ [length]; the difference
     is how many the ring overwrote). *)
 
 val records : unit -> record list

@@ -14,10 +14,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let s = int64 t in
-  { state = mix s }
-
 let split_named t name =
   let h = ref (int64 t) in
   String.iter (fun c -> h := mix (Int64.add !h (Int64.of_int (Char.code c)))) name;
@@ -35,7 +31,6 @@ let float t bound =
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits /. 9007199254740992. *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
 let exponential t mean =

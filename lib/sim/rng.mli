@@ -5,7 +5,7 @@
     experiment table in the paper reproduction is reproducible bit-for-bit.
 
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is a tiny, statistically
-    solid generator whose [split] operation lets us derive independent
+    solid generator whose [split_named] operation derives independent
     streams for independent model components (one per link loss process,
     one per workload source, ...) without correlation. *)
 
@@ -14,10 +14,6 @@ type t
 val create : int64 -> t
 (** [create seed] makes a fresh generator. Equal seeds yield equal
     streams. *)
-
-val split : t -> t
-(** [split t] returns a new generator statistically independent of the
-    future output of [t]. Both generators advance independently. *)
 
 val split_named : t -> string -> t
 (** [split_named t name] derives a child stream keyed by [name]; calling it
@@ -33,8 +29,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)

@@ -80,14 +80,4 @@ module Series = struct
     s.sorted <- None
 end
 
-module Counter = struct
-  type t = { mutable n : int }
-
-  let create () = { n = 0 }
-  let incr c = c.n <- c.n + 1
-  let add c k = c.n <- c.n + k
-  let get c = c.n
-  let clear c = c.n <- 0
-end
-
 let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den

@@ -1,8 +1,8 @@
 (** Measurement collection for experiments.
 
     [Series] accumulates raw samples (e.g. per-packet delivery latencies)
-    and answers summary queries; [Counter] counts discrete events. All
-    percentile queries use the nearest-rank method on the sorted samples. *)
+    and answers summary queries. All percentile queries use the
+    nearest-rank method on the sorted samples. *)
 
 module Series : sig
   type t
@@ -29,16 +29,6 @@ module Series : sig
   (** Mean absolute difference between consecutive samples (RFC 3550-style
       interarrival jitter when fed per-packet latencies). *)
 
-  val clear : t -> unit
-end
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
   val clear : t -> unit
 end
 

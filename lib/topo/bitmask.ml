@@ -84,11 +84,3 @@ let of_words ~nlinks words =
 
 let words t = Array.copy t.w
 let byte_size t = 8 * Array.length t.w
-
-let pp ppf t =
-  Format.fprintf ppf "{";
-  let first = ref true in
-  iter t (fun l ->
-      if !first then first := false else Format.fprintf ppf ",";
-      Format.fprintf ppf "%d" l);
-  Format.fprintf ppf "}"

@@ -50,5 +50,3 @@ val set_word : t -> int -> int64 -> unit
 
 val byte_size : t -> int
 (** Bytes this mask occupies in a packet header. *)
-
-val pp : Format.formatter -> t -> unit

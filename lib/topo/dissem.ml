@@ -16,8 +16,6 @@ let scheme_name = function
   | Robust_both -> "robust-both"
   | Flooding -> "flooding"
 
-let pp_scheme ppf s = Format.pp_print_string ppf (scheme_name s)
-
 let mask_of_paths ~nlinks paths =
   Bitmask.of_links ~nlinks (List.concat paths)
 

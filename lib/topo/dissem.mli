@@ -50,5 +50,4 @@ val connects :
     for which [down] holds are removed (default none). Used by resilience
     experiments to check delivery feasibility. *)
 
-val pp_scheme : Format.formatter -> scheme -> unit
 val scheme_name : scheme -> string

@@ -76,14 +76,6 @@ let iter_links g f =
     f l u v
   done
 
-let fold_links g ~init ~f =
-  let acc = ref init in
-  iter_links g (fun l u v -> acc := f !acc l u v);
-  !acc
-
-let copy g =
-  { n = g.n; ends = Array.copy g.ends; nlinks = g.nlinks; adj = Array.copy g.adj }
-
 let reachable ?(usable = fun _ -> true) g src =
   check_node g src;
   let seen = Array.make g.n false in
@@ -105,8 +97,3 @@ let reachable ?(usable = fun _ -> true) g src =
 let connected ?usable g =
   let seen = reachable ?usable g 0 in
   Array.for_all (fun b -> b) seen
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph n=%d links=%d" g.n g.nlinks;
-  iter_links g (fun l u v -> Format.fprintf ppf "@,  link %d: %d -- %d" l u v);
-  Format.fprintf ppf "@]"

@@ -48,14 +48,8 @@ val find_link : t -> node -> node -> link option
 
 val iter_links : t -> (link -> node -> node -> unit) -> unit
 
-val fold_links : t -> init:'a -> f:('a -> link -> node -> node -> 'a) -> 'a
-
-val copy : t -> t
-
 val connected : ?usable:(link -> bool) -> t -> bool
 (** Whole-graph connectivity restricted to usable links (default: all). *)
 
 val reachable : ?usable:(link -> bool) -> t -> node -> bool array
 (** BFS reachability from a node over usable links. *)
-
-val pp : Format.formatter -> t -> unit

@@ -50,5 +50,3 @@ let unicast_link_cost ?usable ~weight g ~source ~members =
       | Some p -> acc + List.length p)
     0
     (List.sort_uniq compare members)
-
-let to_mask ~nlinks t = Bitmask.of_links ~nlinks t.links

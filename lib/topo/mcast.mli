@@ -39,6 +39,3 @@ val unicast_link_cost :
 (** Baseline: total links traversed when sending one separate unicast along
     the shortest path to each member (what an application must do without
     overlay multicast, §III-B). *)
-
-val to_mask : nlinks:int -> t -> Bitmask.t
-(** The tree as a source-route bitmask. *)

@@ -25,7 +25,8 @@ let underlay_path_delay () =
 let underlay_transmit_delivers () =
   let engine, u = chain_underlay () in
   let arrived = ref (-1) in
-  Underlay.transmit u ~isp:0 ~src:0 ~dst:5 ~deliver:(fun () -> arrived := Engine.now engine);
+  Underlay.transmit_pair u ~isp_src:0 ~isp_dst:0 ~src:0 ~dst:5
+    ~deliver:(fun () -> arrived := Engine.now engine);
   Engine.run engine;
   check_int "arrives after 50ms" (Time.ms 50) !arrived
 
@@ -37,7 +38,8 @@ let underlay_fail_blackholes () =
   Alcotest.(check (option int)) "stale route delay" (Some (Time.ms 50))
     (Underlay.path_delay u ~isp:0 ~src:0 ~dst:5);
   let delivered = ref false in
-  Underlay.transmit u ~isp:0 ~src:0 ~dst:5 ~deliver:(fun () -> delivered := true);
+  Underlay.transmit_pair u ~isp_src:0 ~isp_dst:0 ~src:0 ~dst:5
+    ~deliver:(fun () -> delivered := true);
   Engine.run ~until:(Time.sec 1) engine;
   check_bool "blackholed" false !delivered
 
@@ -80,7 +82,8 @@ let underlay_segment_loss () =
   let engine, u = chain_underlay () in
   Underlay.set_segment_loss u 0 Loss.always;
   let delivered = ref false in
-  Underlay.transmit u ~isp:0 ~src:0 ~dst:5 ~deliver:(fun () -> delivered := true);
+  Underlay.transmit_pair u ~isp_src:0 ~isp_dst:0 ~src:0 ~dst:5
+    ~deliver:(fun () -> delivered := true);
   Engine.run engine;
   check_bool "lost on first segment" false !delivered
 
@@ -388,6 +391,85 @@ let node_floods_in_incident_order () =
   Node.receive node ~link:l_c (lsu 5 l_c);
   Alcotest.(check (list int)) "a stale LSU is not re-flooded" [] !sent
 
+let node_counters_sum_to_metrics () =
+  (* Each counted node event bumps the node's own tally and the run's
+     metric together, so the per-node snapshots add up to the metric: over
+     a reliable flow, a flooded flow whose extra copies are dropped as
+     duplicates, a group join and a link failure that changes LSUs. *)
+  Strovl_obs.Ctx.isolate (fun () ->
+      let sim = Common.build ~seed:5L (Gen.us_backbone ()) in
+      let net = sim.Common.net in
+      let u = Strovl.Net.underlay net in
+      let tx = Strovl.Client.attach (Strovl.Net.node net 0) ~port:1 in
+      let rx = Strovl.Client.attach (Strovl.Net.node net 8) ~port:2 in
+      Strovl.Client.set_receiver rx ignore;
+      Strovl.Client.join rx ~group:3;
+      let s =
+        Strovl.Client.sender tx ~service:Strovl.Packet.Reliable
+          ~dest:(Strovl.Packet.To_node 8) ~dport:2 ()
+      in
+      let flooded =
+        Strovl.Client.sender tx
+          ~route:(Strovl.Client.Scheme Strovl_topo.Dissem.Flooding)
+          ~dest:(Strovl.Packet.To_node 8) ~dport:2 ()
+      in
+      for i = 1 to 60 do
+        ignore (Strovl.Client.send s ());
+        ignore (Strovl.Client.send flooded ());
+        Common.run_for sim (Time.ms 5);
+        if i = 20 then begin
+          let l = List.hd (Graph.incident (Strovl.Net.graph net) 0) in
+          let a, b = Graph.endpoints (Strovl.Net.graph net) l in
+          List.iter (Underlay.fail_segment u) (Underlay.segments_between u a b)
+        end
+      done;
+      Common.run_for sim (Time.sec 2);
+      let sum f =
+        List.fold_left
+          (fun acc i -> acc + f (Node.counters (Strovl.Net.node net i)))
+          0
+          (List.init (Strovl.Net.nnodes net) Fun.id)
+      in
+      let drop reason f =
+        ( Printf.sprintf "dropped %s" reason,
+          Strovl_obs.Metrics.find_counter
+            ~labels:[ ("reason", reason) ]
+            "strovl_node_dropped_total",
+          sum f )
+      in
+      let total name f =
+        (name, Strovl_obs.Metrics.find_counter name, sum f)
+      in
+      let counted =
+        [
+          total "strovl_node_forwarded_total" (fun c -> c.Node.forwarded);
+          total "strovl_node_delivered_total" (fun c -> c.Node.delivered);
+          total "strovl_lsu_floods_total" (fun c -> c.Node.lsu_floods);
+          total "strovl_group_floods_total" (fun c -> c.Node.group_floods);
+          drop "no-route" (fun c -> c.Node.dropped_no_route);
+          drop "ttl" (fun c -> c.Node.dropped_ttl);
+          drop "auth" (fun c -> c.Node.dropped_auth);
+          drop "dup" (fun c -> c.Node.dropped_dup);
+          drop "backpressure" (fun c -> c.Node.dropped_backpressure);
+          drop "overload" (fun c -> c.Node.dropped_overload);
+        ]
+      in
+      let exercised =
+        [
+          "strovl_node_forwarded_total";
+          "strovl_node_delivered_total";
+          "strovl_lsu_floods_total";
+          "strovl_group_floods_total";
+          "dropped dup";
+        ]
+      in
+      List.iter
+        (fun (name, metric, nodes) ->
+          check_int name metric nodes;
+          if List.mem name exercised then
+            check_bool (name ^ " happened") true (nodes > 0))
+        counted)
+
 let () =
   Alcotest.run "strovl_net"
     [
@@ -428,5 +510,7 @@ let () =
             node_rejects_foreign_link;
           Alcotest.test_case "flood in incident order" `Quick
             node_floods_in_incident_order;
+          Alcotest.test_case "counters sum to metrics" `Quick
+            node_counters_sum_to_metrics;
         ] );
     ]

@@ -175,6 +175,42 @@ let source_flooding_delivers_once () =
   run_ms engine 500;
   check_int "de-dup: exactly once each" 10 !got
 
+let sender_and_receiver_taps_compose () =
+  (* Taps at both ends of one link: the sender's delays a data message by
+     [d], the receiver's replaces it with [m]. [m] arrives once, [d] later
+     than an untapped send. *)
+  let engine, net = build ~spec:(Gen.chain ~n:2 ~hop_delay:(Time.ms 10)) () in
+  let tx = attach net ~node:0 ~port:1 in
+  let rx = attach net ~node:1 ~port:2 in
+  let got = ref [] in
+  Strovl.Client.set_receiver rx ~reorder:false (fun pkt ->
+      got := (pkt.P.tag, Time.sub (Engine.now engine) pkt.P.sent_at) :: !got);
+  let s = Strovl.Client.sender tx ~dest:(P.To_node 1) ~dport:2 () in
+  ignore (Strovl.Client.send s ~tag:"plain" ());
+  run_ms engine 100;
+  let d = Time.ms 7 in
+  Strovl.Net.set_wire_tap net ~node:0 (fun ~dir ~link:_ msg ->
+      match (dir, msg) with
+      | `Out, Strovl.Msg.Data _ -> Strovl.Net.Delay d
+      | _ -> Strovl.Net.Pass);
+  Strovl.Net.set_wire_tap net ~node:1 (fun ~dir ~link:_ msg ->
+      match (dir, msg) with
+      | `In, Strovl.Msg.Data ({ pkt; _ } as data) ->
+        Strovl.Net.Replace
+          (Strovl.Msg.Data { data with pkt = { pkt with P.tag = "m" } })
+      | _ -> Strovl.Net.Pass);
+  ignore (Strovl.Client.send s ~tag:"tapped" ());
+  run_ms engine 100;
+  match List.rev !got with
+  | [ ("plain", plain); (m, tapped) ] ->
+    Alcotest.(check string) "replaced by the receiver" "m" m;
+    (* Up to a few µs either way: a send can queue behind a hello. *)
+    check_bool "delayed by the sender" true
+      (abs (Time.sub tapped (Time.add plain d)) <= Time.us 20)
+  | l ->
+    Alcotest.failf "expected the plain packet then m once, got %d deliveries"
+      (List.length l)
+
 (* ------------------------- failure reaction -------------------------- *)
 
 let reroute_subsecond () =
@@ -405,6 +441,8 @@ let () =
           Alcotest.test_case "anycast nearest" `Quick anycast_picks_nearest;
           Alcotest.test_case "anycast failover" `Quick anycast_fails_over_to_next_nearest;
           Alcotest.test_case "flooding dedup" `Quick source_flooding_delivers_once;
+          Alcotest.test_case "sender and receiver taps" `Quick
+            sender_and_receiver_taps_compose;
         ] );
       ( "failure",
         [

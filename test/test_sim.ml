@@ -258,12 +258,6 @@ let stats_clear_and_counter () =
   Stats.Series.clear s;
   check_int "cleared" 0 (Stats.Series.count s);
   check_float "empty mean" 0. (Stats.Series.mean s);
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  check_int "counter" 5 (Stats.Counter.get c);
-  Stats.Counter.clear c;
-  check_int "cleared counter" 0 (Stats.Counter.get c);
   check_float "ratio" 0.5 (Stats.ratio 1 2);
   check_float "ratio den 0" 0. (Stats.ratio 1 0)
 
