@@ -18,8 +18,7 @@ let () =
     {
       Strovl.Net.default_config with
       Strovl.Net.authenticate = true;
-      link =
-        { Strovl_net.Link.default_config with Strovl_net.Link.bandwidth_bps = 50_000_000 };
+      link = { Strovl_net.Link.bandwidth_bps = 50_000_000 };
     }
   in
   (* A deliberately well-connected topology (vertex connectivity 4). *)

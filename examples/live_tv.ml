@@ -33,7 +33,7 @@ let run_protocol name service =
   let sent = ref 0 in
   let rec pump () =
     if !sent < count then begin
-      Strovl.E2e.send e2e ();
+      Strovl.E2e.send e2e;
       incr sent;
       ignore (Engine.schedule engine ~delay:(Time.us 1316) pump)
     end
@@ -61,8 +61,7 @@ let rt n m =
 let () =
   print_endline "live interview, 40ms path, 200ms one-way budget, bursty loss:";
   run_protocol "raw (best effort)" Strovl.E2e.Best_effort;
-  run_protocol "FEC (8,2)"
-    (Strovl.E2e.Fec { Strovl.Fec_link.k = 8; r = 2; flush = Time.ms 20 });
+  run_protocol "FEC (8,2)" Strovl.E2e.Fec;
   run_protocol "single strike" (rt 1 1);
   run_protocol "NM-strikes (3,3)" (rt 3 3);
   print_endline

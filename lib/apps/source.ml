@@ -58,10 +58,13 @@ let stop t = t.running <- false
 let sent t = t.n_sent
 let refused t = t.n_refused
 
-let video ~engine ~sender ?(mbps = 8.0) ?(packet_bytes = 1316) ?count () =
-  let pps = mbps *. 1e6 /. (float_of_int packet_bytes *. 8.) in
+(* 7 MPEG-TS cells of 188 bytes. *)
+let video_packet_bytes = 1316
+
+let video ~engine ~sender ?(mbps = 8.0) ?count () =
+  let pps = mbps *. 1e6 /. (float_of_int video_packet_bytes *. 8.) in
   let interval = max 1 (int_of_float (1e6 /. pps)) in
-  start ~engine ~sender ~interval ~bytes:packet_bytes ?count ()
+  start ~engine ~sender ~interval ~bytes:video_packet_bytes ?count ()
 
 let monitoring ~engine ~sender ?(interval = Time.ms 100) ?(bytes = 400) ?count
     ?rng () =

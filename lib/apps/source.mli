@@ -33,7 +33,6 @@ val video :
   engine:Strovl_sim.Engine.t ->
   sender:Strovl.Client.sender ->
   ?mbps:float ->
-  ?packet_bytes:int ->
   ?count:int ->
   unit ->
   t

@@ -6,13 +6,15 @@ type t = {
   port : int;
   ingest_group : int;
   client : Strovl.Client.t;
-  delay : Time.t;
-  out_scale : float;
   out_group : int;
-  out_service : Strovl.Packet.service;
   mutable n_processed : int;
   mutable live : bool;
 }
+
+(* Processing time per packet, and output size per input byte
+   (transcoding down). *)
+let delay = Time.ms 5
+let out_scale = 0.5
 
 (* Re-originate a transformed packet. The output keeps the *original* flow
    source and sequence number (it is the same application flow, transformed)
@@ -24,17 +26,16 @@ let emit t (pkt : Strovl.Packet.t) =
   in
   let out =
     Strovl.Packet.make ~flow ~routing:Strovl.Packet.Link_state
-      ~service:t.out_service ~seq:pkt.Strovl.Packet.seq
+      ~service:Strovl.Packet.Best_effort ~seq:pkt.Strovl.Packet.seq
       ~sent_at:pkt.Strovl.Packet.sent_at
       ~bytes:
         (max 1
-           (int_of_float (float_of_int pkt.Strovl.Packet.bytes *. t.out_scale)))
+           (int_of_float (float_of_int pkt.Strovl.Packet.bytes *. out_scale)))
       ~tag:pkt.Strovl.Packet.tag ()
   in
   ignore (Strovl.Node.originate (Strovl.Net.node t.net t.node) out)
 
-let create ~net ~node ~port ~ingest_group ~out_group ?(delay = Time.ms 5)
-    ?(out_scale = 0.5) ?(out_service = Strovl.Packet.Best_effort) () =
+let create ~net ~node ~port ~ingest_group ~out_group =
   let client = Strovl.Client.attach (Strovl.Net.node net node) ~port in
   let t =
     {
@@ -43,10 +44,7 @@ let create ~net ~node ~port ~ingest_group ~out_group ?(delay = Time.ms 5)
       port;
       ingest_group;
       client;
-      delay;
-      out_scale;
       out_group;
-      out_service;
       n_processed = 0;
       live = true;
     }
@@ -55,7 +53,7 @@ let create ~net ~node ~port ~ingest_group ~out_group ?(delay = Time.ms 5)
       if t.live then begin
         t.n_processed <- t.n_processed + 1;
         ignore
-          (Engine.schedule (Strovl.Net.engine net) ~delay:t.delay (fun () ->
+          (Engine.schedule (Strovl.Net.engine net) ~delay (fun () ->
                if t.live then emit t pkt))
       end);
   Strovl.Client.join client ~group:ingest_group;

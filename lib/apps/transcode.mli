@@ -21,13 +21,9 @@ val create :
   port:int ->
   ingest_group:int ->
   out_group:int ->
-  ?delay:Strovl_sim.Time.t ->
-  ?out_scale:float ->
-  ?out_service:Strovl.Packet.service ->
-  unit ->
   t
-(** [delay] defaults to 5 ms per packet; [out_scale] scales payload size
-    (default 0.5 — transcoding down); output defaults to Best_effort. *)
+(** Each packet takes 5 ms to process and comes out at half its payload
+    size (transcoding down), as Best_effort. *)
 
 val shutdown : t -> unit
 (** Leaves the ingest group (facility offline): subsequent anycast traffic

@@ -9,17 +9,17 @@ type window = {
   mutable high : int; (* highest seq recorded, -1 initially *)
 }
 
+(* Sequence numbers remembered per flow. *)
+let window_len = 4096
+
 type t = {
-  window : int;
   mutable map : window FlowMap.t;
   (* Last flow touched: packets arrive in per-flow bursts, so one memo slot
      skips the map descent (and its option allocation) almost always. *)
   mutable last : (Packet.flow * window) option;
 }
 
-let create ?(window = 4096) () =
-  if window <= 0 then invalid_arg "Dedup.create";
-  { window; map = FlowMap.empty; last = None }
+let create () = { map = FlowMap.empty; last = None }
 
 let get_window t flow =
   match t.last with
@@ -29,51 +29,51 @@ let get_window t flow =
       match FlowMap.find_opt flow t.map with
       | Some w -> w
       | None ->
-        let w = { bits = Bytes.make t.window '\000'; high = -1 } in
+        let w = { bits = Bytes.make window_len '\000'; high = -1 } in
         t.map <- FlowMap.add flow w t.map;
         w
     in
     t.last <- Some (flow, w);
     w
 
-let idx t seq = seq mod t.window
+let idx seq = seq mod window_len
 
-let lookup t w seq =
+let lookup w seq =
   if seq < 0 then invalid_arg "Dedup: negative seq";
-  if w.high >= 0 && seq <= w.high - t.window then `Old
+  if w.high >= 0 && seq <= w.high - window_len then `Old
   else if seq <= w.high then
-    if Bytes.get w.bits (idx t seq) = '\001' then `Seen else `Fresh
+    if Bytes.get w.bits (idx seq) = '\001' then `Seen else `Fresh
   else `Ahead
 
-let record t w seq =
+let record w seq =
   if seq > w.high then begin
     (* Slide the window forward, clearing slots for sequence numbers that
        now fall inside it but were never recorded. *)
-    let from = max (w.high + 1) (seq - t.window + 1) in
+    let from = max (w.high + 1) (seq - window_len + 1) in
     for s = from to seq - 1 do
-      Bytes.set w.bits (idx t s) '\000'
+      Bytes.set w.bits (idx s) '\000'
     done;
     w.high <- seq
   end;
-  Bytes.set w.bits (idx t seq) '\001'
+  Bytes.set w.bits (idx seq) '\001'
 
 let seen t flow seq =
   let w = get_window t flow in
-  match lookup t w seq with
+  match lookup w seq with
   | `Old -> true
   | `Seen -> true
   | `Fresh | `Ahead ->
-    record t w seq;
+    record w seq;
     false
 
 let peek t flow seq =
   match t.last with
   | Some (f, w) when f == flow || Packet.flow_compare f flow = 0 -> (
-    match lookup t w seq with `Old | `Seen -> true | `Fresh | `Ahead -> false)
+    match lookup w seq with `Old | `Seen -> true | `Fresh | `Ahead -> false)
   | _ -> (
     match FlowMap.find_opt flow t.map with
     | None -> false
     | Some w -> (
-      match lookup t w seq with `Old | `Seen -> true | `Fresh | `Ahead -> false))
+      match lookup w seq with `Old | `Seen -> true | `Fresh | `Ahead -> false))
 
 let flows t = FlowMap.cardinal t.map

@@ -12,8 +12,8 @@
 
 type t
 
-val create : ?window:int -> unit -> t
-(** [window] defaults to 4096 sequence numbers per flow. *)
+val create : unit -> t
+(** Remembers a window of 4096 sequence numbers per flow. *)
 
 val seen : t -> Packet.flow -> int -> bool
 (** [seen t flow seq] returns whether the packet was already recorded, and

@@ -3,18 +3,19 @@
     The comparison targets of Figure 3 (§III-A): the same ARQ machinery the
     overlay runs per 10 ms link, run once across the whole 50 ms path, so a
     recovery costs a full end-to-end round trip (≥150 ms total) instead of
-    one short-link round trip. Internally this reuses {!Reliable_link} /
-    {!Realtime_link} verbatim — the protocols are identical; only the span
-    differs, which is precisely the paper's point.
+    one short-link round trip. Internally this reuses {!Best_effort},
+    {!Reliable_link}, {!Realtime_link} and {!Fec_link} verbatim — the
+    protocols are identical; only the span differs, which is precisely the
+    paper's point.
 
     The "path" is a {!Strovl_net.Link} between the two sites, i.e. the ISP's
     multi-hop routed Internet path with access queueing. *)
 
 type service =
   | Best_effort
-  | Reliable of Reliable_link.config
+  | Reliable
   | Realtime of Realtime_link.config
-  | Fec of Fec_link.config
+  | Fec
 
 type t
 
@@ -27,9 +28,11 @@ val create :
 (** Sender lives at the link's [a] endpoint, receiver at [b]. [deliver]
     fires in order at the receiver: strictly in-order for [Reliable],
     deadline-bounded in-order for [Realtime] (using the protocol's budget
-    plus the path latency), immediate for [Best_effort]. *)
+    plus the path latency), immediate for [Best_effort] and [Fec]. *)
 
-val send : t -> ?bytes:int -> ?tag:string -> unit -> unit
-(** Sends the next packet of the end-to-end stream. *)
+val send : t -> unit
+(** Sends the next packet of the end-to-end stream, 1200 bytes. *)
 
 val retransmissions : t -> int
+(** Redundant sends: retransmissions for [Reliable] and [Realtime], parity
+    symbols for [Fec] (2 per block of 8), none for [Best_effort]. *)

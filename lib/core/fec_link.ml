@@ -1,8 +1,10 @@
 open Strovl_sim
 
-type config = { k : int; r : int; flush : Time.t }
+let k = 8
+let r = 2
 
-let default_config = { k = 8; r = 2; flush = Time.ms 20 }
+(* Parity for a partial block goes out after this idle time. *)
+let flush = Time.ms 20
 
 (* Receiver-side per-block decode state. [block] ids are the first data
    lseq of the block, so the block's lseqs are [block .. block+count-1]. *)
@@ -15,7 +17,6 @@ type block_state = {
 
 type t = {
   ctx : Lproto.ctx;
-  cfg : config;
   cls : int;
   (* sender *)
   mutable next_lseq : int;
@@ -33,11 +34,9 @@ type t = {
   m_recovered : Strovl_obs.Metrics.Counter.t;
 }
 
-let create ?(config = default_config) ctx =
-  if config.k < 1 || config.r < 1 then invalid_arg "Fec_link: k and r must be >= 1";
+let create ctx =
   {
     ctx;
-    cfg = config;
     cls = Packet.service_class Packet.Fec;
     next_lseq = 0;
     cur = [];
@@ -74,7 +73,7 @@ let emit_parity t =
     let symbol_bytes =
       List.fold_left (fun acc p -> max acc p.Packet.bytes) 0 pkts
     in
-    for idx = 0 to t.cfg.r - 1 do
+    for idx = 0 to r - 1 do
       let msg =
         Msg.Fec_parity
           { block = base; idx; k = List.length pkts; bytes = symbol_bytes; blk_pkts = pkts }
@@ -92,12 +91,12 @@ let send t pkt =
   t.data_bytes <- t.data_bytes + Msg.bytes msg;
   t.ctx.Lproto.xmit msg;
   t.cur <- (lseq, pkt) :: t.cur;
-  if List.length t.cur >= t.cfg.k then emit_parity t
+  if List.length t.cur >= k then emit_parity t
   else begin
     cancel_flush t;
     t.flush_timer <-
       Some
-        (Engine.schedule t.ctx.Lproto.engine ~delay:t.cfg.flush (fun () ->
+        (Engine.schedule t.ctx.Lproto.engine ~delay:flush (fun () ->
              t.flush_timer <- None;
              emit_parity t))
   end
@@ -109,7 +108,7 @@ let is_seen t lseq = lseq <= t.recv_floor || Hashtbl.mem t.seen lseq
 (* Bound receiver state: blocks older than ~8 windows of k+history slide
    out, unrecoverable or not. *)
 let compact t =
-  let window = 64 * t.cfg.k in
+  let window = 64 * k in
   let new_floor = t.recv_high - window in
   if new_floor > t.recv_floor then begin
     for l = t.recv_floor + 1 to new_floor do

@@ -14,21 +14,18 @@
     bandwidth overhead whether or not loss occurs, and a recovered packet
     still waits for the end of its block.
 
-    A flush timer bounds the wait for partial blocks on slow flows. *)
+    A flush timer (20 ms) bounds the wait for partial blocks on slow
+    flows. *)
 
 type t
 
-type config = {
-  k : int;  (** data packets per block *)
-  r : int;  (** parity symbols per block *)
-  flush : Strovl_sim.Time.t;
-      (** emit parity for a partial block after this idle time *)
-}
+val k : int
+(** 8 data packets per block. *)
 
-val default_config : config
-(** k=8, r=2 (25% overhead), 20 ms flush. *)
+val r : int
+(** 2 parity symbols per block: 25% overhead. *)
 
-val create : ?config:config -> Lproto.ctx -> t
+val create : Lproto.ctx -> t
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
 

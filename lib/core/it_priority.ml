@@ -2,13 +2,14 @@ open Strovl_sim
 
 type mode = Round_robin | Fifo
 
-type config = { mode : mode; per_source_cap : int; fifo_cap : int }
-
-let default_config = { mode = Round_robin; per_source_cap = 64; fifo_cap = 512 }
+(* Buffer per source in Round_robin mode, and the one shared buffer in
+   Fifo mode, in packets. *)
+let per_source_cap = 64
+let fifo_cap = 512
 
 type t = {
   ctx : Lproto.ctx;
-  cfg : config;
+  mode : mode;
   (* Per-source FIFO buffers (in Fifo mode a single pseudo-source -1 is
      used). Lists kept in arrival order, head = oldest. *)
   queues : (int, Packet.t list ref) Hashtbl.t;
@@ -23,10 +24,10 @@ type t = {
   m_evicted : Strovl_obs.Metrics.Counter.t;
 }
 
-let create ?(config = default_config) ctx =
+let create ~mode ctx =
   {
     ctx;
-    cfg = config;
+    mode;
     queues = Hashtbl.create 16;
     rotation = Queue.create ();
     in_rotation = Hashtbl.create 16;
@@ -126,11 +127,10 @@ let rec service t =
   end
 
 let send t pkt =
-  let key = match t.cfg.mode with Round_robin -> source_of pkt | Fifo -> -1 in
-  let cap =
-    match t.cfg.mode with
-    | Round_robin -> t.cfg.per_source_cap
-    | Fifo -> t.cfg.fifo_cap
+  let key, cap =
+    match t.mode with
+    | Round_robin -> (source_of pkt, per_source_cap)
+    | Fifo -> (-1, fifo_cap)
   in
   let q = queue t key in
   q := !q @ [ pkt ];
@@ -148,5 +148,5 @@ let total_sent t = t.n_sent
 let total_dropped t = t.n_dropped
 
 let queue_len t ~source =
-  let key = match t.cfg.mode with Round_robin -> source | Fifo -> -1 in
+  let key = match t.mode with Round_robin -> source | Fifo -> -1 in
   match Hashtbl.find_opt t.queues key with None -> 0 | Some q -> List.length !q

@@ -21,16 +21,9 @@ type mode =
   | Round_robin  (** the paper's fair scheduler *)
   | Fifo  (** baseline: one shared queue, drop-tail *)
 
-type config = {
-  mode : mode;
-  per_source_cap : int;  (** buffer per source (packets), Round_robin mode *)
-  fifo_cap : int;  (** total buffer (packets), Fifo mode *)
-}
-
-val default_config : config
-(** Round-robin, 64 packets per source, 512 fifo. *)
-
-val create : ?config:config -> Lproto.ctx -> t
+val create : mode:mode -> Lproto.ctx -> t
+(** Buffers 64 packets per source in [Round_robin] mode, 512 in all in
+    [Fifo] mode. *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue for transmission on this link. Never refuses; overflow follows

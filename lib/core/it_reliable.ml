@@ -6,9 +6,11 @@ module FlowMap = Map.Make (struct
   let compare = Packet.flow_compare
 end)
 
-type config = { flow_cap : int; rto : Time.t option; max_backoff : int }
+(* Buffer per flow, in packets queued or unacked. *)
+let flow_cap = 32
 
-let default_config = { flow_cap = 32; rto = None; max_backoff = 6 }
+(* Retries after which the retransmit backoff stops doubling. *)
+let max_backoff = 6
 
 type entry = {
   e_pkt : Packet.t;
@@ -21,7 +23,6 @@ type entry = {
 
 type t = {
   ctx : Lproto.ctx;
-  cfg : config;
   cls : int;
   mutable flows : entry list ref FlowMap.t; (* per-flow buffer, oldest first *)
   rotation : Packet.flow Queue.t;
@@ -34,10 +35,9 @@ type t = {
   m_retrans : Strovl_obs.Metrics.Counter.t;
 }
 
-let create ?(config = default_config) ctx =
+let create ctx =
   {
     ctx;
-    cfg = config;
     cls = Packet.service_class Packet.It_reliable;
     flows = FlowMap.empty;
     rotation = Queue.create ();
@@ -53,10 +53,7 @@ let create ?(config = default_config) ctx =
         "strovl_link_retransmits_total";
   }
 
-let base_rto t =
-  match t.cfg.rto with
-  | Some d -> d
-  | None -> Time.max (Time.ms 5) (3 * t.ctx.Lproto.rtt_hint)
+let base_rto t = Time.max (Time.ms 5) (3 * t.ctx.Lproto.rtt_hint)
 
 let flow_queue t flow =
   match FlowMap.find_opt flow t.flows with
@@ -91,7 +88,7 @@ let rec transmit t flow e =
   let msg = Msg.Data { cls = t.cls; lseq = e.e_lseq; pkt = e.e_pkt; auth = None } in
   t.ctx.Lproto.xmit msg;
   let backoff =
-    let shift = min e.e_retries t.cfg.max_backoff in
+    let shift = min e.e_retries max_backoff in
     base_rto t * (1 lsl shift)
   in
   e.e_timer <-
@@ -132,13 +129,13 @@ and service t =
 
 let can_accept t ~flow =
   match FlowMap.find_opt flow t.flows with
-  | None -> t.cfg.flow_cap > 0
-  | Some q -> List.length !q < t.cfg.flow_cap
+  | None -> true
+  | Some q -> List.length !q < flow_cap
 
 let offer t pkt =
   let flow = pkt.Packet.flow in
   let q = flow_queue t flow in
-  if List.length !q >= t.cfg.flow_cap then false
+  if List.length !q >= flow_cap then false
   else begin
     let e =
       {

@@ -18,16 +18,9 @@
 
 type t
 
-type config = {
-  flow_cap : int;  (** buffer per flow, packets (queued + unacked) *)
-  rto : Strovl_sim.Time.t option;  (** base retransmit timeout; default 3×RTT *)
-  max_backoff : int;  (** retries after which backoff stops doubling *)
-}
-
-val default_config : config
-(** 32 packets per flow, RTO 3×RTT, backoff cap 6. *)
-
-val create : ?config:config -> Lproto.ctx -> t
+val create : Lproto.ctx -> t
+(** Buffers 32 packets per flow (queued + unacked); retransmits after
+    3×RTT, doubling the timeout on each retry up to 2{^6}×. *)
 
 val can_accept : t -> flow:Packet.flow -> bool
 (** Whether {!offer} would currently succeed for the flow. Lets a node check

@@ -32,7 +32,9 @@ type ctx = {
 let next_lseq l = (l + 1) land 0xffff_ffff
 
 (** Flight-recorder helpers: guard first so the disabled path costs one
-    dereference and no allocation. *)
+    dereference. An event with arguments is a block the caller builds
+    before the guard runs, so a per-packet caller tests
+    [Strovl_obs.Trace.armed] itself. *)
 let trace_pkt ctx pkt ev =
   if Strovl_obs.Trace.armed () then
     Strovl_obs.Trace.emit

@@ -9,7 +9,6 @@ type config = {
   node : Node.config;
   link : Link.config;
   authenticate : bool;
-  master_secret : string;
 }
 
 let default_config =
@@ -17,8 +16,10 @@ let default_config =
     node = Node.default_config;
     link = Link.default_config;
     authenticate = false;
-    master_secret = "strovl-master-secret";
   }
+
+(* Key material of the registry when [authenticate]. *)
+let master_secret = "strovl-master-secret"
 
 type tamper = Pass | Drop | Replace of Msg.t | Delay of Time.t
 
@@ -72,7 +73,7 @@ let create ?(config = default_config) ?underlay engine spec =
   in
   let registry =
     if config.authenticate then
-      Some (Auth.create_registry ~master:config.master_secret ~nodes:(Graph.n graph))
+      Some (Auth.create_registry ~master:master_secret ~nodes:(Graph.n graph))
     else None
   in
   let nodes =

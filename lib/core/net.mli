@@ -12,8 +12,8 @@ type config = {
   node : Node.config;
   link : Strovl_net.Link.config;
   authenticate : bool;
-      (** create a key registry and enable signing/verification *)
-  master_secret : string;  (** key material when [authenticate] *)
+      (** create a key registry (from one fixed master secret) and enable
+          signing/verification *)
 }
 
 val default_config : config

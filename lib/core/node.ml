@@ -9,11 +9,9 @@ type config = {
   proc_delay : Time.t;
   proc_rate_pps : int option;
   cluster_size : int;
-  reliable : Reliable_link.config;
+  in_order_forwarding : bool;
   realtime : Realtime_link.config;
-  it_priority : It_priority.config;
-  it_reliable : It_reliable.config;
-  fec : Fec_link.config;
+  it_priority : It_priority.mode;
   loss_aware_routing : bool;
 }
 
@@ -24,11 +22,9 @@ let default_config =
     proc_delay = Time.us 50;
     proc_rate_pps = None;
     cluster_size = 1;
-    reliable = Reliable_link.default_config;
+    in_order_forwarding = false;
     realtime = Realtime_link.default_config;
-    it_priority = It_priority.default_config;
-    it_reliable = It_reliable.default_config;
-    fec = Fec_link.default_config;
+    it_priority = It_priority.Round_robin;
     loss_aware_routing = false;
   }
 
@@ -177,6 +173,7 @@ let drop t ?pkt reason =
         ~seq:pkt.Packet.seq ~node:t.id (Obs.Drop reason)
   | None -> if Obs.armed () then Obs.emit ~node:t.id (Obs.Drop reason)
 
+(* As [Lproto.trace_pkt]: a caller with a non-constant [ev] guards it. *)
 let trace_pkt t pkt ev =
   if Obs.armed () then
     Obs.emit
@@ -503,13 +500,13 @@ let rec get_proto t ep cls =
       if cls = Packet.service_class Packet.Best_effort then
         P_best (Best_effort.create ctx)
       else if cls = Packet.service_class Packet.Reliable then
-        P_rel (Reliable_link.create ~config:t.cfg.reliable ctx)
+        P_rel (Reliable_link.create ~in_order:t.cfg.in_order_forwarding ctx)
       else if cls = Packet.service_class (Packet.It_priority 0) then
-        P_itp (It_priority.create ~config:t.cfg.it_priority ctx)
+        P_itp (It_priority.create ~mode:t.cfg.it_priority ctx)
       else if cls = Packet.service_class Packet.It_reliable then
-        P_itr (It_reliable.create ~config:t.cfg.it_reliable ctx)
-      else if cls = Packet.service_class Packet.Fec
-      then P_fec (Fec_link.create ~config:t.cfg.fec ctx)
+        P_itr (It_reliable.create ctx)
+      else if cls = Packet.service_class Packet.Fec then
+        P_fec (Fec_link.create ctx)
       else P_rt (Realtime_link.create ~config:t.cfg.realtime ctx)
     in
     ep.ep_protos.(cls) <- Some p;
@@ -531,9 +528,10 @@ and fan_out t pkt buf n =
 (* Send one already-hop-bumped packet down a link's protocol instance. *)
 and send_prepped t ep pkt =
   count t Forwarded;
-  trace_pkt t pkt
-    (if pkt.Packet.replay then Obs.Forward_replay ep.ep_link
-     else Obs.Forward ep.ep_link);
+  if Obs.armed () then
+    trace_pkt t pkt
+      (if pkt.Packet.replay then Obs.Forward_replay ep.ep_link
+       else Obs.Forward ep.ep_link);
   match get_proto t ep (Packet.service_class pkt.Packet.service) with
   | P_best p -> Best_effort.send p pkt
   | P_rel p -> Reliable_link.send p pkt

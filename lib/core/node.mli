@@ -34,11 +34,13 @@ type config = {
       (** computers in this node's data-center cluster (§II-D: "additional
           processing resources can be deployed as clusters"); multiplies
           [proc_rate_pps]; default 1 *)
-  reliable : Reliable_link.config;
+  in_order_forwarding : bool;
+      (** the Reliable Data Link ablation of §III-A ({!Reliable_link.create}):
+          hold packets at each hop until contiguous; default [false] *)
   realtime : Realtime_link.config;
-  it_priority : It_priority.config;
-  it_reliable : It_reliable.config;
-  fec : Fec_link.config;
+  it_priority : It_priority.mode;
+      (** scheduler of the IT-Priority links; default [Round_robin], the
+          paper's fair one *)
   loss_aware_routing : bool;
       (** route on the loss-inflated metric (§II-B: the connectivity graph
           shares "loss and latency characteristics") so lossy-but-alive

@@ -1,23 +1,13 @@
 open Strovl_sim
 
-type config = {
-  ack_every : int;
-  ack_delay : Time.t;
-  nack_repeat : Time.t option;
-  rto : Time.t option;
-  in_order_forwarding : bool;
-  max_nack_repeats : int;
-}
+(* A cumulative ack goes out every [ack_every] packets, or [ack_delay]
+   after the first unacked one. *)
+let ack_every = 16
+let ack_delay = Time.ms 25
 
-let default_config =
-  {
-    ack_every = 16;
-    ack_delay = Time.ms 25;
-    nack_repeat = None;
-    rto = None;
-    in_order_forwarding = false;
-    max_nack_repeats = 50;
-  }
+(* A gap is given up after this many unanswered NACKs: when the peer
+   rerouted the packets away from a dead link, the slot never fills. *)
+let max_nack_repeats = 50
 
 let max_window = 1 lsl 16
 
@@ -38,7 +28,7 @@ let initial_ring = 16
 
 type t = {
   ctx : Lproto.ctx;
-  cfg : config;
+  in_order : bool;
   cls : int;
   (* sender: the unacked lseqs are exactly [s_lo, next_lseq] (empty when
      s_lo > next_lseq); lseq l sits in store.(l land (length - 1)). *)
@@ -67,18 +57,13 @@ type t = {
 }
 
 let nack_repeat t =
-  match t.cfg.nack_repeat with
-  | Some d -> d
-  | None -> Time.max (Time.ms 2) (Time.add t.ctx.Lproto.rtt_hint t.ctx.Lproto.rtt_hint)
+  Time.max (Time.ms 2) (Time.add t.ctx.Lproto.rtt_hint t.ctx.Lproto.rtt_hint)
 
 (* The RTO must outlast the worst-case ack round trip, which includes the
    receiver's delayed-ack timer — otherwise an idle sender spuriously
    retransmits while its ack is still in flight. *)
 let rto t =
-  match t.cfg.rto with
-  | Some d -> d
-  | None ->
-    Time.max (Time.ms 5) (Time.add (3 * t.ctx.Lproto.rtt_hint) t.cfg.ack_delay)
+  Time.max (Time.ms 5) (Time.add (3 * t.ctx.Lproto.rtt_hint) ack_delay)
 
 let note_retrans t pkt =
   t.n_retrans <- t.n_retrans + 1;
@@ -174,10 +159,10 @@ let fire_ack t () =
 
 let schedule_ack t =
   t.unacked_count <- t.unacked_count + 1;
-  if t.unacked_count >= t.cfg.ack_every then send_cum_ack t
+  if t.unacked_count >= ack_every then send_cum_ack t
   else if t.ack_timer = None then
     t.ack_timer <-
-      Some (Engine.schedule t.ctx.Lproto.engine ~delay:t.cfg.ack_delay t.ack_fire)
+      Some (Engine.schedule t.ctx.Lproto.engine ~delay:ack_delay t.ack_fire)
 
 (* Whether lseq > cum has been received. *)
 let seen t lseq =
@@ -226,7 +211,7 @@ let advance_cum t =
 
 let rec nack_loop t lseq tries () =
   if Hashtbl.mem t.missing lseq then begin
-    if tries >= t.cfg.max_nack_repeats then begin
+    if tries >= max_nack_repeats then begin
       (* The peer will never answer (it rerouted the packet away from this
          link): abandon the slot so timers do not fire forever. The slot is
          marked received-and-forwarded so cum can advance past it. *)
@@ -274,7 +259,7 @@ let handle_data t lseq pkt =
       t.recv_high <- lseq
     end;
     cover t lseq;
-    if t.cfg.in_order_forwarding then begin
+    if t.in_order then begin
       (* Ablation: hold until contiguous, forwarding inside advance_cum. *)
       mark t lseq held;
       t.held_pkts.(lseq land (Array.length t.held_pkts - 1)) <- pkt;
@@ -290,14 +275,14 @@ let handle_data t lseq pkt =
     schedule_ack t
   end
 
-let create ?(config = default_config) ctx =
+let create ~in_order ctx =
   let counter name =
     Strovl_obs.Metrics.counter ~labels:[ ("proto", "reliable") ] name
   in
   let t =
     {
       ctx;
-      cfg = config;
+      in_order;
       cls = Packet.service_class Packet.Reliable;
       next_lseq = 0;
       s_lo = 1;

@@ -10,7 +10,9 @@
 
     Mechanics: per-(link, class) sequence numbers; the receiver detects gaps
     when later packets arrive and sends NACKs immediately (repeating every
-    ~RTT until filled); cumulative ACKs let the sender garbage-collect its
+    ~2 RTT until filled, and giving a gap up after 50 unanswered NACKs,
+    when the peer rerouted its packets away from a dead link); cumulative
+    ACKs (every 16 packets or 25 ms) let the sender garbage-collect its
     retransmission store; a sender-side RTO covers tail losses with no
     following packet. The retransmission store is unbounded, leveraging the
     overlay node's "ample memory" (§II-B).
@@ -25,26 +27,6 @@
 
 type t
 
-type config = {
-  ack_every : int;  (** cumulative ack frequency in packets *)
-  ack_delay : Strovl_sim.Time.t;  (** max delay before a pending ack is sent *)
-  nack_repeat : Strovl_sim.Time.t option;
-      (** override for the NACK repeat interval (default 2×RTT hint) *)
-  rto : Strovl_sim.Time.t option;
-      (** override for the sender retransmission timeout (default 3×RTT) *)
-  in_order_forwarding : bool;
-      (** ablation knob, default [false]: hold received packets at each hop
-          until contiguous before forwarding — the behaviour §III-A's
-          out-of-order forwarding deliberately avoids. Quantifies the
-          latency/jitter benefit of the paper's design choice. *)
-  max_nack_repeats : int;
-      (** give a gap up after this many unanswered NACKs (default 50): when
-          the peer rerouted the packets away from a dead link, the slot will
-          never fill here *)
-}
-
-val default_config : config
-
 val max_window : int
 (** 2{^16}: a [Data] message more than this far past [cum] is dropped and
     counted in [strovl_link_window_drops_total{proto="reliable"}], so one
@@ -52,7 +34,13 @@ val max_window : int
     for every slot it skips. The largest gap any experiment of the suite
     opens is a few hundred lseqs. *)
 
-val create : ?config:config -> Lproto.ctx -> t
+val create : in_order:bool -> Lproto.ctx -> t
+(** [in_order] is the ablation of §III-A's design choice: hold received
+    packets at each hop until contiguous before forwarding, which
+    out-of-order forwarding deliberately avoids; [false] is the paper's
+    protocol. It quantifies the latency/jitter benefit of forwarding out
+    of order. *)
+
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
 

@@ -5,11 +5,11 @@ module Underlay = Strovl_net.Underlay
 
 type sim = { engine : Engine.t; net : Strovl.Net.t; rng : Rng.t }
 
-let build ?config ?(settle = Time.sec 2) ~seed spec =
+let build ?config ~seed spec =
   let engine = Engine.create ~seed () in
   let net = Strovl.Net.create ?config engine spec in
   Strovl.Net.start net;
-  Strovl.Net.settle ~duration:settle net;
+  Strovl.Net.settle ~duration:(Time.sec 2) net;
   { engine; net; rng = Rng.split_named (Engine.rng engine) "expt" }
 
 let bernoulli_loss sim ~p =
@@ -32,7 +32,7 @@ let link_health sim =
 
 let flow_stats sim ~src ~dst ~service ?(route = Strovl.Client.Table) ?deadline
     ?(interval = Time.ms 10) ?(bytes = 1200) ?(count = 500)
-    ?(warmup = Time.zero) ?(drain = Time.sec 2) () =
+    ?(drain = Time.sec 2) () =
   let sport = 4000 + src and dport = 5000 + dst in
   let tx = Strovl.Client.attach (Strovl.Net.node sim.net src) ~port:sport in
   let rx = Strovl.Client.attach (Strovl.Net.node sim.net dst) ~port:dport in
@@ -42,26 +42,13 @@ let flow_stats sim ~src ~dst ~service ?(route = Strovl.Client.Table) ?deadline
     Strovl.Client.sender tx ~service ~route ~dest:(Strovl.Packet.To_node dst)
       ~dport ()
   in
-  let warmup_count =
-    if warmup = Time.zero then 0 else max 0 (warmup / interval)
-  in
-  (* Note: the source emits its first packet synchronously inside [start],
-     so the pre-window count must be snapshot via the warmup branch only. *)
   let source =
-    Strovl_apps.Source.start ~engine:sim.engine ~sender ~interval ~bytes
-      ~count:(count + warmup_count) ()
-  in
-  let sent_before =
-    if warmup_count > 0 then begin
-      run_for sim warmup;
-      Strovl_apps.Collect.reset_window collect;
-      Strovl_apps.Source.sent source
-    end
-    else 0
+    Strovl_apps.Source.start ~engine:sim.engine ~sender ~interval ~bytes ~count
+      ()
   in
   run_for sim (interval * count);
   run_for sim drain;
-  let sent = Strovl_apps.Source.sent source - sent_before in
+  let sent = Strovl_apps.Source.sent source in
   Strovl.Client.detach tx;
   Strovl.Client.detach rx;
   (collect, sent)

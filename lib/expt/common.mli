@@ -10,11 +10,10 @@ type sim = {
 
 val build :
   ?config:Strovl.Net.config ->
-  ?settle:Time.t ->
   seed:int64 ->
   Strovl_topo.Gen.spec ->
   sim
-(** Engine + overlay, started and settled. *)
+(** Engine + overlay, started and settled for 2 s. *)
 
 val bernoulli_loss : sim -> p:float -> unit
 (** Independent per-packet loss with probability [p] on every fiber
@@ -36,13 +35,11 @@ val flow_stats :
   ?interval:Time.t ->
   ?bytes:int ->
   ?count:int ->
-  ?warmup:Time.t ->
   ?drain:Time.t ->
   unit ->
   Strovl_apps.Collect.t * int
 (** Runs one src→dst flow to completion and returns (collector, sent).
-    [warmup] runs the source that long before resetting the measurement
-    window; [drain] extends the run after the source stops (default 2 s). *)
+    [drain] extends the run after the source stops (default 2 s). *)
 
 val fail_link_everywhere : sim -> link:int -> unit
 (** Fails every fiber segment directly joining the link's endpoints, on all

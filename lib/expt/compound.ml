@@ -27,7 +27,7 @@ let run_case ~seed ~duration ~crash =
     List.map
       (fun node ->
         Strovl_apps.Transcode.create ~net:sim.net ~node ~port:70 ~ingest_group
-          ~out_group ())
+          ~out_group)
       facilities
   in
   let rxs =

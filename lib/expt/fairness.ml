@@ -18,17 +18,8 @@ let sink = 8 (* MIA *)
 let config ~mode =
   {
     Strovl.Net.default_config with
-    Strovl.Net.link =
-      {
-        Strovl_net.Link.default_config with
-        Strovl_net.Link.bandwidth_bps = 10_000_000;
-      };
-    node =
-      {
-        Strovl.Node.default_config with
-        Strovl.Node.it_priority =
-          { Strovl.It_priority.default_config with Strovl.It_priority.mode };
-      };
+    Strovl.Net.link = { Strovl_net.Link.bandwidth_bps = 10_000_000 };
+    node = { Strovl.Node.default_config with Strovl.Node.it_priority = mode };
   }
 
 let run_case ~seed ~duration ~attack_pps mode_name mode =

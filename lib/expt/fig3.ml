@@ -29,13 +29,13 @@ let run_e2e ~seed ~p ~count =
   let collect = Strovl_apps.Collect.create engine () in
   let e2e =
     Strovl.E2e.create engine link
-      ~service:(Strovl.E2e.Reliable Strovl.Reliable_link.default_config)
+      ~service:Strovl.E2e.Reliable
       ~deliver:(Strovl_apps.Collect.receiver collect)
   in
   let sent = ref 0 in
   let rec pump () =
     if !sent < count then begin
-      Strovl.E2e.send e2e ();
+      Strovl.E2e.send e2e;
       incr sent;
       ignore (Engine.schedule engine ~delay:interval pump)
     end
@@ -51,11 +51,7 @@ let run_overlay ~seed ~p ~count ~in_order =
       Strovl.Net.node =
         {
           Strovl.Node.default_config with
-          Strovl.Node.reliable =
-            {
-              Strovl.Reliable_link.default_config with
-              Strovl.Reliable_link.in_order_forwarding = in_order;
-            };
+          Strovl.Node.in_order_forwarding = in_order;
         };
     }
   in

@@ -36,8 +36,7 @@ let variants =
       (* Proactive redundancy (OverQoS-style, SVI): zero recovery RTT but a
          fixed r/k overhead, and bursts longer than r per block defeat it. *)
       name = "fec(8,2)";
-      service =
-        Strovl.E2e.Fec { Strovl.Fec_link.k = 8; r = 2; flush = Time.ms 20 };
+      service = Strovl.E2e.Fec;
     };
     { name = "1-strike"; service = Strovl.E2e.Realtime (rt 1 1) };
     {
@@ -75,7 +74,7 @@ let run_variant ~seed ~mean_loss ~burst ~count v =
   let sent = ref 0 in
   let rec pump () =
     if !sent < count then begin
-      Strovl.E2e.send e2e ();
+      Strovl.E2e.send e2e;
       incr sent;
       ignore (Engine.schedule engine ~delay:interval pump)
     end
@@ -144,11 +143,11 @@ let run ?(quick = false) ~seed () =
               match v.service with
               | Strovl.E2e.Realtime cfg ->
                 1. +. (float_of_int cfg.Strovl.Realtime_link.m_retrans *. mean_loss)
-              | Strovl.E2e.Fec cfg ->
+              | Strovl.E2e.Fec ->
                 1.
-                +. (float_of_int cfg.Strovl.Fec_link.r
-                   /. float_of_int cfg.Strovl.Fec_link.k)
-              | Strovl.E2e.Best_effort | Strovl.E2e.Reliable _ -> 1.
+                +. (float_of_int Strovl.Fec_link.r
+                   /. float_of_int Strovl.Fec_link.k)
+              | Strovl.E2e.Best_effort | Strovl.E2e.Reliable -> 1.
             in
             [
               Printf.sprintf "%.1f%%/%dms" (100. *. mean_loss)

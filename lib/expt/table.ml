@@ -12,23 +12,7 @@ let cell_f x = Printf.sprintf "%.2f" x
 let cell_pct x = Printf.sprintf "%.1f%%" (100. *. x)
 let cell_ms x = Printf.sprintf "%.2fms" x
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
+let json_str = Strovl_obs.Export.json_str
 
 let json_list items = "[" ^ String.concat "," items ^ "]"
 

@@ -1,13 +1,14 @@
 open Strovl_sim
 
-type config = {
-  bandwidth_bps : int;
-  queue_cap : Time.t;
-  overhead_bytes : int;
-}
+type config = { bandwidth_bps : int }
 
-let default_config =
-  { bandwidth_bps = 1_000_000_000; queue_cap = Time.ms 50; overhead_bytes = 40 }
+let default_config = { bandwidth_bps = 1_000_000_000 }
+
+(* Max queued backlog per direction, as serialization time. *)
+let queue_cap = Time.ms 50
+
+(* Per-packet header overhead added on the wire. *)
+let overhead_bytes = 40
 
 type half = { mutable last_departure : Time.t; mutable drops : int }
 
@@ -101,7 +102,7 @@ let half_for t src =
 (* Serialization time of a packet on the access bandwidth, in microseconds
    (at least 1). *)
 let tx_time t bytes =
-  let bits = (bytes + t.cfg.overhead_bytes) * 8 in
+  let bits = (bytes + overhead_bytes) * 8 in
   Int.max 1 (int_of_float (Float.round (float_of_int bits *. 1e6 /. float_of_int t.cfg.bandwidth_bps)))
 
 let send t ~src ~bytes ~deliver =
@@ -110,7 +111,7 @@ let send t ~src ~bytes ~deliver =
   let now = Engine.now engine in
   let start = Time.max now h.last_departure in
   let departure = Time.add start (tx_time t bytes) in
-  if Time.sub departure now > t.cfg.queue_cap then begin
+  if Time.sub departure now > queue_cap then begin
     h.drops <- h.drops + 1;
     Strovl_obs.Metrics.Counter.incr t.m_qdrops;
     if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_qdrops;
@@ -122,7 +123,7 @@ let send t ~src ~bytes ~deliver =
     h.last_departure <- departure;
     t.sent <- t.sent + 1;
     Strovl_obs.Metrics.Counter.incr t.m_tx_pkts;
-    Strovl_obs.Metrics.Counter.add t.m_tx_bytes (bytes + t.cfg.overhead_bytes);
+    Strovl_obs.Metrics.Counter.add t.m_tx_bytes (bytes + overhead_bytes);
     Strovl_obs.Metrics.Histogram.observe t.m_backlog (Time.sub start now);
     if Strovl_obs.Series.armed () then begin
       Strovl_obs.Series.incr t.s_tx;

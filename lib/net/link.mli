@@ -18,15 +18,16 @@
 
 type t
 
-type config = {
-  bandwidth_bps : int;  (** access bandwidth, e.g. 1_000_000_000 *)
-  queue_cap : Strovl_sim.Time.t;
-      (** max queued backlog per direction, as serialization time *)
-  overhead_bytes : int;  (** per-packet header overhead added on the wire *)
-}
+type config = { bandwidth_bps : int  (** access bandwidth *) }
 
 val default_config : config
-(** 1 Gbit/s, 50 ms queue, 40 bytes overhead. *)
+(** 1 Gbit/s. *)
+
+val queue_cap : Strovl_sim.Time.t
+(** 50 ms: the max queued backlog per direction, as serialization time. *)
+
+val overhead_bytes : int
+(** 40: the per-packet header overhead added on the wire. *)
 
 val create :
   ?config:config -> Underlay.t -> a:int -> b:int -> isp:int -> t

@@ -28,7 +28,7 @@
      every other node must accept a fresher LSU from that origin
      ([Lsu_apply]) within the budget — the paper's sub-second reroute
      claim as a checkable predicate. The node population is inferred from
-     the stream (any node that ever emitted an event) unless configured.
+     the stream (any node that ever emitted an event).
      At budget expiry only nodes that demonstrably kept receiving floods
      (applied some LSU after the down report) are required to have heard
      this origin — a crashed or partitioned node keeps its local timers
@@ -54,26 +54,16 @@ type violation = {
   v_detail : string;
 }
 
-type config = {
-  nnodes : int option;
-  recovery_budget_us : int;
-  reroute_budget_us : int;
-  max_tracked : int;
-}
+let recovery_budget_us = 2_000_000
+let reroute_budget_us = 1_000_000
 
-let default_config =
-  {
-    nnodes = None;
-    recovery_budget_us = 2_000_000;
-    reroute_budget_us = 1_000_000;
-    max_tracked = 1 lsl 16;
-  }
+(* Per-packet table key bound. *)
+let max_tracked = 1 lsl 16
 
 (* ----------------------------- state --------------------------------- *)
 
 type st = {
   mutable armed_flag : bool;
-  mutable cfg : config;
   mutable viols : violation list;
   mutable nviols : int;
   (* (flow, seq) -> first delivery (ts, node); unicast only *)
@@ -101,7 +91,6 @@ let dls : st Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         armed_flag = false;
-        cfg = default_config;
         viols = [];
         nviols = 0;
         delivered = Hashtbl.create 256;
@@ -260,12 +249,7 @@ let on_lsu_apply st (r : Trace.record) origin =
   | None -> ()
   | Some (ts0, heard) ->
     if r.Trace.node <> origin then Hashtbl.replace heard r.Trace.node ();
-    let full_population =
-      match st.cfg.nnodes with
-      | Some n -> Hashtbl.length heard >= n - 1
-      | None -> population_covered st ~origin heard
-    in
-    if full_population then begin
+    if population_covered st ~origin heard then begin
       Hashtbl.remove st.reroute_pending origin;
       st.reroute_lat <- (r.Trace.ts - ts0) :: st.reroute_lat
     end
@@ -273,19 +257,19 @@ let on_lsu_apply st (r : Trace.record) origin =
 (* ----------------------------- sweeping ------------------------------ *)
 
 let prune_packet_tables st now =
-  let horizon = 8 * st.cfg.recovery_budget_us in
+  let horizon = 8 * recovery_budget_us in
   let cutoff = now - horizon in
-  if Hashtbl.length st.seen_at > st.cfg.max_tracked then begin
+  if Hashtbl.length st.seen_at > max_tracked then begin
     let old = ref [] in
     Hashtbl.iter (fun k ts -> if ts < cutoff then old := k :: !old) st.seen_at;
     List.iter (Hashtbl.remove st.seen_at) !old
   end;
-  if Hashtbl.length st.fwd > st.cfg.max_tracked then begin
+  if Hashtbl.length st.fwd > max_tracked then begin
     let old = ref [] in
     Hashtbl.iter (fun k ts -> if ts < cutoff then old := k :: !old) st.fwd;
     List.iter (Hashtbl.remove st.fwd) !old
   end;
-  if Hashtbl.length st.delivered > st.cfg.max_tracked then begin
+  if Hashtbl.length st.delivered > max_tracked then begin
     let old = ref [] in
     Hashtbl.iter
       (fun k (ts, _) -> if ts < cutoff then old := k :: !old)
@@ -297,7 +281,7 @@ let sweep st now =
   let expired = ref [] in
   Hashtbl.iter
     (fun key ts ->
-      if now - ts > st.cfg.recovery_budget_us then
+      if now - ts > recovery_budget_us then
         expired := (key, ts) :: !expired)
     st.nack_pending;
   List.iter
@@ -320,7 +304,7 @@ let sweep st now =
   let expired = ref [] in
   Hashtbl.iter
     (fun origin (ts, heard) ->
-      if now - ts > st.cfg.reroute_budget_us then
+      if now - ts > reroute_budget_us then
         expired := (origin, ts, heard) :: !expired)
     st.reroute_pending;
   List.iter
@@ -352,7 +336,7 @@ let sweep st now =
     !expired;
   prune_packet_tables st now;
   st.next_sweep <-
-    now + (min st.cfg.recovery_budget_us st.cfg.reroute_budget_us / 4)
+    now + (min recovery_budget_us reroute_budget_us / 4)
 
 (* ------------------------------ feed --------------------------------- *)
 
@@ -377,9 +361,8 @@ let feed (r : Trace.record) =
 
 (* ----------------------------- control ------------------------------- *)
 
-let arm ?(config = default_config) () =
+let arm () =
   let st = state () in
-  st.cfg <- config;
   reset_state st;
   Trace.set_sink feed;
   st.armed_flag <- true
@@ -435,12 +418,12 @@ let violation_json v =
    sees everything. Otherwise arm (enabling tracing for the duration if it
    was off), run, and report any violations on stderr; the registry's
    [strovl_audit_violations_total] counter records the tally either way. *)
-let checked ?config ~label f =
+let checked ~label f =
   if (state ()).armed_flag then f ()
   else begin
     let trace_was_on = Trace.armed () in
     if not trace_was_on then Trace.enable ~capacity:(1 lsl 16) ();
-    arm ?config ();
+    arm ();
     let finally () =
       let vs = finish () in
       disarm ();

@@ -12,14 +12,14 @@
     - ["fwd-loop"] — no node forwards the same non-replay (flow, seq)
       twice on the same link.
     - ["recovery-budget"] — every reliable-link NACK is answered by a
-      retransmission on that link within the budget. Links that ever
+      retransmission on that link within 2 s. Links that ever
       flapped are exempt (rerouting, not ARQ, covers stranded gaps), and
       because NACK/retransmission pairing is not observable across sides
       (lseq numbering is per-direction, answers cross in flight), an
       expired NACK is only a violation if the link saw {e no}
       retransmission at all since it — a fully silent sender.
     - ["reroute-budget"] — after a link-down report, the origin's fresher
-      LSU reaches the overlay within the budget (the sub-second-reroute
+      LSU reaches the overlay within 1 s (the sub-second-reroute
       claim as a predicate). At expiry only {e flood-active} nodes are
       required — nodes that applied some LSU after the down report; a
       node that applied nothing since then was itself unreachable. An
@@ -30,7 +30,7 @@
 
     The auditor requires the recorder to be armed ([Trace.enable]); it
     sees only events emitted while it is armed. State is bounded
-    ([max_tracked]) so it can ride along in soaks. A sim-time regression
+    (2{^16} keys per packet table) so it can ride along in soaks. A sim-time regression
     in the stream means a new scenario run started inside one audited
     span (experiments build several fresh sims); packet-identity tables
     are reset at that epoch boundary so identities cannot collide across
@@ -45,18 +45,7 @@ type violation = {
   v_detail : string;
 }
 
-type config = {
-  nnodes : int option;
-      (** overlay population for the reroute rule; [None] infers it from
-          the stream (every node that ever emitted an event) *)
-  recovery_budget_us : int;  (** default 2s *)
-  reroute_budget_us : int;  (** default 1s *)
-  max_tracked : int;  (** per-packet table key bound; default 2^16 *)
-}
-
-val default_config : config
-
-val arm : ?config:config -> unit -> unit
+val arm : unit -> unit
 (** Resets auditor state and installs it as the trace sink. *)
 
 val disarm : unit -> unit
@@ -87,7 +76,7 @@ val reroute_latencies : unit -> int list
 (** Propagation time (µs) of each link-down LSU that did reach the whole
     overlay, in resolution order. *)
 
-val checked : ?config:config -> label:string -> (unit -> 'a) -> 'a
+val checked : label:string -> (unit -> 'a) -> 'a
 (** Runs [f] with the auditor riding along: arms it (enabling tracing for
     the duration if it was off), and reports violations on stderr and in
     the [strovl_audit_violations_total] counter. If an auditor is already

@@ -5,7 +5,8 @@
 
 val json_str : string -> string
 (** Escapes and double-quotes a string for inclusion in hand-rolled JSON
-    (shared with {!Series}; the container has no JSON library). *)
+    (shared with {!Series} and the experiment tables; the project uses no
+    JSON library). *)
 
 val record_json : Trace.record -> string
 (** One trace record as a single-line JSON object. *)

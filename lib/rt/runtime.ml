@@ -5,16 +5,18 @@ type t = {
   watches : (Unix.file_descr, unit -> unit) Hashtbl.t;
   mutable fds : Unix.file_descr list;  (** the keys of [watches], for [select] *)
   mutable stopping : bool;
-  max_sleep : Time.t;
 }
 
-let create ?(seed = 1L) ?(max_sleep = Time.ms 100) () =
-  if max_sleep < 1 then invalid_arg "Runtime.create: max_sleep must be positive";
-  let engine = Engine.create ~seed () in
+(* Bounds one [select] sleep so stop requests and signal-driven shutdown
+   stay responsive even when the engine is idle. *)
+let max_sleep = Time.ms 100
+
+let create () =
+  let engine = Engine.create () in
   (* Fast-forward virtual time to the monotonic epoch: from here on,
      Engine.now is wall-clock µs. *)
   Engine.run ~until:(Rt_clock.now_us ()) engine;
-  { engine; watches = Hashtbl.create 16; fds = []; stopping = false; max_sleep }
+  { engine; watches = Hashtbl.create 16; fds = []; stopping = false }
 
 let engine t = t.engine
 let now t = Engine.now t.engine
@@ -40,7 +42,7 @@ let step t ~deadline =
     | Some at -> Time.min at deadline
     | None -> deadline
   in
-  let sleep = Time.min t.max_sleep (Time.sub horizon (Rt_clock.now_us ())) in
+  let sleep = Time.min max_sleep (Time.sub horizon (Rt_clock.now_us ())) in
   if sleep > 0 || t.fds <> [] then begin
     match Unix.select t.fds [] [] (float_of_int (max 0 sleep) /. 1e6) with
     | readable, _, _ ->

@@ -30,10 +30,9 @@
 
 type t
 
-val create : ?seed:int64 -> ?max_sleep:Strovl_sim.Time.t -> unit -> t
-(** [max_sleep] (default 100 ms) bounds one [select] sleep so stop
-    requests and signal-driven shutdown stay responsive even when the
-    engine is idle. *)
+val create : unit -> t
+(** One [select] sleep lasts at most 100 ms, so stop requests and
+    signal-driven shutdown stay responsive even when the engine is idle. *)
 
 val engine : t -> Strovl_sim.Engine.t
 (** The underlying engine — what protocol components are wired to. *)
@@ -55,7 +54,7 @@ val unwatch : t -> Unix.file_descr -> unit
 val step : t -> deadline:Strovl_sim.Time.t -> unit
 (** One driver iteration: catch the engine up to the wall clock, then
     sleep in [select] (bounded by the next engine timer, [deadline], and
-    [max_sleep]) and fire readable callbacks. *)
+    100 ms) and fire readable callbacks. *)
 
 val run_for : t -> Strovl_sim.Time.t -> unit
 (** Drives the loop for a wall-clock duration (or until {!stop}). *)

@@ -111,7 +111,7 @@ let transcode_compound_flow () =
   Strovl.Net.settle net;
   let t =
     Strovl_apps.Transcode.create ~net ~node:2 ~port:10 ~ingest_group:1
-      ~out_group:2 ~delay:(Time.ms 5) ~out_scale:0.5 ()
+      ~out_group:2
   in
   let rx = Strovl.Client.attach (Strovl.Net.node net 4) ~port:11 in
   Strovl.Client.join rx ~group:2;

@@ -125,22 +125,25 @@ let dedup_flows_independent () =
   check_int "two flows" 2 (Dedup.flows d)
 
 let dedup_window_slide () =
-  let d = Dedup.create ~window:16 () in
+  (* The window is 4096 sequence numbers. *)
+  let d = Dedup.create () in
   let f = flow () in
   ignore (Dedup.seen d f 0);
-  ignore (Dedup.seen d f 100);
+  ignore (Dedup.seen d f 6400);
   (* seq 0 fell out of the window: conservatively seen. *)
   check_bool "old treated seen" true (Dedup.seen d f 0);
   (* In-window slots not recorded are fresh. *)
-  check_bool "recent unrecorded fresh" false (Dedup.seen d f 95);
-  (* And the slide must have cleared stale ring slots (100-16=84..99). *)
-  check_bool "ring slot reused correctly" false (Dedup.seen d f 99)
+  check_bool "recent unrecorded fresh" false (Dedup.seen d f 6395);
+  (* And the slide must have cleared stale ring slots (6400-4096=2304..6399):
+     4096 sits in seq 0's slot. *)
+  check_bool "ring slot reused correctly" false (Dedup.seen d f 4096)
 
 let qcheck_dedup_exactly_once =
   QCheck.Test.make ~name:"each in-window seq reported fresh exactly once" ~count:200
-    QCheck.(list (int_bound 63))
+    (* Spread over the 4096-seq window, with repeats. *)
+    QCheck.(map (List.map (fun s -> s * 65)) (list (int_bound 63)))
     (fun seqs ->
-      let d = Dedup.create ~window:64 () in
+      let d = Dedup.create () in
       let f = flow () in
       let fresh = List.filter (fun s -> not (Dedup.seen d f s)) seqs in
       List.sort_uniq compare fresh = List.sort_uniq compare seqs

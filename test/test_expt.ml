@@ -190,6 +190,23 @@ let isolated_audit_alone () =
   check_bool "recorder fed the auditor" true (events > 0);
   check_pristine "after the audited run"
 
+(* The whole suite under the online invariant auditor, as `strovl_run audit
+   --quick` runs it: every experiment is clean. The auditor's budgets are
+   constants, so this is what guards them against the experiments. *)
+let isolated_audit_all_clean () =
+  List.iter
+    (fun (e : Strovl_expt.experiment) ->
+      let violations =
+        Strovl_expt.run_isolated ~audit:true ~quick:true ~seed:7L e
+          (fun _table -> Strovl_obs.Audit.finish ())
+      in
+      List.iter
+        (fun v -> Format.eprintf "%s: %a@." e.id Strovl_obs.Audit.pp_violation v)
+        violations;
+      check_int (e.id ^ ": violations") 0 (List.length violations))
+    Strovl_expt.all;
+  check_pristine "after the audited suite"
+
 (* A traced run's digest ignores whatever ran before it on the domain: here
    a reroute-bgp run that leaves its recorder, series and metrics behind.
    The digest comes from the pooled runner, the path `strovl_run digest`
@@ -229,6 +246,8 @@ let () =
             isolated_audit_alone;
           Alcotest.test_case "digest after a leaky run" `Quick
             isolated_digest_after_leaky_run;
+          Alcotest.test_case "every experiment audits clean" `Quick
+            isolated_audit_all_clean;
         ] );
       ( "claims",
         [

@@ -102,7 +102,7 @@ let it_priority_queue_len () =
       rtt_hint = Time.ms 10;
     }
   in
-  let sched = Strovl.It_priority.create ctx in
+  let sched = Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin ctx in
   let mk seq =
     P.make
       ~flow:{ P.f_src = 4; f_sport = 1; f_dest = P.To_node 9; f_dport = 2 }

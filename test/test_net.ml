@@ -108,19 +108,19 @@ let link_send_and_delay () =
 
 let link_queue_tail_drop () =
   let engine, u = chain_underlay () in
-  let config =
-    { Link.bandwidth_bps = 1_000_000; queue_cap = Time.ms 20; overhead_bytes = 0 }
-  in
+  let config = { Link.bandwidth_bps = 1_000_000 } in
   let link = Link.create ~config u ~a:0 ~b:1 ~isp:0 in
-  (* Each 1250B packet = 10ms serialization at 1Mbps; cap 20ms = 2 packets. *)
+  (* Each 1250B packet (with its header overhead) = 10ms serialization at
+     1Mbps; the 50ms cap holds 5 packets. *)
   let delivered = ref 0 in
   for _ = 1 to 10 do
-    Link.send link ~src:0 ~bytes:1250 ~deliver:(fun () -> incr delivered)
+    Link.send link ~src:0 ~bytes:(1250 - Link.overhead_bytes) ~deliver:(fun () ->
+        incr delivered)
   done;
   check_bool "backlog grew" true (Link.backlog link ~src:0 > 0);
   Engine.run engine;
-  check_int "only queue-cap worth delivered" 2 !delivered;
-  check_int "drops" 8 (Link.queue_drops link)
+  check_int "only queue-cap worth delivered" (Link.queue_cap / Time.ms 10) !delivered;
+  check_int "drops" (10 - (Link.queue_cap / Time.ms 10)) (Link.queue_drops link)
 
 let link_multihoming () =
   let spec = Gen.us_backbone () in
@@ -178,7 +178,7 @@ let underlay_peering_sites () =
 
 let link_direction_independence () =
   let engine, u = chain_underlay () in
-  let config = { Link.default_config with Link.bandwidth_bps = 1_000_000 } in
+  let config = { Link.bandwidth_bps = 1_000_000 } in
   let link = Link.create ~config u ~a:0 ~b:1 ~isp:0 in
   (* Saturate a->b; b->a must be unaffected. *)
   for _ = 1 to 5 do

@@ -419,16 +419,49 @@ let e2e_reliable_over_lossy_path () =
   let got = ref [] in
   let e2e =
     Strovl.E2e.create engine link
-      ~service:(Strovl.E2e.Reliable Strovl.Reliable_link.default_config)
+      ~service:Strovl.E2e.Reliable
       ~deliver:(fun pkt -> got := pkt.P.seq :: !got)
   in
   for _ = 1 to 200 do
-    Strovl.E2e.send e2e ();
+    Strovl.E2e.send e2e;
     Engine.run ~until:(Time.add (Engine.now engine) (Time.ms 5)) engine
   done;
   Engine.run ~until:(Time.add (Engine.now engine) (Time.sec 5)) engine;
   Alcotest.(check (list int)) "complete in order" (List.init 200 (fun i -> i)) (List.rev !got);
   check_bool "losses actually recovered" true (Strovl.E2e.retransmissions e2e > 0)
+
+(* Every end-to-end baseline runs its link protocol over the direct path:
+   lossless, each delivers every packet exactly once, and only FEC sends
+   redundancy (2 parity symbols per block of 8). *)
+let e2e_services_lossless () =
+  let n = 64 in
+  List.iter
+    (fun (name, service, redundant) ->
+      let engine = Engine.create ~seed:9L () in
+      let underlay =
+        Strovl_net.Underlay.create engine (Gen.chain ~n:6 ~hop_delay:(Time.ms 10))
+      in
+      let link = Strovl_net.Link.create underlay ~a:0 ~b:5 ~isp:0 in
+      let got = ref [] in
+      let e2e =
+        Strovl.E2e.create engine link ~service
+          ~deliver:(fun pkt -> got := pkt.P.seq :: !got)
+      in
+      for _ = 1 to n do
+        Strovl.E2e.send e2e;
+        Engine.run ~until:(Time.add (Engine.now engine) (Time.ms 5)) engine
+      done;
+      Engine.run ~until:(Time.add (Engine.now engine) (Time.sec 2)) engine;
+      Alcotest.(check (list int))
+        (name ^ ": each packet once")
+        (List.init n Fun.id) (List.sort compare !got);
+      check_int (name ^ ": redundant sends") redundant (Strovl.E2e.retransmissions e2e))
+    [
+      ("best effort", Strovl.E2e.Best_effort, 0);
+      ("reliable", Strovl.E2e.Reliable, 0);
+      ("realtime", Strovl.E2e.Realtime Strovl.Realtime_link.default_config, 0);
+      ("fec", Strovl.E2e.Fec, n / 8 * 2);
+    ]
 
 let () =
   Alcotest.run "strovl_overlay"
@@ -464,5 +497,9 @@ let () =
           Alcotest.test_case "cpu overload + cluster" `Quick cpu_overload_and_cluster;
           Alcotest.test_case "parallel overlays" `Quick parallel_overlays_share_underlay;
         ] );
-      ("e2e", [ Alcotest.test_case "reliable lossy path" `Quick e2e_reliable_over_lossy_path ]);
+      ( "e2e",
+        [
+          Alcotest.test_case "reliable lossy path" `Quick e2e_reliable_over_lossy_path;
+          Alcotest.test_case "every service, lossless" `Quick e2e_services_lossless;
+        ] );
     ]

@@ -97,9 +97,9 @@ let best_effort_forwards () =
 
 (* --------------------------- Reliable link --------------------------- *)
 
-let rel_pair ?config p ctx_a ctx_b ~up =
-  let a = Strovl.Reliable_link.create ?config ctx_a in
-  let b = Strovl.Reliable_link.create ?config { ctx_b with Lproto.up } in
+let rel_pair ?(in_order = false) p ctx_a ctx_b ~up =
+  let a = Strovl.Reliable_link.create ~in_order ctx_a in
+  let b = Strovl.Reliable_link.create ~in_order { ctx_b with Lproto.up } in
   p.recv_a <- Strovl.Reliable_link.recv a;
   p.recv_b <- Strovl.Reliable_link.recv b;
   (a, b)
@@ -135,10 +135,9 @@ let reliable_recovers_loss_out_of_order () =
 let reliable_in_order_mode () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let config =
-    { Strovl.Reliable_link.default_config with Strovl.Reliable_link.in_order_forwarding = true }
+  let a, _ =
+    rel_pair ~in_order:true p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got)
   in
-  let a, _ = rel_pair ~config p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
   p.drop_a2b <- drop_nth_data 2;
   for s = 0 to 5 do
     Strovl.Reliable_link.send a (packet ~seq:s p.engine)
@@ -232,11 +231,12 @@ let reliable_drain_store () =
 
 let reliable_nack_gives_up_eventually () =
   let p, ctx_a, ctx_b = make_pipe () in
-  let config =
-    { Strovl.Reliable_link.default_config with Strovl.Reliable_link.max_nack_repeats = 5 }
-  in
-  let got = ref 0 in
-  let _, b = rel_pair ~config p ctx_a ctx_b ~up:(fun _ -> incr got) in
+  let got = ref 0 and nacks = ref 0 in
+  let _, b = rel_pair p ctx_a ctx_b ~up:(fun _ -> incr got) in
+  p.drop_b2a <-
+    (fun _ msg ->
+      (match msg with Msg.Link_nack _ -> incr nacks | _ -> ());
+      false);
   (* Feed the receiver a gap the sender will never fill (lseq 1 missing,
      no sender-side state at all). *)
   let data lseq =
@@ -246,11 +246,70 @@ let reliable_nack_gives_up_eventually () =
   Strovl.Reliable_link.recv b (data 3);
   Engine.run ~until:(Time.sec 10) p.engine;
   check_int "later packets forwarded" 2 !got;
+  (* The link gives a gap up after 50 unanswered NACKs. *)
+  check_int "50 nacks, then give-up" 50 !nacks;
   (* The abandoned gap stopped generating NACKs: count the b->a messages in
      a quiet second. *)
   let before = p.sent_b2a in
   Engine.run ~until:(Time.add (Engine.now p.engine) (Time.sec 1)) p.engine;
   check_int "no more nacks after give-up" before p.sent_b2a
+
+let reliable_data p lseq =
+  Msg.Data
+    { cls = P.service_class P.Reliable; lseq; pkt = packet ~seq:lseq p.engine; auth = None }
+
+(* Records the cumulative point of every ack the receiver sends. *)
+let record_acks p =
+  let acks = ref [] in
+  p.drop_b2a <-
+    (fun _ msg ->
+      (match msg with Msg.Link_ack { cum; _ } -> acks := cum :: !acks | _ -> ());
+      false);
+  acks
+
+let reliable_ack_every_16 () =
+  let p, ctx_a, ctx_b = make_pipe () in
+  let _, b = rel_pair p ctx_a ctx_b ~up:ignore in
+  let acks = record_acks p in
+  (* 15 back-to-back packets wait for the 25 ms ack timer; the 16th
+     triggers the cumulative ack at once and cancels the timer. *)
+  for l = 1 to 15 do
+    Strovl.Reliable_link.recv b (reliable_data p l)
+  done;
+  Alcotest.(check (list int)) "no ack before the 16th" [] !acks;
+  Strovl.Reliable_link.recv b (reliable_data p 16);
+  Alcotest.(check (list int)) "16th acks everything at once" [ 16 ] !acks;
+  Engine.run ~until:(Time.sec 1) p.engine;
+  Alcotest.(check (list int)) "the ack timer was cancelled" [ 16 ] !acks;
+  (* A 17th packet alone is acked by the timer, 25 ms later. *)
+  Strovl.Reliable_link.recv b (reliable_data p 17);
+  Engine.run ~until:(Time.add (Engine.now p.engine) (Time.ms 24)) p.engine;
+  Alcotest.(check (list int)) "timer not yet fired" [ 16 ] !acks;
+  Engine.run ~until:(Time.add (Engine.now p.engine) (Time.ms 2)) p.engine;
+  Alcotest.(check (list int)) "timer acks the straggler" [ 17; 16 ] !acks
+
+let reliable_gave_up_gap_passes () =
+  List.iter
+    (fun in_order ->
+      let p, ctx_a, ctx_b = make_pipe () in
+      let got = ref [] in
+      let _, b = rel_pair ~in_order p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+      let acks = record_acks p in
+      (* lseq 1 never comes; 2 and 3 do. *)
+      Strovl.Reliable_link.recv b (reliable_data p 2);
+      Strovl.Reliable_link.recv b (reliable_data p 3);
+      Engine.run ~until:(Time.sec 10) p.engine;
+      Alcotest.(check (list int)) "acks before give-up stop below the gap" [ 0 ] !acks;
+      (* In-order mode held 2 and 3 behind the gap until it was given up. *)
+      Alcotest.(check (list int)) "2 and 3 went up" [ 2; 3 ] (List.rev !got);
+      (* New data after the give-up: cum runs past the abandoned slot. *)
+      Strovl.Reliable_link.recv b (reliable_data p 4);
+      Strovl.Reliable_link.recv b (reliable_data p 5);
+      Engine.run ~until:(Time.add (Engine.now p.engine) (Time.sec 1)) p.engine;
+      Alcotest.(check (list int)) "then everything up" [ 2; 3; 4; 5 ] (List.rev !got);
+      Alcotest.(check (list int)) "next ack covers the given-up slot" [ 5; 0 ] !acks;
+      check_int "delivered_up" 4 (Strovl.Reliable_link.delivered_up b))
+    [ false; true ]
 
 (* --------------------------- Realtime link --------------------------- *)
 
@@ -390,7 +449,9 @@ let itp_packet ~src ~prio ~seq engine =
 
 let itp_round_robin_fair () =
   let p, ctx_a, _ = make_pipe () in
-  let sched = Strovl.It_priority.create (slow_ctx ctx_a) in
+  let sched =
+    Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin (slow_ctx ctx_a)
+  in
   (* Source 7 floods 100; source 8 offers 10. All of 8's packets must be
      transmitted (fair share), even though 7 enqueued first. *)
   for s = 0 to 99 do
@@ -409,40 +470,48 @@ let itp_round_robin_fair () =
 
 let itp_priority_eviction () =
   let p, ctx_a, _ = make_pipe () in
-  let config =
-    { Strovl.It_priority.default_config with Strovl.It_priority.per_source_cap = 3 }
+  let sched =
+    Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin (slow_ctx ctx_a)
   in
-  let sched = Strovl.It_priority.create ~config (slow_ctx ctx_a) in
-  (* One packet is serialized immediately; then fill the 3-slot buffer with
-     priorities [1;1;5] and push another 5: the OLDEST LOWEST (first prio-1)
-     must be evicted. *)
+  let sent = ref [] in
+  p.drop_a2b <-
+    (fun _ msg ->
+      (match msg with Msg.Data { pkt; _ } -> sent := pkt.P.seq :: !sent | _ -> ());
+      false);
+  (* One packet is serialized immediately; then fill the 64-slot buffer
+     with priorities [1;1;5;5;...] and push another 5: the OLDEST LOWEST
+     (first prio-1, seq 1) must be evicted. *)
   Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:9 ~seq:0 p.engine);
-  Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:1 ~seq:1 p.engine);
-  Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:1 ~seq:2 p.engine);
-  Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:5 ~seq:3 p.engine);
-  Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:5 ~seq:4 p.engine);
+  for s = 1 to 65 do
+    let prio = if s <= 2 then 1 else 5 in
+    Strovl.It_priority.send sched (itp_packet ~src:7 ~prio ~seq:s p.engine)
+  done;
   Engine.run p.engine;
   check_int "one drop" 1 (Strovl.It_priority.total_dropped sched);
-  check_int "rest sent" 4 (Strovl.It_priority.total_sent sched)
+  check_int "rest sent" 65 (Strovl.It_priority.total_sent sched);
+  check_bool "oldest lowest evicted" false (List.mem 1 !sent)
 
 let itp_fifo_mode_drop_tail () =
   let p, ctx_a, _ = make_pipe () in
-  let config =
-    { Strovl.It_priority.mode = Strovl.It_priority.Fifo; per_source_cap = 64; fifo_cap = 5 }
-  in
-  let sched = Strovl.It_priority.create ~config (slow_ctx ctx_a) in
-  for s = 0 to 19 do
-    Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:1 ~seq:s p.engine)
+  let sched = Strovl.It_priority.create ~mode:Strovl.It_priority.Fifo (slow_ctx ctx_a) in
+  (* One shared 512-packet buffer, whatever the source: the first packet
+     goes straight into service and the buffer keeps the next 512, so a
+     per-source cap (64 each) or any other cap changes both counts. *)
+  for s = 0 to 599 do
+    Strovl.It_priority.send sched (itp_packet ~src:(7 + (s mod 2)) ~prio:1 ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_bool "drop-tail dropped" true (Strovl.It_priority.total_dropped sched > 0);
-  check_bool "bounded by cap + in-service" true (Strovl.It_priority.total_sent sched <= 7)
+  check_int "in service + shared buffer sent" 513 (Strovl.It_priority.total_sent sched);
+  check_int "the rest dropped" (600 - 513) (Strovl.It_priority.total_dropped sched)
 
 let itp_recv_passes_up () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref 0 in
-  let a = Strovl.It_priority.create ctx_a in
-  let b = Strovl.It_priority.create { ctx_b with Lproto.up = (fun _ -> incr got) } in
+  let a = Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin ctx_a in
+  let b =
+    Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin
+      { ctx_b with Lproto.up = (fun _ -> incr got) }
+  in
   p.recv_b <- Strovl.It_priority.recv b;
   Strovl.It_priority.send a (itp_packet ~src:7 ~prio:1 ~seq:0 p.engine);
   Engine.run p.engine;
@@ -456,10 +525,9 @@ let itr_packet ~dst ~seq engine =
     ~routing:P.Link_state ~service:P.It_reliable ~seq
     ~sent_at:(Engine.now engine) ~bytes:500 ()
 
-let itr_pair ?(config = Strovl.It_reliable.default_config) ?(accept = fun _ -> true)
-    p ctx_a ctx_b =
-  let a = Strovl.It_reliable.create ~config ctx_a in
-  let b = Strovl.It_reliable.create ~config { ctx_b with Lproto.try_up = accept } in
+let itr_pair ?(accept = fun _ -> true) p ctx_a ctx_b =
+  let a = Strovl.It_reliable.create ctx_a in
+  let b = Strovl.It_reliable.create { ctx_b with Lproto.try_up = accept } in
   p.recv_a <- Strovl.It_reliable.recv a;
   p.recv_b <- Strovl.It_reliable.recv b;
   (a, b)
@@ -478,15 +546,16 @@ let itr_delivery_and_ack () =
 
 let itr_flow_cap_refuses () =
   let p, ctx_a, ctx_b = make_pipe () in
-  let config = { Strovl.It_reliable.default_config with Strovl.It_reliable.flow_cap = 3 } in
   (* Peer never acks (accept = false): buffer cannot drain. *)
-  let a, _ = itr_pair ~config ~accept:(fun _ -> false) p ctx_a ctx_b in
+  let a, _ = itr_pair ~accept:(fun _ -> false) p ctx_a ctx_b in
   let flow9 = (itr_packet ~dst:9 ~seq:0 p.engine).P.flow in
-  for s = 0 to 2 do
+  (* The flow cap is 32 packets. *)
+  for s = 0 to 31 do
     check_bool "fits" true (Strovl.It_reliable.offer a (itr_packet ~dst:9 ~seq:s p.engine))
   done;
   check_bool "can_accept false at cap" false (Strovl.It_reliable.can_accept a ~flow:flow9);
-  check_bool "refused at cap" false (Strovl.It_reliable.offer a (itr_packet ~dst:9 ~seq:3 p.engine));
+  check_bool "refused at cap" false
+    (Strovl.It_reliable.offer a (itr_packet ~dst:9 ~seq:32 p.engine));
   (* A different flow has its own buffer. *)
   check_bool "other flow unaffected" true
     (Strovl.It_reliable.offer a (itr_packet ~dst:8 ~seq:0 p.engine))
@@ -534,11 +603,10 @@ let itr_round_robin_across_flows () =
 
 (* ------------------------------- FEC ---------------------------------- *)
 
-let fec_config = { Strovl.Fec_link.k = 4; r = 2; flush = Time.ms 50 }
-
-let fec_pair ?(config = fec_config) p ctx_a ctx_b ~up =
-  let a = Strovl.Fec_link.create ~config ctx_a in
-  let b = Strovl.Fec_link.create ~config { ctx_b with Lproto.up } in
+(* Blocks of k = 8 data packets and r = 2 parity symbols. *)
+let fec_pair p ctx_a ctx_b ~up =
+  let a = Strovl.Fec_link.create ctx_a in
+  let b = Strovl.Fec_link.create { ctx_b with Lproto.up } in
   p.recv_a <- Strovl.Fec_link.recv a;
   p.recv_b <- Strovl.Fec_link.recv b;
   (a, b)
@@ -547,30 +615,30 @@ let fec_no_loss () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
   let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
-  for s = 0 to 7 do
+  for s = 0 to 15 do
     Strovl.Fec_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_int "all delivered" 8 (List.length !got);
+  check_int "all delivered" 16 (List.length !got);
   check_int "two full blocks of parity" 4 (Strovl.Fec_link.parity_sent a);
   check_int "nothing recovered" 0 (Strovl.Fec_link.recovered b);
   (* ~1 + r/k in bytes; headers make parity slightly cheaper than data. *)
   let oh = Strovl.Fec_link.wire_overhead a in
-  check_bool "overhead ~1+r/k" true (oh > 1.3 && oh < 1.6)
+  check_bool "overhead ~1+r/k" true (oh > 1.15 && oh < 1.3)
 
 let fec_recovers_within_parity_budget () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
   let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
-  (* Lose 2 of the first block's 4 data packets: exactly r, recoverable. *)
+  (* Lose 2 of the first block's 8 data packets: exactly r, recoverable. *)
   p.drop_a2b <-
     (fun _ msg ->
       match msg with Msg.Data { lseq = 2 | 3; _ } -> true | _ -> false);
-  for s = 0 to 7 do
+  for s = 0 to 15 do
     Strovl.Fec_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_int "all delivered incl recovered" 8 (List.length !got);
+  check_int "all delivered incl recovered" 16 (List.length !got);
   check_int "two recovered" 2 (Strovl.Fec_link.recovered b);
   (* Delivery of recovered packets happens without any b->a traffic. *)
   check_int "no reverse traffic" 0 p.sent_b2a
@@ -583,11 +651,11 @@ let fec_burst_defeats_block () =
   p.drop_a2b <-
     (fun _ msg ->
       match msg with Msg.Data { lseq = 1 | 2 | 3; _ } -> true | _ -> false);
-  for s = 0 to 7 do
+  for s = 0 to 15 do
     Strovl.Fec_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_int "only survivors delivered" 5 (List.length !got);
+  check_int "only survivors delivered" 13 (List.length !got);
   check_int "nothing recovered" 0 (Strovl.Fec_link.recovered b)
 
 let fec_parity_loss_tolerated () =
@@ -604,18 +672,18 @@ let fec_parity_loss_tolerated () =
         dropped_parity := true;
         true
       | _ -> false);
-  for s = 0 to 3 do
+  for s = 0 to 7 do
     Strovl.Fec_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_int "recovered with one parity" 4 (List.length !got);
+  check_int "recovered with one parity" 8 (List.length !got);
   check_int "one recovery" 1 (Strovl.Fec_link.recovered b)
 
 let fec_flush_partial_block () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref 0 in
   let a, b = fec_pair p ctx_a ctx_b ~up:(fun _ -> incr got) in
-  (* Two packets only (block of 4 incomplete), one lost: the flush timer
+  (* Two packets only (block of 8 incomplete), one lost: the flush timer
      must emit parity for the partial block and recover it. *)
   p.drop_a2b <- drop_nth_data 1;
   Strovl.Fec_link.send a (packet ~seq:0 p.engine);
@@ -629,12 +697,12 @@ let fec_no_duplicates () =
   let got = ref [] in
   let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
   ignore b;
-  for s = 0 to 3 do
+  for s = 0 to 7 do
     Strovl.Fec_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
   (* No loss: both parities arrive after complete data; nothing re-delivered. *)
-  Alcotest.(check (list int)) "exactly once, in order" [ 0; 1; 2; 3 ] (List.rev !got)
+  Alcotest.(check (list int)) "exactly once, in order" (List.init 8 Fun.id) (List.rev !got)
 
 (* ----------------------- qcheck protocol properties ------------------- *)
 
@@ -691,7 +759,7 @@ let qcheck_realtime_no_duplicates =
 let qcheck_fec_invariants =
   QCheck.Test.make ~name:"fec: no duplicates, erasures <= r recovered"
     ~count:150
-    QCheck.(list_of_size (Gen.int_bound 6) (int_bound 15))
+    QCheck.(list_of_size (Gen.int_bound 8) (int_bound 31))
     (fun dropped_data ->
       let p, ctx_a, ctx_b = make_pipe () in
       let got = ref [] in
@@ -703,26 +771,27 @@ let qcheck_fec_invariants =
           match msg with
           | Msg.Data { lseq; _ } -> List.mem lseq dropped
           | _ -> false);
-      let n = 16 in
+      let k = Strovl.Fec_link.k in
+      let n = 4 * k in
       for s = 0 to n - 1 do
         Strovl.Fec_link.send a (packet ~seq:s p.engine)
       done;
       Engine.run p.engine;
       let sorted = List.sort compare !got in
       let no_dups = List.sort_uniq compare sorted = sorted in
-      (* Blocks are lseqs 1-4, 5-8, ...: a block with <= 2 drops recovers. *)
+      (* Blocks are lseqs 1-8, 9-16, ...: a block with <= r drops recovers. *)
       let expected =
         List.filter
           (fun s ->
             let lseq = s + 1 in
-            let block_first = (((lseq - 1) / 4) * 4) + 1 in
+            let block_first = (((lseq - 1) / k) * k) + 1 in
             let drops_in_block =
               List.length
                 (List.filter
-                   (fun d -> d >= block_first && d < block_first + 4)
+                   (fun d -> d >= block_first && d < block_first + k)
                    dropped)
             in
-            (not (List.mem lseq dropped)) || drops_in_block <= 2)
+            (not (List.mem lseq dropped)) || drops_in_block <= Strovl.Fec_link.r)
           (List.init n (fun i -> i))
       in
       no_dups && sorted = expected)
@@ -734,11 +803,15 @@ let qcheck_fec_invariants =
    implementation: same timers, same xmits, same up-calls. *)
 module Rel_oracle = struct
   module IntMap = Map.Make (Int)
-  module R = Strovl.Reliable_link
+
+  (* The link's timing constants. *)
+  let ack_every = 16
+  let ack_delay = Time.ms 25
+  let max_nack_repeats = 50
 
   type t = {
     ctx : Lproto.ctx;
-    cfg : R.config;
+    in_order : bool;
     cls : int;
     mutable next_lseq : int;
     mutable store : P.t IntMap.t;
@@ -751,10 +824,10 @@ module Rel_oracle = struct
     mutable ack_timer : Engine.handle option;
   }
 
-  let create cfg ctx =
+  let create in_order ctx =
     {
       ctx;
-      cfg;
+      in_order;
       cls = P.service_class P.Reliable;
       next_lseq = 0;
       store = IntMap.empty;
@@ -767,15 +840,8 @@ module Rel_oracle = struct
       ack_timer = None;
     }
 
-  let nack_repeat t =
-    match t.cfg.R.nack_repeat with
-    | Some d -> d
-    | None -> Time.max (Time.ms 2) (2 * t.ctx.Lproto.rtt_hint)
-
-  let rto t =
-    match t.cfg.R.rto with
-    | Some d -> d
-    | None -> Time.max (Time.ms 5) ((3 * t.ctx.Lproto.rtt_hint) + t.cfg.R.ack_delay)
+  let nack_repeat t = Time.max (Time.ms 2) (2 * t.ctx.Lproto.rtt_hint)
+  let rto t = Time.max (Time.ms 5) ((3 * t.ctx.Lproto.rtt_hint) + ack_delay)
 
   let xmit_data t lseq pkt =
     t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth = None })
@@ -821,11 +887,11 @@ module Rel_oracle = struct
 
   let schedule_ack t =
     t.unacked_count <- t.unacked_count + 1;
-    if t.unacked_count >= t.cfg.R.ack_every then send_cum_ack t
+    if t.unacked_count >= ack_every then send_cum_ack t
     else if t.ack_timer = None then
       t.ack_timer <-
         Some
-          (Engine.schedule t.ctx.Lproto.engine ~delay:t.cfg.R.ack_delay (fun () ->
+          (Engine.schedule t.ctx.Lproto.engine ~delay:ack_delay (fun () ->
                t.ack_timer <- None;
                send_cum_ack t))
 
@@ -841,7 +907,7 @@ module Rel_oracle = struct
 
   let rec nack_loop t lseq tries () =
     if Hashtbl.mem t.missing lseq then
-      if tries >= t.cfg.R.max_nack_repeats then begin
+      if tries >= max_nack_repeats then begin
         Hashtbl.remove t.missing lseq;
         t.seen <- IntMap.add lseq None t.seen;
         advance_cum t
@@ -871,7 +937,7 @@ module Rel_oracle = struct
         done;
         t.recv_high <- lseq
       end;
-      if t.cfg.R.in_order_forwarding then begin
+      if t.in_order then begin
         t.seen <- IntMap.add lseq (Some pkt) t.seen;
         advance_cum t
       end
@@ -931,22 +997,17 @@ let gen_rel_op =
         (3, map (fun d -> Op_wait d) (int_bound 30_000));
       ])
 
-let gen_rel_case =
-  QCheck.Gen.(
-    pair
-      (quad bool (int_range 1 5) (int_range 1 10) (int_range 1 4))
-      (list_size (int_range 1 160) gen_rel_op))
+let gen_rel_case = QCheck.Gen.(pair bool (list_size (int_range 1 160) gen_rel_op))
 
-let print_rel_case ((in_order, ack_every, ack_delay_ms, max_nack), ops) =
-  Format.asprintf "in_order=%b ack_every=%d ack_delay=%dms max_nack=%d@ %a"
-    in_order ack_every ack_delay_ms max_nack
+let print_rel_case (in_order, ops) =
+  Format.asprintf "in_order=%b@ %a" in_order
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_rel_op)
     ops
 
 (* Drives one endpoint (sender and receiver at once) through [ops] and
    returns everything it did: timed xmits, timed up-calls, and the store
    size and drained packets after every op. *)
-let run_rel_model ~create ~recv ~send ~drain ~store_size cfg ops =
+let run_rel_model ~create ~recv ~send ~drain ~store_size in_order ops =
   let engine = Engine.create ~seed:3L () in
   let xmits = ref [] and ups = ref [] and sizes = ref [] and drained = ref [] in
   let ctx =
@@ -961,7 +1022,7 @@ let run_rel_model ~create ~recv ~send ~drain ~store_size cfg ops =
       rtt_hint = Time.ms 4;
     }
   in
-  let t = create cfg ctx in
+  let t = create in_order ctx in
   let sent = ref 0 in
   let cls = P.service_class P.Reliable in
   List.iter
@@ -984,27 +1045,18 @@ let run_rel_model ~create ~recv ~send ~drain ~store_size cfg ops =
 let qcheck_reliable_matches_model =
   QCheck.Test.make ~name:"reliable: ring windows match the Map model" ~count:400
     (QCheck.make ~print:print_rel_case gen_rel_case)
-    (fun ((in_order, ack_every, ack_delay_ms, max_nack), ops) ->
-      let cfg =
-        {
-          Strovl.Reliable_link.default_config with
-          Strovl.Reliable_link.ack_every;
-          ack_delay = Time.ms ack_delay_ms;
-          in_order_forwarding = in_order;
-          max_nack_repeats = max_nack;
-        }
-      in
+    (fun (in_order, ops) ->
       let real =
         run_rel_model
-          ~create:(fun config ctx -> Strovl.Reliable_link.create ~config ctx)
+          ~create:(fun in_order ctx -> Strovl.Reliable_link.create ~in_order ctx)
           ~recv:Strovl.Reliable_link.recv ~send:Strovl.Reliable_link.send
           ~drain:Strovl.Reliable_link.drain_store
-          ~store_size:Strovl.Reliable_link.store_size cfg ops
+          ~store_size:Strovl.Reliable_link.store_size in_order ops
       in
       let model =
         run_rel_model ~create:Rel_oracle.create ~recv:Rel_oracle.recv
           ~send:Rel_oracle.send ~drain:Rel_oracle.drain_store
-          ~store_size:Rel_oracle.store_size cfg ops
+          ~store_size:Rel_oracle.store_size in_order ops
       in
       real = model)
 
@@ -1019,7 +1071,7 @@ let reliable_window_bound () =
   let p, _, ctx_b = make_pipe () in
   let got = ref [] in
   let b =
-    Strovl.Reliable_link.create
+    Strovl.Reliable_link.create ~in_order:false
       { ctx_b with Lproto.up = (fun pkt -> got := pkt.P.seq :: !got) }
   in
   let cls = P.service_class P.Reliable in
@@ -1071,10 +1123,7 @@ let reliable_releases_packets () =
       rtt_hint = Time.ms 2;
     }
   in
-  let config =
-    { Strovl.Reliable_link.default_config with Strovl.Reliable_link.in_order_forwarding = true }
-  in
-  let t = Strovl.Reliable_link.create ~config ctx in
+  let t = Strovl.Reliable_link.create ~in_order:true ctx in
   let cls = P.service_class P.Reliable in
   let tracked = Weak.create 4 in
   let fresh i =
@@ -1118,8 +1167,8 @@ let reliable_pair_words_per_packet () =
       rtt_hint = Time.ms 2;
     }
   in
-  let a = Strovl.Reliable_link.create (ctx (fun m -> !b_recv m)) in
-  let b = Strovl.Reliable_link.create (ctx (fun m -> !a_recv m)) in
+  let a = Strovl.Reliable_link.create ~in_order:false (ctx (fun m -> !b_recv m)) in
+  let b = Strovl.Reliable_link.create ~in_order:false (ctx (fun m -> !a_recv m)) in
   a_recv := Strovl.Reliable_link.recv a;
   b_recv := Strovl.Reliable_link.recv b;
   let pkt = packet engine in
@@ -1159,6 +1208,8 @@ let () =
           Alcotest.test_case "ack loss refresh" `Quick reliable_ack_loss_recovered_by_refresh;
           Alcotest.test_case "drain store" `Quick reliable_drain_store;
           Alcotest.test_case "nack give-up" `Quick reliable_nack_gives_up_eventually;
+          Alcotest.test_case "ack every 16" `Quick reliable_ack_every_16;
+          Alcotest.test_case "given-up gap passes" `Quick reliable_gave_up_gap_passes;
           Alcotest.test_case "window bound" `Quick reliable_window_bound;
           Alcotest.test_case "releases packets" `Quick reliable_releases_packets;
           Alcotest.test_case "words per packet" `Quick reliable_pair_words_per_packet;

@@ -165,7 +165,7 @@ let control_plane_survives_data_flood () =
     {
       Strovl.Net.default_config with
       Strovl.Net.link =
-        { Strovl_net.Link.default_config with Strovl_net.Link.bandwidth_bps = 5_000_000 };
+        { Strovl_net.Link.bandwidth_bps = 5_000_000 };
     }
   in
   let engine = Engine.create ~seed:15L () in
@@ -195,7 +195,7 @@ let priority_semantics_under_congestion () =
     {
       Strovl.Net.default_config with
       Strovl.Net.link =
-        { Strovl_net.Link.default_config with Strovl_net.Link.bandwidth_bps = 1_500_000 };
+        { Strovl_net.Link.bandwidth_bps = 1_500_000 };
     }
   in
   let engine = Engine.create ~seed:19L () in
