@@ -47,7 +47,7 @@ let create engine link ~service ~deliver =
         link = -1;
         xmit =
           (fun msg ->
-            Link.send link ~src:node ~bytes:(Msg.bytes msg) ~deliver:(fun () ->
+            Link.send link ~src:node ~bytes:(Wire.size msg) ~deliver:(fun () ->
                 side_recv (Lazy.force peer) msg));
         up;
         try_up = (fun _ -> true);

@@ -23,8 +23,6 @@ type t = {
   mutable cur : (int * Packet.t) list; (* current block, newest first *)
   mutable flush_timer : Engine.handle option;
   mutable n_parity : int;
-  mutable data_bytes : int;
-  mutable parity_bytes : int;
   (* receiver *)
   seen : (int, unit) Hashtbl.t;
   mutable recv_floor : int; (* lseqs <= floor are old news *)
@@ -42,8 +40,6 @@ let create ctx =
     cur = [];
     flush_timer = None;
     n_parity = 0;
-    data_bytes = 0;
-    parity_bytes = 0;
     seen = Hashtbl.create 64;
     recv_floor = 0;
     recv_high = 0;
@@ -74,22 +70,17 @@ let emit_parity t =
       List.fold_left (fun acc p -> max acc p.Packet.bytes) 0 pkts
     in
     for idx = 0 to r - 1 do
-      let msg =
-        Msg.Fec_parity
-          { block = base; idx; k = List.length pkts; bytes = symbol_bytes; blk_pkts = pkts }
-      in
       t.n_parity <- t.n_parity + 1;
-      t.parity_bytes <- t.parity_bytes + Msg.bytes msg;
-      t.ctx.Lproto.xmit msg
+      t.ctx.Lproto.xmit
+        (Msg.Fec_parity
+           { block = base; idx; k = List.length pkts; bytes = symbol_bytes; blk_pkts = pkts })
     done;
     t.cur <- []
 
 let send t pkt =
   t.next_lseq <- t.next_lseq + 1;
   let lseq = t.next_lseq in
-  let msg = Msg.Data { cls = t.cls; lseq; pkt; auth = None } in
-  t.data_bytes <- t.data_bytes + Msg.bytes msg;
-  t.ctx.Lproto.xmit msg;
+  t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth = None });
   t.cur <- (lseq, pkt) :: t.cur;
   if List.length t.cur >= k then emit_parity t
   else begin
@@ -145,7 +136,9 @@ let try_decode t base bs =
             Hashtbl.replace t.seen lseq ();
             t.n_recovered <- t.n_recovered + 1;
             Strovl_obs.Metrics.Counter.incr t.m_recovered;
-            Lproto.trace_pkt t.ctx bs.bs_pkts.(i) (Strovl_obs.Trace.Fec_recover t.ctx.Lproto.link);
+            if Strovl_obs.Trace.armed () then
+              Lproto.trace_pkt t.ctx bs.bs_pkts.(i)
+                (Strovl_obs.Trace.Fec_recover t.ctx.Lproto.link);
             t.ctx.Lproto.up bs.bs_pkts.(i)
           end)
         (List.rev !missing)
@@ -204,7 +197,3 @@ let recv t = function
 
 let parity_sent t = t.n_parity
 let recovered t = t.n_recovered
-
-let wire_overhead t =
-  if t.data_bytes = 0 then 1.0
-  else float_of_int (t.data_bytes + t.parity_bytes) /. float_of_int t.data_bytes

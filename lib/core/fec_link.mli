@@ -32,6 +32,3 @@ val recv : t -> Msg.t -> unit
 val parity_sent : t -> int
 val recovered : t -> int
 (** Packets reconstructed from parity at the receiver. *)
-
-val wire_overhead : t -> float
-(** (data bytes + parity bytes) / data bytes ≈ 1 + r/k. *)

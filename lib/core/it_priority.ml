@@ -11,8 +11,8 @@ type t = {
   ctx : Lproto.ctx;
   mode : mode;
   (* Per-source FIFO buffers (in Fifo mode a single pseudo-source -1 is
-     used). Lists kept in arrival order, head = oldest. *)
-  queues : (int, Packet.t list ref) Hashtbl.t;
+     used), in arrival order. *)
+  queues : (int, Packet.t Queue.t) Hashtbl.t;
   rotation : int Queue.t; (* sources with queued packets, round-robin order *)
   in_rotation : (int, unit) Hashtbl.t;
   mutable busy : bool;
@@ -55,7 +55,7 @@ let queue t key =
   match Hashtbl.find_opt t.queues key with
   | Some q -> q
   | None ->
-    let q = ref [] in
+    let q = Queue.create () in
     Hashtbl.replace t.queues key q;
     q
 
@@ -65,29 +65,31 @@ let enter_rotation t key =
     Queue.add key t.rotation
   end
 
+let evicted t p =
+  t.n_dropped <- t.n_dropped + 1;
+  bump t.dropped (source_of p);
+  Strovl_obs.Metrics.Counter.incr t.m_evicted;
+  Lproto.trace_pkt t.ctx p (Strovl_obs.Trace.Drop Strovl_obs.Trace.Priority_evict)
+
 (* Remove the oldest message having the minimum priority in the queue,
-   charging the drop to the evicted packet's source. *)
+   charging the drop to the evicted packet's source. The queue is rebuilt
+   only when that message is not the oldest of all. *)
 let evict_oldest_lowest t q =
-  match !q with
-  | [] -> ()
-  | items ->
-    let min_prio = List.fold_left (fun acc p -> min acc (priority_of p)) max_int items in
-    let victim = ref None in
-    let rec remove_first = function
-      | [] -> []
-      | p :: rest when !victim = None && priority_of p = min_prio ->
-        victim := Some p;
-        rest
-      | p :: rest -> p :: remove_first rest
-    in
-    q := remove_first items;
-    (match !victim with
-    | Some p ->
-      t.n_dropped <- t.n_dropped + 1;
-      bump t.dropped (source_of p);
-      Strovl_obs.Metrics.Counter.incr t.m_evicted;
-      Lproto.trace_pkt t.ctx p (Strovl_obs.Trace.Drop Strovl_obs.Trace.Priority_evict)
-    | None -> ())
+  let min_prio = Queue.fold (fun acc p -> min acc (priority_of p)) max_int q in
+  if priority_of (Queue.peek q) = min_prio then evicted t (Queue.take q)
+  else begin
+    let items = Queue.create () in
+    Queue.transfer q items;
+    let found = ref false in
+    Queue.iter
+      (fun p ->
+        if (not !found) && priority_of p = min_prio then begin
+          found := true;
+          evicted t p
+        end
+        else Queue.add p q)
+      items
+  end
 
 let rec service t =
   if not t.busy then begin
@@ -96,11 +98,10 @@ let rec service t =
     | Some key -> begin
       Hashtbl.remove t.in_rotation key;
       let q = queue t key in
-      match !q with
-      | [] -> service t (* source drained meanwhile *)
-      | pkt :: rest ->
-        q := rest;
-        if rest <> [] then enter_rotation t key;
+      match Queue.take_opt q with
+      | None -> service t (* source drained meanwhile *)
+      | Some pkt ->
+        if not (Queue.is_empty q) then enter_rotation t key;
         t.lseq <- Lproto.next_lseq t.lseq;
         t.n_sent <- t.n_sent + 1;
         bump t.sent (source_of pkt);
@@ -115,11 +116,13 @@ let rec service t =
         in
         t.ctx.Lproto.xmit msg;
         t.busy <- true;
-        (* Self-pace at link bandwidth so round robin, not the NIC FIFO,
-           decides ordering under load. *)
+        (* Self-pace at what the link charges this message, so round
+           robin, not the NIC FIFO, decides ordering under load. *)
         ignore
           (Engine.schedule t.ctx.Lproto.engine
-             ~delay:(Lproto.tx_time t.ctx (Msg.bytes msg))
+             ~delay:
+               (Strovl_net.Link.tx_time ~bandwidth_bps:t.ctx.Lproto.bandwidth_bps
+                  (Wire.size msg))
              (fun () ->
                t.busy <- false;
                service t))
@@ -133,9 +136,9 @@ let send t pkt =
     | Fifo -> (-1, fifo_cap)
   in
   let q = queue t key in
-  q := !q @ [ pkt ];
-  if List.length !q > cap then evict_oldest_lowest t q;
-  if !q <> [] then enter_rotation t key;
+  Queue.add pkt q;
+  if Queue.length q > cap then evict_oldest_lowest t q;
+  enter_rotation t key;
   service t
 
 let recv t = function
@@ -149,4 +152,4 @@ let total_dropped t = t.n_dropped
 
 let queue_len t ~source =
   let key = match t.mode with Round_robin -> source | Fifo -> -1 in
-  match Hashtbl.find_opt t.queues key with None -> 0 | Some q -> List.length !q
+  match Hashtbl.find_opt t.queues key with None -> 0 | Some q -> Queue.length q

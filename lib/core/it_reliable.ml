@@ -24,7 +24,7 @@ type entry = {
 type t = {
   ctx : Lproto.ctx;
   cls : int;
-  mutable flows : entry list ref FlowMap.t; (* per-flow buffer, oldest first *)
+  mutable flows : entry Queue.t FlowMap.t; (* per-flow buffer, oldest first *)
   rotation : Packet.flow Queue.t;
   in_rotation : (Packet.flow, unit) Hashtbl.t;
   by_lseq : (int, Packet.flow * entry) Hashtbl.t;
@@ -59,7 +59,7 @@ let flow_queue t flow =
   match FlowMap.find_opt flow t.flows with
   | Some q -> q
   | None ->
-    let q = ref [] in
+    let q = Queue.create () in
     t.flows <- FlowMap.add flow q t.flows;
     q
 
@@ -69,7 +69,8 @@ let enter_rotation t flow =
     Queue.add flow t.rotation
   end
 
-let has_sendable q = List.exists (fun e -> (not e.e_inflight) && not e.e_done) !q
+let sendable e = (not e.e_inflight) && not e.e_done
+let has_sendable q = Queue.fold (fun acc e -> acc || sendable e) false q
 
 (* Transmit one entry: assign an lseq on first send, arm its retransmission
    timer, and pace the scheduler at link bandwidth. *)
@@ -81,7 +82,8 @@ let rec transmit t flow e =
   else begin
     t.n_retrans <- t.n_retrans + 1;
     Strovl_obs.Metrics.Counter.incr t.m_retrans;
-    Lproto.trace_pkt t.ctx e.e_pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
+    if Strovl_obs.Trace.armed () then
+      Lproto.trace_pkt t.ctx e.e_pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
   end;
   Hashtbl.replace t.by_lseq e.e_lseq (flow, e);
   e.e_inflight <- true;
@@ -105,7 +107,10 @@ let rec transmit t flow e =
            end));
   t.busy <- true;
   ignore
-    (Engine.schedule t.ctx.Lproto.engine ~delay:(Lproto.tx_time t.ctx (Msg.bytes msg))
+    (Engine.schedule t.ctx.Lproto.engine
+       ~delay:
+         (Strovl_net.Link.tx_time ~bandwidth_bps:t.ctx.Lproto.bandwidth_bps
+            (Wire.size msg))
        (fun () ->
          t.busy <- false;
          service t))
@@ -117,11 +122,11 @@ and service t =
     | Some flow -> begin
       Hashtbl.remove t.in_rotation flow;
       let q = flow_queue t flow in
-      match List.find_opt (fun e -> (not e.e_inflight) && not e.e_done) !q with
+      match Seq.find sendable (Queue.to_seq q) with
       | None -> service t
       | Some e ->
         (* Re-enter the rotation if more remains to send for this flow. *)
-        if List.exists (fun e' -> e' != e && (not e'.e_inflight) && not e'.e_done) !q
+        if Queue.fold (fun acc e' -> acc || (e' != e && sendable e')) false q
         then enter_rotation t flow;
         transmit t flow e
     end
@@ -130,12 +135,12 @@ and service t =
 let can_accept t ~flow =
   match FlowMap.find_opt flow t.flows with
   | None -> true
-  | Some q -> List.length !q < flow_cap
+  | Some q -> Queue.length q < flow_cap
 
 let offer t pkt =
   let flow = pkt.Packet.flow in
   let q = flow_queue t flow in
-  if List.length !q >= flow_cap then false
+  if Queue.length q >= flow_cap then false
   else begin
     let e =
       {
@@ -147,7 +152,7 @@ let offer t pkt =
         e_done = false;
       }
     in
-    q := !q @ [ e ];
+    Queue.add e q;
     enter_rotation t flow;
     service t;
     true
@@ -166,7 +171,9 @@ let handle_ack t lseq =
       e.e_timer <- None;
       Hashtbl.remove t.by_lseq lseq;
       let q = flow_queue t flow in
-      q := List.filter (fun e' -> e' != e) !q;
+      let kept = Queue.create () in
+      Queue.transfer q kept;
+      Queue.iter (fun e' -> if e' != e then Queue.add e' q) kept;
       if has_sendable q then begin
         enter_rotation t flow;
         service t
@@ -184,6 +191,6 @@ let recv t = function
   | Msg.It_ack { lseq } -> handle_ack t lseq
   | _ -> ()
 
-let total_buffered t = FlowMap.fold (fun _ q acc -> acc + List.length !q) t.flows 0
+let total_buffered t = FlowMap.fold (fun _ q acc -> acc + Queue.length q) t.flows 0
 let retransmissions t = t.n_retrans
 let acked t = t.n_acked

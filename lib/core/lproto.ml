@@ -43,9 +43,3 @@ let trace_pkt ctx pkt ev =
 
 let trace ctx ev =
   if Strovl_obs.Trace.armed () then Strovl_obs.Trace.emit ~node:ctx.node ev
-
-(** Serialization time of [bytes] at the context's bandwidth (µs, ≥1). *)
-let tx_time ctx bytes =
-  Int.max 1
-    (int_of_float
-       (Float.round (float_of_int (bytes * 8) *. 1e6 /. float_of_int ctx.bandwidth_bps)))

@@ -32,24 +32,6 @@ type t =
       auth : int64 option;
     }
 
-let auth_bytes = function Some _ -> 8 | None -> 0
-
-let bytes = function
-  | Data { pkt; auth; _ } ->
-    (* link-protocol framing: class + lseq *)
-    6 + Packet.header_bytes pkt + pkt.Packet.bytes + auth_bytes auth
-  | Link_ack _ -> 10
-  | Link_nack { missing; _ } -> 8 + (4 * List.length missing)
-  | Rt_request _ -> 8
-  | It_ack _ -> 8
-  | Fec_parity { bytes; _ } -> 16 + bytes
-  | Hello _ -> 16
-  | Hello_ack _ -> 16
-  | Probe _ -> 16
-  | Probe_ack _ -> 16
-  | Lsu { links; auth; _ } -> 12 + (8 * List.length links) + auth_bytes auth
-  | Group_update { memb; auth; _ } -> 12 + (5 * List.length memb) + auth_bytes auth
-
 let signable = function
   | Lsu { origin; lsu_seq; links; _ } ->
     let b = Buffer.create 64 in
@@ -65,11 +47,7 @@ let signable = function
     Buffer.add_string b (Printf.sprintf "grp/%d/%d" origin gseq);
     List.iter (fun (g, m) -> Buffer.add_string b (Printf.sprintf "/%d:%b" g m)) memb;
     Buffer.contents b
-  | Data { pkt; _ } ->
-    let f = pkt.Packet.flow in
-    Printf.sprintf "data/%d/%d/%d/%d" f.Packet.f_src f.Packet.f_sport
-      pkt.Packet.seq pkt.Packet.bytes
-  | Link_ack _ | Link_nack _ | Rt_request _ | It_ack _ | Fec_parity _
+  | Data _ | Link_ack _ | Link_nack _ | Rt_request _ | It_ack _ | Fec_parity _
   | Hello _ | Hello_ack _ | Probe _ | Probe_ack _ ->
     invalid_arg "Msg.signable: hop-local message"
 

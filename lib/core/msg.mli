@@ -6,8 +6,8 @@
     the hello protocol, and the flooded shared-state updates (link-state
     updates and group-membership updates, §II-B).
 
-    [bytes] gives each message's on-wire size so the bandwidth/queueing
-    model charges realistic costs. *)
+    {!Wire.size} gives each message's on-wire size, which the
+    bandwidth/queueing model charges. *)
 
 type node = int
 
@@ -36,11 +36,11 @@ type t =
       block : int;  (** block index; data lseqs [block·k+1 .. block·k+k] *)
       idx : int;  (** parity symbol index within the block *)
       k : int;
-      bytes : int;  (** parity symbol wire size (max packet in block) *)
+      bytes : int;  (** parity symbol payload size (max packet in block) *)
       blk_pkts : Packet.t list;
-          (** simulation artifact: the block's packets, letting the
-              receiver "decode" erasures without real coding arithmetic;
-              NOT counted toward the wire size *)
+          (** the block's packets: their headers travel with the parity
+              (and {!Wire.size} counts them), and the receiver "decodes"
+              erasures from them without real coding arithmetic *)
     }
   | Hello of { hseq : int; sent_at : Strovl_sim.Time.t }
   | Hello_ack of { hseq : int; echo : Strovl_sim.Time.t }
@@ -62,11 +62,10 @@ type t =
       auth : int64 option;
     }
 
-val bytes : t -> int
-(** On-wire size including overlay header and payload. *)
-
 val signable : t -> string
-(** Canonical byte string covered by the origin signature of flooded
-    state updates and IT data (excludes the signature itself). *)
+(** Canonical byte string covered by the origin signature of a flooded
+    state update ([Lsu], [Group_update]), excluding the signature itself.
+    @raise Invalid_argument for every other message: they are hop-local,
+    and a data packet's signature covers {!Packet.signable}. *)
 
 val pp : Format.formatter -> t -> unit

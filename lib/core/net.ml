@@ -119,7 +119,7 @@ let create ?(config = default_config) ?underlay engine spec =
       let wire src dst =
         let receive msg = Node.receive t.nodes.(dst) ~link:l msg in
         let send msg =
-          Link.send link ~src ~bytes:(Msg.bytes msg) ~deliver:(fun () ->
+          Link.send link ~src ~bytes:(Wire.size msg) ~deliver:(fun () ->
               tapped dst `In msg receive)
         in
         Transport.attach t.nodes.(src)
@@ -182,5 +182,5 @@ let inject t ~node ~link msg =
   let a, b = Graph.endpoints t.graph link in
   if node <> a && node <> b then invalid_arg "Net.inject: node not an endpoint";
   let dst = if node = a then b else a in
-  Link.send t.links.(link) ~src:node ~bytes:(Msg.bytes msg) ~deliver:(fun () ->
+  Link.send t.links.(link) ~src:node ~bytes:(Wire.size msg) ~deliver:(fun () ->
       Node.receive t.nodes.(dst) ~link msg)

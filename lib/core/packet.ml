@@ -68,14 +68,6 @@ let service_class = function
 
 let class_count = 6
 
-let header_bytes t =
-  (* src/dst addressing (8) + ports (4) + seq (4) + timestamp (8) + service
-     and flags (4) + source-route mask when present. *)
-  let base = 28 in
-  match t.routing with
-  | Link_state -> base
-  | Source_mask m -> base + Strovl_topo.Bitmask.byte_size m
-
 (* Destination ranges are disjoint so distinct flows stay distinct in the
    flight recorder: nodes as themselves, groups offset. *)
 let obs_flow f =

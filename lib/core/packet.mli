@@ -106,10 +106,6 @@ val service_class : service -> int
 
 val class_count : int
 
-val header_bytes : t -> int
-(** Estimated on-wire overlay header size: fixed fields plus the bitmask for
-    source-routed packets. *)
-
 val obs_flow : flow -> Strovl_obs.Trace.flow_id
 (** The flow's identity for the {!Strovl_obs} flight recorder (group
     destinations are offset into distinct integer ranges). *)

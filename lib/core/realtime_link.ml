@@ -133,7 +133,9 @@ let handle_request t lseq =
              (fun () ->
                t.n_retrans <- t.n_retrans + 1;
                Strovl_obs.Metrics.Counter.incr t.mh_retrans;
-               Lproto.trace_pkt t.ctx pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link);
+               if Strovl_obs.Trace.armed () then
+                 Lproto.trace_pkt t.ctx pkt
+                   (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link);
                xmit_data t lseq pkt))
       done
     | _ -> () (* too old: fell out of the history ring *)
@@ -158,7 +160,8 @@ let request_missing t lseq =
           (fun () ->
             t.n_requests_sent <- t.n_requests_sent + 1;
             Strovl_obs.Metrics.Counter.incr t.mh_requests;
-            Lproto.trace t.ctx (Strovl_obs.Trace.Strike (t.ctx.Lproto.link, lseq));
+            if Strovl_obs.Trace.armed () then
+              Lproto.trace t.ctx (Strovl_obs.Trace.Strike (t.ctx.Lproto.link, lseq));
             t.ctx.Lproto.xmit (Msg.Rt_request { lseq }))
       in
       timers := h :: !timers

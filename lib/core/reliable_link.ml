@@ -73,7 +73,8 @@ let note_retrans t pkt =
       (Strovl_obs.Series.channel
          ~labels:[ ("link", string_of_int t.ctx.Lproto.link) ]
          "strovl_link_retransmits");
-  Lproto.trace_pkt t.ctx pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
+  if Strovl_obs.Trace.armed () then
+    Lproto.trace_pkt t.ctx pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
 
 (* ---------------- sender side ---------------- *)
 
@@ -221,7 +222,8 @@ let rec nack_loop t lseq tries () =
     end
     else begin
       Strovl_obs.Metrics.Counter.incr t.m_nacks;
-      Lproto.trace t.ctx (Strovl_obs.Trace.Nack (t.ctx.Lproto.link, lseq));
+      if Strovl_obs.Trace.armed () then
+        Lproto.trace t.ctx (Strovl_obs.Trace.Nack (t.ctx.Lproto.link, lseq));
       t.ctx.Lproto.xmit (Msg.Link_nack { cls = t.cls; missing = [ lseq ] });
       let h =
         Engine.schedule t.ctx.Lproto.engine ~delay:(nack_repeat t)

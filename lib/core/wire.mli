@@ -33,8 +33,9 @@ val header_size : Msg.t -> int
 
 val size : Msg.t -> int
 (** [header_size m + payload_bytes m]: the exact datagram size, computed
-    without encoding. {!Msg.bytes} is a cheap analytic approximation of
-    this; the test suite keeps the two within a small tolerance. *)
+    without encoding. This is the one size model: the simulated links
+    charge it ({!Strovl_net.Link.tx_time} adds the per-packet overhead),
+    and so do the IT pacers that pace themselves to the link. *)
 
 (** Client ↔ daemon session protocol (the session interface of Figure 2,
     over the wall-clock runtime's UDP sockets). A client opens a virtual

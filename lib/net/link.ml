@@ -99,18 +99,17 @@ let half_for t src =
   else if src = t.eb then t.ba
   else invalid_arg "Link.send: not an endpoint"
 
-(* Serialization time of a packet on the access bandwidth, in microseconds
-   (at least 1). *)
-let tx_time t bytes =
+let tx_time ~bandwidth_bps bytes =
   let bits = (bytes + overhead_bytes) * 8 in
-  Int.max 1 (int_of_float (Float.round (float_of_int bits *. 1e6 /. float_of_int t.cfg.bandwidth_bps)))
+  Int.max 1
+    (int_of_float (Float.round (float_of_int bits *. 1e6 /. float_of_int bandwidth_bps)))
 
 let send t ~src ~bytes ~deliver =
   let h = half_for t src in
   let engine = Underlay.engine t.underlay in
   let now = Engine.now engine in
   let start = Time.max now h.last_departure in
-  let departure = Time.add start (tx_time t bytes) in
+  let departure = Time.add start (tx_time ~bandwidth_bps:t.cfg.bandwidth_bps bytes) in
   if Time.sub departure now > queue_cap then begin
     h.drops <- h.drops + 1;
     Strovl_obs.Metrics.Counter.incr t.m_qdrops;

@@ -29,6 +29,12 @@ val queue_cap : Strovl_sim.Time.t
 val overhead_bytes : int
 (** 40: the per-packet header overhead added on the wire. *)
 
+val tx_time : bandwidth_bps:int -> int -> Strovl_sim.Time.t
+(** [tx_time ~bandwidth_bps bytes] is the serialization time of a
+    [bytes]-byte message plus {!overhead_bytes} at [bandwidth_bps], in
+    µs (at least 1): what {!send} charges, and the one formula a sender
+    that paces itself to the link uses. *)
+
 val create :
   ?config:config -> Underlay.t -> a:int -> b:int -> isp:int -> t
 (** A duplex link between sites [a] and [b], initially on [isp]. *)

@@ -5,6 +5,7 @@
 open Strovl_sim
 module P = Strovl.Packet
 module Msg = Strovl.Msg
+module Wire = Strovl.Wire
 module Dedup = Strovl.Dedup
 module Deliver = Strovl.Deliver
 module Conn_graph = Strovl.Conn_graph
@@ -49,12 +50,8 @@ let packet_flow_compare () =
   let g1 = flow ~dest:(P.To_group 5) () and g2 = flow ~dest:(P.Any_of_group 5) () in
   check_bool "dest kinds distinct" true (P.flow_compare g1 g2 <> 0)
 
-let packet_header_and_hops () =
+let packet_hops_and_ingress () =
   let p = packet () in
-  check_int "plain header" 28 (P.header_bytes p);
-  let mask = Bitmask.create ~nlinks:100 in
-  let p2 = packet ~routing:(P.Source_mask mask) () in
-  check_int "mask adds 2 words" (28 + 16) (P.header_bytes p2);
   check_int "hops start 0" 0 p.P.hops;
   check_int "next hop increments" 1 (P.next_hop_copy p).P.hops;
   check_int "ingress default" (-1) p.P.ingress;
@@ -71,10 +68,10 @@ let packet_signable_distinct () =
 
 let msg_sizes () =
   let data = Msg.Data { cls = 0; lseq = 1; pkt = packet ~bytes:1000 (); auth = None } in
-  check_bool "data includes payload" true (Msg.bytes data > 1000);
+  check_bool "data includes payload" true (Wire.size data > 1000);
   let small = Msg.Data { cls = 0; lseq = 1; pkt = packet ~bytes:10 (); auth = None } in
-  check_bool "payload monotone" true (Msg.bytes data > Msg.bytes small);
-  check_bool "control small" true (Msg.bytes (Msg.Rt_request { lseq = 5 }) < 20);
+  check_bool "payload monotone" true (Wire.size data > Wire.size small);
+  check_bool "control small" true (Wire.size (Msg.Rt_request { lseq = 5 }) < 20);
   let lsu =
     Msg.Lsu { origin = 0; lsu_seq = 1; links = [ (0, { Msg.li_up = true; li_metric = 5; li_loss = 0 }) ]; auth = None }
   in
@@ -91,7 +88,7 @@ let msg_sizes () =
         auth = None;
       }
   in
-  check_bool "lsu grows with links" true (Msg.bytes lsu2 > Msg.bytes lsu)
+  check_bool "lsu grows with links" true (Wire.size lsu2 > Wire.size lsu)
 
 let msg_signable () =
   let lsu links seq =
@@ -101,9 +98,15 @@ let msg_signable () =
   let l2 = [ (0, { Msg.li_up = false; li_metric = 5; li_loss = 0 }) ] in
   check_bool "state matters" true (Msg.signable (lsu l1 1) <> Msg.signable (lsu l2 1));
   check_bool "seq matters" true (Msg.signable (lsu l1 1) <> Msg.signable (lsu l1 2));
-  Alcotest.check_raises "hop-local not signable"
-    (Invalid_argument "Msg.signable: hop-local message") (fun () ->
-      ignore (Msg.signable (Msg.Hello { hseq = 1; sent_at = 0 })))
+  List.iter
+    (fun msg ->
+      Alcotest.check_raises "hop-local not signable"
+        (Invalid_argument "Msg.signable: hop-local message") (fun () ->
+          ignore (Msg.signable msg)))
+    [
+      Msg.Hello { hseq = 1; sent_at = 0 };
+      Msg.Data { cls = 0; lseq = 1; pkt = packet (); auth = None };
+    ]
 
 (* ------------------------------- Dedup ------------------------------- *)
 
@@ -423,7 +426,7 @@ let () =
         [
           Alcotest.test_case "service classes" `Quick packet_service_classes;
           Alcotest.test_case "flow compare" `Quick packet_flow_compare;
-          Alcotest.test_case "header/hops/ingress" `Quick packet_header_and_hops;
+          Alcotest.test_case "hops/ingress" `Quick packet_hops_and_ingress;
           Alcotest.test_case "signable" `Quick packet_signable_distinct;
         ] );
       ( "msg",

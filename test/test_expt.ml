@@ -207,31 +207,33 @@ let isolated_audit_all_clean () =
     Strovl_expt.all;
   check_pristine "after the audited suite"
 
-(* A traced run's digest ignores whatever ran before it on the domain: here
-   a reroute-bgp run that leaves its recorder, series and metrics behind.
-   The digest comes from the pooled runner, the path `strovl_run digest`
-   prints from. *)
+(* Every line of DIGESTS.quick, from traced runs that ignore whatever ran
+   before them on the domain: here a reroute-bgp run that leaves its
+   recorder, series and metrics behind. The digests come from the pooled
+   runner, the path `strovl_run digest` prints from. *)
 let isolated_digest_after_leaky_run () =
   let expected =
     In_channel.with_open_text "../DIGESTS.quick" In_channel.input_all
     |> String.split_on_char '\n'
-    |> List.find_map (fun line ->
-           Scanf.sscanf_opt line "fig3-recovery %Lx" Fun.id)
-    |> Option.get
+    |> List.filter_map (fun line ->
+           Scanf.sscanf_opt line "%s %Lx" (fun id digest -> (id, digest)))
   in
+  check_int "one DIGESTS.quick line per experiment"
+    (List.length Strovl_expt.all) (List.length expected);
   Strovl_obs.Trace.enable ();
   Strovl_obs.Series.enable ();
   ignore ((expt "reroute-bgp").run ~quick:true ~seed:7L ());
-  let digest =
-    match
-      Strovl_expt.run_many ~jobs:1 ~quick:true ~traced:true ~seed:7L
-        [ expt "fig3-recovery" ]
-    with
-    | [| outcome |] -> snd (Strovl_par.Pool.outcome_exn outcome)
-    | _ -> Alcotest.fail "expected one outcome"
+  let outcomes =
+    Strovl_expt.run_many ~jobs:1 ~quick:true ~traced:true ~seed:7L
+      (List.map (fun (id, _) -> expt id) expected)
   in
-  Alcotest.(check (option int64)) "DIGESTS.quick" (Some expected) digest;
-  check_pristine "after the traced run"
+  List.iteri
+    (fun i (id, digest) ->
+      Alcotest.(check (option int64))
+        ("DIGESTS.quick " ^ id) (Some digest)
+        (snd (Strovl_par.Pool.outcome_exn outcomes.(i))))
+    expected;
+  check_pristine "after the traced runs"
 
 let () =
   Alcotest.run "strovl_expt"

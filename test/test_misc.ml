@@ -1,55 +1,12 @@
 (* Cross-cutting edge cases that don't belong to one component suite:
-   wire-size vs analytic-size agreement, table rendering, and assorted
-   boundary conditions. *)
+   table rendering and assorted boundary conditions. *)
 
 open Strovl_sim
 module P = Strovl.Packet
-module Msg = Strovl.Msg
-module Wire = Strovl.Wire
 module Gen = Strovl_topo.Gen
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-let pkt =
-  P.make
-    ~flow:{ P.f_src = 1; f_sport = 2; f_dest = P.To_node 3; f_dport = 4 }
-    ~routing:P.Link_state ~service:P.Best_effort ~seq:0 ~sent_at:0 ~bytes:1200 ()
-
-(* The analytic Msg.bytes (used by the bandwidth model) must track the real
-   wire encoding within a small tolerance for every message kind, or the
-   simulated serialization times drift from what a deployment would see. *)
-let analytic_size_tracks_wire () =
-  let cases =
-    [
-      Msg.Data { cls = 0; lseq = 9; pkt; auth = None };
-      Msg.Link_ack { cls = 1; cum = 500 };
-      Msg.Link_nack { cls = 1; missing = [ 1; 2; 3; 4 ] };
-      Msg.Rt_request { lseq = 7 };
-      Msg.It_ack { lseq = 7 };
-      Msg.Hello { hseq = 1; sent_at = 12345 };
-      Msg.Hello_ack { hseq = 1; echo = 12345 };
-      Msg.Lsu
-        {
-          origin = 2;
-          lsu_seq = 3;
-          links =
-            List.init 4 (fun l -> (l, { Msg.li_up = true; li_metric = 10_000; li_loss = 5 }));
-          auth = Some 1L;
-        };
-      Msg.Group_update
-        { origin = 2; gseq = 3; memb = [ (7, true); (9, false) ]; auth = Some 1L };
-      Msg.Fec_parity { block = 1; idx = 0; k = 4; bytes = 1200; blk_pkts = [] };
-    ]
-  in
-  List.iter
-    (fun msg ->
-      let analytic = Msg.bytes msg and actual = Wire.size msg in
-      check_bool
-        (Format.asprintf "%a: |%d - %d| small" Msg.pp msg analytic actual)
-        true
-        (abs (analytic - actual) <= 40))
-    cases
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -132,8 +89,6 @@ let time_negative_pp () =
 let () =
   Alcotest.run "strovl_misc"
     [
-      ( "sizes",
-        [ Alcotest.test_case "analytic tracks wire" `Quick analytic_size_tracks_wire ] );
       ( "table",
         [
           Alcotest.test_case "ragged rows" `Quick table_renders_ragged_rows;

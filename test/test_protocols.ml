@@ -5,6 +5,7 @@
 open Strovl_sim
 module P = Strovl.Packet
 module Msg = Strovl.Msg
+module Wire = Strovl.Wire
 module Lproto = Strovl.Lproto
 
 let check_int = Alcotest.(check int)
@@ -469,27 +470,40 @@ let itp_round_robin_fair () =
     (Strovl.It_priority.sent_for sched ~source:7 + Strovl.It_priority.dropped_for sched ~source:7 - 0)
 
 let itp_priority_eviction () =
-  let p, ctx_a, _ = make_pipe () in
-  let sched =
-    Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin (slow_ctx ctx_a)
-  in
-  let sent = ref [] in
-  p.drop_a2b <-
-    (fun _ msg ->
-      (match msg with Msg.Data { pkt; _ } -> sent := pkt.P.seq :: !sent | _ -> ());
-      false);
   (* One packet is serialized immediately; then fill the 64-slot buffer
-     with priorities [1;1;5;5;...] and push another 5: the OLDEST LOWEST
-     (first prio-1, seq 1) must be evicted. *)
-  Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:9 ~seq:0 p.engine);
-  for s = 1 to 65 do
-    let prio = if s <= 2 then 1 else 5 in
-    Strovl.It_priority.send sched (itp_packet ~src:7 ~prio ~seq:s p.engine)
-  done;
-  Engine.run p.engine;
-  check_int "one drop" 1 (Strovl.It_priority.total_dropped sched);
-  check_int "rest sent" 65 (Strovl.It_priority.total_sent sched);
-  check_bool "oldest lowest evicted" false (List.mem 1 !sent)
+     with [prio s] for seqs 1..64 and push seq 65 (prio 5): the OLDEST
+     LOWEST must be evicted, whether it is the oldest of all (seq 1) or
+     sits behind a higher priority (seq 2), and the rest go out in order. *)
+  List.iter
+    (fun (prio, victim) ->
+      let p, ctx_a, _ = make_pipe () in
+      let sched =
+        Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin
+          (slow_ctx ctx_a)
+      in
+      let sent = ref [] in
+      p.drop_a2b <-
+        (fun _ msg ->
+          (match msg with
+          | Msg.Data { pkt; _ } -> sent := pkt.P.seq :: !sent
+          | _ -> ());
+          false);
+      Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:9 ~seq:0 p.engine);
+      for s = 1 to 65 do
+        Strovl.It_priority.send sched
+          (itp_packet ~src:7 ~prio:(prio s) ~seq:s p.engine)
+      done;
+      Engine.run p.engine;
+      check_int "one drop" 1 (Strovl.It_priority.total_dropped sched);
+      check_int "rest sent" 65 (Strovl.It_priority.total_sent sched);
+      Alcotest.(check (list int))
+        (Printf.sprintf "seq %d evicted, the rest in order" victim)
+        (List.filter (( <> ) victim) (List.init 66 Fun.id))
+        (List.rev !sent))
+    [
+      ((fun s -> if s <= 2 then 1 else 5), 1);
+      ((fun s -> if s = 2 || s = 3 then 1 else 5), 2);
+    ]
 
 let itp_fifo_mode_drop_tail () =
   let p, ctx_a, _ = make_pipe () in
@@ -615,16 +629,38 @@ let fec_no_loss () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
   let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  (* Watch the wire: data payloads by lseq, and every parity. *)
+  let data = Hashtbl.create 16 and parities = ref [] in
+  p.drop_a2b <-
+    (fun _ msg ->
+      (match msg with
+      | Msg.Data { lseq; _ } -> Hashtbl.replace data lseq (Wire.payload_bytes msg)
+      | Msg.Fec_parity { block; k; _ } ->
+        parities := (block, k, Wire.payload_bytes msg) :: !parities
+      | _ -> ());
+      false);
+  (* One large packet mid-block, so the largest is neither first nor last. *)
   for s = 0 to 15 do
-    Strovl.Fec_link.send a (packet ~seq:s p.engine)
+    let bytes = if s mod 8 = 5 then 1200 else 100 in
+    Strovl.Fec_link.send a (packet ~seq:s ~bytes p.engine)
   done;
   Engine.run p.engine;
   check_int "all delivered" 16 (List.length !got);
   check_int "two full blocks of parity" 4 (Strovl.Fec_link.parity_sent a);
+  check_int "4 parities for 16 data packets" 4 (List.length !parities);
   check_int "nothing recovered" 0 (Strovl.Fec_link.recovered b);
-  (* ~1 + r/k in bytes; headers make parity slightly cheaper than data. *)
-  let oh = Strovl.Fec_link.wire_overhead a in
-  check_bool "overhead ~1+r/k" true (oh > 1.15 && oh < 1.3)
+  (* Each parity symbol is as large as its block's largest data payload, so
+     a block of equal packets pays exactly r/k in payload bytes. *)
+  List.iter
+    (fun (block, k, payload) ->
+      let largest = ref 0 in
+      for lseq = block to block + k - 1 do
+        largest := max !largest (Hashtbl.find data lseq)
+      done;
+      check_int
+        (Printf.sprintf "block %d parity payload = largest data payload" block)
+        !largest payload)
+    !parities
 
 let fec_recovers_within_parity_budget () =
   let p, ctx_a, ctx_b = make_pipe () in
