@@ -13,5 +13,3 @@ val create : ?lseq:int -> Lproto.ctx -> t
 
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
-val sent : t -> int
-val received : t -> int

@@ -12,12 +12,9 @@ type t = {
   mutable app : (Packet.t -> unit) option;
   mutable reorder : bool;
   mutable buffers : Deliver.t FlowMap.t;
-  mutable n_received : int;
 }
 
-let deliver_app t pkt =
-  t.n_received <- t.n_received + 1;
-  match t.app with None -> () | Some f -> f pkt
+let deliver_app t pkt = match t.app with None -> () | Some f -> f pkt
 
 let mode_for pkt =
   match pkt.Packet.service with
@@ -45,16 +42,7 @@ let on_packet t pkt =
   end
 
 let attach node ~port =
-  let t =
-    {
-      node;
-      port;
-      app = None;
-      reorder = true;
-      buffers = FlowMap.empty;
-      n_received = 0;
-    }
-  in
+  let t = { node; port; app = None; reorder = true; buffers = FlowMap.empty } in
   Node.register_session node ~port ~deliver:(on_packet t);
   t
 
@@ -65,8 +53,6 @@ let leave t ~group = Node.leave_group t.node ~group ~port:t.port
 let set_receiver t ?(reorder = true) f =
   t.reorder <- reorder;
   t.app <- Some f
-
-let received t = t.n_received
 
 type route_pref = Table | Scheme of Strovl_topo.Dissem.scheme
 

@@ -27,9 +27,6 @@ val set_receiver : t -> ?reorder:bool -> (Packet.t -> unit) -> unit
 (** Registers the application delivery callback. With [reorder] (default
     true), packets pass through the per-flow destination buffer first. *)
 
-val received : t -> int
-(** Packets handed to the application callback. *)
-
 (** A sender handle fixes a flow (destination, ports, service, routing
     preference) and stamps sequence numbers. *)
 type sender

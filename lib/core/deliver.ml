@@ -11,27 +11,10 @@ type t = {
   mutable next : int; (* next expected sequence number *)
   mutable buf : Packet.t IntMap.t;
   mutable timer : Engine.handle option;
-  mutable n_delivered : int;
-  mutable n_late : int;
-  mutable n_skipped : int;
 }
 
 let create engine mode ~deliver =
-  {
-    engine;
-    mode;
-    deliver;
-    next = 0;
-    buf = IntMap.empty;
-    timer = None;
-    n_delivered = 0;
-    n_late = 0;
-    n_skipped = 0;
-  }
-
-let deliver_one t pkt =
-  t.n_delivered <- t.n_delivered + 1;
-  t.deliver pkt
+  { engine; mode; deliver; next = 0; buf = IntMap.empty; timer = None }
 
 (* Deliver the contiguous run starting at [t.next] out of the buffer. *)
 let rec drain t =
@@ -40,7 +23,7 @@ let rec drain t =
   | Some pkt ->
     t.buf <- IntMap.remove t.next t.buf;
     t.next <- t.next + 1;
-    deliver_one t pkt;
+    t.deliver pkt;
     drain t
 
 let cancel_timer t =
@@ -62,7 +45,6 @@ let rec rearm t deadline =
     let now = Engine.now t.engine in
     let fire () =
       t.timer <- None;
-      t.n_skipped <- t.n_skipped + (seq - t.next);
       t.next <- seq;
       drain t;
       rearm t deadline
@@ -74,21 +56,20 @@ let rec rearm t deadline =
 let push t pkt =
   let seq = pkt.Packet.seq in
   match t.mode with
-  | Unordered -> deliver_one t pkt
+  | Unordered -> t.deliver pkt
   | Ordered ->
     if seq < t.next || IntMap.mem seq t.buf then () (* duplicate *)
     else if seq = t.next then begin
       t.next <- t.next + 1;
-      deliver_one t pkt;
+      t.deliver pkt;
       drain t
     end
     else t.buf <- IntMap.add seq pkt t.buf
   | Deadline deadline ->
-    if seq < t.next then t.n_late <- t.n_late + 1
-    else if IntMap.mem seq t.buf then () (* duplicate *)
+    if seq < t.next || IntMap.mem seq t.buf then () (* late or duplicate *)
     else if seq = t.next then begin
       t.next <- t.next + 1;
-      deliver_one t pkt;
+      t.deliver pkt;
       drain t;
       rearm t deadline
     end
@@ -97,7 +78,4 @@ let push t pkt =
       rearm t deadline
     end
 
-let delivered t = t.n_delivered
-let discarded_late t = t.n_late
-let skipped t = t.n_skipped
 let pending t = IntMap.cardinal t.buf

@@ -30,13 +30,5 @@ val push : t -> Packet.t -> unit
 (** Hand a packet (possibly duplicate, possibly out of order) to the
     buffer. *)
 
-val delivered : t -> int
-val discarded_late : t -> int
-(** Packets that arrived after their slot had been given up (Deadline
-    mode). *)
-
-val skipped : t -> int
-(** Sequence slots abandoned by deadline expiry. *)
-
 val pending : t -> int
 (** Packets currently buffered awaiting a gap fill. *)

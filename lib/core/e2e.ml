@@ -19,6 +19,7 @@ type t = {
   sender : side;
   mutable seq : int;
   service : service;
+  data_tx : int ref; (* Data and Fec_parity messages the sender transmitted *)
 }
 
 let side_recv side msg =
@@ -39,6 +40,7 @@ let create engine link ~service ~deliver =
     | Fec -> Deliver.Unordered
   in
   let buffer = Deliver.create engine mode ~deliver in
+  let data_tx = ref 0 in
   let side node ~up ~peer =
     let ctx =
       {
@@ -47,6 +49,10 @@ let create engine link ~service ~deliver =
         link = -1;
         xmit =
           (fun msg ->
+            (if node = Link.a link then
+               match msg with
+               | Msg.Data _ | Msg.Fec_parity _ -> incr data_tx
+               | _ -> ());
             Link.send link ~src:node ~bytes:(Wire.size msg) ~deliver:(fun () ->
                 side_recv (Lazy.force peer) msg));
         up;
@@ -69,7 +75,7 @@ let create engine link ~service ~deliver =
   in
   let sender = Lazy.force sender in
   ignore (Lazy.force receiver);
-  { engine; link; sender; seq = 0; service }
+  { engine; link; sender; seq = 0; service; data_tx }
 
 let make_packet t =
   let flow =
@@ -98,9 +104,4 @@ let send t =
   | S_rt p -> Realtime_link.send p pkt
   | S_fec p -> Fec_link.send p pkt
 
-let retransmissions t =
-  match t.sender with
-  | S_best _ -> 0
-  | S_rel p -> Reliable_link.retransmissions p
-  | S_rt p -> Realtime_link.retransmissions p
-  | S_fec p -> Fec_link.parity_sent p
+let retransmissions t = !(t.data_tx) - t.seq

@@ -34,5 +34,10 @@ val send : t -> unit
 (** Sends the next packet of the end-to-end stream, 1200 bytes. *)
 
 val retransmissions : t -> int
-(** Redundant sends: retransmissions for [Reliable] and [Realtime], parity
-    symbols for [Fec] (2 per block of 8), none for [Best_effort]. *)
+(** Redundant sends: the [Data] and [Fec_parity] messages the sender (the
+    link's [a] endpoint) has handed to the path, minus the packets {!send}
+    made. Counted at the transmit closure this module gives the sender's
+    protocol, so it is retransmissions for [Reliable] and [Realtime],
+    parity symbols for [Fec] (2 per block of 8) and none for
+    [Best_effort]. A message the path's queue tail-drops still counts:
+    the sender paid for it. *)

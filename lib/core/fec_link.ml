@@ -22,14 +22,13 @@ type t = {
   mutable next_lseq : int;
   mutable cur : (int * Packet.t) list; (* current block, newest first *)
   mutable flush_timer : Engine.handle option;
-  mutable n_parity : int;
   (* receiver *)
   seen : (int, unit) Hashtbl.t;
   mutable recv_floor : int; (* lseqs <= floor are old news *)
   mutable recv_high : int;
   blocks : (int, block_state) Hashtbl.t;
-  mutable n_recovered : int;
   m_recovered : Strovl_obs.Metrics.Counter.t;
+  m_window_drops : Strovl_obs.Metrics.Counter.t;
 }
 
 let create ctx =
@@ -39,16 +38,18 @@ let create ctx =
     next_lseq = 0;
     cur = [];
     flush_timer = None;
-    n_parity = 0;
     seen = Hashtbl.create 64;
     recv_floor = 0;
     recv_high = 0;
     blocks = Hashtbl.create 8;
-    n_recovered = 0;
     m_recovered =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "fec") ]
         "strovl_fec_recovered_total";
+    m_window_drops =
+      Strovl_obs.Metrics.counter
+        ~labels:[ ("proto", "fec") ]
+        "strovl_link_window_drops_total";
   }
 
 (* ------------------------------ sender ------------------------------- *)
@@ -70,7 +71,6 @@ let emit_parity t =
       List.fold_left (fun acc p -> max acc p.Packet.bytes) 0 pkts
     in
     for idx = 0 to r - 1 do
-      t.n_parity <- t.n_parity + 1;
       t.ctx.Lproto.xmit
         (Msg.Fec_parity
            { block = base; idx; k = List.length pkts; bytes = symbol_bytes; blk_pkts = pkts })
@@ -134,7 +134,6 @@ let try_decode t base bs =
           let lseq = base + i in
           if not (is_seen t lseq) then begin
             Hashtbl.replace t.seen lseq ();
-            t.n_recovered <- t.n_recovered + 1;
             Strovl_obs.Metrics.Counter.incr t.m_recovered;
             if Strovl_obs.Trace.armed () then
               Lproto.trace_pkt t.ctx bs.bs_pkts.(i)
@@ -161,8 +160,14 @@ let block_for t base pkts =
     Hashtbl.replace t.blocks base bs;
     bs
 
+(* Same bound as the Reliable Data Link: [compact] walks every lseq between
+   the floor and the new high, so a forged lseq must not move the high
+   arbitrarily far. *)
+let beyond_window t lseq = lseq - t.recv_floor > Reliable_link.max_window
+
 let handle_data t lseq pkt =
-  if not (is_seen t lseq) then begin
+  if beyond_window t lseq then Strovl_obs.Metrics.Counter.incr t.m_window_drops
+  else if not (is_seen t lseq) then begin
     Hashtbl.replace t.seen lseq ();
     if lseq > t.recv_high then t.recv_high <- lseq;
     (* If this block is already being tracked (parity arrived first or
@@ -179,7 +184,9 @@ let handle_data t lseq pkt =
   end
 
 let handle_parity t ~block ~k ~blk_pkts =
-  if List.length blk_pkts = k && k > 0 && block > t.recv_floor then begin
+  if beyond_window t (block + k - 1) then
+    Strovl_obs.Metrics.Counter.incr t.m_window_drops
+  else if List.length blk_pkts = k && k > 0 && block > t.recv_floor then begin
     if block + k - 1 > t.recv_high then t.recv_high <- block + k - 1;
     let bs = block_for t block blk_pkts in
     bs.bs_parities <- bs.bs_parities + 1;
@@ -194,6 +201,3 @@ let recv t = function
   | Msg.Hello _ | Msg.Hello_ack _ | Msg.Probe _ | Msg.Probe_ack _
   | Msg.Lsu _ | Msg.Group_update _ ->
     ()
-
-let parity_sent t = t.n_parity
-let recovered t = t.n_recovered

@@ -15,7 +15,13 @@
     still waits for the end of its block.
 
     A flush timer (20 ms) bounds the wait for partial blocks on slow
-    flows. *)
+    flows.
+
+    The receiver counts each reconstructed packet in
+    [strovl_fec_recovered_total{proto="fec"}]. A data packet, or a parity
+    symbol whose block ends, more than {!Reliable_link.max_window} past the
+    receiver's duplicate-filter floor is dropped and counted in
+    [strovl_link_window_drops_total{proto="fec"}]. *)
 
 type t
 
@@ -28,7 +34,3 @@ val r : int
 val create : Lproto.ctx -> t
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
-
-val parity_sent : t -> int
-val recovered : t -> int
-(** Packets reconstructed from parity at the receiver. *)

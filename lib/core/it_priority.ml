@@ -17,10 +17,6 @@ type t = {
   in_rotation : (int, unit) Hashtbl.t;
   mutable busy : bool;
   mutable lseq : int;
-  sent : (int, int) Hashtbl.t;
-  dropped : (int, int) Hashtbl.t;
-  mutable n_sent : int;
-  mutable n_dropped : int;
   m_evicted : Strovl_obs.Metrics.Counter.t;
 }
 
@@ -33,17 +29,11 @@ let create ~mode ctx =
     in_rotation = Hashtbl.create 16;
     busy = false;
     lseq = 0;
-    sent = Hashtbl.create 16;
-    dropped = Hashtbl.create 16;
-    n_sent = 0;
-    n_dropped = 0;
     m_evicted =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "it-priority") ]
         "strovl_link_queue_drops_total";
   }
-
-let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
 let source_of pkt =
   pkt.Packet.flow.Packet.f_src
@@ -66,14 +56,11 @@ let enter_rotation t key =
   end
 
 let evicted t p =
-  t.n_dropped <- t.n_dropped + 1;
-  bump t.dropped (source_of p);
   Strovl_obs.Metrics.Counter.incr t.m_evicted;
   Lproto.trace_pkt t.ctx p (Strovl_obs.Trace.Drop Strovl_obs.Trace.Priority_evict)
 
-(* Remove the oldest message having the minimum priority in the queue,
-   charging the drop to the evicted packet's source. The queue is rebuilt
-   only when that message is not the oldest of all. *)
+(* Remove the oldest message having the minimum priority in the queue. The
+   queue is rebuilt only when that message is not the oldest of all. *)
 let evict_oldest_lowest t q =
   let min_prio = Queue.fold (fun acc p -> min acc (priority_of p)) max_int q in
   if priority_of (Queue.peek q) = min_prio then evicted t (Queue.take q)
@@ -103,8 +90,6 @@ let rec service t =
       | Some pkt ->
         if not (Queue.is_empty q) then enter_rotation t key;
         t.lseq <- Lproto.next_lseq t.lseq;
-        t.n_sent <- t.n_sent + 1;
-        bump t.sent (source_of pkt);
         let msg =
           Msg.Data
             {
@@ -144,11 +129,6 @@ let send t pkt =
 let recv t = function
   | Msg.Data { pkt; _ } -> t.ctx.Lproto.up pkt
   | _ -> ()
-
-let sent_for t ~source = Option.value ~default:0 (Hashtbl.find_opt t.sent source)
-let dropped_for t ~source = Option.value ~default:0 (Hashtbl.find_opt t.dropped source)
-let total_sent t = t.n_sent
-let total_dropped t = t.n_dropped
 
 let queue_len t ~source =
   let key = match t.mode with Round_robin -> source | Fifo -> -1 in

@@ -6,7 +6,8 @@
     sources in round robin, so a flooding source only ever consumes its own
     share of the link. When a source's buffer fills, the *oldest
     lowest-priority* message of that source is dropped, keeping the highest
-    priority messages timely.
+    priority messages timely; each eviction is counted in
+    [strovl_link_queue_drops_total{proto="it-priority"}].
 
     A [Fifo] mode implements the non-intrusion-tolerant baseline (single
     shared drop-tail queue) that the fairness experiment contrasts against.
@@ -32,10 +33,6 @@ val send : t -> Packet.t -> unit
 
 val recv : t -> Msg.t -> unit
 
-val sent_for : t -> source:int -> int
-(** Packets of the given source overlay node actually transmitted. *)
-
-val dropped_for : t -> source:int -> int
-val total_sent : t -> int
-val total_dropped : t -> int
 val queue_len : t -> source:int -> int
+(** Packets waiting in the given source overlay node's buffer (in [Fifo]
+    mode, in the one shared buffer). *)

@@ -30,8 +30,6 @@ type t = {
   by_lseq : (int, Packet.flow * entry) Hashtbl.t;
   mutable busy : bool;
   mutable next_lseq : int;
-  mutable n_retrans : int;
-  mutable n_acked : int;
   m_retrans : Strovl_obs.Metrics.Counter.t;
 }
 
@@ -45,8 +43,6 @@ let create ctx =
     by_lseq = Hashtbl.create 64;
     busy = false;
     next_lseq = 0;
-    n_retrans = 0;
-    n_acked = 0;
     m_retrans =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "it-reliable") ]
@@ -80,7 +76,6 @@ let rec transmit t flow e =
     e.e_lseq <- t.next_lseq
   end
   else begin
-    t.n_retrans <- t.n_retrans + 1;
     Strovl_obs.Metrics.Counter.incr t.m_retrans;
     if Strovl_obs.Trace.armed () then
       Lproto.trace_pkt t.ctx e.e_pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
@@ -164,7 +159,6 @@ let handle_ack t lseq =
   | Some (flow, e) ->
     if not e.e_done then begin
       e.e_done <- true;
-      t.n_acked <- t.n_acked + 1;
       (match e.e_timer with
       | Some h -> Engine.cancel t.ctx.Lproto.engine h
       | None -> ());
@@ -192,5 +186,3 @@ let recv t = function
   | _ -> ()
 
 let total_buffered t = FlowMap.fold (fun _ q acc -> acc + Queue.length q) t.flows 0
-let retransmissions t = t.n_retrans
-let acked t = t.n_acked

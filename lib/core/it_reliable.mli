@@ -11,7 +11,9 @@
     and retransmits with exponential backoff until acked. A full buffer at
     the next hop therefore silently refuses, the packet stays buffered
     upstream, and the stall propagates backward hop by hop: "creating
-    backpressure (potentially all the way back to the source)".
+    backpressure (potentially all the way back to the source)". Each
+    retransmission is counted in
+    [strovl_link_retransmits_total{proto="it-reliable"}].
 
     {!offer} refuses when the flow's buffer is full, which is the
     backpressure signal the session level relays to the sending client. *)
@@ -36,5 +38,4 @@ val recv : t -> Msg.t -> unit
     It_acks. *)
 
 val total_buffered : t -> int
-val retransmissions : t -> int
-val acked : t -> int
+(** Packets queued or awaiting an ack, over all flows. *)

@@ -33,7 +33,7 @@ type t =
           packet is accepted into the next hop's buffers, so a missing ack
           is backpressure (§IV-B) *)
   | Fec_parity of {
-      block : int;  (** block index; data lseqs [block·k+1 .. block·k+k] *)
+      block : int;  (** the block's first data lseq: [block .. block+k-1] *)
       idx : int;  (** parity symbol index within the block *)
       k : int;
       bytes : int;  (** parity symbol payload size (max packet in block) *)

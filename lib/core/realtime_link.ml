@@ -29,15 +29,11 @@ type t = {
   mutable next_lseq : int;
   ring : (int * Packet.t) option array; (* recent packets by lseq mod history *)
   requested : (int, unit) Hashtbl.t; (* lseqs already being retransmitted *)
-  mutable n_sent : int;
-  mutable n_retrans : int;
   (* receiver *)
   mutable recv_high : int;
   mutable cum_floor : int; (* lseqs <= floor considered handled (dup filter base) *)
   seen : (int, unit) Hashtbl.t;
   pending : (int, Engine.handle list ref) Hashtbl.t; (* missing lseq -> request timers *)
-  mutable n_requests_sent : int;
-  mutable n_up : int;
   (* [mh_] prefix: the config field [m_retrans] already takes the name. *)
   mh_retrans : Strovl_obs.Metrics.Counter.t;
   mh_requests : Strovl_obs.Metrics.Counter.t;
@@ -84,14 +80,10 @@ let create ?(config = default_config) ctx =
     next_lseq = 0;
     ring = Array.make config.history None;
     requested = Hashtbl.create 32;
-    n_sent = 0;
-    n_retrans = 0;
     recv_high = 0;
     cum_floor = 0;
     seen = Hashtbl.create 64;
     pending = Hashtbl.create 16;
-    n_requests_sent = 0;
-    n_up = 0;
     mh_retrans =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "realtime") ]
@@ -116,7 +108,6 @@ let send t pkt =
   let lseq = t.next_lseq in
   t.ring.(lseq mod t.cfg.history) <- Some (lseq, pkt);
   Hashtbl.remove t.requested lseq;
-  t.n_sent <- t.n_sent + 1;
   xmit_data t lseq pkt
 
 let handle_request t lseq =
@@ -131,7 +122,6 @@ let handle_request t lseq =
         ignore
           (Engine.schedule t.ctx.Lproto.engine ~delay:(j * t.retrans_spacing)
              (fun () ->
-               t.n_retrans <- t.n_retrans + 1;
                Strovl_obs.Metrics.Counter.incr t.mh_retrans;
                if Strovl_obs.Trace.armed () then
                  Lproto.trace_pkt t.ctx pkt
@@ -158,7 +148,6 @@ let request_missing t lseq =
       let h =
         Engine.schedule t.ctx.Lproto.engine ~delay:(i * t.request_spacing)
           (fun () ->
-            t.n_requests_sent <- t.n_requests_sent + 1;
             Strovl_obs.Metrics.Counter.incr t.mh_requests;
             if Strovl_obs.Trace.armed () then
               Lproto.trace t.ctx (Strovl_obs.Trace.Strike (t.ctx.Lproto.link, lseq));
@@ -206,7 +195,6 @@ let handle_data t lseq pkt =
     end;
     Hashtbl.replace t.seen lseq ();
     compact t;
-    t.n_up <- t.n_up + 1;
     t.ctx.Lproto.up pkt
   end
 
@@ -217,11 +205,3 @@ let recv t = function
   | Msg.Hello _ | Msg.Hello_ack _ | Msg.Probe _ | Msg.Probe_ack _
   | Msg.Lsu _ | Msg.Group_update _ ->
     ()
-
-let retransmissions t = t.n_retrans
-let requests_sent t = t.n_requests_sent
-let delivered_up t = t.n_up
-
-let wire_overhead t =
-  if t.n_sent = 0 then 1.0
-  else float_of_int (t.n_sent + t.n_retrans) /. float_of_int t.n_sent

@@ -13,8 +13,12 @@
     - receiving the packet cancels the receiver's remaining requests;
       requests for packets the sender no longer buffers are ignored.
 
-    Expected overhead is [1 + M·p] per packet at loss rate [p] (§IV-A),
-    since a request triggers all M retransmissions.
+    Expected overhead is [1 + M·p] data transmissions per packet at loss
+    rate [p] (§IV-A), since a request triggers all M retransmissions;
+    requests are not counted (they are tiny). Each retransmission
+    increments [strovl_link_retransmits_total{proto="realtime"}] and each
+    request [strovl_link_nacks_total{proto="realtime"}]; the overhead of a
+    direct path is {!E2e.retransmissions}.
 
     Spacing: the recovery budget [B] (deadline minus path latency) is
     divided so the M-th response to the N-th request can still arrive:
@@ -49,11 +53,3 @@ val default_config : config
 val create : ?config:config -> Lproto.ctx -> t
 val send : t -> Packet.t -> unit
 val recv : t -> Msg.t -> unit
-
-val retransmissions : t -> int
-val requests_sent : t -> int
-val delivered_up : t -> int
-
-val wire_overhead : t -> float
-(** Measured (first transmissions + retransmissions) / first transmissions,
-    the paper's [1 + Mp] cost. Requests are excluded (they are tiny). *)

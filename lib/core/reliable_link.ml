@@ -37,7 +37,6 @@ type t = {
   mutable store : Packet.t array;
   mutable rto_timer : Engine.handle option;
   mutable rto_fire : unit -> unit;
-  mutable n_retrans : int;
   (* receiver: slot l land (length - 1) of [state] and [held_pkts] covers
      lseq l in (cum, cum + length]; [held_pkts] is only filled for [held]
      slots (ablation mode). *)
@@ -49,11 +48,11 @@ type t = {
   mutable unacked_count : int; (* packets received since last cum ack *)
   mutable ack_timer : Engine.handle option;
   mutable ack_fire : unit -> unit;
-  mutable n_up : int;
   (* Domain-local metric handles, bound at [create] time (Strovl_obs.Ctx). *)
   m_retrans : Strovl_obs.Metrics.Counter.t;
   m_nacks : Strovl_obs.Metrics.Counter.t;
   m_window_drops : Strovl_obs.Metrics.Counter.t;
+  s_retrans : Strovl_obs.Series.ch;
 }
 
 let nack_repeat t =
@@ -66,13 +65,8 @@ let rto t =
   Time.max (Time.ms 5) (Time.add (3 * t.ctx.Lproto.rtt_hint) ack_delay)
 
 let note_retrans t pkt =
-  t.n_retrans <- t.n_retrans + 1;
   Strovl_obs.Metrics.Counter.incr t.m_retrans;
-  if Strovl_obs.Series.armed () then
-    Strovl_obs.Series.incr
-      (Strovl_obs.Series.channel
-         ~labels:[ ("link", string_of_int t.ctx.Lproto.link) ]
-         "strovl_link_retransmits");
+  if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_retrans;
   if Strovl_obs.Trace.armed () then
     Lproto.trace_pkt t.ctx pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
 
@@ -202,7 +196,6 @@ let advance_cum t =
       if s = held then begin
         let pkt = t.held_pkts.(i) in
         t.held_pkts.(i) <- no_packet;
-        t.n_up <- t.n_up + 1;
         t.ctx.Lproto.up pkt
       end;
       go ()
@@ -271,7 +264,6 @@ let handle_data t lseq pkt =
       (* Out-of-order forwarding (§III-A): packets go up as they arrive. *)
       mark t lseq passed;
       advance_cum t;
-      t.n_up <- t.n_up + 1;
       t.ctx.Lproto.up pkt
     end;
     schedule_ack t
@@ -291,7 +283,6 @@ let create ~in_order ctx =
       store = Array.make initial_ring no_packet;
       rto_timer = None;
       rto_fire = ignore;
-      n_retrans = 0;
       recv_high = 0;
       cum = 0;
       missing = Hashtbl.create 8;
@@ -300,10 +291,13 @@ let create ~in_order ctx =
       unacked_count = 0;
       ack_timer = None;
       ack_fire = ignore;
-      n_up = 0;
       m_retrans = counter "strovl_link_retransmits_total";
       m_nacks = counter "strovl_link_nacks_total";
       m_window_drops = counter "strovl_link_window_drops_total";
+      s_retrans =
+        Strovl_obs.Series.channel
+          ~labels:[ ("link", string_of_int ctx.Lproto.link) ]
+          "strovl_link_retransmits";
     }
   in
   (* Built once here, not on every re-arm. *)
@@ -333,6 +327,4 @@ let drain_store t =
   t.rto_timer <- None;
   !pkts
 
-let retransmissions t = t.n_retrans
 let store_size t = t.next_lseq - t.s_lo + 1
-let delivered_up t = t.n_up

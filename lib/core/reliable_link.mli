@@ -53,8 +53,5 @@ val drain_store : t -> Packet.t list
     rerouting (§III-A + §II-A). Some of the packets may already have
     reached the peer (ack in flight); destinations de-duplicate. *)
 
-val retransmissions : t -> int
 val store_size : t -> int
 (** Packets currently held for possible retransmission. *)
-
-val delivered_up : t -> int

@@ -10,7 +10,7 @@ let queue_cap = Time.ms 50
 (* Per-packet header overhead added on the wire. *)
 let overhead_bytes = 40
 
-type half = { mutable last_departure : Time.t; mutable drops : int }
+type half = { mutable last_departure : Time.t }
 
 type t = {
   underlay : Underlay.t;
@@ -21,7 +21,6 @@ type t = {
   mutable isp_b : int; (* provider at the b-side (= isp when on-net) *)
   ab : half; (* direction a -> b *)
   ba : half;
-  mutable sent : int;
   (* Per-link labelled metric handles, created once per link. *)
   m_tx_pkts : Strovl_obs.Metrics.Counter.t;
   m_tx_bytes : Strovl_obs.Metrics.Counter.t;
@@ -43,9 +42,8 @@ let create ?(config = default_config) underlay ~a ~b ~isp =
     eb = b;
     isp;
     isp_b = isp;
-    ab = { last_departure = Time.zero; drops = 0 };
-    ba = { last_departure = Time.zero; drops = 0 };
-    sent = 0;
+    ab = { last_departure = Time.zero };
+    ba = { last_departure = Time.zero };
     m_tx_pkts = Strovl_obs.Metrics.counter ~labels "strovl_link_tx_packets_total";
     m_tx_bytes = Strovl_obs.Metrics.counter ~labels "strovl_link_tx_bytes_total";
     m_qdrops = Strovl_obs.Metrics.counter ~labels "strovl_link_queue_drops_total";
@@ -111,7 +109,6 @@ let send t ~src ~bytes ~deliver =
   let start = Time.max now h.last_departure in
   let departure = Time.add start (tx_time ~bandwidth_bps:t.cfg.bandwidth_bps bytes) in
   if Time.sub departure now > queue_cap then begin
-    h.drops <- h.drops + 1;
     Strovl_obs.Metrics.Counter.incr t.m_qdrops;
     if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_qdrops;
     if Strovl_obs.Trace.armed () then
@@ -120,7 +117,6 @@ let send t ~src ~bytes ~deliver =
   end
   else begin
     h.last_departure <- departure;
-    t.sent <- t.sent + 1;
     Strovl_obs.Metrics.Counter.incr t.m_tx_pkts;
     Strovl_obs.Metrics.Counter.add t.m_tx_bytes (bytes + overhead_bytes);
     Strovl_obs.Metrics.Histogram.observe t.m_backlog (Time.sub start now);
@@ -136,9 +132,6 @@ let send t ~src ~bytes ~deliver =
       (Engine.schedule_at engine ~at:departure (fun () ->
            Underlay.transmit_pair t.underlay ~isp_src ~isp_dst ~src ~dst ~deliver))
   end
-
-let sent t = t.sent
-let queue_drops t = t.ab.drops + t.ba.drops
 
 let backlog t ~src =
   let h = half_for t src in

@@ -66,9 +66,9 @@ val probe_delay : t -> Strovl_sim.Time.t option
 val send : t -> src:int -> bytes:int -> deliver:(unit -> unit) -> unit
 (** Queues a packet at endpoint [src] for the opposite endpoint. [deliver]
     fires at the receiver after serialization + path delay, unless the
-    packet is tail-dropped at the queue or lost in the underlay. *)
+    packet is tail-dropped at the queue or lost in the underlay. A queued
+    packet is counted in [strovl_link_tx_packets_total] and a tail drop in
+    [strovl_link_queue_drops_total], both labelled [link="a-b"]. *)
 
-val sent : t -> int
-val queue_drops : t -> int
 val backlog : t -> src:int -> Strovl_sim.Time.t
 (** Current queued backlog (serialization time) at an endpoint. *)

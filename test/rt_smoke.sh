@@ -1,13 +1,13 @@
 #!/bin/sh
 # Real-sockets check of the daemon binaries: three strovl_node daemons on
-# a loopback line 0-1-2, a receiver session at node 2, and a reliable
-# 200-packet strovl_send flow from node 0, two overlay hops away, sent
-# unpaced, so the daemons' batched sends carry several replies and link
-# frames at a time. Exits non-zero (printing every process's output)
-# unless the sender's Sends are all accepted and acknowledged, the
-# receiver gets all 200 packets and node 0's stats show no bad datagram:
-# every frame must still come out of a receive as a datagram of its own
-# to decode.
+# a loopback line 0-1-2, receiver sessions at node 2, and 200-packet
+# strovl_send flows from node 0, two overlay hops away, one after the
+# other: reliable, realtime and FEC. Each is sent unpaced, so the daemons'
+# batched sends carry several replies and link frames at a time. Exits
+# non-zero (printing every process's output) unless each sender's Sends
+# are all accepted and acknowledged, each receiver gets all 200 packets
+# and node 0's stats show no bad datagram: every frame must still come out
+# of a receive as a datagram of its own to decode.
 #
 #   sh test/rt_smoke.sh path/to/strovl_node.exe path/to/strovl_send.exe
 set -eu
@@ -44,28 +44,39 @@ for id in 0 1 2; do
     > "$dir/node$id.out" 2>&1 &
   pids="$pids $!"
 done
-"$send" --topo "$dir/topo" --node 2 --sport 9 --expect 200 --timeout-sec 20 \
-  > "$dir/receiver.out" 2>&1 &
-receiver=$!
-pids="$pids $receiver"
+# One receiver session at node 2 per flow, each on its own port.
+receivers=
+for svc in reliable realtime fec; do
+  case $svc in reliable) port=9 ;; realtime) port=11 ;; fec) port=13 ;; esac
+  "$send" --topo "$dir/topo" --node 2 --sport "$port" --expect 200 \
+    --timeout-sec 20 > "$dir/receiver-$svc.out" 2>&1 &
+  receivers="$receivers $!"
+done
+pids="$pids $receivers"
 # A few dozen hello intervals: links up, LSUs flooded, routes settled.
 sleep 2
 
 status=0
-"$send" --topo "$dir/topo" --node 0 --sport 8 --dest 2 --dport 9 \
-  --service reliable --count 200 --interval-ms 0 --stats \
-  > "$dir/sender.out" 2>&1 || status=1
-wait "$receiver" || status=1
-# The sender's socket receives the daemon's Sent replies as coalesced runs
-# and splits them back into datagrams; a reply cut at the wrong place would
-# not decode, and go unacknowledged.
-grep -q '^sent 200: 200 acknowledged, 0 refused$' "$dir/sender.out" || status=1
-# Node 0's stats (--stats): it counts its receives, and decoded every
-# datagram it split out of them.
-grep -q '"rx_batches":' "$dir/sender.out" || status=1
-grep -q '"bad_datagrams":0,' "$dir/sender.out" || status=1
+for svc in reliable realtime fec; do
+  case $svc in reliable) port=9 ;; realtime) port=11 ;; fec) port=13 ;; esac
+  "$send" --topo "$dir/topo" --node 0 --sport $((port - 1)) --dest 2 \
+    --dport "$port" --service "$svc" --count 200 --interval-ms 0 --stats \
+    > "$dir/sender-$svc.out" 2>&1 || status=1
+  # The sender's socket receives the daemon's Sent replies as coalesced
+  # runs and splits them back into datagrams; a reply cut at the wrong
+  # place would not decode, and go unacknowledged.
+  grep -q '^sent 200: 200 acknowledged, 0 refused$' "$dir/sender-$svc.out" \
+    || status=1
+  # Node 0's stats (--stats): it counts its receives, and decoded every
+  # datagram it split out of them.
+  grep -q '"rx_batches":' "$dir/sender-$svc.out" || status=1
+  grep -q '"bad_datagrams":0,' "$dir/sender-$svc.out" || status=1
+done
+for r in $receivers; do
+  wait "$r" || status=1
+done
 if [ "$status" -ne 0 ]; then
-  echo "rt_smoke: reliable flow across two daemon hops failed" >&2
+  echo "rt_smoke: a flow across two daemon hops failed" >&2
   for f in "$dir"/*.out; do
     echo "== $(basename "$f")" >&2
     cat "$f" >&2

@@ -167,7 +167,6 @@ let deliver_ordered () =
   let d = Deliver.create e Deliver.Ordered ~deliver:(fun p -> got := p.P.seq :: !got) in
   List.iter (fun s -> Deliver.push d (packet ~seq:s ())) [ 0; 2; 3; 1; 1; 4 ];
   Alcotest.(check (list int)) "reordered, dup dropped" [ 0; 1; 2; 3; 4 ] (List.rev !got);
-  check_int "delivered" 5 (Deliver.delivered d);
   check_int "pending" 0 (Deliver.pending d)
 
 let deliver_ordered_stalls_on_gap () =
@@ -193,12 +192,10 @@ let deliver_deadline_skips () =
       Deliver.push d (packet ~seq:2 ~sent_at:(Time.ms 10) ())));
   Engine.run e;
   Alcotest.(check (list int)) "gap skipped at deadline" [ 0; 2 ] (List.rev !got);
-  check_int "skipped slots" 1 (Deliver.skipped d);
   check_int "clock advanced to give-up" (Time.ms 110) (Engine.now e);
   (* The straggler arrives after its slot was abandoned: discarded. *)
   Deliver.push d (packet ~seq:1 ~sent_at:0 ());
-  Alcotest.(check (list int)) "late discarded" [ 0; 2 ] (List.rev !got);
-  check_int "late count" 1 (Deliver.discarded_late d)
+  Alcotest.(check (list int)) "late discarded" [ 0; 2 ] (List.rev !got)
 
 let deliver_deadline_recovery_in_time () =
   let e = Engine.create () in
@@ -211,8 +208,7 @@ let deliver_deadline_recovery_in_time () =
   ignore (Engine.schedule e ~delay:(Time.ms 50) (fun () ->
       Deliver.push d (packet ~seq:0 ~sent_at:0 ())));
   Engine.run e;
-  Alcotest.(check (list int)) "recovered in order" [ 0; 1 ] (List.rev !got);
-  check_int "nothing skipped" 0 (Deliver.skipped d)
+  Alcotest.(check (list int)) "recovered in order" [ 0; 1 ] (List.rev !got)
 
 (* ---------------------------- Conn_graph ----------------------------- *)
 

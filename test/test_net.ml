@@ -9,6 +9,15 @@ module Link = Strovl_net.Link
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* A per-link counter of the metrics registry, labelled as [Link] labels
+   it. *)
+let link_counter link name =
+  Strovl_obs.Metrics.find_counter
+    ~labels:[ ("link", Printf.sprintf "%d-%d" (Link.a link) (Link.b link)) ]
+    name
+
+let queue_drops link = link_counter link "strovl_link_queue_drops_total"
+
 let chain_underlay ?(convergence = Time.sec 40) ?(n = 6) () =
   let engine = Engine.create ~seed:1L () in
   let underlay = Underlay.create ~convergence engine (Gen.chain ~n ~hop_delay:(Time.ms 10)) in
@@ -97,6 +106,7 @@ let underlay_segments_between () =
 let link_send_and_delay () =
   let engine, u = chain_underlay () in
   let link = Link.create u ~a:0 ~b:5 ~isp:0 in
+  let sent0 = link_counter link "strovl_link_tx_packets_total" in
   check_int "a" 0 (Link.a link);
   check_int "other" 5 (Link.other link 0);
   let arrived = ref (-1) in
@@ -104,7 +114,7 @@ let link_send_and_delay () =
   Engine.run engine;
   (* 50ms propagation + ~8.3us serialization of 1040B at 1Gbps. *)
   check_bool "arrives just after 50ms" true (!arrived >= Time.ms 50 && !arrived < Time.ms 51);
-  check_int "sent" 1 (Link.sent link)
+  check_int "sent" 1 (link_counter link "strovl_link_tx_packets_total" - sent0)
 
 let link_queue_tail_drop () =
   let engine, u = chain_underlay () in
@@ -112,6 +122,7 @@ let link_queue_tail_drop () =
   let link = Link.create ~config u ~a:0 ~b:1 ~isp:0 in
   (* Each 1250B packet (with its header overhead) = 10ms serialization at
      1Mbps; the 50ms cap holds 5 packets. *)
+  let drops0 = queue_drops link in
   let delivered = ref 0 in
   for _ = 1 to 10 do
     Link.send link ~src:0 ~bytes:(1250 - Link.overhead_bytes) ~deliver:(fun () ->
@@ -120,7 +131,7 @@ let link_queue_tail_drop () =
   check_bool "backlog grew" true (Link.backlog link ~src:0 > 0);
   Engine.run engine;
   check_int "only queue-cap worth delivered" (Link.queue_cap / Time.ms 10) !delivered;
-  check_int "drops" (10 - (Link.queue_cap / Time.ms 10)) (Link.queue_drops link)
+  check_int "drops" (10 - (Link.queue_cap / Time.ms 10)) (queue_drops link - drops0)
 
 let link_multihoming () =
   let spec = Gen.us_backbone () in
@@ -487,6 +498,8 @@ let it_priority_pacer_matches_link () =
     Common.build ~config ~seed:1L (Gen.chain ~n:2 ~hop_delay:(Time.ms 10))
   in
   let link = Strovl.Net.net_link sim.Common.net 0 in
+  let drops0 = queue_drops link in
+  let sent0 = link_counter link "strovl_link_tx_packets_total" in
   let tx = Strovl.Client.attach (Strovl.Net.node sim.Common.net 0) ~port:1 in
   let sender =
     Strovl.Client.sender tx ~service:(Strovl.Packet.It_priority 1)
@@ -507,7 +520,11 @@ let it_priority_pacer_matches_link () =
   Common.run_for sim (Time.sec 3);
   Strovl_apps.Source.stop src;
   check_int "sampled every 10 ms" 300 !samples;
-  check_int "no link queue drops" 0 (Link.queue_drops link);
+  (* The drop count below is read from a live registry: the same one
+     counted the link's traffic. *)
+  check_bool "link counted its traffic" true
+    (link_counter link "strovl_link_tx_packets_total" > sent0);
+  check_int "no link queue drops" 0 (queue_drops link - drops0);
   check_bool
     (Printf.sprintf "worst backlog %d us under 5 ms" !worst)
     true

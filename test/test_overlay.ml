@@ -309,8 +309,7 @@ let session_detach_stops_delivery () =
   Strovl.Client.detach rx;
   ignore (Strovl.Client.send s ());
   run_ms engine 200;
-  check_int "stopped" 1 !n;
-  check_int "client received counter" 1 (Strovl.Client.received rx)
+  check_int "stopped" 1 !n
 
 let proc_delay_charged_per_hop () =
   let mk proc =

@@ -18,7 +18,9 @@ let packet ?(seq = 0) ?(service = P.Best_effort) ?(bytes = 100) engine =
     ~bytes ()
 
 (* A duplex pipe: side A's xmit delivers to a handler for B and vice versa.
-   [drop_a2b i msg] may drop the i-th A->B message. *)
+   [drop_a2b i msg] may drop the i-th A->B message. [tx_a] logs every
+   message A transmitted, newest first, dropped ones included: the seam at
+   which tests count what a protocol sent. *)
 type pipe = {
   engine : Engine.t;
   mutable recv_a : Msg.t -> unit;
@@ -27,6 +29,8 @@ type pipe = {
   mutable drop_b2a : int -> Msg.t -> bool;
   mutable sent_a2b : int;
   mutable sent_b2a : int;
+  mutable tx_a : Msg.t list;
+  mutable tx_b : Msg.t list;
 }
 
 let make_pipe ?(delay = Time.ms 5) () =
@@ -40,17 +44,21 @@ let make_pipe ?(delay = Time.ms 5) () =
       drop_b2a = (fun _ _ -> false);
       sent_a2b = 0;
       sent_b2a = 0;
+      tx_a = [];
+      tx_b = [];
     }
   in
   let xmit_a msg =
     let i = p.sent_a2b in
     p.sent_a2b <- i + 1;
+    p.tx_a <- msg :: p.tx_a;
     if not (p.drop_a2b i msg) then
       ignore (Engine.schedule engine ~delay (fun () -> p.recv_b msg))
   in
   let xmit_b msg =
     let i = p.sent_b2a in
     p.sent_b2a <- i + 1;
+    p.tx_b <- msg :: p.tx_b;
     if not (p.drop_b2a i msg) then
       ignore (Engine.schedule engine ~delay (fun () -> p.recv_a msg))
   in
@@ -67,6 +75,21 @@ let make_pipe ?(delay = Time.ms 5) () =
     }
   in
   (p, ctx xmit_a ignore (fun _ -> true), ctx xmit_b ignore (fun _ -> true))
+
+let count pred log = List.length (List.filter pred log)
+let is_data = function Msg.Data _ -> true | _ -> false
+let is_nack = function Msg.Link_nack _ -> true | _ -> false
+let is_request = function Msg.Rt_request _ -> true | _ -> false
+let is_it_ack = function Msg.It_ack _ -> true | _ -> false
+
+let proto_counter proto name =
+  Strovl_obs.Metrics.find_counter ~labels:[ ("proto", proto) ] name
+
+let retransmits proto = proto_counter proto "strovl_link_retransmits_total"
+let nacks proto = proto_counter proto "strovl_link_nacks_total"
+let window_drops proto = proto_counter proto "strovl_link_window_drops_total"
+let itp_drops () = proto_counter "it-priority" "strovl_link_queue_drops_total"
+let fec_recovered () = proto_counter "fec" "strovl_fec_recovered_total"
 
 let drop_nth_data n =
   let data_idx = ref (-1) in
@@ -93,8 +116,7 @@ let best_effort_forwards () =
   done;
   Engine.run p.engine;
   Alcotest.(check (list int)) "all through, in order" [ 0; 1; 2; 3; 4 ] (List.rev !got);
-  check_int "sent" 5 (Strovl.Best_effort.sent a);
-  check_int "received" 5 (Strovl.Best_effort.received b)
+  check_int "sent" 5 (count is_data p.tx_a)
 
 (* --------------------------- Reliable link --------------------------- *)
 
@@ -108,21 +130,21 @@ let rel_pair ?(in_order = false) p ctx_a ctx_b ~up =
 let reliable_no_loss () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = rel_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let a, _ = rel_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
   for s = 0 to 9 do
     Strovl.Reliable_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
   check_int "all up" 10 (List.length !got);
-  check_int "no retrans" 0 (Strovl.Reliable_link.retransmissions a);
-  check_int "store drained by cum ack" 0 (Strovl.Reliable_link.store_size a);
-  check_int "delivered_up counter" 10 (Strovl.Reliable_link.delivered_up b)
+  check_int "no retrans: 10 data for 10 sends" 10 (count is_data p.tx_a);
+  check_int "store drained by cum ack" 0 (Strovl.Reliable_link.store_size a)
 
 let reliable_recovers_loss_out_of_order () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
   let a, _b = rel_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
   p.drop_a2b <- drop_nth_data 2;
+  let retrans0 = retransmits "reliable" and nacks0 = nacks "reliable" in
   for s = 0 to 5 do
     Strovl.Reliable_link.send a (packet ~seq:s p.engine)
   done;
@@ -131,7 +153,10 @@ let reliable_recovers_loss_out_of_order () =
     [ 0; 1; 3; 4; 5; 2 ]
     (List.rev !got);
   check_bool "recovered via nack quickly" true (Engine.now p.engine < Time.ms 100);
-  check_int "exactly one retransmission" 1 (Strovl.Reliable_link.retransmissions a)
+  check_int "exactly one retransmission: 7 data for 6 sends" 7 (count is_data p.tx_a);
+  (* The counters agree with what crossed the pipe. *)
+  check_int "retransmits counted" 1 (retransmits "reliable" - retrans0);
+  check_int "nacks counted" (count is_nack p.tx_b) (nacks "reliable" - nacks0)
 
 let reliable_in_order_mode () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -158,7 +183,7 @@ let reliable_tail_loss_rto () =
   done;
   Engine.run p.engine;
   check_int "tail recovered" 3 (List.length !got);
-  check_bool "used rto" true (Strovl.Reliable_link.retransmissions a >= 1)
+  check_bool "used rto: more data than sends" true (count is_data p.tx_a >= 4)
 
 let reliable_nack_loss_retried () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -227,8 +252,8 @@ let reliable_drain_store () =
   check_int "store empty" 0 (Strovl.Reliable_link.store_size a);
   (* No RTO storms afterwards: engine drains quietly. *)
   Engine.run ~until:(Time.sec 2) p.engine;
-  check_int "nothing retransmitted after drain" 0
-    (Strovl.Reliable_link.retransmissions a)
+  check_int "nothing retransmitted after drain: 4 data for 4 sends" 4
+    (count is_data p.tx_a)
 
 let reliable_nack_gives_up_eventually () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -308,8 +333,7 @@ let reliable_gave_up_gap_passes () =
       Strovl.Reliable_link.recv b (reliable_data p 5);
       Engine.run ~until:(Time.add (Engine.now p.engine) (Time.sec 1)) p.engine;
       Alcotest.(check (list int)) "then everything up" [ 2; 3; 4; 5 ] (List.rev !got);
-      Alcotest.(check (list int)) "next ack covers the given-up slot" [ 5; 0 ] !acks;
-      check_int "delivered_up" 4 (Strovl.Reliable_link.delivered_up b))
+      Alcotest.(check (list int)) "next ack covers the given-up slot" [ 5; 0 ] !acks)
     [ false; true ]
 
 (* --------------------------- Realtime link --------------------------- *)
@@ -334,8 +358,9 @@ let rt_pair ?(config = rt_config) p ctx_a ctx_b ~up =
 let realtime_recovers_in_budget () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = rt_pair p ctx_a ctx_b ~up:(fun pkt -> got := (pkt.P.seq, Engine.now p.engine) :: !got) in
+  let a, _ = rt_pair p ctx_a ctx_b ~up:(fun pkt -> got := (pkt.P.seq, Engine.now p.engine) :: !got) in
   p.drop_a2b <- drop_nth_data 1;
+  let retrans0 = retransmits "realtime" and nacks0 = nacks "realtime" in
   for s = 0 to 3 do
     Strovl.Realtime_link.send a (packet ~seq:s p.engine)
   done;
@@ -345,8 +370,11 @@ let realtime_recovers_in_budget () =
   check_bool "within budget" true (t1 <= Time.ms 120);
   (* Receiving the packet cancels pending requests: only the first request
      fired. *)
-  check_int "requests cancelled after success" 1 (Strovl.Realtime_link.requests_sent b);
-  check_int "M retransmissions scheduled" 2 (Strovl.Realtime_link.retransmissions a)
+  check_int "requests cancelled after success" 1 (count is_request p.tx_b);
+  check_int "M retransmissions scheduled: 6 data for 4 sends" 6 (count is_data p.tx_a);
+  (* The counters agree with what crossed the pipe. *)
+  check_int "retransmits counted" 2 (retransmits "realtime" - retrans0);
+  check_int "requests counted as nacks" 1 (nacks "realtime" - nacks0)
 
 let realtime_duplicate_requests_single_m () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -357,12 +385,12 @@ let realtime_duplicate_requests_single_m () =
   Strovl.Realtime_link.recv a (Msg.Rt_request { lseq = 1 });
   Strovl.Realtime_link.recv a (Msg.Rt_request { lseq = 1 });
   Engine.run p.engine;
-  check_int "M once" 2 (Strovl.Realtime_link.retransmissions a)
+  check_int "M once: 3 data for 1 send" 3 (count is_data p.tx_a)
 
 let realtime_gives_up_after_n_requests () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref 0 in
-  let a, b = rt_pair p ctx_a ctx_b ~up:(fun _ -> incr got) in
+  let a, _ = rt_pair p ctx_a ctx_b ~up:(fun _ -> incr got) in
   (* Lose packet 1 and every retransmission of it. *)
   p.drop_a2b <-
     (fun _ msg ->
@@ -374,9 +402,9 @@ let realtime_gives_up_after_n_requests () =
   done;
   Engine.run p.engine;
   check_int "others delivered" 3 !got;
-  check_int "exactly N requests then give up" 3 (Strovl.Realtime_link.requests_sent b);
-  check_bool "overhead includes M per received request" true
-    (Strovl.Realtime_link.retransmissions a >= 2)
+  check_int "exactly N requests then give up" 3 (count is_request p.tx_b);
+  check_bool "overhead includes M per received request: 6+ data for 4 sends" true
+    (count is_data p.tx_a >= 6)
 
 let realtime_request_for_forgotten_packet () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -389,7 +417,8 @@ let realtime_request_for_forgotten_packet () =
   (* lseq 1 has fallen out of the 4-slot history: request ignored. *)
   Strovl.Realtime_link.recv a (Msg.Rt_request { lseq = 1 });
   Engine.run p.engine;
-  check_int "no retransmission of forgotten" 0 (Strovl.Realtime_link.retransmissions a)
+  check_int "no retransmission of forgotten: 10 data for 10 sends" 10
+    (count is_data p.tx_a)
 
 let realtime_overhead_counter () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -398,13 +427,12 @@ let realtime_overhead_counter () =
     Strovl.Realtime_link.send a (packet ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  Alcotest.(check (float 0.001)) "no loss overhead 1.0" 1.0
-    (Strovl.Realtime_link.wire_overhead a)
+  check_int "no loss overhead 1.0: 10 data for 10 sends" 10 (count is_data p.tx_a)
 
 let realtime_burst_recovery () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = rt_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let a, _ = rt_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
   (* Lose three consecutive packets: each missing lseq gets its own request
      machinery and all recover. *)
   let dropped = ref 0 in
@@ -420,8 +448,7 @@ let realtime_burst_recovery () =
   done;
   Engine.run p.engine;
   check_int "all seven delivered" 7 (List.length !got);
-  check_bool "one request per missing packet" true
-    (Strovl.Realtime_link.requests_sent b >= 3)
+  check_bool "one request per missing packet" true (count is_request p.tx_b >= 3)
 
 let realtime_overhead_with_loss () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -432,8 +459,8 @@ let realtime_overhead_with_loss () =
   done;
   Engine.run p.engine;
   (* One loss, M=2 retransmissions: overhead = 12/10. *)
-  Alcotest.(check (float 0.001)) "overhead = 1 + M*losses/sent" 1.2
-    (Strovl.Realtime_link.wire_overhead a)
+  check_int "overhead = 1 + M*losses/sent: 12 data for 10 sends" 12
+    (count is_data p.tx_a)
 
 (* ---------------------------- IT-Priority ---------------------------- *)
 
@@ -454,7 +481,9 @@ let itp_round_robin_fair () =
     Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin (slow_ctx ctx_a)
   in
   (* Source 7 floods 100; source 8 offers 10. All of 8's packets must be
-     transmitted (fair share), even though 7 enqueued first. *)
+     transmitted (fair share), even though 7 enqueued first. Only the
+     flooder can overflow its 64-packet buffer, so every drop is its own. *)
+  let drops0 = itp_drops () in
   for s = 0 to 99 do
     Strovl.It_priority.send sched (itp_packet ~src:7 ~prio:1 ~seq:s p.engine)
   done;
@@ -462,12 +491,15 @@ let itp_round_robin_fair () =
     Strovl.It_priority.send sched (itp_packet ~src:8 ~prio:1 ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_int "all of the light source sent" 10
-    (Strovl.It_priority.sent_for sched ~source:8);
-  check_bool "flooder saw the drops" true
-    (Strovl.It_priority.dropped_for sched ~source:7 > 0);
-  check_int "flooder kept only its buffer" (64 + 36)
-    (Strovl.It_priority.sent_for sched ~source:7 + Strovl.It_priority.dropped_for sched ~source:7 - 0)
+  let data_from src =
+    count
+      (function Msg.Data { pkt; _ } -> pkt.P.flow.P.f_src = src | _ -> false)
+      p.tx_a
+  in
+  let dropped = itp_drops () - drops0 in
+  check_int "all of the light source sent" 10 (data_from 8);
+  check_bool "flooder saw the drops" true (dropped > 0);
+  check_int "flooder: sent + dropped = 100" 100 (data_from 7 + dropped)
 
 let itp_priority_eviction () =
   (* One packet is serialized immediately; then fill the 64-slot buffer
@@ -482,6 +514,7 @@ let itp_priority_eviction () =
           (slow_ctx ctx_a)
       in
       let sent = ref [] in
+      let drops0 = itp_drops () in
       p.drop_a2b <-
         (fun _ msg ->
           (match msg with
@@ -494,8 +527,8 @@ let itp_priority_eviction () =
           (itp_packet ~src:7 ~prio:(prio s) ~seq:s p.engine)
       done;
       Engine.run p.engine;
-      check_int "one drop" 1 (Strovl.It_priority.total_dropped sched);
-      check_int "rest sent" 65 (Strovl.It_priority.total_sent sched);
+      check_int "one drop" 1 (itp_drops () - drops0);
+      check_int "rest sent" 65 (count is_data p.tx_a);
       Alcotest.(check (list int))
         (Printf.sprintf "seq %d evicted, the rest in order" victim)
         (List.filter (( <> ) victim) (List.init 66 Fun.id))
@@ -511,12 +544,13 @@ let itp_fifo_mode_drop_tail () =
   (* One shared 512-packet buffer, whatever the source: the first packet
      goes straight into service and the buffer keeps the next 512, so a
      per-source cap (64 each) or any other cap changes both counts. *)
+  let drops0 = itp_drops () in
   for s = 0 to 599 do
     Strovl.It_priority.send sched (itp_packet ~src:(7 + (s mod 2)) ~prio:1 ~seq:s p.engine)
   done;
   Engine.run p.engine;
-  check_int "in service + shared buffer sent" 513 (Strovl.It_priority.total_sent sched);
-  check_int "the rest dropped" (600 - 513) (Strovl.It_priority.total_dropped sched)
+  check_int "in service + shared buffer sent" 513 (count is_data p.tx_a);
+  check_int "the rest dropped" (600 - 513) (itp_drops () - drops0)
 
 let itp_recv_passes_up () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -555,7 +589,7 @@ let itr_delivery_and_ack () =
   done;
   Engine.run p.engine;
   check_int "all delivered" 5 !got;
-  check_int "all acked" 5 (Strovl.It_reliable.acked a);
+  check_int "all acked" 5 (count is_it_ack p.tx_b);
   check_int "buffers empty" 0 (Strovl.It_reliable.total_buffered a)
 
 let itr_flow_cap_refuses () =
@@ -585,10 +619,13 @@ let itr_retransmits_until_acked () =
         !accepts > 2)
       p ctx_a ctx_b
   in
+  let retrans0 = retransmits "it-reliable" in
   ignore (Strovl.It_reliable.offer a (itr_packet ~dst:9 ~seq:0 p.engine));
   Engine.run ~until:(Time.sec 2) p.engine;
-  check_bool "retransmitted" true (Strovl.It_reliable.retransmissions a >= 2);
-  check_int "eventually acked" 1 (Strovl.It_reliable.acked a);
+  let data = count is_data p.tx_a in
+  check_bool "retransmitted: 3+ data for 1 offer" true (data >= 3);
+  check_int "retransmits counted" (data - 1) (retransmits "it-reliable" - retrans0);
+  check_int "eventually acked" 1 (count is_it_ack p.tx_b);
   check_int "buffer freed" 0 (Strovl.It_reliable.total_buffered a)
 
 let itr_round_robin_across_flows () =
@@ -628,7 +665,8 @@ let fec_pair p ctx_a ctx_b ~up =
 let fec_no_loss () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let a, _ = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let recovered0 = fec_recovered () in
   (* Watch the wire: data payloads by lseq, and every parity. *)
   let data = Hashtbl.create 16 and parities = ref [] in
   p.drop_a2b <-
@@ -646,9 +684,8 @@ let fec_no_loss () =
   done;
   Engine.run p.engine;
   check_int "all delivered" 16 (List.length !got);
-  check_int "two full blocks of parity" 4 (Strovl.Fec_link.parity_sent a);
   check_int "4 parities for 16 data packets" 4 (List.length !parities);
-  check_int "nothing recovered" 0 (Strovl.Fec_link.recovered b);
+  check_int "nothing recovered" 0 (fec_recovered () - recovered0);
   (* Each parity symbol is as large as its block's largest data payload, so
      a block of equal packets pays exactly r/k in payload bytes. *)
   List.iter
@@ -665,7 +702,8 @@ let fec_no_loss () =
 let fec_recovers_within_parity_budget () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let a, _ = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let recovered0 = fec_recovered () in
   (* Lose 2 of the first block's 8 data packets: exactly r, recoverable. *)
   p.drop_a2b <-
     (fun _ msg ->
@@ -675,14 +713,15 @@ let fec_recovers_within_parity_budget () =
   done;
   Engine.run p.engine;
   check_int "all delivered incl recovered" 16 (List.length !got);
-  check_int "two recovered" 2 (Strovl.Fec_link.recovered b);
+  check_int "two recovered" 2 (fec_recovered () - recovered0);
   (* Delivery of recovered packets happens without any b->a traffic. *)
   check_int "no reverse traffic" 0 p.sent_b2a
 
 let fec_burst_defeats_block () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let a, _ = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let recovered0 = fec_recovered () in
   (* Lose 3 > r=2 of one block: unrecoverable; later blocks unaffected. *)
   p.drop_a2b <-
     (fun _ msg ->
@@ -692,12 +731,13 @@ let fec_burst_defeats_block () =
   done;
   Engine.run p.engine;
   check_int "only survivors delivered" 13 (List.length !got);
-  check_int "nothing recovered" 0 (Strovl.Fec_link.recovered b)
+  check_int "nothing recovered" 0 (fec_recovered () - recovered0)
 
 let fec_parity_loss_tolerated () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref [] in
-  let a, b = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let a, _ = fec_pair p ctx_a ctx_b ~up:(fun pkt -> got := pkt.P.seq :: !got) in
+  let recovered0 = fec_recovered () in
   (* One data and one parity lost: the remaining parity still decodes. *)
   let dropped_parity = ref false in
   p.drop_a2b <-
@@ -713,20 +753,21 @@ let fec_parity_loss_tolerated () =
   done;
   Engine.run p.engine;
   check_int "recovered with one parity" 8 (List.length !got);
-  check_int "one recovery" 1 (Strovl.Fec_link.recovered b)
+  check_int "one recovery" 1 (fec_recovered () - recovered0)
 
 let fec_flush_partial_block () =
   let p, ctx_a, ctx_b = make_pipe () in
   let got = ref 0 in
-  let a, b = fec_pair p ctx_a ctx_b ~up:(fun _ -> incr got) in
+  let a, _ = fec_pair p ctx_a ctx_b ~up:(fun _ -> incr got) in
   (* Two packets only (block of 8 incomplete), one lost: the flush timer
      must emit parity for the partial block and recover it. *)
   p.drop_a2b <- drop_nth_data 1;
+  let recovered0 = fec_recovered () in
   Strovl.Fec_link.send a (packet ~seq:0 p.engine);
   Strovl.Fec_link.send a (packet ~seq:1 p.engine);
   Engine.run p.engine;
   check_int "partial block recovered after flush" 2 !got;
-  check_int "recovered" 1 (Strovl.Fec_link.recovered b)
+  check_int "recovered" 1 (fec_recovered () - recovered0)
 
 let fec_no_duplicates () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -1096,10 +1137,6 @@ let qcheck_reliable_matches_model =
       in
       real = model)
 
-let window_drops proto =
-  Strovl_obs.Metrics.find_counter
-    ~labels:[ ("proto", proto) ]
-    "strovl_link_window_drops_total"
 
 (* One forged Data far past the window costs a counter increment: no NACK
    timer per skipped slot, nothing handed up, and the link keeps working. *)
@@ -1125,7 +1162,8 @@ let reliable_window_bound () =
     (List.rev !got);
   check_int "one drop only" (before + 1) (window_drops "reliable");
   (* Same bound on the NM-Strikes link. *)
-  let rt = Strovl.Realtime_link.create ctx_b in
+  let rt_up = ref 0 in
+  let rt = Strovl.Realtime_link.create { ctx_b with Lproto.up = (fun _ -> incr rt_up) } in
   let rt_before = window_drops "realtime" in
   let rt_data lseq =
     Msg.Data
@@ -1140,20 +1178,67 @@ let reliable_window_bound () =
   Strovl.Realtime_link.recv rt (rt_data 20_000_000);
   check_int "realtime dropped and counted" (rt_before + 1) (window_drops "realtime");
   check_int "no realtime timers" pending (Engine.pending_events p.engine);
-  check_int "nothing up" 0 (Strovl.Realtime_link.delivered_up rt)
+  check_int "nothing up" 0 !rt_up;
+  (* And on the FEC link, whose receiver would otherwise walk every lseq
+     between its floor and a forged one: a forged data lseq and a parity
+     whose block ends far past the window are each dropped and counted, at
+     once. *)
+  let fec_got = ref [] in
+  let fec =
+    Strovl.Fec_link.create
+      { ctx_b with Lproto.up = (fun pkt -> fec_got := pkt.P.seq :: !fec_got) }
+  in
+  let fec_cls = P.service_class P.Fec in
+  let fec_data lseq =
+    Msg.Data { cls = fec_cls; lseq; pkt = packet ~seq:lseq p.engine; auth = None }
+  in
+  let k = Strovl.Fec_link.k in
+  let forged_parity =
+    Msg.Fec_parity
+      {
+        block = 4_294_967_000;
+        idx = 0;
+        k;
+        bytes = 100;
+        blk_pkts = List.init k (fun i -> packet ~seq:i p.engine);
+      }
+  in
+  let pending = Engine.pending_events p.engine in
+  List.iteri
+    (fun i forged ->
+      let before = window_drops "fec" in
+      let t0 = Unix.gettimeofday () in
+      Strovl.Fec_link.recv fec forged;
+      let took = Unix.gettimeofday () -. t0 in
+      check_int (Printf.sprintf "fec forged %d dropped and counted" i) (before + 1)
+        (window_drops "fec");
+      check_bool
+        (Printf.sprintf "fec forged %d returns promptly (%.3f s)" i took)
+        true (took < 1.0))
+    [ fec_data 0xffff_ffff; forged_parity ];
+  check_int "no fec timers" pending (Engine.pending_events p.engine);
+  (* In-window data, up to the edge of the window, still goes up. *)
+  let fec_before = window_drops "fec" in
+  Strovl.Fec_link.recv fec (fec_data 1);
+  Strovl.Fec_link.recv fec (fec_data Strovl.Reliable_link.max_window);
+  Alcotest.(check (list int)) "fec in-window data up"
+    [ 1; Strovl.Reliable_link.max_window ]
+    (List.rev !fec_got);
+  check_int "no fec drop in window" fec_before (window_drops "fec")
 
 (* Both rings let go of a packet once it is acked, drained or handed up:
    the slots hold no stale reference that would keep it from being
    collected. *)
 let reliable_releases_packets () =
   let engine = Engine.create () in
+  let ups = ref 0 in
   let ctx =
     {
       Lproto.engine;
       node = -1;
       link = -1;
       xmit = ignore;
-      up = ignore;
+      up = (fun _ -> incr ups);
       try_up = (fun _ -> true);
       bandwidth_bps = 1_000_000_000;
       rtt_hint = Time.ms 2;
@@ -1178,7 +1263,7 @@ let reliable_releases_packets () =
   (* Held for in-order forwarding, then handed up once lseq 1 arrives. *)
   data 2 2;
   data 3 1;
-  check_int "both handed up" 2 (Strovl.Reliable_link.delivered_up t);
+  check_int "both handed up" 2 !ups;
   Gc.full_major ();
   for i = 0 to 3 do
     check_bool (Printf.sprintf "packet %d collectable" i) false (Weak.check tracked i)
