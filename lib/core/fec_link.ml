@@ -22,13 +22,10 @@ type t = {
   mutable next_lseq : int;
   mutable cur : (int * Packet.t) list; (* current block, newest first *)
   mutable flush_timer : Engine.handle option;
-  (* receiver *)
-  seen : (int, unit) Hashtbl.t;
-  mutable recv_floor : int; (* lseqs <= floor are old news *)
-  mutable recv_high : int;
+  (* receiver: lseqs at or below the window's floor are old news *)
+  win : Rx_window.t;
   blocks : (int, block_state) Hashtbl.t;
   m_recovered : Strovl_obs.Metrics.Counter.t;
-  m_window_drops : Strovl_obs.Metrics.Counter.t;
 }
 
 let create ctx =
@@ -38,18 +35,12 @@ let create ctx =
     next_lseq = 0;
     cur = [];
     flush_timer = None;
-    seen = Hashtbl.create 64;
-    recv_floor = 0;
-    recv_high = 0;
+    win = Rx_window.create ~proto:"fec";
     blocks = Hashtbl.create 8;
     m_recovered =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "fec") ]
         "strovl_fec_recovered_total";
-    m_window_drops =
-      Strovl_obs.Metrics.counter
-        ~labels:[ ("proto", "fec") ]
-        "strovl_link_window_drops_total";
   }
 
 (* ------------------------------ sender ------------------------------- *)
@@ -94,27 +85,18 @@ let send t pkt =
 
 (* ------------------------------ receiver ----------------------------- *)
 
-let is_seen t lseq = lseq <= t.recv_floor || Hashtbl.mem t.seen lseq
-
-(* Bound receiver state: blocks older than ~8 windows of k+history slide
-   out, unrecoverable or not. *)
-let compact t =
-  let window = 64 * k in
-  let new_floor = t.recv_high - window in
-  if new_floor > t.recv_floor then begin
-    for l = t.recv_floor + 1 to new_floor do
-      Hashtbl.remove t.seen l
-    done;
-    Hashtbl.iter
-      (fun base bs -> if base + Array.length bs.bs_pkts <= new_floor then bs.bs_done <- true)
-      t.blocks;
-    let stale =
-      Hashtbl.fold
-        (fun base bs acc -> if bs.bs_done then base :: acc else acc)
-        t.blocks []
-    in
-    List.iter (Hashtbl.remove t.blocks) stale;
-    t.recv_floor <- new_floor
+(* Bound receiver state: the floor trails the highest lseq received (or
+   named by a parity) by 64 blocks, and blocks below it slide out,
+   unrecoverable or not. *)
+let compact t high =
+  let new_floor = high - (64 * k) in
+  if new_floor > Rx_window.floor t.win then begin
+    Rx_window.slide t.win new_floor;
+    Hashtbl.filter_map_inplace
+      (fun base bs ->
+        if bs.bs_done || base + Array.length bs.bs_pkts <= new_floor then None
+        else Some bs)
+      t.blocks
   end
 
 (* If enough symbols of the block are present, reconstruct and deliver the
@@ -132,8 +114,8 @@ let try_decode t base bs =
       List.iter
         (fun i ->
           let lseq = base + i in
-          if not (is_seen t lseq) then begin
-            Hashtbl.replace t.seen lseq ();
+          if not (Rx_window.seen t.win lseq) then begin
+            Rx_window.set t.win lseq;
             Strovl_obs.Metrics.Counter.incr t.m_recovered;
             if Strovl_obs.Trace.armed () then
               Lproto.trace_pkt t.ctx bs.bs_pkts.(i)
@@ -152,7 +134,7 @@ let block_for t base pkts =
     let bs =
       {
         bs_pkts = arr;
-        bs_have = Array.init (Array.length arr) (fun i -> is_seen t (base + i));
+        bs_have = Array.init (Array.length arr) (fun i -> Rx_window.seen t.win (base + i));
         bs_parities = 0;
         bs_done = false;
       }
@@ -160,16 +142,10 @@ let block_for t base pkts =
     Hashtbl.replace t.blocks base bs;
     bs
 
-(* Same bound as the Reliable Data Link: [compact] walks every lseq between
-   the floor and the new high, so a forged lseq must not move the high
-   arbitrarily far. *)
-let beyond_window t lseq = lseq - t.recv_floor > Reliable_link.max_window
-
 let handle_data t lseq pkt =
-  if beyond_window t lseq then Strovl_obs.Metrics.Counter.incr t.m_window_drops
-  else if not (is_seen t lseq) then begin
-    Hashtbl.replace t.seen lseq ();
-    if lseq > t.recv_high then t.recv_high <- lseq;
+  if Rx_window.beyond t.win lseq then () (* counted *)
+  else if not (Rx_window.seen t.win lseq) then begin
+    Rx_window.set t.win lseq;
     (* If this block is already being tracked (parity arrived first or
        out-of-order data), update it. *)
     Hashtbl.iter
@@ -179,19 +155,17 @@ let handle_data t lseq pkt =
           try_decode t base bs
         end)
       t.blocks;
-    compact t;
+    compact t lseq;
     t.ctx.Lproto.up pkt
   end
 
 let handle_parity t ~block ~k ~blk_pkts =
-  if beyond_window t (block + k - 1) then
-    Strovl_obs.Metrics.Counter.incr t.m_window_drops
-  else if List.length blk_pkts = k && k > 0 && block > t.recv_floor then begin
-    if block + k - 1 > t.recv_high then t.recv_high <- block + k - 1;
+  if Rx_window.beyond t.win (block + k - 1) then () (* counted *)
+  else if List.length blk_pkts = k && k > 0 && block > Rx_window.floor t.win then begin
     let bs = block_for t block blk_pkts in
     bs.bs_parities <- bs.bs_parities + 1;
     try_decode t block bs;
-    compact t
+    compact t (block + k - 1)
   end
 
 let recv t = function

@@ -18,10 +18,10 @@
     flows.
 
     The receiver counts each reconstructed packet in
-    [strovl_fec_recovered_total{proto="fec"}]. A data packet, or a parity
-    symbol whose block ends, more than {!Reliable_link.max_window} past the
-    receiver's duplicate-filter floor is dropped and counted in
-    [strovl_link_window_drops_total{proto="fec"}]. *)
+    [strovl_fec_recovered_total{proto="fec"}]. Its duplicate filter is an
+    {!Rx_window} 64 blocks long. A data packet, or a parity symbol whose
+    block ends, more than {!Rx_window.bound} past its floor is dropped and
+    counted in [strovl_link_window_drops_total{proto="fec"}]. *)
 
 type t
 

@@ -16,24 +16,10 @@ type t = {
   rotation : int Queue.t; (* sources with queued packets, round-robin order *)
   in_rotation : (int, unit) Hashtbl.t;
   mutable busy : bool;
+  mutable pace_fire : unit -> unit; (* ends a transmission's pacing slot *)
   mutable lseq : int;
   m_evicted : Strovl_obs.Metrics.Counter.t;
 }
-
-let create ~mode ctx =
-  {
-    ctx;
-    mode;
-    queues = Hashtbl.create 16;
-    rotation = Queue.create ();
-    in_rotation = Hashtbl.create 16;
-    busy = false;
-    lseq = 0;
-    m_evicted =
-      Strovl_obs.Metrics.counter
-        ~labels:[ ("proto", "it-priority") ]
-        "strovl_link_queue_drops_total";
-  }
 
 let source_of pkt =
   pkt.Packet.flow.Packet.f_src
@@ -108,11 +94,35 @@ let rec service t =
              ~delay:
                (Strovl_net.Link.tx_time ~bandwidth_bps:t.ctx.Lproto.bandwidth_bps
                   (Wire.size msg))
-             (fun () ->
-               t.busy <- false;
-               service t))
+             t.pace_fire)
     end
   end
+
+(* The pacing slot of the last transmission is over: send the next. *)
+let end_pacing t () =
+  t.busy <- false;
+  service t
+
+let create ~mode ctx =
+  let t =
+    {
+      ctx;
+      mode;
+      queues = Hashtbl.create 16;
+      rotation = Queue.create ();
+      in_rotation = Hashtbl.create 16;
+      busy = false;
+      pace_fire = ignore;
+      lseq = 0;
+      m_evicted =
+        Strovl_obs.Metrics.counter
+          ~labels:[ ("proto", "it-priority") ]
+          "strovl_link_queue_drops_total";
+    }
+  in
+  (* Built once here, not on every transmitted packet. *)
+  t.pace_fire <- end_pacing t;
+  t
 
 let send t pkt =
   let key, cap =

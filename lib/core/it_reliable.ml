@@ -29,25 +29,10 @@ type t = {
   in_rotation : (Packet.flow, unit) Hashtbl.t;
   by_lseq : (int, Packet.flow * entry) Hashtbl.t;
   mutable busy : bool;
+  mutable pace_fire : unit -> unit; (* ends a transmission's pacing slot *)
   mutable next_lseq : int;
   m_retrans : Strovl_obs.Metrics.Counter.t;
 }
-
-let create ctx =
-  {
-    ctx;
-    cls = Packet.service_class Packet.It_reliable;
-    flows = FlowMap.empty;
-    rotation = Queue.create ();
-    in_rotation = Hashtbl.create 16;
-    by_lseq = Hashtbl.create 64;
-    busy = false;
-    next_lseq = 0;
-    m_retrans =
-      Strovl_obs.Metrics.counter
-        ~labels:[ ("proto", "it-reliable") ]
-        "strovl_link_retransmits_total";
-  }
 
 let base_rto t = Time.max (Time.ms 5) (3 * t.ctx.Lproto.rtt_hint)
 
@@ -106,9 +91,7 @@ let rec transmit t flow e =
        ~delay:
          (Strovl_net.Link.tx_time ~bandwidth_bps:t.ctx.Lproto.bandwidth_bps
             (Wire.size msg))
-       (fun () ->
-         t.busy <- false;
-         service t))
+       t.pace_fire)
 
 and service t =
   if not t.busy then begin
@@ -126,6 +109,33 @@ and service t =
         transmit t flow e
     end
   end
+
+(* The pacing slot of the last transmission is over: send the next. *)
+let end_pacing t () =
+  t.busy <- false;
+  service t
+
+let create ctx =
+  let t =
+    {
+      ctx;
+      cls = Packet.service_class Packet.It_reliable;
+      flows = FlowMap.empty;
+      rotation = Queue.create ();
+      in_rotation = Hashtbl.create 16;
+      by_lseq = Hashtbl.create 64;
+      busy = false;
+      pace_fire = ignore;
+      next_lseq = 0;
+      m_retrans =
+        Strovl_obs.Metrics.counter
+          ~labels:[ ("proto", "it-reliable") ]
+          "strovl_link_retransmits_total";
+    }
+  in
+  (* Built once here, not on every transmitted packet. *)
+  t.pace_fire <- end_pacing t;
+  t
 
 let can_accept t ~flow =
   match FlowMap.find_opt flow t.flows with

@@ -28,16 +28,12 @@ type t = {
   (* sender *)
   mutable next_lseq : int;
   ring : (int * Packet.t) option array; (* recent packets by lseq mod history *)
-  requested : (int, unit) Hashtbl.t; (* lseqs already being retransmitted *)
-  (* receiver *)
-  mutable recv_high : int;
-  mutable cum_floor : int; (* lseqs <= floor considered handled (dup filter base) *)
-  seen : (int, unit) Hashtbl.t;
-  pending : (int, Engine.handle list ref) Hashtbl.t; (* missing lseq -> request timers *)
+  requested : Bytes.t; (* '\001': the ring slot's packet is being retransmitted *)
+  (* receiver: the floor trails the highest lseq received by [history] *)
+  win : Rx_window.t;
   (* [mh_] prefix: the config field [m_retrans] already takes the name. *)
   mh_retrans : Strovl_obs.Metrics.Counter.t;
   mh_requests : Strovl_obs.Metrics.Counter.t;
-  mh_window_drops : Strovl_obs.Metrics.Counter.t;
 }
 
 let create ?(config = default_config) ctx =
@@ -79,11 +75,8 @@ let create ?(config = default_config) ctx =
     retrans_spacing;
     next_lseq = 0;
     ring = Array.make config.history None;
-    requested = Hashtbl.create 32;
-    recv_high = 0;
-    cum_floor = 0;
-    seen = Hashtbl.create 64;
-    pending = Hashtbl.create 16;
+    requested = Bytes.make config.history '\000';
+    win = Rx_window.create ~proto:"realtime";
     mh_retrans =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "realtime") ]
@@ -92,10 +85,6 @@ let create ?(config = default_config) ctx =
       Strovl_obs.Metrics.counter
         ~labels:[ ("proto", "realtime") ]
         "strovl_link_nacks_total";
-    mh_window_drops =
-      Strovl_obs.Metrics.counter
-        ~labels:[ ("proto", "realtime") ]
-        "strovl_link_window_drops_total";
   }
 
 (* ---------------- sender ---------------- *)
@@ -107,94 +96,65 @@ let send t pkt =
   t.next_lseq <- t.next_lseq + 1;
   let lseq = t.next_lseq in
   t.ring.(lseq mod t.cfg.history) <- Some (lseq, pkt);
-  Hashtbl.remove t.requested lseq;
+  Bytes.set t.requested (lseq mod t.cfg.history) '\000';
   xmit_data t lseq pkt
 
 let handle_request t lseq =
   (* Schedule M spaced retransmissions on the first request only; later
      requests for the same packet are the receiver's insurance against
      request loss and must not multiply the responses. *)
-  if not (Hashtbl.mem t.requested lseq) then begin
-    match t.ring.(lseq mod t.cfg.history) with
-    | Some (l, pkt) when l = lseq ->
-      Hashtbl.replace t.requested lseq ();
-      for j = 0 to t.cfg.m_retrans - 1 do
-        ignore
-          (Engine.schedule t.ctx.Lproto.engine ~delay:(j * t.retrans_spacing)
-             (fun () ->
-               Strovl_obs.Metrics.Counter.incr t.mh_retrans;
-               if Strovl_obs.Trace.armed () then
-                 Lproto.trace_pkt t.ctx pkt
-                   (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link);
-               xmit_data t lseq pkt))
-      done
-    | _ -> () (* too old: fell out of the history ring *)
-  end
+  let i = lseq mod t.cfg.history in
+  match t.ring.(i) with
+  | Some (l, pkt) when l = lseq && Bytes.get t.requested i = '\000' ->
+    Bytes.set t.requested i '\001';
+    for j = 0 to t.cfg.m_retrans - 1 do
+      ignore
+        (Engine.schedule t.ctx.Lproto.engine ~delay:(j * t.retrans_spacing)
+           (fun () ->
+             Strovl_obs.Metrics.Counter.incr t.mh_retrans;
+             if Strovl_obs.Trace.armed () then
+               Lproto.trace_pkt t.ctx pkt
+                 (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link);
+             xmit_data t lseq pkt))
+    done
+  | _ -> () (* already requested, or too old: fell out of the history ring *)
 
 (* ---------------- receiver ---------------- *)
 
-let cancel_pending t lseq =
-  match Hashtbl.find_opt t.pending lseq with
-  | Some timers ->
-    List.iter (Engine.cancel t.ctx.Lproto.engine) !timers;
-    Hashtbl.remove t.pending lseq
-  | None -> ()
-
+(* A request timer that finds its packet received, or slid below the
+   window, sends nothing: receiving the packet ends the strikes. A copy
+   that arrives after the last request is delivered normally — judging it
+   against the application deadline is the destination buffer's job, not
+   the link's. *)
 let request_missing t lseq =
-  if not (Hashtbl.mem t.pending lseq) then begin
-    let timers = ref [] in
-    Hashtbl.replace t.pending lseq timers;
-    for i = 0 to t.cfg.n_requests - 1 do
-      let h =
-        Engine.schedule t.ctx.Lproto.engine ~delay:(i * t.request_spacing)
-          (fun () ->
-            Strovl_obs.Metrics.Counter.incr t.mh_requests;
-            if Strovl_obs.Trace.armed () then
-              Lproto.trace t.ctx (Strovl_obs.Trace.Strike (t.ctx.Lproto.link, lseq));
-            t.ctx.Lproto.xmit (Msg.Rt_request { lseq }))
-      in
-      timers := h :: !timers
-    done;
-    (* Stop tracking the slot once the budget is exhausted (bounds timer
-       state). A copy that still arrives afterwards is delivered normally —
-       judging it against the application deadline is the destination
-       buffer's job, not the link's. *)
-    let give_up =
-      Engine.schedule t.ctx.Lproto.engine ~delay:(2 * t.cfg.budget) (fun () ->
-          Hashtbl.remove t.pending lseq)
-    in
-    timers := give_up :: !timers
-  end
-
-let is_dup t lseq = lseq <= t.cum_floor || Hashtbl.mem t.seen lseq
-
-(* Keep the seen set bounded: slide the floor so it covers the history
-   window behind recv_high. *)
-let compact t =
-  let new_floor = t.recv_high - t.cfg.history in
-  if new_floor > t.cum_floor then begin
-    for l = t.cum_floor + 1 to new_floor do
-      Hashtbl.remove t.seen l;
-      cancel_pending t l
-    done;
-    t.cum_floor <- new_floor
-  end
+  for i = 0 to t.cfg.n_requests - 1 do
+    ignore
+      (Engine.schedule t.ctx.Lproto.engine ~delay:(i * t.request_spacing)
+         (fun () ->
+           if not (Rx_window.seen t.win lseq) then begin
+             Strovl_obs.Metrics.Counter.incr t.mh_requests;
+             if Strovl_obs.Trace.armed () then
+               Lproto.trace t.ctx (Strovl_obs.Trace.Strike (t.ctx.Lproto.link, lseq));
+             t.ctx.Lproto.xmit (Msg.Rt_request { lseq })
+           end))
+  done
 
 let handle_data t lseq pkt =
-  if lseq - t.cum_floor > Reliable_link.max_window then
-    (* Same bound as the Reliable Data Link: a forged lseq must not buy
-       request timers for every slot it skips. *)
-    Strovl_obs.Metrics.Counter.incr t.mh_window_drops
-  else if not (is_dup t lseq) then begin
-    cancel_pending t lseq;
-    if lseq > t.recv_high then begin
-      for g = t.recv_high + 1 to lseq - 1 do
-        if not (is_dup t g) then request_missing t g
-      done;
-      t.recv_high <- lseq
+  if Rx_window.beyond t.win lseq then
+    () (* counted: a forged lseq must not buy request timers for every slot
+          it skips *)
+  else if not (Rx_window.seen t.win lseq) then begin
+    let high = Rx_window.high t.win in
+    if lseq > high then begin
+      (* Keep the window [history] long behind the new high; only the gaps
+         inside it are worth a request. *)
+      let floor = lseq - t.cfg.history in
+      Rx_window.slide t.win floor;
+      for g = max high floor + 1 to lseq - 1 do
+        request_missing t g
+      done
     end;
-    Hashtbl.replace t.seen lseq ();
-    compact t;
+    Rx_window.set t.win lseq;
     t.ctx.Lproto.up pkt
   end
 

@@ -10,7 +10,7 @@
       all requests fall inside one loss burst;
     - the sender, on the *first* request received for a packet, schedules
       [M] retransmissions, also spread out;
-    - receiving the packet cancels the receiver's remaining requests;
+    - receiving the packet ends the receiver's remaining requests;
       requests for packets the sender no longer buffers are ignored.
 
     Expected overhead is [1 + M·p] data transmissions per packet at loss
@@ -25,8 +25,9 @@
     request i at [i·B/(N+1)] after detection, retransmission j at
     [j·(B/(N+1))/(M+1)] after the request.
 
-    A data packet more than {!Reliable_link.max_window} past the receiver's
-    duplicate-filter floor is dropped and counted in
+    The receiver is an {!Rx_window} [history] long behind the highest lseq
+    received: it requests only the gaps inside it, and drops a data packet
+    more than {!Rx_window.bound} past its floor, counted in
     [strovl_link_window_drops_total{proto="realtime"}]. *)
 
 type t

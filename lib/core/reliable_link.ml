@@ -9,14 +9,7 @@ let ack_delay = Time.ms 25
    rerouted the packets away from a dead link, the slot never fills. *)
 let max_nack_repeats = 50
 
-let max_window = 1 lsl 16
-
-(* Receive-window slot states. *)
-let absent = '\000'
-let passed = '\001' (* received and already handed up (or given up) *)
-let held = '\002' (* received, waiting for in-order forwarding *)
-
-(* Fills the ring slots that hold no packet, so a released packet is not
+(* Fills the store slots that hold no packet, so a released packet is not
    kept reachable by its old slot. *)
 let no_packet =
   Packet.make
@@ -37,21 +30,17 @@ type t = {
   mutable store : Packet.t array;
   mutable rto_timer : Engine.handle option;
   mutable rto_fire : unit -> unit;
-  (* receiver: slot l land (length - 1) of [state] and [held_pkts] covers
-     lseq l in (cum, cum + length]; [held_pkts] is only filled for [held]
-     slots (ablation mode). *)
-  mutable recv_high : int; (* highest lseq received *)
-  mutable cum : int; (* highest contiguous lseq received *)
-  mutable missing : (int, Engine.handle) Hashtbl.t; (* gap lseq -> nack repeat timer *)
-  mutable state : Bytes.t;
-  mutable held_pkts : Packet.t array;
+  (* receiver: the window's floor is cum, the highest contiguous lseq
+     received (or given up); [held] keeps the packets above it that wait
+     for in-order forwarding (ablation mode only). *)
+  win : Rx_window.t;
+  held : (int, Packet.t) Hashtbl.t;
   mutable unacked_count : int; (* packets received since last cum ack *)
   mutable ack_timer : Engine.handle option;
   mutable ack_fire : unit -> unit;
   (* Domain-local metric handles, bound at [create] time (Strovl_obs.Ctx). *)
   m_retrans : Strovl_obs.Metrics.Counter.t;
   m_nacks : Strovl_obs.Metrics.Counter.t;
-  m_window_drops : Strovl_obs.Metrics.Counter.t;
   s_retrans : Strovl_obs.Series.ch;
 }
 
@@ -146,7 +135,7 @@ let send_cum_ack t =
   | None -> ());
   t.ack_timer <- None;
   t.unacked_count <- 0;
-  t.ctx.Lproto.xmit (Msg.Link_ack { cls = t.cls; cum = t.cum })
+  t.ctx.Lproto.xmit (Msg.Link_ack { cls = t.cls; cum = Rx_window.floor t.win })
 
 let fire_ack t () =
   t.ack_timer <- None;
@@ -159,58 +148,27 @@ let schedule_ack t =
     t.ack_timer <-
       Some (Engine.schedule t.ctx.Lproto.engine ~delay:ack_delay t.ack_fire)
 
-(* Whether lseq > cum has been received. *)
-let seen t lseq =
-  lseq - t.cum <= Bytes.length t.state
-  && Bytes.get t.state (lseq land (Bytes.length t.state - 1)) <> absent
-
-(* Grows the receive window until it covers lseq (<= cum + max_window). *)
-let cover t lseq =
-  let len = Bytes.length t.state in
-  if lseq - t.cum > len then begin
-    let nlen = ref (2 * len) in
-    while lseq - t.cum > !nlen do
-      nlen := 2 * !nlen
-    done;
-    let state = Bytes.make !nlen absent in
-    let held_pkts = Array.make !nlen no_packet in
-    let omask = len - 1 and mask = !nlen - 1 in
-    for l = t.cum + 1 to t.cum + len do
-      Bytes.set state (l land mask) (Bytes.get t.state (l land omask));
-      held_pkts.(l land mask) <- t.held_pkts.(l land omask)
-    done;
-    t.state <- state;
-    t.held_pkts <- held_pkts
-  end
-
-let mark t lseq s = Bytes.set t.state (lseq land (Bytes.length t.state - 1)) s
-
 let advance_cum t =
-  let rec go () =
-    let next = t.cum + 1 in
-    let i = next land (Bytes.length t.state - 1) in
-    let s = Bytes.get t.state i in
-    if s <> absent then begin
-      Bytes.set t.state i absent;
-      t.cum <- next;
-      if s = held then begin
-        let pkt = t.held_pkts.(i) in
-        t.held_pkts.(i) <- no_packet;
+  while Rx_window.take_next t.win do
+    if t.in_order then begin
+      let cum = Rx_window.floor t.win in
+      match Hashtbl.find_opt t.held cum with
+      | Some pkt ->
+        Hashtbl.remove t.held cum;
         t.ctx.Lproto.up pkt
-      end;
-      go ()
+      | None -> ()
     end
-  in
-  go ()
+  done
 
+(* A gap's NACK timer repeats until the slot is seen: a retransmission that
+   fills it ends the loop at the next firing. *)
 let rec nack_loop t lseq tries () =
-  if Hashtbl.mem t.missing lseq then begin
+  if not (Rx_window.seen t.win lseq) then begin
     if tries >= max_nack_repeats then begin
       (* The peer will never answer (it rerouted the packet away from this
          link): abandon the slot so timers do not fire forever. The slot is
-         marked received-and-forwarded so cum can advance past it. *)
-      Hashtbl.remove t.missing lseq;
-      mark t lseq passed;
+         marked seen so cum can advance past it. *)
+      Rx_window.set t.win lseq;
       advance_cum t
     end
     else begin
@@ -218,51 +176,32 @@ let rec nack_loop t lseq tries () =
       if Strovl_obs.Trace.armed () then
         Lproto.trace t.ctx (Strovl_obs.Trace.Nack (t.ctx.Lproto.link, lseq));
       t.ctx.Lproto.xmit (Msg.Link_nack { cls = t.cls; missing = [ lseq ] });
-      let h =
-        Engine.schedule t.ctx.Lproto.engine ~delay:(nack_repeat t)
-          (nack_loop t lseq (tries + 1))
-      in
-      Hashtbl.replace t.missing lseq h
+      ignore
+        (Engine.schedule t.ctx.Lproto.engine ~delay:(nack_repeat t)
+           (nack_loop t lseq (tries + 1)))
     end
   end
 
-let note_gap t lseq =
-  if not (Hashtbl.mem t.missing lseq) then begin
-    (* First NACK goes out immediately; the timer handles repeats. *)
-    Hashtbl.replace t.missing lseq
-      (Engine.schedule t.ctx.Lproto.engine ~delay:Time.zero (nack_loop t lseq 0))
-  end
-
 let handle_data t lseq pkt =
-  if lseq - t.cum > max_window then
-    (* Beyond any window an honest sender reaches: a forged or corrupt lseq
-       must not buy a NACK timer per skipped slot. *)
-    Strovl_obs.Metrics.Counter.incr t.m_window_drops
-  else if lseq <= t.cum || seen t lseq then
+  if Rx_window.beyond t.win lseq then
+    () (* counted: a forged or corrupt lseq must not buy a NACK timer per
+          skipped slot *)
+  else if Rx_window.seen t.win lseq then
     send_cum_ack t (* duplicate: our ack was probably lost; refresh *)
   else begin
-    (match Hashtbl.find_opt t.missing lseq with
-    | Some h ->
-      Engine.cancel t.ctx.Lproto.engine h;
-      Hashtbl.remove t.missing lseq
-    | None -> ());
-    if lseq > t.recv_high then begin
-      (* New gap slots between recv_high and lseq. *)
-      for g = t.recv_high + 1 to lseq - 1 do
-        if g > t.cum && not (seen t g) then note_gap t g
-      done;
-      t.recv_high <- lseq
-    end;
-    cover t lseq;
+    (* New gap slots between the highest lseq received and this one; the
+       first NACK goes out immediately, the timer handles repeats. *)
+    for g = Rx_window.high t.win + 1 to lseq - 1 do
+      ignore (Engine.schedule t.ctx.Lproto.engine ~delay:Time.zero (nack_loop t g 0))
+    done;
+    Rx_window.set t.win lseq;
     if t.in_order then begin
       (* Ablation: hold until contiguous, forwarding inside advance_cum. *)
-      mark t lseq held;
-      t.held_pkts.(lseq land (Array.length t.held_pkts - 1)) <- pkt;
+      Hashtbl.replace t.held lseq pkt;
       advance_cum t
     end
     else begin
       (* Out-of-order forwarding (§III-A): packets go up as they arrive. *)
-      mark t lseq passed;
       advance_cum t;
       t.ctx.Lproto.up pkt
     end;
@@ -283,17 +222,13 @@ let create ~in_order ctx =
       store = Array.make initial_ring no_packet;
       rto_timer = None;
       rto_fire = ignore;
-      recv_high = 0;
-      cum = 0;
-      missing = Hashtbl.create 8;
-      state = Bytes.make initial_ring absent;
-      held_pkts = Array.make initial_ring no_packet;
+      win = Rx_window.create ~proto:"reliable";
+      held = Hashtbl.create 8;
       unacked_count = 0;
       ack_timer = None;
       ack_fire = ignore;
       m_retrans = counter "strovl_link_retransmits_total";
       m_nacks = counter "strovl_link_nacks_total";
-      m_window_drops = counter "strovl_link_window_drops_total";
       s_retrans =
         Strovl_obs.Series.channel
           ~labels:[ ("link", string_of_int ctx.Lproto.link) ]

@@ -20,19 +20,12 @@
     Both windows are rings indexed by [lseq land mask], so the per-packet
     bookkeeping allocates nothing. The sender's unacked lseqs are always one
     contiguous range, held in a power-of-two packet array that doubles when
-    full (it never shrinks, and is still unbounded). The receiver keeps one
-    state byte per lseq above its cumulative point [cum] (absent, passed up,
-    or held for in-order forwarding), grown on demand up to
-    {!max_window}. *)
+    full (it never shrinks, and is still unbounded). The receiver is an
+    {!Rx_window} whose floor is its cumulative point [cum]; a [Data] message
+    more than {!Rx_window.bound} past [cum] is dropped and counted in
+    [strovl_link_window_drops_total{proto="reliable"}]. *)
 
 type t
-
-val max_window : int
-(** 2{^16}: a [Data] message more than this far past [cum] is dropped and
-    counted in [strovl_link_window_drops_total{proto="reliable"}], so one
-    forged or corrupt lseq (a u32 on the wire) cannot schedule a NACK timer
-    for every slot it skips. The largest gap any experiment of the suite
-    opens is a few hundred lseqs. *)
 
 val create : in_order:bool -> Lproto.ctx -> t
 (** [in_order] is the ablation of §III-A's design choice: hold received

@@ -24,6 +24,7 @@ module Conn_graph = Conn_graph
 module Group = Group
 module Route = Route
 module Lproto = Lproto
+module Rx_window = Rx_window
 module Best_effort = Best_effort
 module Reliable_link = Reliable_link
 module Realtime_link = Realtime_link

@@ -3,8 +3,8 @@
     The engine owns the virtual clock and an event queue. Model components
     schedule closures to run at future instants; [run] executes them in
     timestamp order (FIFO among equal timestamps). Timers are cancellable,
-    which the overlay protocols use heavily (e.g. NM-Strikes cancels pending
-    retransmission requests when the packet arrives).
+    which the overlay protocols use heavily (e.g. the reliable link re-arms
+    its retransmission timer on every ack).
 
     Events are pooled: slots live in unboxed parallel arrays recycled
     through a free list, and a timer wheel absorbs the dominant short-delay

@@ -420,6 +420,39 @@ let realtime_request_for_forgotten_packet () =
   check_int "no retransmission of forgotten: 10 data for 10 sends" 10
     (count is_data p.tx_a)
 
+(* The sender remembers which packets it is retransmitting per ring slot,
+   so answering a request for every packet keeps its footprint flat. *)
+let realtime_sender_state_bounded () =
+  let engine = Engine.create () in
+  let ctx =
+    {
+      Lproto.engine;
+      node = -1;
+      link = -1;
+      xmit = ignore;
+      up = ignore;
+      try_up = (fun _ -> true);
+      bandwidth_bps = 1_000_000_000;
+      rtt_hint = Time.ms 2;
+    }
+  in
+  let a = Strovl.Realtime_link.create ~config:rt_config ctx in
+  let pkt = packet engine in
+  let history = rt_config.Strovl.Realtime_link.history in
+  let lseq = ref 0 in
+  let run n =
+    for _ = 1 to n do
+      Strovl.Realtime_link.send a pkt;
+      incr lseq;
+      Strovl.Realtime_link.recv a (Msg.Rt_request { lseq = !lseq });
+      Engine.run engine
+    done;
+    Obj.reachable_words (Obj.repr a)
+  in
+  let full = run history in
+  let later = run (3 * history) in
+  check_int "reachable words flat over 4 x history requests" full later
+
 let realtime_overhead_counter () =
   let p, ctx_a, ctx_b = make_pipe () in
   let a, _ = rt_pair p ctx_a ctx_b ~up:ignore in
@@ -1138,6 +1171,114 @@ let qcheck_reliable_matches_model =
       real = model)
 
 
+(* ------------------------- Receive window -------------------------- *)
+
+(* Operations on one window, each lseq given relative to the floor at the
+   time it runs, so sequences stay near the interesting edges: below the
+   floor, inside the ring as it grows, and at and past the 2^16 bound. *)
+type win_op =
+  | W_set of int
+  | W_slide of int
+  | W_take
+  | W_beyond of int
+  | W_seen of int
+
+let pp_win_op ppf = function
+  | W_set d -> Format.fprintf ppf "set +%d" d
+  | W_slide d -> Format.fprintf ppf "slide +%d" d
+  | W_take -> Format.fprintf ppf "take"
+  | W_beyond d -> Format.fprintf ppf "beyond +%d" d
+  | W_seen d -> Format.fprintf ppf "seen +%d" d
+
+let gen_win_op =
+  let bound = Strovl.Rx_window.bound in
+  let off =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, int_range (-3) 40);
+          (2, int_range 41 300);
+          (1, oneofl [ bound - 1; bound; bound + 1; 2 * bound ]);
+        ])
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun d -> W_set d) off);
+        (2, map (fun d -> W_slide d) off);
+        (5, return W_take);
+        (2, map (fun d -> W_beyond d) off);
+        (3, map (fun d -> W_seen d) off);
+      ])
+
+module IntSet = Set.Make (Int)
+
+(* The model: a floor, the set of lseqs above it that were marked, and the
+   highest lseq ever marked. *)
+type win_model = { mutable m_floor : int; mutable m_set : IntSet.t; mutable m_high : int }
+
+let qcheck_rx_window_matches_model =
+  let module W = Strovl.Rx_window in
+  QCheck.Test.make ~name:"rx_window: matches the Set model" ~count:400
+    (QCheck.make
+       ~print:
+         (Format.asprintf "%a" (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_win_op))
+       QCheck.Gen.(list_size (int_range 1 200) gen_win_op))
+    (fun ops ->
+      let w = W.create ~proto:"qcheck" in
+      let m = { m_floor = 0; m_set = IntSet.empty; m_high = 0 } in
+      let drops () = window_drops "qcheck" in
+      let m_seen l = l <= m.m_floor || IntSet.mem l m.m_set in
+      let step op =
+        let at d = m.m_floor + d in
+        match op with
+        | W_set d ->
+          let l = at d in
+          let real = try Ok (W.set w l) with Invalid_argument _ -> Error () in
+          if l - m.m_floor > W.bound then real = Error ()
+          else begin
+            if l > m.m_floor then begin
+              m.m_set <- IntSet.add l m.m_set;
+              m.m_high <- max m.m_high l
+            end;
+            real = Ok ()
+          end
+        | W_slide d ->
+          let n = at d in
+          W.slide w n;
+          if n > m.m_floor then begin
+            m.m_floor <- n;
+            m.m_set <- IntSet.filter (fun x -> x > n) m.m_set
+          end;
+          true
+        | W_take ->
+          let next = m.m_floor + 1 in
+          let expect = IntSet.mem next m.m_set in
+          if expect then begin
+            m.m_floor <- next;
+            m.m_set <- IntSet.remove next m.m_set
+          end;
+          W.take_next w = expect
+        | W_beyond d ->
+          let l = at d in
+          let before = drops () in
+          let expect = l - m.m_floor > W.bound in
+          W.beyond w l = expect && drops () - before = if expect then 1 else 0
+        | W_seen d ->
+          let l = at d in
+          W.seen w l = m_seen l
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && W.floor w = m.m_floor
+          && W.high w = m.m_high
+          && IntSet.for_all (W.seen w) m.m_set
+          && List.for_all
+               (fun d -> W.seen w (m.m_floor + d) = m_seen (m.m_floor + d))
+               (List.init 48 (fun d -> d - 4)))
+        ops)
+
 (* One forged Data far past the window costs a counter increment: no NACK
    timer per skipped slot, nothing handed up, and the link keeps working. *)
 let reliable_window_bound () =
@@ -1150,15 +1291,15 @@ let reliable_window_bound () =
   let cls = P.service_class P.Reliable in
   let data lseq = Msg.Data { cls; lseq; pkt = packet ~seq:lseq p.engine; auth = None } in
   let before = window_drops "reliable" in
-  Strovl.Reliable_link.recv b (data (Strovl.Reliable_link.max_window + 1));
+  Strovl.Reliable_link.recv b (data (Strovl.Rx_window.bound + 1));
   check_int "dropped and counted" (before + 1) (window_drops "reliable");
   check_int "no timers" 0 (Engine.pending_events p.engine);
   (* The edge of the window is still accepted. *)
   Strovl.Reliable_link.recv b (data 1);
-  Strovl.Reliable_link.recv b (data (1 + Strovl.Reliable_link.max_window));
+  Strovl.Reliable_link.recv b (data (1 + Strovl.Rx_window.bound));
   Engine.run ~until:(Time.ms 1) p.engine;
   Alcotest.(check (list int)) "in-window data up"
-    [ 1; 1 + Strovl.Reliable_link.max_window ]
+    [ 1; 1 + Strovl.Rx_window.bound ]
     (List.rev !got);
   check_int "one drop only" (before + 1) (window_drops "reliable");
   (* Same bound on the NM-Strikes link. *)
@@ -1179,6 +1320,25 @@ let reliable_window_bound () =
   check_int "realtime dropped and counted" (rt_before + 1) (window_drops "realtime");
   check_int "no realtime timers" pending (Engine.pending_events p.engine);
   check_int "nothing up" 0 !rt_up;
+  (* A forged lseq inside the window buys a fresh default receiver request
+     timers only for the gaps inside its history, not for every slot it
+     skips; the FEC receiver schedules nothing. *)
+  let fresh_cost create recv =
+    let p, _, ctx = make_pipe () in
+    let lseq = Strovl.Rx_window.bound in
+    recv (create ctx) (Msg.Data { cls = 0; lseq; pkt = packet p.engine; auth = None });
+    Engine.pending_events p.engine
+  in
+  let cfg = Strovl.Realtime_link.default_config in
+  let rt_cost =
+    fresh_cost (fun ctx -> Strovl.Realtime_link.create ctx) Strovl.Realtime_link.recv
+  in
+  check_bool
+    (Printf.sprintf "realtime in-window forgery: %d pending events <= N x history" rt_cost)
+    true
+    (rt_cost <= cfg.Strovl.Realtime_link.n_requests * cfg.Strovl.Realtime_link.history);
+  check_int "fec in-window forgery: no pending events" 0
+    (fresh_cost Strovl.Fec_link.create Strovl.Fec_link.recv);
   (* And on the FEC link, whose receiver would otherwise walk every lseq
      between its floor and a forged one: a forged data lseq and a parity
      whose block ends far past the window are each dropped and counted, at
@@ -1220,9 +1380,9 @@ let reliable_window_bound () =
   (* In-window data, up to the edge of the window, still goes up. *)
   let fec_before = window_drops "fec" in
   Strovl.Fec_link.recv fec (fec_data 1);
-  Strovl.Fec_link.recv fec (fec_data Strovl.Reliable_link.max_window);
+  Strovl.Fec_link.recv fec (fec_data Strovl.Rx_window.bound);
   Alcotest.(check (list int)) "fec in-window data up"
-    [ 1; Strovl.Reliable_link.max_window ]
+    [ 1; Strovl.Rx_window.bound ]
     (List.rev !fec_got);
   check_int "no fec drop in window" fec_before (window_drops "fec")
 
@@ -1314,6 +1474,51 @@ let reliable_pair_words_per_packet () =
   if words > 11.0 then
     Alcotest.failf "reliable pair: %.1f minor words per packet (bound 11)" words
 
+(* Steady-state allocation of a directly wired IT-Priority pair: the
+   sender's pacer runs on the engine and the receiver hands each packet up
+   synchronously, one packet record reused. *)
+let itp_pair_words_per_packet () =
+  let engine = Engine.create () in
+  let b_recv = ref ignore in
+  let ctx xmit =
+    {
+      Lproto.engine;
+      node = -1;
+      link = -1;
+      xmit;
+      up = ignore;
+      try_up = (fun _ -> true);
+      bandwidth_bps = 1_000_000_000;
+      rtt_hint = Time.ms 2;
+    }
+  in
+  let create xmit = Strovl.It_priority.create ~mode:Strovl.It_priority.Round_robin (ctx xmit) in
+  let a = create (fun m -> !b_recv m) in
+  let b = create ignore in
+  b_recv := Strovl.It_priority.recv b;
+  let pkt = packet ~service:(P.It_priority 1) engine in
+  let burst () =
+    for _ = 1 to 40 do
+      Strovl.It_priority.send a pkt
+    done;
+    Engine.run engine
+  in
+  for _ = 1 to 100 do
+    burst ()
+  done;
+  let rounds = 500 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    burst ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (40 * rounds) in
+  check_int "queue drained" 0 (Strovl.It_priority.queue_len a ~source:0);
+  (* Measured 23.1 words per packet (the Data message, the queue cells and
+     the rotation's table entry); a pacer closure built per packet took
+     28.1. *)
+  if words > 25.0 then
+    Alcotest.failf "it-priority pair: %.1f minor words per packet (bound 25)" words
+
 let () =
   Alcotest.run "strovl_protocols"
     [
@@ -1335,6 +1540,7 @@ let () =
           Alcotest.test_case "releases packets" `Quick reliable_releases_packets;
           Alcotest.test_case "words per packet" `Quick reliable_pair_words_per_packet;
           QCheck_alcotest.to_alcotest qcheck_reliable_matches_model;
+          QCheck_alcotest.to_alcotest qcheck_rx_window_matches_model;
         ] );
       ( "realtime_link",
         [
@@ -1343,6 +1549,7 @@ let () =
           Alcotest.test_case "gives up after N" `Quick realtime_gives_up_after_n_requests;
           Alcotest.test_case "forgotten packet" `Quick realtime_request_for_forgotten_packet;
           Alcotest.test_case "overhead counter" `Quick realtime_overhead_counter;
+          Alcotest.test_case "sender state bounded" `Quick realtime_sender_state_bounded;
           Alcotest.test_case "burst recovery" `Quick realtime_burst_recovery;
           Alcotest.test_case "overhead with loss" `Quick realtime_overhead_with_loss;
         ] );
@@ -1352,6 +1559,7 @@ let () =
           Alcotest.test_case "priority eviction" `Quick itp_priority_eviction;
           Alcotest.test_case "fifo drop tail" `Quick itp_fifo_mode_drop_tail;
           Alcotest.test_case "recv passes up" `Quick itp_recv_passes_up;
+          Alcotest.test_case "words per packet" `Quick itp_pair_words_per_packet;
         ] );
       ( "it_reliable",
         [
