@@ -4,7 +4,8 @@
    - [run], [sweep], [list]: result tables (fanned over a domain pool with
      [-j]), one experiment aggregated across a seed range, the catalogue.
    - [health]: the US backbone's per-endpoint hello-protocol estimates.
-   - [series]: an experiment's windowed time-series channels.
+   - [series]: an experiment's metrics over time, one channel per metric
+     that received samples.
    - [audit]: experiments under the online invariant auditor; violations
      are printed with their causal path and the exit status is 1.
    - [watch]: a per-window event dashboard over the flight recorder.
@@ -274,10 +275,9 @@ let audit_main ids quick seed capacity json =
 
 (* A per-window dashboard: folds the flight-recorder ring into one row
    per sim-time window. The fold runs over the retained ring after the
-   run rather than as a live sink — experiments that ride under
-   [Audit.checked] own the one streaming sink slot for the duration, and
-   the timeline is in simulated time either way; only the ring capacity
-   bounds how far back the dashboard reaches. *)
+   run rather than as a live sink: the timeline is in simulated time
+   either way, and only the ring capacity bounds how far back the
+   dashboard reaches. *)
 let watch_main one capacity interval_ms =
   observe_one one ~trace:capacity (fun _table ->
       let w = interval_ms * 1000 in
@@ -507,11 +507,11 @@ let series_cmd =
     Arg.(value & opt pos_int 100 & info [ "window-ms" ] ~doc)
   in
   let buckets =
-    let doc = "Buckets retained per channel (ring capacity)." in
+    let doc = "Buckets retained per metric (ring capacity)." in
     Arg.(value & opt pos_int 600 & info [ "buckets" ] ~doc)
   in
   let filter =
-    let doc = "Only channels whose name contains $(docv)." in
+    let doc = "Only metrics whose name contains $(docv)." in
     Arg.(value & opt (some string) None & info [ "filter" ] ~docv:"SUBSTR" ~doc)
   in
   cmd "series" "run an experiment with windowed time-series armed"

@@ -146,10 +146,6 @@ type t = {
   mutable started : bool;
   mutable stopped : bool;
   mutable cpu_busy_until : Time.t; (* finite-capacity CPU server (§II-D) *)
-  (* Time-series channels (Strovl_obs.Series; off by default). *)
-  s_delivered : Strovl_obs.Series.ch;
-  s_dropped : Strovl_obs.Series.ch;
-  s_flow_delivered : (Packet.flow, Strovl_obs.Series.ch) Hashtbl.t;
 }
 
 let[@inline] bump t i =
@@ -158,20 +154,19 @@ let[@inline] bump t i =
 
 let[@inline] count t ev = bump t (slot ev)
 
-(* A counted drop that is also reported: with the packet, a Series tick and
-   a trace event naming it, so the causal path shows where and why it
-   died; without one (CPU overload), a bare trace event. It bumps the drop
-   slot directly, so a drop with a variable reason builds no [Dropped]. *)
+(* A counted drop that is also reported: with the packet, a trace event
+   naming it, so the causal path shows where and why it died; without one
+   (CPU overload), a bare trace event. It bumps the drop slot directly, so
+   a drop with a variable reason builds no [Dropped]. *)
 let drop t ?pkt reason =
   bump t (drop_slot reason);
-  match pkt with
-  | Some pkt ->
-    if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_dropped;
-    if Obs.armed () then
+  if Obs.armed () then
+    match pkt with
+    | Some pkt ->
       Obs.emit
         ~flow:(Packet.obs_flow pkt.Packet.flow)
         ~seq:pkt.Packet.seq ~node:t.id (Obs.Drop reason)
-  | None -> if Obs.armed () then Obs.emit ~node:t.id (Obs.Drop reason)
+    | None -> Obs.emit ~node:t.id (Obs.Drop reason)
 
 (* As [Lproto.trace_pkt]: a caller with a non-constant [ev] guards it. *)
 let trace_pkt t pkt ev =
@@ -206,15 +201,6 @@ let create ?(config = default_config) ?registry ~engine ~graph ~id ~metric () =
     started = false;
     stopped = false;
     cpu_busy_until = Time.zero;
-    s_delivered =
-      Strovl_obs.Series.channel
-        ~labels:[ ("node", string_of_int id) ]
-        "strovl_node_delivered";
-    s_dropped =
-      Strovl_obs.Series.channel
-        ~labels:[ ("node", string_of_int id) ]
-        "strovl_node_dropped";
-    s_flow_delivered = Hashtbl.create 8;
   }
 
 let ep_for t link =
@@ -305,28 +291,6 @@ let deliver_local t pkt ~port =
     count t Delivered;
     Om.Histogram.observe t.m_delivery_latency
       (Time.sub (Engine.now t.engine) pkt.Packet.sent_at);
-    if Strovl_obs.Series.armed () then begin
-      Strovl_obs.Series.incr t.s_delivered;
-      let ch =
-        match Hashtbl.find_opt t.s_flow_delivered pkt.Packet.flow with
-        | Some ch -> ch
-        | None ->
-          let fi = Packet.obs_flow pkt.Packet.flow in
-          let label =
-            Printf.sprintf "%d:%d->%d:%d" fi.Strovl_obs.Trace.fi_src
-              fi.Strovl_obs.Trace.fi_sport fi.Strovl_obs.Trace.fi_dst
-              fi.Strovl_obs.Trace.fi_dport
-          in
-          let ch =
-            Strovl_obs.Series.channel
-              ~labels:[ ("flow", label) ]
-              "strovl_flow_delivered"
-          in
-          Hashtbl.replace t.s_flow_delivered pkt.Packet.flow ch;
-          ch
-      in
-      Strovl_obs.Series.incr ch
-    end;
     trace_pkt t pkt (if pkt.Packet.replay then Obs.Deliver_replay else Obs.Deliver);
     deliver pkt
 

@@ -25,10 +25,11 @@ type t = {
   cls : int;
   request_spacing : Time.t;
   retrans_spacing : Time.t;
-  (* sender *)
+  (* sender: the last [history] packets by [lseq land (length - 1)], in a
+     power-of-two ring that starts empty and doubles on [send] *)
   mutable next_lseq : int;
-  ring : (int * Packet.t) option array; (* recent packets by lseq mod history *)
-  requested : Bytes.t; (* '\001': the ring slot's packet is being retransmitted *)
+  mutable ring : (int * Packet.t) option array;
+  mutable requested : Bytes.t; (* '\001': the slot's packet is being retransmitted *)
   (* receiver: the floor trails the highest lseq received by [history] *)
   win : Rx_window.t;
   (* [mh_] prefix: the config field [m_retrans] already takes the name. *)
@@ -74,8 +75,8 @@ let create ?(config = default_config) ctx =
     request_spacing;
     retrans_spacing;
     next_lseq = 0;
-    ring = Array.make config.history None;
-    requested = Bytes.make config.history '\000';
+    ring = [||];
+    requested = Bytes.empty;
     win = Rx_window.create ~proto:"realtime";
     mh_retrans =
       Strovl_obs.Metrics.counter
@@ -92,19 +93,44 @@ let create ?(config = default_config) ctx =
 let xmit_data t lseq pkt =
   t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth = None })
 
+(* Doubles the ring, each kept packet moving to its slot in the larger
+   one; the ring holds every lseq in (next_lseq - length, next_lseq]. *)
+let grow t =
+  let cap = max 1 (2 * Array.length t.ring) in
+  let ring = Array.make cap None and requested = Bytes.make cap '\000' in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Some (l, _) ->
+        ring.(l land (cap - 1)) <- slot;
+        Bytes.set requested (l land (cap - 1)) (Bytes.get t.requested i)
+      | None -> ())
+    t.ring;
+  t.ring <- ring;
+  t.requested <- requested
+
 let send t pkt =
   t.next_lseq <- t.next_lseq + 1;
   let lseq = t.next_lseq in
-  t.ring.(lseq mod t.cfg.history) <- Some (lseq, pkt);
-  Bytes.set t.requested (lseq mod t.cfg.history) '\000';
+  if lseq > Array.length t.ring && Array.length t.ring < t.cfg.history then
+    grow t;
+  let i = lseq land (Array.length t.ring - 1) in
+  t.ring.(i) <- Some (lseq, pkt);
+  Bytes.set t.requested i '\000';
   xmit_data t lseq pkt
 
 let handle_request t lseq =
   (* Schedule M spaced retransmissions on the first request only; later
      requests for the same packet are the receiver's insurance against
-     request loss and must not multiply the responses. *)
-  let i = lseq mod t.cfg.history in
-  match t.ring.(i) with
+     request loss and must not multiply the responses. Only the last
+     [history] lseqs are honoured: a ring rounded up to a power of two may
+     still hold an older packet, which counts as forgotten. *)
+  let i = lseq land (Array.length t.ring - 1) in
+  match
+    if lseq > max 0 (t.next_lseq - t.cfg.history) && lseq <= t.next_lseq then
+      t.ring.(i)
+    else None
+  with
   | Some (l, pkt) when l = lseq && Bytes.get t.requested i = '\000' ->
     Bytes.set t.requested i '\001';
     for j = 0 to t.cfg.m_retrans - 1 do

@@ -39,7 +39,8 @@ type config = {
       (** per-link recovery budget, e.g. 160 ms = 200 ms deadline − 40 ms
           continental propagation (§IV-A) *)
   history : int;
-      (** packets the sender keeps for retransmission (ring) *)
+      (** packets the sender keeps for retransmission, in a ring that
+          grows on demand up to this size *)
   request_spacing : Strovl_sim.Time.t option;
       (** ablation override; default spreads requests over the budget —
           §IV-A: "the requests should be spaced out as much as possible" to

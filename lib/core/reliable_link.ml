@@ -41,7 +41,6 @@ type t = {
   (* Domain-local metric handles, bound at [create] time (Strovl_obs.Ctx). *)
   m_retrans : Strovl_obs.Metrics.Counter.t;
   m_nacks : Strovl_obs.Metrics.Counter.t;
-  s_retrans : Strovl_obs.Series.ch;
 }
 
 let nack_repeat t =
@@ -55,7 +54,6 @@ let rto t =
 
 let note_retrans t pkt =
   Strovl_obs.Metrics.Counter.incr t.m_retrans;
-  if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_retrans;
   if Strovl_obs.Trace.armed () then
     Lproto.trace_pkt t.ctx pkt (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link)
 
@@ -229,10 +227,6 @@ let create ~in_order ctx =
       ack_fire = ignore;
       m_retrans = counter "strovl_link_retransmits_total";
       m_nacks = counter "strovl_link_nacks_total";
-      s_retrans =
-        Strovl_obs.Series.channel
-          ~labels:[ ("link", string_of_int ctx.Lproto.link) ]
-          "strovl_link_retransmits";
     }
   in
   (* Built once here, not on every re-arm. *)

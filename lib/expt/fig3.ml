@@ -71,12 +71,7 @@ let row name p (collect, sent) =
     Table.cell_ms (Strovl_apps.Collect.jitter_ms collect);
   ]
 
-(* The whole sweep runs under the online invariant auditor (no duplicate
-   delivery, loops, or blown recovery budgets slip by unnoticed); when an
-   outer auditor is already armed (`strovl_run audit`), this is a no-op
-   passthrough. *)
 let run ?(quick = false) ~seed () =
-  Strovl_obs.Audit.checked ~label:"fig3-recovery" @@ fun () ->
   let count = if quick then 400 else 4000 in
   let losses = if quick then [ 0.01 ] else [ 0.001; 0.01; 0.02; 0.05 ] in
   let rows =

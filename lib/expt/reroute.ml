@@ -86,10 +86,7 @@ let bgp_scenario ~seed ~convergence =
   Engine.run ~until:(Time.add (Time.sec 10) convergence) engine;
   Strovl_apps.Collect.max_gap_ms collect
 
-(* Audited end to end: the reroute-budget invariant is this experiment's
-   own claim (link-down LSUs propagate overlay-wide within the budget). *)
 let run ?(quick = false) ~seed () =
-  Strovl_obs.Audit.checked ~label:"reroute-bgp" @@ fun () ->
   let convergence = if quick then Time.sec 8 else Time.sec 40 in
   (* Ablation: the detection knob behind "sub-second" — a faster hello
      timeout buys a faster reroute, bounded below by the flood+recompute. *)

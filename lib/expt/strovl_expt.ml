@@ -108,8 +108,8 @@ let find id = List.find_opt (fun e -> e.id = id) all
    domain state — the property that makes a pool-scheduled run's tables
    and trace digest independent of which domain executes it and what ran
    there before. Before [run], [trace] arms the flight recorder with a
-   ring of that many events, [series] arms the windowed time-series with
-   (window in sim-us, buckets per channel), and [audit] feeds the recorder
+   ring of that many events, [series] arms the time axis of every metric
+   with (window in sim-us, buckets per metric), and [audit] feeds the recorder
    into the online invariant auditor (arming the recorder at its default
    capacity when [trace] is not given, since the auditor sees only what
    the recorder emits). [query] gets [run]'s result and runs before the

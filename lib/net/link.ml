@@ -26,10 +26,6 @@ type t = {
   m_tx_bytes : Strovl_obs.Metrics.Counter.t;
   m_qdrops : Strovl_obs.Metrics.Counter.t;
   m_backlog : Strovl_obs.Metrics.Histogram.t;
-  (* Time-series twins (Strovl_obs.Series; off by default). *)
-  s_tx : Strovl_obs.Series.ch;
-  s_backlog : Strovl_obs.Series.ch;
-  s_qdrops : Strovl_obs.Series.ch;
 }
 
 let create ?(config = default_config) underlay ~a ~b ~isp =
@@ -48,9 +44,6 @@ let create ?(config = default_config) underlay ~a ~b ~isp =
     m_tx_bytes = Strovl_obs.Metrics.counter ~labels "strovl_link_tx_bytes_total";
     m_qdrops = Strovl_obs.Metrics.counter ~labels "strovl_link_queue_drops_total";
     m_backlog = Strovl_obs.Metrics.histogram ~labels "strovl_link_backlog_us";
-    s_tx = Strovl_obs.Series.channel ~labels "strovl_link_tx_packets";
-    s_backlog = Strovl_obs.Series.channel ~labels "strovl_link_backlog_us";
-    s_qdrops = Strovl_obs.Series.channel ~labels "strovl_link_queue_drops";
   }
 
 let a t = t.ea
@@ -110,7 +103,6 @@ let send t ~src ~bytes ~deliver =
   let departure = Time.add start (tx_time ~bandwidth_bps:t.cfg.bandwidth_bps bytes) in
   if Time.sub departure now > queue_cap then begin
     Strovl_obs.Metrics.Counter.incr t.m_qdrops;
-    if Strovl_obs.Series.armed () then Strovl_obs.Series.incr t.s_qdrops;
     if Strovl_obs.Trace.armed () then
       Strovl_obs.Trace.emit ~node:src
         (Strovl_obs.Trace.Drop Strovl_obs.Trace.Queue_full)
@@ -120,10 +112,6 @@ let send t ~src ~bytes ~deliver =
     Strovl_obs.Metrics.Counter.incr t.m_tx_pkts;
     Strovl_obs.Metrics.Counter.add t.m_tx_bytes (bytes + overhead_bytes);
     Strovl_obs.Metrics.Histogram.observe t.m_backlog (Time.sub start now);
-    if Strovl_obs.Series.armed () then begin
-      Strovl_obs.Series.incr t.s_tx;
-      Strovl_obs.Series.add t.s_backlog (Time.sub start now)
-    end;
     let dst = other t src in
     (* Direction determines which provider is the source side. *)
     let isp_src = if src = t.ea then t.isp else t.isp_b in

@@ -412,33 +412,3 @@ let violation_json v =
   Printf.sprintf "{\"ts\":%d,\"rule\":%s,\"node\":%d%s,\"detail\":%s}" v.v_ts
     (Export.json_str v.v_rule) v.v_node flow
     (Export.json_str v.v_detail)
-
-(* Run [f] with the auditor riding along. If an outer auditor is already
-   armed (e.g. `strovl_run audit`), [f] just runs — the outer collection
-   sees everything. Otherwise arm (enabling tracing for the duration if it
-   was off), run, and report any violations on stderr; the registry's
-   [strovl_audit_violations_total] counter records the tally either way. *)
-let checked ~label f =
-  if (state ()).armed_flag then f ()
-  else begin
-    let trace_was_on = Trace.armed () in
-    if not trace_was_on then Trace.enable ~capacity:(1 lsl 16) ();
-    arm ();
-    let finally () =
-      let vs = finish () in
-      disarm ();
-      if not trace_was_on then Trace.disable ();
-      if vs <> [] then begin
-        Printf.eprintf "strovl audit (%s): %d invariant violation(s)\n" label
-          (List.length vs);
-        List.iter (fun v -> Format.eprintf "  %a@." pp_violation v) vs
-      end
-    in
-    match f () with
-    | x ->
-      finally ();
-      x
-    | exception e ->
-      finally ();
-      raise e
-  end

@@ -76,11 +76,5 @@ val reroute_latencies : unit -> int list
 (** Propagation time (µs) of each link-down LSU that did reach the whole
     overlay, in resolution order. *)
 
-val checked : label:string -> (unit -> 'a) -> 'a
-(** Runs [f] with the auditor riding along: arms it (enabling tracing for
-    the duration if it was off), and reports violations on stderr and in
-    the [strovl_audit_violations_total] counter. If an auditor is already
-    armed, [f] simply runs under the outer collection. *)
-
 val pp_violation : Format.formatter -> violation -> unit
 val violation_json : violation -> string

@@ -17,8 +17,8 @@ type t = {
   mutable sent : int;
   mutable acked : int;
   mutable rtt_samples : int;
-  s_rtt : Series.ch;
-  s_loss : Series.ch;
+  m_rtt : Metrics.Histogram.t;
+  m_loss : Metrics.Histogram.t;
 }
 
 let create ~node ~link ~rtt_us =
@@ -33,8 +33,8 @@ let create ~node ~link ~rtt_us =
     sent = 0;
     acked = 0;
     rtt_samples = 0;
-    s_rtt = Series.channel ~labels "strovl_health_rtt_us";
-    s_loss = Series.channel ~labels "strovl_health_loss_pm";
+    m_rtt = Metrics.histogram ~labels "strovl_health_rtt_us";
+    m_loss = Metrics.histogram ~labels "strovl_health_loss_pm";
   }
 
 let observe_rtt h sample =
@@ -42,7 +42,7 @@ let observe_rtt h sample =
     h.jitter_us <- ((3 * h.jitter_us) + abs (sample - h.rtt_us)) / 4;
   h.rtt_us <- (if h.rtt_us = 0 then sample else ((7 * h.rtt_us) + sample) / 8);
   h.rtt_samples <- h.rtt_samples + 1;
-  if Series.armed () then Series.add h.s_rtt h.rtt_us
+  Metrics.Histogram.observe h.m_rtt h.rtt_us
 
 let loss_pm h =
   let survival = 1. -. (float_of_int (min 1000 h.rt_loss_pm) /. 1000.) in
@@ -51,7 +51,7 @@ let loss_pm h =
 let fold_loss h ~sent ~acked =
   let sample = 1000 * max 0 (sent - acked) / sent in
   h.rt_loss_pm <- ((3 * h.rt_loss_pm) + sample) / 4;
-  if Series.armed () then Series.add h.s_loss (loss_pm h)
+  Metrics.Histogram.observe h.m_loss (loss_pm h)
 
 (* The loss-aware routing weight this endpoint's own estimate gives the
    link: one-way latency times the retry expansion 1/(1-p)^2 (paper §IV)

@@ -16,13 +16,17 @@ type t = {
   mutable sent : int;  (** hellos sent *)
   mutable acked : int;  (** hello acks received *)
   mutable rtt_samples : int;
-  s_rtt : Series.ch;  (** [strovl_health_rtt_us{link,node}] *)
-  s_loss : Series.ch;  (** [strovl_health_loss_pm{link,node}], per direction *)
+  m_rtt : Metrics.Histogram.t;
+      (** [strovl_health_rtt_us{link,node}]: the smoothed RTT after each
+          sample *)
+  m_loss : Metrics.Histogram.t;
+      (** [strovl_health_loss_pm{link,node}]: the per-direction loss after
+          each window *)
 }
 
 val create : node:int -> link:int -> rtt_us:int -> t
-(** A live estimate whose RTT EWMA starts at [rtt_us]. Registers the two
-    time-series channels in this domain's {!Series} registry. *)
+(** A live estimate whose RTT EWMA starts at [rtt_us]. Registers its two
+    histograms in this domain's {!Metrics} registry. *)
 
 val observe_rtt : t -> int -> unit
 (** Folds one round-trip sample (µs): [rtt <- (7·rtt + sample)/8], so the

@@ -3,15 +3,108 @@ type labels = (string * string) list
 (* All registry state is domain-local: each domain (and therefore each
    parallel run executing on it) owns an independent registry, so N
    simulations on N domains never contend on — or leak counts into — each
-   other's metrics. Handles embed their owning domain's [enabled] ref, so
-   the hot-path update cost stays one dereference and a branch, exactly as
-   with the old process-global flag. *)
+   other's metrics. Handles embed their owning domain's switches, so the
+   hot-path update cost stays one dereference and a branch while disabled,
+   and one more branch while enabled with the time axis off. *)
+
+type point = { p_t0 : int; p_n : int; p_sum : int; p_max : int }
+
+(* The switches every handle of one domain shares: [on] gates every update,
+   [series] also folds it into the handle's time axis, bucketed by
+   [window] sim-µs with [cap] closed buckets kept. *)
+type sw = {
+  mutable on : bool;
+  mutable series : bool;
+  mutable window : int;
+  mutable cap : int;
+}
+
+(* A handle's time axis: a ring of closed buckets, allocated at the first
+   flush, and the open bucket (cur_t0 = min_int means none). Buckets are
+   aligned to multiples of the window, so every handle shares bucket
+   edges. *)
+type axis = {
+  mutable buf : point array;
+  mutable head : int; (* next write slot *)
+  mutable filled : int;
+  mutable cur_t0 : int;
+  mutable cur_n : int;
+  mutable cur_sum : int;
+  mutable cur_max : int;
+}
+
+let new_axis () =
+  { buf = [||]; head = 0; filled = 0; cur_t0 = min_int; cur_n = 0;
+    cur_sum = 0; cur_max = min_int }
+
+let clear_axis ax =
+  ax.buf <- [||];
+  ax.head <- 0;
+  ax.filled <- 0;
+  ax.cur_t0 <- min_int;
+  ax.cur_n <- 0;
+  ax.cur_sum <- 0;
+  ax.cur_max <- min_int
+
+let open_point ax =
+  { p_t0 = ax.cur_t0; p_n = ax.cur_n; p_sum = ax.cur_sum; p_max = ax.cur_max }
+
+let flush sw ax =
+  if ax.cur_n > 0 then begin
+    if Array.length ax.buf = 0 then
+      ax.buf <- Array.make sw.cap { p_t0 = 0; p_n = 0; p_sum = 0; p_max = 0 };
+    let cap = Array.length ax.buf in
+    ax.buf.(ax.head) <- open_point ax;
+    ax.head <- (ax.head + 1) mod cap;
+    if ax.filled < cap then ax.filled <- ax.filled + 1
+  end;
+  ax.cur_n <- 0;
+  ax.cur_sum <- 0;
+  ax.cur_max <- min_int
+
+(* Folds one sample into the open bucket, closing it first when the clock
+   has left it. No allocation unless a bucket boundary was crossed. *)
+let fold sw ax v =
+  let t = Trace.now () in
+  let t0 = t - (t mod sw.window) in
+  if ax.cur_t0 <> t0 then begin
+    flush sw ax;
+    ax.cur_t0 <- t0
+  end;
+  ax.cur_n <- ax.cur_n + 1;
+  ax.cur_sum <- ax.cur_sum + v;
+  if v > ax.cur_max then ax.cur_max <- v
+
+let points ax =
+  let cap = Array.length ax.buf in
+  let closed =
+    if cap = 0 then []
+    else begin
+      let start = (ax.head - ax.filled + cap) mod cap in
+      List.init ax.filled (fun i -> ax.buf.((start + i) mod cap))
+    end
+  in
+  if ax.cur_n > 0 then closed @ [ open_point ax ] else closed
 
 module Counter = struct
-  type t = { mutable v : int; on : bool ref }
+  type t = { mutable v : int; sw : sw; ax : axis }
 
-  let incr c = if !(c.on) then c.v <- c.v + 1
-  let add c k = if !(c.on) then c.v <- c.v + k
+  (* Inlined into every caller, as the one-branch updates were before the
+     time axis; only [fold] stays out of line. *)
+  let[@inline] add c k =
+    let sw = c.sw in
+    if sw.on then begin
+      c.v <- c.v + k;
+      if sw.series then fold sw c.ax k
+    end
+
+  let[@inline] incr c =
+    let sw = c.sw in
+    if sw.on then begin
+      c.v <- c.v + 1;
+      if sw.series then fold sw c.ax 1
+    end
+
   let value c = c.v
 end
 
@@ -27,7 +120,8 @@ module Histogram = struct
     mutable total : int;
     mutable vmin : int;
     mutable vmax : int;
-    on : bool ref;
+    sw : sw;
+    ax : axis;
   }
 
   let bucket_of v =
@@ -42,14 +136,16 @@ module Histogram = struct
     end
 
   let observe h v =
-    if !(h.on) then begin
+    let sw = h.sw in
+    if sw.on then begin
       let v = Int.max 0 v in
       let b = bucket_of v in
       h.counts.(b) <- h.counts.(b) + 1;
       h.n <- h.n + 1;
       h.total <- h.total + v;
       if h.n = 1 || v < h.vmin then h.vmin <- v;
-      if v > h.vmax then h.vmax <- v
+      if v > h.vmax then h.vmax <- v;
+      if sw.series then fold sw h.ax v
     end
 
   let count h = h.n
@@ -97,55 +193,57 @@ type item =
   | C of Counter.t
   | H of Histogram.t
 
+let axis_of = function C c -> c.Counter.ax | H h -> h.Histogram.ax
+
 type state = {
-  st_on : bool ref;
+  st_sw : sw;
   st_registry : (string * labels, item) Hashtbl.t;
+  (* Each name's kind ([true]: counter), so a clash is one lookup. *)
+  st_kinds : (string, bool) Hashtbl.t;
 }
 
 let dls : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { st_on = ref true; st_registry = Hashtbl.create 64 })
+      {
+        st_sw = { on = true; series = false; window = 100_000; cap = 600 };
+        st_registry = Hashtbl.create 64;
+        st_kinds = Hashtbl.create 64;
+      })
 
 let state () = Domain.DLS.get dls
 
-let set_enabled v = (state ()).st_on := v
+let set_enabled v = (state ()).st_sw.on <- v
 
 let normalize labels = List.sort compare labels
 
-let get_or_create ~kind ~make name labels =
+(* Same name must keep one kind across label sets, so dumps stay
+   coherent. *)
+let get_or_create ~counter ~make name labels =
   let st = state () in
+  (match Hashtbl.find_opt st.st_kinds name with
+  | Some k ->
+    if k <> counter then
+      invalid_arg ("Metrics: " ^ name ^ " already registered with another kind")
+  | None -> Hashtbl.replace st.st_kinds name counter);
   let key = (name, normalize labels) in
   match Hashtbl.find_opt st.st_registry key with
-  | Some item ->
-    if not (kind item) then
-      invalid_arg ("Metrics: " ^ name ^ " already registered with another kind");
-    item
+  | Some item -> item
   | None ->
-    (* Same name must keep one kind across label sets, so dumps stay
-       coherent. *)
-    Hashtbl.iter
-      (fun (n, _) item ->
-        if n = name && kind item = false then
-          invalid_arg ("Metrics: " ^ name ^ " already registered with another kind"))
-      st.st_registry;
-    let item = make st.st_on in
+    let item = make st.st_sw in
     Hashtbl.replace st.st_registry key item;
     item
 
 let counter ?(labels = []) name =
   match
-    get_or_create name labels
-      ~kind:(function C _ -> true | _ -> false)
-      ~make:(fun on -> C { Counter.v = 0; on })
+    get_or_create name labels ~counter:true ~make:(fun sw ->
+        C { Counter.v = 0; sw; ax = new_axis () })
   with
   | C c -> c
-  | _ -> assert false
+  | H _ -> assert false
 
 let histogram ?(labels = []) name =
   match
-    get_or_create name labels
-      ~kind:(function H _ -> true | _ -> false)
-      ~make:(fun on ->
+    get_or_create name labels ~counter:false ~make:(fun sw ->
         H
           {
             Histogram.counts = Array.make Histogram.nbuckets 0;
@@ -153,37 +251,38 @@ let histogram ?(labels = []) name =
             total = 0;
             vmin = 0;
             vmax = 0;
-            on;
+            sw;
+            ax = new_axis ();
           })
   with
   | H h -> h
-  | _ -> assert false
+  | C _ -> assert false
 
 type value =
   | Counter_v of int
   | Histogram_v of { count : int; sum : int; p50 : float; p99 : float; max : int }
 
+let sorted_rows f =
+  Hashtbl.fold (fun (name, labels) item acc -> f name labels item acc)
+    (state ()).st_registry []
+  |> List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2))
+
 let dump () =
-  let rows =
-    Hashtbl.fold
-      (fun (name, labels) item acc ->
-        let v =
-          match item with
-          | C c -> Counter_v c.Counter.v
-          | H h ->
-            Histogram_v
-              {
-                count = Histogram.count h;
-                sum = Histogram.sum h;
-                p50 = Histogram.quantile h 0.5;
-                p99 = Histogram.quantile h 0.99;
-                max = Histogram.max h;
-              }
-        in
-        (name, labels, v) :: acc)
-      (state ()).st_registry []
-  in
-  List.sort (fun (n1, l1, _) (n2, l2, _) -> compare (n1, l1) (n2, l2)) rows
+  sorted_rows (fun name labels item acc ->
+      let v =
+        match item with
+        | C c -> Counter_v c.Counter.v
+        | H h ->
+          Histogram_v
+            {
+              count = Histogram.count h;
+              sum = Histogram.sum h;
+              p50 = Histogram.quantile h 0.5;
+              p99 = Histogram.quantile h 0.99;
+              max = Histogram.max h;
+            }
+      in
+      (name, labels, v) :: acc)
 
 let find_counter ?(labels = []) name =
   match Hashtbl.find_opt (state ()).st_registry (name, normalize labels) with
@@ -193,12 +292,28 @@ let find_counter ?(labels = []) name =
 let reset () =
   Hashtbl.iter
     (fun _ item ->
+      clear_axis (axis_of item);
       match item with
       | C c -> c.Counter.v <- 0
       | H h -> Histogram.clear h)
     (state ()).st_registry
 
+let arm_series ~window ~capacity =
+  let st = state () in
+  st.st_sw.window <- window;
+  st.st_sw.cap <- capacity;
+  Hashtbl.iter (fun _ item -> clear_axis (axis_of item)) st.st_registry;
+  st.st_sw.series <- true
+
+let series () =
+  sorted_rows (fun name labels item acc ->
+      match points (axis_of item) with
+      | [] -> acc
+      | pts -> (name, labels, pts) :: acc)
+
 let purge () =
   let st = state () in
   Hashtbl.reset st.st_registry;
-  st.st_on := true
+  Hashtbl.reset st.st_kinds;
+  st.st_sw.on <- true;
+  st.st_sw.series <- false

@@ -3,7 +3,8 @@
     Handles are created (or looked up) once at component-construction time;
     hot-path updates are O(1) field writes guarded by the owning domain's
     [enabled] flag (embedded in each handle), so the disabled mode costs
-    one dereference and a branch. Histograms are bounded log-bucket (powers
+    one dereference and a branch. Each handle also carries its own time
+    axis, off by default (see {!arm_series}). Histograms are bounded log-bucket (powers
     of two) so long chaos soaks cannot grow memory, unlike
     [Strovl_sim.Stats.Series] which keeps every sample.
 
@@ -67,10 +68,35 @@ val find_counter : ?labels:labels -> string -> int
 (** Current value, 0 when never registered. *)
 
 val reset : unit -> unit
-(** Zeroes every registered metric (handles stay valid). *)
+(** Zeroes every registered metric and empties its time axis (handles
+    stay valid). *)
 
 val purge : unit -> unit
-(** Forgets this domain's registry entirely and re-enables updates:
+(** Forgets this domain's registry entirely, re-enables updates and
+    disarms the time axis:
     existing handles keep working but are no longer reachable from
     [dump]/[find_counter]. Used by {!Ctx.fresh} to give each scheduled run
     a pristine registry. *)
+
+(** {2 Time axis}
+
+    While armed, every update of every handle is also folded into that
+    handle's own ring of sim-time buckets: a counter's [add k] is one
+    sample [k], a histogram's [observe v] one sample [v] (clamped as the
+    histogram clamps it). {!Series} is the view over these rings. *)
+
+type point = {
+  p_t0 : int;  (** bucket start, sim-time µs (multiple of the window) *)
+  p_n : int;  (** samples folded into this bucket *)
+  p_sum : int;
+  p_max : int;
+}
+
+val arm_series : window:int -> capacity:int -> unit
+(** Arms this domain's time axis and empties every handle's ring: buckets
+    [window] sim-µs wide, the most recent [capacity] closed ones kept per
+    handle. The caller validates both as positive. *)
+
+val series : unit -> (string * labels * point list) list
+(** Every registered metric with at least one bucket, sorted by (name,
+    labels), with its buckets oldest first (the open one last). *)

@@ -1,5 +1,6 @@
 (** Observability for the overlay: {!Metrics} (cheap always-available
-    labelled counters and bounded histograms), {!Trace} (an on-demand
+    labelled counters and bounded histograms, with an on-demand time axis
+    that {!Series} views), {!Trace} (an on-demand
     bounded flight recorder of typed per-packet events), and {!Export}
     (JSONL dumps and pretty summaries). Sits below every other library so
     the simulation substrate, the underlay, and the protocol stack can all

@@ -78,7 +78,7 @@ val set_clock : (unit -> int) -> unit
 val now : unit -> int
 (** Current sim-time as the recorder sees it (whatever [set_clock]
     installed; 0 before any engine exists). Lets other observability
-    layers ([Series], [Audit]) bucket by the same clock. *)
+    layers (the {!Metrics} time axis, [Audit]) bucket by the same clock. *)
 
 val set_sink : (record -> unit) -> unit
 (** Installs a streaming consumer: every record written to the ring is

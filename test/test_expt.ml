@@ -177,9 +177,51 @@ let isolated_leaves_nothing () =
   | exception Failure _ -> ());
   check_pristine "after the query raises"
 
+(* The one path over time: with the time axis armed and a ring long enough
+   never to wrap, every metric's buckets add up to its total — a counter's
+   sums to its value, a histogram's sample counts to its count. *)
+let isolated_series_totals () =
+  let capacity = 4096 in
+  let metrics, channels =
+    Strovl_expt.run_isolated ~series:(100_000, capacity) ~quick:true ~seed:7L
+      (expt "fig3-recovery") (fun _table ->
+        (Strovl_obs.Metrics.dump (), Strovl_obs.Series.channels ()))
+  in
+  let module S = Strovl_obs.Series in
+  let buckets name labels =
+    match
+      List.find_opt (fun ch -> S.name ch = name && S.labels ch = labels) channels
+    with
+    | None -> []
+    | Some ch -> S.points ch
+  in
+  let total f pts = List.fold_left (fun acc p -> acc + f p) 0 pts in
+  check_bool "channels" true (channels <> []);
+  List.iter
+    (fun ch ->
+      check_bool (S.name ch ^ ": a channel is a metric") true
+        (List.exists
+           (fun (name, labels, _) -> name = S.name ch && labels = S.labels ch)
+           metrics))
+    channels;
+  List.iter
+    (fun (name, labels, v) ->
+      let pts = buckets name labels in
+      check_bool (name ^ ": ring did not wrap") true
+        (List.length pts <= capacity);
+      match v with
+      | Strovl_obs.Metrics.Counter_v n ->
+        check_int (name ^ ": bucket sums total the counter") n
+          (total (fun p -> p.S.p_sum) pts)
+      | Strovl_obs.Metrics.Histogram_v { count; sum; _ } ->
+        check_int (name ^ ": bucket counts total the count") count
+          (total (fun p -> p.S.p_n) pts);
+        check_int (name ^ ": bucket sums total the sum") sum
+          (total (fun p -> p.S.p_sum) pts))
+    metrics
+
 (* The auditor sees only what the recorder emits, so asking for it alone
-   still arms a recorder: the run is really audited, and the experiment's
-   own self-audit stands down to it. *)
+   still arms a recorder: the run is really audited. *)
 let isolated_audit_alone () =
   let events, audited =
     Strovl_expt.run_isolated ~audit:true ~quick:true ~seed:7L
@@ -246,6 +288,8 @@ let () =
             isolated_leaves_nothing;
           Alcotest.test_case "audit alone arms the recorder" `Quick
             isolated_audit_alone;
+          Alcotest.test_case "series totals the metrics" `Quick
+            isolated_series_totals;
           Alcotest.test_case "digest after a leaky run" `Quick
             isolated_digest_after_leaky_run;
           Alcotest.test_case "every experiment audits clean" `Quick

@@ -25,7 +25,11 @@ let metrics_counters_and_labels () =
   check_int "labelled lookup" 1 (M.find_counter ~labels:[ ("x", "a") ] "obs_test_labelled");
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics: obs_test_total already registered with another kind")
-    (fun () -> ignore (M.histogram "obs_test_total"))
+    (fun () -> ignore (M.histogram "obs_test_total"));
+  ignore (M.counter ~labels:[ ("x", "a") ] "obs_test_kinds");
+  Alcotest.check_raises "kind clash across label sets"
+    (Invalid_argument "Metrics: obs_test_kinds already registered with another kind")
+    (fun () -> ignore (M.histogram ~labels:[ ("x", "b") ] "obs_test_kinds"))
 
 let metrics_disabled_is_noop () =
   M.reset ();
@@ -190,20 +194,33 @@ let export_golden_summaries () =
 
 (* ------------------------- Series bucketing -------------------------- *)
 
+(* The time axis of Metrics: every update of a handle, counter or
+   histogram, is one sample in its window-aligned bucket. *)
 let series_bucketing () =
-  S.reset ();
+  M.purge ();
   set_manual_clock ();
+  let c = M.counter ~labels:[ ("k", "v") ] "obs_test_series_total" in
+  let h = M.histogram ~labels:[ ("k", "v") ] "obs_test_series_us" in
+  clock := 50;
+  M.Counter.incr c;
+  check_int "no buckets while disarmed" 0 (List.length (S.channels ()));
   S.enable ~window:1000 ~capacity:4 ();
-  let ch = S.channel ~labels:[ ("k", "v") ] "obs_test_series" in
-  (* same channel identity regardless of label order *)
-  check_bool "identity" true (ch == S.channel ~labels:[ ("k", "v") ] "obs_test_series");
+  let chan name =
+    match List.filter (fun ch -> S.name ch = name) (S.channels ()) with
+    | [ ch ] -> ch
+    | l -> Alcotest.failf "%s: expected one channel, got %d" name (List.length l)
+  in
   clock := 100;
-  S.add ch 5;
-  S.add ch 7;
+  M.Counter.add c 5;
+  M.Counter.add c 7;
+  M.Histogram.observe h 3;
   clock := 1100;
-  S.add ch 1;
+  M.Counter.incr c;
+  M.Histogram.observe h (-4);
   clock := 6500;
-  S.incr ch;
+  M.Counter.incr c;
+  let ch = chan "obs_test_series_total" in
+  Alcotest.(check (list (pair string string))) "labels" [ ("k", "v") ] (S.labels ch);
   (match S.points ch with
   | [ p0; p1; p2 ] ->
     check_int "bucket 0 aligned" 0 p0.S.p_t0;
@@ -214,21 +231,29 @@ let series_bucketing () =
     check_int "open bucket aligned" 6000 p2.S.p_t0;
     Alcotest.(check (float 0.001)) "mean" 6. (S.mean p0)
   | l -> Alcotest.failf "expected 3 points, got %d" (List.length l));
+  (match S.points (chan "obs_test_series_us") with
+  | [ p0; p1 ] ->
+    check_int "histogram bucket 0 sum" 3 p0.S.p_sum;
+    check_int "histogram sample clamped as observed" 0 p1.S.p_max;
+    check_int "histogram count" 2 (M.Histogram.count h)
+  | l -> Alcotest.failf "expected 2 histogram points, got %d" (List.length l));
+  check_int "only metrics with samples are channels" 2 (List.length (S.channels ()));
   (* ring bound: many buckets, only [capacity] closed ones retained *)
   for i = 10 to 30 do
     clock := i * 1000;
-    S.add ch i
+    M.Counter.add c i
   done;
-  check_bool "bounded" true (List.length (S.points ch) <= 5);
-  (* off = no-op *)
-  S.disable ();
-  let before = List.length (S.points ch) in
-  S.add ch 99;
-  check_int "disabled is no-op" before (List.length (S.points ch));
-  let json = S.point_json ch (List.hd (S.points ch)) in
-  check_bool "point json shape" true
-    (String.length json > 0 && json.[0] = '{');
-  S.reset ()
+  let pts = S.points (chan "obs_test_series_total") in
+  check_int "bounded" 5 (List.length pts);
+  check_int "newest kept" 30_000 (List.nth pts 4).S.p_t0;
+  let ch = chan "obs_test_series_total" in
+  Alcotest.(check string) "point json"
+    "{\"series\":\"obs_test_series_total\",\"labels\":{\"k\":\"v\"},\"t0\":26000,\"n\":1,\"sum\":26,\"max\":26,\"mean\":26.000}"
+    (S.point_json ch (List.hd (S.points ch)));
+  (* purge disarms: a new handle's updates are no samples *)
+  M.purge ();
+  M.Counter.incr (M.counter "obs_test_series_total");
+  check_int "disarmed after purge" 0 (List.length (S.channels ()))
 
 (* ---------------------- Audit: clean and broken ----------------------- *)
 

@@ -420,22 +420,23 @@ let realtime_request_for_forgotten_packet () =
   check_int "no retransmission of forgotten: 10 data for 10 sends" 10
     (count is_data p.tx_a)
 
+let bare_ctx engine =
+  {
+    Lproto.engine;
+    node = -1;
+    link = -1;
+    xmit = ignore;
+    up = ignore;
+    try_up = (fun _ -> true);
+    bandwidth_bps = 1_000_000_000;
+    rtt_hint = Time.ms 2;
+  }
+
 (* The sender remembers which packets it is retransmitting per ring slot,
    so answering a request for every packet keeps its footprint flat. *)
 let realtime_sender_state_bounded () =
   let engine = Engine.create () in
-  let ctx =
-    {
-      Lproto.engine;
-      node = -1;
-      link = -1;
-      xmit = ignore;
-      up = ignore;
-      try_up = (fun _ -> true);
-      bandwidth_bps = 1_000_000_000;
-      rtt_hint = Time.ms 2;
-    }
-  in
+  let ctx = bare_ctx engine in
   let a = Strovl.Realtime_link.create ~config:rt_config ctx in
   let pkt = packet engine in
   let history = rt_config.Strovl.Realtime_link.history in
@@ -452,6 +453,15 @@ let realtime_sender_state_bounded () =
   let full = run history in
   let later = run (3 * history) in
   check_int "reachable words flat over 4 x history requests" full later
+
+(* The sender's ring grows with what is sent, so an endpoint that only
+   receives holds nothing for a long history. *)
+let realtime_receiver_holds_no_ring () =
+  let ctx = bare_ctx (Engine.create ()) in
+  let config = { rt_config with Strovl.Realtime_link.history = 65_536 } in
+  let a = Strovl.Realtime_link.create ~config ctx in
+  let words = Obj.reachable_words (Obj.repr a) - Obj.reachable_words (Obj.repr ctx) in
+  check_bool (Printf.sprintf "%d words < 1000" words) true (words < 1000)
 
 let realtime_overhead_counter () =
   let p, ctx_a, ctx_b = make_pipe () in
@@ -1550,6 +1560,8 @@ let () =
           Alcotest.test_case "forgotten packet" `Quick realtime_request_for_forgotten_packet;
           Alcotest.test_case "overhead counter" `Quick realtime_overhead_counter;
           Alcotest.test_case "sender state bounded" `Quick realtime_sender_state_bounded;
+          Alcotest.test_case "receive-only holds no ring" `Quick
+            realtime_receiver_holds_no_ring;
           Alcotest.test_case "burst recovery" `Quick realtime_burst_recovery;
           Alcotest.test_case "overhead with loss" `Quick realtime_overhead_with_loss;
         ] );
