@@ -2,75 +2,64 @@ type key = { k0 : int64; k1 : int64 }
 
 let key_of_ints k0 k1 = { k0; k1 }
 
-let le64_of_string s off len =
-  (* Little-endian load of up to 8 bytes starting at [off]. *)
-  let v = ref 0L in
-  for i = len - 1 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !v
-
 let key_of_string s =
   let padded = Bytes.make 16 '\000' in
   Bytes.blit_string s 0 padded 0 (min 16 (String.length s));
-  let p = Bytes.to_string padded in
-  { k0 = le64_of_string p 0 8; k1 = le64_of_string p 8 8 }
+  { k0 = Bytes.get_int64_le padded 0; k1 = Bytes.get_int64_le padded 8 }
 
-let rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
+let[@inline] rotl x b =
+  Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
-type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
-
-let sipround s =
-  s.v0 <- Int64.add s.v0 s.v1;
-  s.v1 <- rotl s.v1 13;
-  s.v1 <- Int64.logxor s.v1 s.v0;
-  s.v0 <- rotl s.v0 32;
-  s.v2 <- Int64.add s.v2 s.v3;
-  s.v3 <- rotl s.v3 16;
-  s.v3 <- Int64.logxor s.v3 s.v2;
-  s.v0 <- Int64.add s.v0 s.v3;
-  s.v3 <- rotl s.v3 21;
-  s.v3 <- Int64.logxor s.v3 s.v0;
-  s.v2 <- Int64.add s.v2 s.v1;
-  s.v1 <- rotl s.v1 17;
-  s.v1 <- Int64.logxor s.v1 s.v2;
-  s.v2 <- rotl s.v2 32
-
+(* SipHash-2-4 a word at a time. The state lives in four local refs that
+   never escape, and the one copy of the SipRound is written out in place
+   rather than called, so the native compiler keeps every int64 unboxed:
+   a hash allocates only its boxed result. Passes 0 .. [nwords - 1] absorb
+   the message words (2 rounds each); the last of them is the final
+   [len land 7] bytes with the length in the top byte. Pass [nwords]
+   finalises: it flips v2 and runs 4 rounds, and its m is 0, so the xors
+   with m do nothing. *)
 let hash key msg =
-  let s =
-    {
-      v0 = Int64.logxor key.k0 0x736f6d6570736575L;
-      v1 = Int64.logxor key.k1 0x646f72616e646f6dL;
-      v2 = Int64.logxor key.k0 0x6c7967656e657261L;
-      v3 = Int64.logxor key.k1 0x7465646279746573L;
-    }
-  in
+  let v0 = ref (Int64.logxor key.k0 0x736f6d6570736575L) in
+  let v1 = ref (Int64.logxor key.k1 0x646f72616e646f6dL) in
+  let v2 = ref (Int64.logxor key.k0 0x6c7967656e657261L) in
+  let v3 = ref (Int64.logxor key.k1 0x7465646279746573L) in
   let len = String.length msg in
-  let nblocks = len / 8 in
-  for i = 0 to nblocks - 1 do
-    let m = le64_of_string msg (i * 8) 8 in
-    s.v3 <- Int64.logxor s.v3 m;
-    sipround s;
-    sipround s;
-    s.v0 <- Int64.logxor s.v0 m
+  let nwords = (len lsr 3) + 1 in
+  for w = 0 to nwords do
+    let m =
+      if w < nwords - 1 then String.get_int64_le msg (w lsl 3)
+      else if w = nwords - 1 then begin
+        let m = ref (Int64.shift_left (Int64.of_int (len land 0xff)) 56) in
+        for i = 0 to (len land 7) - 1 do
+          m :=
+            Int64.logor !m
+              (Int64.shift_left
+                 (Int64.of_int (Char.code (String.unsafe_get msg ((w lsl 3) + i))))
+                 (8 * i))
+        done;
+        !m
+      end
+      else begin
+        v2 := Int64.logxor !v2 0xffL;
+        0L
+      end
+    in
+    v3 := Int64.logxor !v3 m;
+    for _ = 1 to if w < nwords then 2 else 4 do
+      v0 := Int64.add !v0 !v1;
+      v1 := Int64.logxor (rotl !v1 13) !v0;
+      v0 := rotl !v0 32;
+      v2 := Int64.add !v2 !v3;
+      v3 := Int64.logxor (rotl !v3 16) !v2;
+      v0 := Int64.add !v0 !v3;
+      v3 := Int64.logxor (rotl !v3 21) !v0;
+      v2 := Int64.add !v2 !v1;
+      v1 := Int64.logxor (rotl !v1 17) !v2;
+      v2 := rotl !v2 32
+    done;
+    v0 := Int64.logxor !v0 m
   done;
-  (* Final block: remaining bytes plus the length in the top byte. *)
-  let rem = len - (nblocks * 8) in
-  let m =
-    Int64.logor
-      (le64_of_string msg (nblocks * 8) rem)
-      (Int64.shift_left (Int64.of_int (len land 0xff)) 56)
-  in
-  s.v3 <- Int64.logxor s.v3 m;
-  sipround s;
-  sipround s;
-  s.v0 <- Int64.logxor s.v0 m;
-  s.v2 <- Int64.logxor s.v2 0xffL;
-  sipround s;
-  sipround s;
-  sipround s;
-  sipround s;
-  Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+  Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
 let hash_bytes key b = hash key (Bytes.unsafe_to_string b)
 

@@ -10,24 +10,34 @@
    Pending events are keyed by (time, seq), lexicographic, across two
    lanes:
 
-   - a timer wheel of [wheel_size] one-microsecond buckets for the
-     dominant short-delay class (link transmissions, CPU charges, most
+   - a timer wheel of one-microsecond buckets for the dominant
+     short-delay class (link transmissions, CPU charges, most
      retransmission timers). Because the engine always pops the global
-     minimum, every queued time lies in [clock, clock + wheel_size) when
-     it sits in the wheel, so a bucket never mixes two distinct times and
-     its FIFO chain is automatically in seq order;
+     minimum, every queued time lies in [clock, clock + size) when it
+     sits in a wheel of [size] buckets, so a bucket never mixes two
+     distinct times and its FIFO chain is automatically in seq order;
    - a binary heap (unboxed parallel arrays, see {!Heap}) for everything
      scheduled further out.
 
    The two lanes are merged by comparing (time, seq) at pop time, so
-   execution order is bit-identical to a single global heap. *)
+   execution order is bit-identical to a single global heap whichever
+   lane an event sits in.
+
+   A fresh wheel has [small_size] buckets (about 2k words), so an engine
+   that never carries traffic costs little. Schedules that miss it but
+   fall within [wheel_size] count as near misses; the [grow_after]th one
+   rebuckets the wheel once into [wheel_size] buckets. Each occupied
+   bucket holds a single time, so its chain moves whole to
+   [time land wheel_mask]; events already in the heap stay there. It
+   grows straight to full size rather than by doubling: a run's slow
+   stretch before full reach is paid once. *)
 
 let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
-let wheel_bits = 15
-let wheel_size = 1 lsl wheel_bits (* 32.768 ms of 1 us buckets *)
+let wheel_size = 1 lsl 15 (* full reach: 32.768 ms of 1 us buckets *)
 let wheel_mask = wheel_size - 1
-let bm_words = wheel_size lsr 5 (* occupancy bitmap, 32 buckets per word *)
+let small_size = 1 lsl 10 (* a fresh engine's wheel: 1.024 ms *)
+let grow_after = 2048 (* near misses before the wheel grows to full reach *)
 
 let nop () = ()
 
@@ -52,10 +62,12 @@ type t = {
   mutable free_head : int;
   (* Far lane: heap of slot indices keyed by (time, seq). *)
   heap : int Heap.t;
-  (* Near lane: timer wheel. *)
-  w_head : int array;
-  w_tail : int array;
-  w_bitmap : int array;
+  (* Near lane: timer wheel of [w_mask + 1] buckets. *)
+  mutable w_head : int array;
+  mutable w_tail : int array;
+  mutable w_bitmap : int array; (* occupancy, 32 buckets per word *)
+  mutable w_mask : int;
+  mutable w_misses : int; (* heap-lane schedules within [wheel_size] *)
   mutable w_count : int;
   mutable w_next_time : int; (* earliest queued wheel time; -1 when empty *)
 }
@@ -74,9 +86,11 @@ let create ?(seed = 1L) () =
       p_next = [||];
       free_head = -1;
       heap = Heap.create ();
-      w_head = Array.make wheel_size (-1);
-      w_tail = Array.make wheel_size (-1);
-      w_bitmap = Array.make bm_words 0;
+      w_head = Array.make small_size (-1);
+      w_tail = Array.make small_size (-1);
+      w_bitmap = Array.make (small_size lsr 5) 0;
+      w_mask = small_size - 1;
+      w_misses = 0;
       w_count = 0;
       w_next_time = -1;
     }
@@ -146,17 +160,17 @@ let rec ctz_loop w n = if w land 1 = 1 then n else ctz_loop (w lsr 1) (n + 1)
 let rec scan_words t wi =
   let w = t.w_bitmap.(wi) in
   if w <> 0 then (wi lsl 5) lor ctz_loop w 0
-  else scan_words t ((wi + 1) land (bm_words - 1))
+  else scan_words t ((wi + 1) land (t.w_mask lsr 5))
 
 (* First non-empty bucket at or after [start], wrapping. Requires at least
    one occupied bucket. *)
 let bitmap_next t start =
   let w0 = t.w_bitmap.(start lsr 5) land (-1 lsl (start land 31)) in
   if w0 <> 0 then ((start lsr 5) lsl 5) lor ctz_loop w0 0
-  else scan_words t (((start lsr 5) + 1) land (bm_words - 1))
+  else scan_words t (((start lsr 5) + 1) land (t.w_mask lsr 5))
 
 let wheel_add t s ~at =
-  let idx = at land wheel_mask in
+  let idx = at land t.w_mask in
   t.p_next.(s) <- -1;
   if t.w_head.(idx) < 0 then begin
     t.w_head.(idx) <- s;
@@ -168,7 +182,7 @@ let wheel_add t s ~at =
   if t.w_count = 1 || at < t.w_next_time then t.w_next_time <- at
 
 let pop_wheel t =
-  let idx = t.w_next_time land wheel_mask in
+  let idx = t.w_next_time land t.w_mask in
   let s = t.w_head.(idx) in
   let nxt = t.p_next.(s) in
   t.w_head.(idx) <- nxt;
@@ -178,11 +192,30 @@ let pop_wheel t =
     bm_clear t idx;
     if t.w_count = 0 then t.w_next_time <- -1
     else begin
-      let j = bitmap_next t ((idx + 1) land wheel_mask) in
+      let j = bitmap_next t ((idx + 1) land t.w_mask) in
       t.w_next_time <- t.p_time.(t.w_head.(j))
     end
   end;
   s
+
+(* The one growth step: every queued wheel time is within [small_size] of
+   the clock, so distinct buckets keep distinct times at full size and
+   each chain (and [w_next_time]) carries over unchanged. *)
+let grow_wheel t =
+  let old_head = t.w_head and old_tail = t.w_tail in
+  t.w_head <- Array.make wheel_size (-1);
+  t.w_tail <- Array.make wheel_size (-1);
+  t.w_bitmap <- Array.make (wheel_size lsr 5) 0;
+  t.w_mask <- wheel_mask;
+  Array.iteri
+    (fun idx h ->
+      if h >= 0 then begin
+        let j = t.p_time.(h) land wheel_mask in
+        t.w_head.(j) <- h;
+        t.w_tail.(j) <- old_tail.(idx);
+        bm_set t j
+      end)
+    old_head
 
 (* --------------------------- scheduling ------------------------------- *)
 
@@ -196,8 +229,15 @@ let schedule_at t ~at fn =
   t.p_seq.(s) <- t.seq;
   t.seq <- t.seq + 1;
   Bytes.unsafe_set t.p_state s st_pending;
-  if at - t.clock < wheel_size then wheel_add t s ~at
-  else Heap.push t.heap ~time:at ~seq:t.p_seq.(s) s;
+  let d = at - t.clock in
+  if d <= t.w_mask then wheel_add t s ~at
+  else begin
+    Heap.push t.heap ~time:at ~seq:t.p_seq.(s) s;
+    if d < wheel_size then begin
+      t.w_misses <- t.w_misses + 1;
+      if t.w_misses = grow_after then grow_wheel t
+    end
+  end;
   (t.p_gen.(s) lsl slot_bits) lor s
 
 let schedule t ~delay fn =
@@ -231,7 +271,7 @@ let pop_next t =
     let wt = t.w_next_time and ht = Heap.min_time t.heap in
     if wt < ht then pop_wheel t
     else if ht < wt then Heap.pop_min t.heap
-    else if t.p_seq.(t.w_head.(wt land wheel_mask)) < Heap.min_seq t.heap
+    else if t.p_seq.(t.w_head.(wt land t.w_mask)) < Heap.min_seq t.heap
     then pop_wheel t
     else Heap.pop_min t.heap
   end

@@ -9,7 +9,11 @@
     Events are pooled: slots live in unboxed parallel arrays recycled
     through a free list, and a timer wheel absorbs the dominant short-delay
     class, so [schedule]/[cancel] allocate nothing on the steady-state hot
-    path. Handles are generation-counted immediates — cancelling a handle
+    path. The wheel starts at 1,024 one-microsecond buckets, so a fresh
+    engine holds about 2k words; once 2,048 schedules have missed it while
+    within 32.768 ms, it grows once to 32,768 buckets and stays that size.
+    Neither the wheel's size nor its growth changes the order events run
+    in. Handles are generation-counted immediates — cancelling a handle
     whose event already fired (and whose slot was recycled) is a safe
     no-op. *)
 

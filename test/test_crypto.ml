@@ -40,6 +40,101 @@ let qcheck_siphash_distributes =
       let k = Siphash.key_of_string "collision-test" in
       a = b || Siphash.hash k a <> Siphash.hash k b)
 
+(* The byte-at-a-time SipHash-2-4 the library used before it loaded whole
+   words: a record of mutable int64 state and one byte per load. Kept here
+   only as the model the word-at-a-time code must agree with. *)
+module Model = struct
+  let le64 s off len =
+    let v = ref 0L in
+    for i = len - 1 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
+    done;
+    !v
+
+  let rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
+
+  type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
+
+  let sipround s =
+    s.v0 <- Int64.add s.v0 s.v1;
+    s.v1 <- rotl s.v1 13;
+    s.v1 <- Int64.logxor s.v1 s.v0;
+    s.v0 <- rotl s.v0 32;
+    s.v2 <- Int64.add s.v2 s.v3;
+    s.v3 <- rotl s.v3 16;
+    s.v3 <- Int64.logxor s.v3 s.v2;
+    s.v0 <- Int64.add s.v0 s.v3;
+    s.v3 <- rotl s.v3 21;
+    s.v3 <- Int64.logxor s.v3 s.v0;
+    s.v2 <- Int64.add s.v2 s.v1;
+    s.v1 <- rotl s.v1 17;
+    s.v1 <- Int64.logxor s.v1 s.v2;
+    s.v2 <- rotl s.v2 32
+
+  let hash (key : Siphash.key) msg =
+    let s =
+      {
+        v0 = Int64.logxor key.k0 0x736f6d6570736575L;
+        v1 = Int64.logxor key.k1 0x646f72616e646f6dL;
+        v2 = Int64.logxor key.k0 0x6c7967656e657261L;
+        v3 = Int64.logxor key.k1 0x7465646279746573L;
+      }
+    in
+    let len = String.length msg in
+    let nblocks = len / 8 in
+    for i = 0 to nblocks - 1 do
+      let m = le64 msg (i * 8) 8 in
+      s.v3 <- Int64.logxor s.v3 m;
+      sipround s;
+      sipround s;
+      s.v0 <- Int64.logxor s.v0 m
+    done;
+    let rem = len - (nblocks * 8) in
+    let m =
+      Int64.logor (le64 msg (nblocks * 8) rem)
+        (Int64.shift_left (Int64.of_int (len land 0xff)) 56)
+    in
+    s.v3 <- Int64.logxor s.v3 m;
+    sipround s;
+    sipround s;
+    s.v0 <- Int64.logxor s.v0 m;
+    s.v2 <- Int64.logxor s.v2 0xffL;
+    sipround s;
+    sipround s;
+    sipround s;
+    sipround s;
+    Int64.logxor (Int64.logxor s.v0 s.v1) (Int64.logxor s.v2 s.v3)
+end
+
+let qcheck_siphash_matches_model =
+  QCheck.Test.make ~name:"word-at-a-time matches the byte model" ~count:1000
+    QCheck.(
+      triple int64 int64 (string_gen_of_size Gen.(0 -- 200) Gen.char))
+    (fun (k0, k1, msg) ->
+      let key = Siphash.key_of_ints k0 k1 in
+      Siphash.hash key msg = Model.hash key msg
+      && Siphash.hash_bytes key (Bytes.of_string msg) = Model.hash key msg)
+
+(* Minor words per hash do not grow with the message: the state stays
+   unboxed and only the int64 result is boxed (3 words; the byte model
+   took 842 at 48 B and 15,536 at 1,316 B). *)
+let siphash_words_per_hash () =
+  let key = Siphash.key_of_string "words" in
+  let words n =
+    let msg = String.make n 'x' in
+    ignore (Siphash.hash key msg);
+    let calls = 1000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Siphash.hash key msg))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  let short = words 48 and long = words 1316 in
+  if short <> 3. || long <> 3. then
+    Alcotest.failf "siphash: %.1f words at 48 B, %.1f at 1316 B (want 3 each)"
+      short long
+
 let auth_mac_roundtrip () =
   let r = Auth.create_registry ~master:"secret" ~nodes:5 in
   let tag = Auth.mac r ~src:1 ~dst:2 "hello" in
@@ -80,6 +175,8 @@ let () =
           Alcotest.test_case "key padding" `Quick siphash_key_padding;
           Alcotest.test_case "bytes variant" `Quick siphash_bytes_variant;
           q qcheck_siphash_distributes;
+          q qcheck_siphash_matches_model;
+          Alcotest.test_case "words per hash" `Quick siphash_words_per_hash;
         ] );
       ( "auth",
         [

@@ -462,6 +462,18 @@ let e2e_services_lossless () =
       ("fec", Strovl.E2e.Fec, n / 8 * 2);
     ]
 
+(* ----------------------------- footprint ----------------------------- *)
+
+(* What a started and settled US-backbone overlay holds, engine included:
+   25,874 reachable words when this bound was set, 90,160 while every
+   engine allocated the full 32,768-bucket timer wheel up front. Words are
+   deterministic, so the bound sits 5% above the measurement. *)
+let settled_backbone_words () =
+  let _, net = build () in
+  let words = Obj.reachable_words (Obj.repr net) in
+  if words > 27_167 then
+    Alcotest.failf "settled us-backbone net: %d reachable words (bound 27167)" words
+
 let () =
   Alcotest.run "strovl_overlay"
     [
@@ -496,6 +508,8 @@ let () =
           Alcotest.test_case "cpu overload + cluster" `Quick cpu_overload_and_cluster;
           Alcotest.test_case "parallel overlays" `Quick parallel_overlays_share_underlay;
         ] );
+      ( "footprint",
+        [ Alcotest.test_case "settled us-backbone words" `Quick settled_backbone_words ] );
       ( "e2e",
         [
           Alcotest.test_case "reliable lossy path" `Quick e2e_reliable_over_lossy_path;

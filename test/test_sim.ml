@@ -222,6 +222,203 @@ let engine_step_and_pending () =
   Engine.clear e;
   check_bool "step empty" false (Engine.step e)
 
+(* A fresh engine holds a 1,024-bucket wheel: 2,116 reachable words when
+   this bound was set (66,594 with the eager 32,768-bucket wheel before
+   it). Near misses (schedules that fall to the heap lane but within
+   32,768 us) grow it once to full reach, so 2,100 of them leave an engine
+   holding the two full bucket arrays. *)
+let engine_words () =
+  let e = Engine.create () in
+  let fresh = Obj.reachable_words (Obj.repr e) in
+  if fresh > 2_222 then
+    Alcotest.failf "fresh engine: %d reachable words (bound 2222)" fresh;
+  for i = 1 to 2_100 do
+    ignore (Engine.schedule e ~delay:(2_000 + i) ignore)
+  done;
+  let grown = Obj.reachable_words (Obj.repr e) in
+  check_bool (Printf.sprintf "grown wheel: %d words > 65536" grown) true
+    (grown > 65_536);
+  Engine.run e;
+  check_int "drained" 0 (Engine.pending_events e)
+
+(* The engine against a plain sorted-list model keyed on (time, seq). A
+   program is a list of top-level operations; a scheduled event carries
+   the operations its callback runs (nested schedules and cancels). Delays
+   come from a few classes so that many events share a time and some sit
+   on either side of the small and the full wheel's reach. A [Burst] of
+   more near misses than [engine_words] needs crosses the growth
+   threshold while events are pending in both lanes. *)
+type op =
+  | Sched of int * op list (* delay, what the callback does *)
+  | Sched_at of int * op list (* at = now + offset *)
+  | Cancel of int (* the k-th event scheduled so far, modulo their number *)
+  | Burst of int * int (* count, base delay *)
+  | Run_until of int (* until = now + offset *)
+  | Step
+  | Clear
+
+let burst_delay base j = base + (j * 7 mod 1_500)
+
+let gen_program =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [
+        (3, int_bound 3);
+        (3, map (fun k -> k * 1_000) (int_bound 100));
+        (2, int_range 1_020 1_030);
+        (2, int_range 32_760 32_775);
+        (2, int_bound 100_000);
+      ]
+  in
+  let rec nested depth =
+    if depth = 0 then return []
+    else
+      list_size (int_bound 2)
+        (frequency
+           [
+             (3, map2 (fun d k -> Sched (d, k)) delay (nested (depth - 1)));
+             (1, map2 (fun d k -> Sched_at (d, k)) delay (nested (depth - 1)));
+             (1, map (fun i -> Cancel i) nat);
+           ])
+  in
+  let top =
+    frequency
+      [
+        (5, map2 (fun d k -> Sched (d, k)) delay (nested 2));
+        (2, map2 (fun d k -> Sched_at (d, k)) delay (nested 2));
+        (2, map (fun i -> Cancel i) nat);
+        (2, map (fun d -> Run_until d) delay);
+        (2, return Step);
+        (1, return Clear);
+      ]
+  in
+  let burst =
+    map2 (fun n b -> Burst (n, b)) (int_range 2_100 2_300) (int_range 1_025 20_000)
+  in
+  frequency
+    [
+      (3, list_size (int_range 1 60) top);
+      ( 1,
+        map3
+          (fun a b c -> a @ (b :: c))
+          (list_size (int_range 1 30) top)
+          burst
+          (list_size (int_range 1 30) top) );
+    ]
+
+let rec pp_op = function
+  | Sched (d, k) -> Printf.sprintf "Sched (%d, [%s])" d (pp_ops k)
+  | Sched_at (d, k) -> Printf.sprintf "Sched_at (%d, [%s])" d (pp_ops k)
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Burst (n, b) -> Printf.sprintf "Burst (%d, %d)" n b
+  | Run_until d -> Printf.sprintf "Run_until %d" d
+  | Step -> "Step"
+  | Clear -> "Clear"
+
+and pp_ops ops = String.concat "; " (List.map pp_op ops)
+
+(* Both interpreters return the visited (time, seq) in order, then
+   (now, pending_events, next_event_time) after every top-level op, then
+   the clock once the queue is drained. The seq of an event is the number
+   of events scheduled before it. *)
+let run_engine ops =
+  let e = Engine.create () in
+  let handles = ref [||] and n = ref 0 in
+  let visits = ref [] and obs = ref [] in
+  let rec nested = function
+    | Sched (d, kids) -> sched (Engine.schedule e ~delay:d) kids
+    | Sched_at (d, kids) -> sched (Engine.schedule_at e ~at:(Engine.now e + d)) kids
+    | Cancel i -> if !n > 0 then Engine.cancel e !handles.(i mod !n)
+    | Burst (count, base) ->
+      for j = 0 to count - 1 do
+        nested (Sched (burst_delay base j, []))
+      done
+    | Run_until _ | Step | Clear -> invalid_arg "run_engine: control op nested"
+  and sched schedule kids =
+    let seq = !n in
+    let h =
+      schedule (fun () ->
+          visits := (Engine.now e, seq) :: !visits;
+          List.iter nested kids)
+    in
+    if seq = Array.length !handles then
+      handles := Array.append !handles (Array.make (max 16 seq) h);
+    !handles.(seq) <- h;
+    incr n
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Run_until d -> Engine.run ~until:(Engine.now e + d) e
+      | Step -> ignore (Engine.step e)
+      | Clear -> Engine.clear e
+      | op -> nested op);
+      obs := (Engine.now e, Engine.pending_events e, Engine.next_event_time e) :: !obs)
+    ops;
+  Engine.run e;
+  (List.rev !visits, List.rev !obs, Engine.now e)
+
+let run_model ops =
+  let clock = ref 0 and pending = ref [] and n = ref 0 in
+  let cancelled = Hashtbl.create 64 in
+  let visits = ref [] and obs = ref [] in
+  let add at kids =
+    let key = (at, !n) in
+    let rec insert = function
+      | ((t, q, _) as x) :: rest when compare (t, q) key < 0 -> x :: insert rest
+      | l -> (at, !n, kids) :: l
+    in
+    pending := insert !pending;
+    incr n
+  in
+  let rec nested = function
+    | Sched (d, kids) | Sched_at (d, kids) -> add (!clock + d) kids
+    | Cancel i -> if !n > 0 then Hashtbl.replace cancelled (i mod !n) ()
+    | Burst (count, base) ->
+      for j = 0 to count - 1 do
+        nested (Sched (burst_delay base j, []))
+      done
+    | Run_until _ | Step | Clear -> invalid_arg "run_model: control op nested"
+  in
+  let next () = match !pending with [] -> None | (t, _, _) :: _ -> Some t in
+  let step () =
+    match !pending with
+    | [] -> false
+    | (t, q, kids) :: rest ->
+      pending := rest;
+      clock := t;
+      if not (Hashtbl.mem cancelled q) then begin
+        visits := (t, q) :: !visits;
+        List.iter nested kids
+      end;
+      true
+  in
+  let run_until until =
+    while match next () with Some t -> t <= until | None -> false do
+      ignore (step ())
+    done;
+    if until > !clock then clock := until
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Run_until d -> run_until (!clock + d)
+      | Step -> ignore (step ())
+      | Clear -> pending := []
+      | op -> nested op);
+      obs := (!clock, List.length !pending, next ()) :: !obs)
+    ops;
+  while step () do
+    ()
+  done;
+  (List.rev !visits, List.rev !obs, !clock)
+
+let qcheck_engine_model =
+  QCheck.Test.make ~name:"engine matches the sorted-list model" ~count:200
+    (QCheck.make ~print:pp_ops gen_program)
+    (fun ops -> run_engine ops = run_model ops)
+
 (* ------------------------------ Stats ------------------------------- *)
 
 let stats_series_basics () =
@@ -427,6 +624,8 @@ let () =
           Alcotest.test_case "same-time fifo" `Quick engine_same_time_fifo;
           Alcotest.test_case "errors" `Quick engine_errors;
           Alcotest.test_case "step/pending" `Quick engine_step_and_pending;
+          Alcotest.test_case "reachable words" `Quick engine_words;
+          q qcheck_engine_model;
         ] );
       ( "stats",
         [
