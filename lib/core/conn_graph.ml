@@ -11,6 +11,9 @@ type t = {
   seqs : int array; (* highest LSU seq per origin *)
   mutable my_seq : int;
   mutable version : int;
+  (* Moves with [version] and also on the insignificant metric and loss
+     changes that [version] skips but [weight] reads. *)
+  mutable stamp : int;
   mutable effective : bool; (* weight = loss-inflated metric *)
   (* Domain-local metric handles, bound at [create] time (Strovl_obs.Ctx). *)
   m_link_changes : Strovl_obs.Metrics.Counter.t;
@@ -36,6 +39,7 @@ let create ~self g ~metric =
     seqs = Array.make (Graph.n g) (-1);
     my_seq = 0;
     version = 0;
+    stamp = 0;
     effective = false;
     m_link_changes =
       Strovl_obs.Metrics.counter "strovl_link_state_changes_total";
@@ -45,6 +49,11 @@ let create ~self g ~metric =
 let self t = t.self
 let graph t = t.g
 let version t = t.version
+let stamp t = t.stamp
+
+let bump t =
+  t.version <- t.version + 1;
+  t.stamp <- t.stamp + 1
 
 let usable t l = t.sides.(l).(0).up && t.sides.(l).(1).up
 let metric t l = max t.sides.(l).(0).metric t.sides.(l).(1).metric
@@ -62,7 +71,7 @@ let effective_metric t l =
 let use_effective_metric t b =
   if t.effective <> b then begin
     t.effective <- b;
-    t.version <- t.version + 1
+    bump t
   end
 
 let weight t l = if t.effective then effective_metric t l else metric t l
@@ -85,7 +94,7 @@ let set_local t ~link ~up =
   if s.up = up then None
   else begin
     s.up <- up;
-    t.version <- t.version + 1;
+    bump t;
     Strovl_obs.Metrics.Counter.incr t.m_link_changes;
     if Strovl_obs.Trace.armed () then
       Strovl_obs.Trace.emit ~node:t.self (Strovl_obs.Trace.Reroute (link, up));
@@ -99,12 +108,13 @@ let set_local_metric t ~link ~metric =
     Float.abs (nw -. old) > 0.1 *. Float.max old 1.
   in
   if not significant then begin
+    if s.metric <> metric then t.stamp <- t.stamp + 1;
     s.metric <- metric;
     None
   end
   else begin
     s.metric <- metric;
-    t.version <- t.version + 1;
+    bump t;
     Some (make_lsu t)
   end
 
@@ -113,12 +123,13 @@ let set_local_loss t ~link ~loss =
   let s = t.sides.(link).(side_index t.g link t.self) in
   let significant = abs (loss - s.loss) > 20 in
   if not significant then begin
+    if s.loss <> loss then t.stamp <- t.stamp + 1;
     s.loss <- loss;
     None
   end
   else begin
     s.loss <- loss;
-    t.version <- t.version + 1;
+    bump t;
     Some (make_lsu t)
   end
 
@@ -153,7 +164,7 @@ let apply_lsu t ~origin ~lsu_seq links =
         end)
       links;
     if !changed then begin
-      t.version <- t.version + 1;
+      bump t;
       Strovl_obs.Metrics.Counter.incr t.m_lsu_applied
     end;
     (* A fresher LSU was accepted (seq advanced), whether or not any side

@@ -26,6 +26,12 @@ val self : t -> int
 val graph : t -> Strovl_topo.Graph.t
 val version : t -> int
 
+val stamp : t -> int
+(** Moves on every change to what {!usable} or {!weight} reads: whenever
+    [version] does, and also on the metric and loss changes too small to
+    advertise, which [version] skips. A cache of anything built from
+    [weight] is valid while the stamp stands. *)
+
 val usable : t -> int -> bool
 (** Both endpoints advertise the link up. *)
 

@@ -9,6 +9,14 @@
     priority messages timely; each eviction is counted in
     [strovl_link_queue_drops_total{proto="it-priority"}].
 
+    Eviction costs what the buffer's priorities make it, not its length:
+    each buffer keeps its packets in arrival order in a ring and counts
+    how many it holds at each priority, so the lowest priority held is
+    known without a scan. When the oldest packet has it (every packet of
+    one priority, as in every experiment) eviction takes that packet;
+    otherwise the packets older than the victim each move up one slot.
+    Neither allocates.
+
     A [Fifo] mode implements the non-intrusion-tolerant baseline (single
     shared drop-tail queue) that the fairness experiment contrasts against.
 

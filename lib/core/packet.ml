@@ -46,6 +46,11 @@ let make ~flow ~routing ~service ~seq ~sent_at ~bytes ?(tag = "") ?auth () =
     replay = false;
   }
 
+let placeholder =
+  make
+    ~flow:{ f_src = 0; f_sport = 0; f_dest = To_node 0; f_dport = 0 }
+    ~routing:Link_state ~service:Best_effort ~seq:0 ~sent_at:0 ~bytes:0 ()
+
 let next_hop_copy t = { t with hops = t.hops + 1 }
 
 let with_ingress t node = { t with ingress = node }

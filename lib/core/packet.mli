@@ -86,6 +86,10 @@ val make :
   unit ->
   t
 
+val placeholder : t
+(** A packet no flow sends: fills the slots of a packet ring that hold no
+    packet, so a released packet is not kept reachable by its old slot. *)
+
 val next_hop_copy : t -> t
 (** The packet as forwarded one hop further ([hops] incremented). *)
 

@@ -26,9 +26,11 @@ type t = {
   request_spacing : Time.t;
   retrans_spacing : Time.t;
   (* sender: the last [history] packets by [lseq land (length - 1)], in a
-     power-of-two ring that starts empty and doubles on [send] *)
+     power-of-two ring that starts empty and doubles on [send]; a slot
+     holds the packet of lseq [lseqs.(i)], or none while that is 0 *)
   mutable next_lseq : int;
-  mutable ring : (int * Packet.t) option array;
+  mutable lseqs : int array;
+  mutable pkts : Packet.t array;
   mutable requested : Bytes.t; (* '\001': the slot's packet is being retransmitted *)
   (* receiver: the floor trails the highest lseq received by [history] *)
   win : Rx_window.t;
@@ -75,7 +77,8 @@ let create ?(config = default_config) ctx =
     request_spacing;
     retrans_spacing;
     next_lseq = 0;
-    ring = [||];
+    lseqs = [||];
+    pkts = [||];
     requested = Bytes.empty;
     win = Rx_window.create ~proto:"realtime";
     mh_retrans =
@@ -94,28 +97,33 @@ let xmit_data t lseq pkt =
   t.ctx.Lproto.xmit (Msg.Data { cls = t.cls; lseq; pkt; auth = None })
 
 (* Doubles the ring, each kept packet moving to its slot in the larger
-   one; the ring holds every lseq in (next_lseq - length, next_lseq]. *)
-let grow t =
-  let cap = max 1 (2 * Array.length t.ring) in
-  let ring = Array.make cap None and requested = Bytes.make cap '\000' in
+   one; the ring holds every lseq in (next_lseq - length, next_lseq]. The
+   packet being sent fills the empty slots. *)
+let grow t pkt =
+  let cap = max 1 (2 * Array.length t.lseqs) in
+  let lseqs = Array.make cap 0 and pkts = Array.make cap pkt in
+  let requested = Bytes.make cap '\000' in
   Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some (l, _) ->
-        ring.(l land (cap - 1)) <- slot;
-        Bytes.set requested (l land (cap - 1)) (Bytes.get t.requested i)
-      | None -> ())
-    t.ring;
-  t.ring <- ring;
+    (fun i l ->
+      if l > 0 then begin
+        let j = l land (cap - 1) in
+        lseqs.(j) <- l;
+        pkts.(j) <- t.pkts.(i);
+        Bytes.set requested j (Bytes.get t.requested i)
+      end)
+    t.lseqs;
+  t.lseqs <- lseqs;
+  t.pkts <- pkts;
   t.requested <- requested
 
 let send t pkt =
   t.next_lseq <- t.next_lseq + 1;
   let lseq = t.next_lseq in
-  if lseq > Array.length t.ring && Array.length t.ring < t.cfg.history then
-    grow t;
-  let i = lseq land (Array.length t.ring - 1) in
-  t.ring.(i) <- Some (lseq, pkt);
+  if lseq > Array.length t.lseqs && Array.length t.lseqs < t.cfg.history then
+    grow t pkt;
+  let i = lseq land (Array.length t.lseqs - 1) in
+  t.lseqs.(i) <- lseq;
+  t.pkts.(i) <- pkt;
   Bytes.set t.requested i '\000';
   xmit_data t lseq pkt
 
@@ -124,14 +132,17 @@ let handle_request t lseq =
      requests for the same packet are the receiver's insurance against
      request loss and must not multiply the responses. Only the last
      [history] lseqs are honoured: a ring rounded up to a power of two may
-     still hold an older packet, which counts as forgotten. *)
-  let i = lseq land (Array.length t.ring - 1) in
-  match
-    if lseq > max 0 (t.next_lseq - t.cfg.history) && lseq <= t.next_lseq then
-      t.ring.(i)
-    else None
-  with
-  | Some (l, pkt) when l = lseq && Bytes.get t.requested i = '\000' ->
+     still hold an older packet, which counts as forgotten. A request for
+     a packet already being retransmitted, or one that fell out of the
+     history ring, is ignored. *)
+  let i = lseq land (Array.length t.lseqs - 1) in
+  if
+    lseq > max 0 (t.next_lseq - t.cfg.history)
+    && lseq <= t.next_lseq
+    && t.lseqs.(i) = lseq
+    && Bytes.get t.requested i = '\000'
+  then begin
+    let pkt = t.pkts.(i) in
     Bytes.set t.requested i '\001';
     for j = 0 to t.cfg.m_retrans - 1 do
       ignore
@@ -143,7 +154,7 @@ let handle_request t lseq =
                  (Strovl_obs.Trace.Retransmit t.ctx.Lproto.link);
              xmit_data t lseq pkt))
     done
-  | _ -> () (* already requested, or too old: fell out of the history ring *)
+  end
 
 (* ---------------- receiver ---------------- *)
 

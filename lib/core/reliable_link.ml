@@ -9,14 +9,6 @@ let ack_delay = Time.ms 25
    rerouted the packets away from a dead link, the slot never fills. *)
 let max_nack_repeats = 50
 
-(* Fills the store slots that hold no packet, so a released packet is not
-   kept reachable by its old slot. *)
-let no_packet =
-  Packet.make
-    ~flow:{ Packet.f_src = 0; f_sport = 0; f_dest = Packet.To_node 0; f_dport = 0 }
-    ~routing:Packet.Link_state ~service:Packet.Reliable ~seq:0 ~sent_at:0
-    ~bytes:0 ()
-
 let initial_ring = 16
 
 type t = {
@@ -64,7 +56,8 @@ let xmit_data t lseq pkt =
 
 let[@inline] stored t lseq = t.store.(lseq land (Array.length t.store - 1))
 
-let release t lseq = t.store.(lseq land (Array.length t.store - 1)) <- no_packet
+let release t lseq =
+  t.store.(lseq land (Array.length t.store - 1)) <- Packet.placeholder
 
 let arm_rto t =
   (match t.rto_timer with
@@ -88,7 +81,7 @@ let fire_rto t () =
 let grow_store t =
   let old = t.store in
   let omask = Array.length old - 1 in
-  let store = Array.make (2 * Array.length old) no_packet in
+  let store = Array.make (2 * Array.length old) Packet.placeholder in
   let mask = Array.length store - 1 in
   for l = t.s_lo to t.next_lseq do
     store.(l land mask) <- old.(l land omask)
@@ -217,7 +210,7 @@ let create ~in_order ctx =
       cls = Packet.service_class Packet.Reliable;
       next_lseq = 0;
       s_lo = 1;
-      store = Array.make initial_ring no_packet;
+      store = Array.make initial_ring Packet.placeholder;
       rto_timer = None;
       rto_fire = ignore;
       win = Rx_window.create ~proto:"reliable";

@@ -21,6 +21,12 @@ type t = {
   mutable mc_src : int;
   mutable mc_grp : int;
   mutable mc_tree : Mcast.t option;
+  (* Source-routing masks, valid while [Conn_graph.stamp] is [masks_stamp]:
+     the usable links, and the dissemination masks by destination and
+     scheme. *)
+  mutable masks_stamp : int;
+  mutable usable_links : Bitmask.t option;
+  dissem : (Dissem.scheme * Bitmask.t) list array;
 }
 
 let create conn group =
@@ -34,6 +40,9 @@ let create conn group =
     mc_src = -1;
     mc_grp = -1;
     mc_tree = None;
+    masks_stamp = -1;
+    usable_links = None;
+    dissem = Array.make (Graph.n (Conn_graph.graph conn)) [];
   }
 
 let usable t l = Conn_graph.usable t.conn l
@@ -119,13 +128,34 @@ let anycast_target t ~group =
     Option.map fst best
   end
 
+let current_masks t =
+  let stamp = Conn_graph.stamp t.conn in
+  if t.masks_stamp <> stamp then begin
+    t.masks_stamp <- stamp;
+    t.usable_links <- None;
+    Array.fill t.dissem 0 (Array.length t.dissem) []
+  end
+
 let usable_mask t =
-  let g = Conn_graph.graph t.conn in
-  let mask = Bitmask.create ~nlinks:(Graph.link_count g) in
-  Graph.iter_links g (fun l _ _ -> if usable t l then Bitmask.set mask l);
-  mask
+  current_masks t;
+  match t.usable_links with
+  | Some mask -> mask
+  | None ->
+    let g = Conn_graph.graph t.conn in
+    let mask = Bitmask.create ~nlinks:(Graph.link_count g) in
+    Graph.iter_links g (fun l _ _ -> if usable t l then Bitmask.set mask l);
+    t.usable_links <- Some mask;
+    mask
 
 let dissem_mask t ~dst scheme =
-  let g = Conn_graph.graph t.conn in
-  Dissem.build ~usable:(usable t) ~weight:(weight t) g
-    ~src:(Conn_graph.self t.conn) ~dst scheme
+  current_masks t;
+  match List.assoc scheme t.dissem.(dst) with
+  | mask -> mask
+  | exception Not_found ->
+    let g = Conn_graph.graph t.conn in
+    let mask =
+      Dissem.build ~usable:(usable t) ~weight:(weight t) g
+        ~src:(Conn_graph.self t.conn) ~dst scheme
+    in
+    t.dissem.(dst) <- (scheme, mask) :: t.dissem.(dst);
+    mask

@@ -42,5 +42,14 @@ val usable_mask : t -> Strovl_topo.Bitmask.t
 
 val dissem_mask :
   t -> dst:int -> Strovl_topo.Dissem.scheme -> Strovl_topo.Bitmask.t
-(** Builds a dissemination mask for (self → dst) over the *currently
-    usable* topology, for source-routed sends. *)
+(** The dissemination mask for (self → dst) over the *currently usable*
+    topology, for source-routed sends.
+
+    Both masks are cached: [usable_mask] once, [dissem_mask] per
+    [(dst, scheme)], until {!Conn_graph.stamp} moves, which it does on
+    every change to a link's state, metric or loss (even one too small to
+    advertise) and on {!Conn_graph.use_effective_metric}. So a cached mask
+    is always the one a fresh build would return. Successive sends share
+    the same mask value: no one mutates a mask once a packet carries it
+    (only {!Strovl_topo.Dissem} and the wire decoder set bits, while
+    building one), and callers must not either. *)

@@ -7,11 +7,14 @@
    trace arming. [fresh] restores this domain's observability state to
    what a newly spawned domain sees, so a run produces byte-identical
    tables and trace digests no matter which domain executes it or what ran
-   there before — the determinism contract behind `-j N`. *)
+   there before — the determinism contract behind `-j N`. That includes
+   the recorder's clock: the last engine's clock closure would otherwise
+   keep that engine, and with it the whole finished run, reachable. *)
 
 let fresh () =
   Audit.reset ();
   Trace.disable ();
+  Trace.set_clock (fun () -> 0);
   Metrics.purge ()
 
 let isolate f =

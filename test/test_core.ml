@@ -414,6 +414,116 @@ let route_dissem_mask () =
   check_bool "uses both routes" true
     (Bitmask.mem m l02 && Bitmask.mem m l01 && Bitmask.mem m l12)
 
+(* Writes to a connectivity graph, each drawn small and resolved against
+   the graph when it runs, so every kind of write occurs: LSUs from other
+   nodes, flips of one of self's links, metric and loss drifts of one of
+   self's links (some too small to advertise), the metric switch, and a
+   query of every mask toward one node. *)
+type route_op =
+  | R_lsu of int * int * bool * int * int (* origin, link pick, up, metric, loss *)
+  | R_flip of int * bool
+  | R_metric of int * int (* link pick, percent change *)
+  | R_loss of int * int (* link pick, permille change *)
+  | R_effective of bool
+  | R_query of int
+
+let pp_route_op ppf = function
+  | R_lsu (o, l, up, m, p) -> Format.fprintf ppf "lsu %d #%d %b %d %d" o l up m p
+  | R_flip (l, up) -> Format.fprintf ppf "flip #%d %b" l up
+  | R_metric (l, pct) -> Format.fprintf ppf "metric #%d %+d%%" l pct
+  | R_loss (l, d) -> Format.fprintf ppf "loss #%d %+d" l d
+  | R_effective b -> Format.fprintf ppf "effective %b" b
+  | R_query d -> Format.fprintf ppf "query %d" d
+
+let gen_route_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 2,
+          map
+            (fun (o, l, up, (m, p)) -> R_lsu (o, l, up, m, p))
+            (quad (int_bound 11) (int_bound 7)
+               (frequency [ (4, return true); (1, return false) ])
+               (pair (int_range 9_000 11_000) (int_bound 40))) );
+        (1, map2 (fun l up -> R_flip (l, up)) (int_bound 7) bool);
+        (3, map2 (fun l pct -> R_metric (l, pct)) (int_bound 7) (int_range (-30) 30));
+        (3, map2 (fun l d -> R_loss (l, d)) (int_bound 7) (int_range (-30) 30));
+        (2, map (fun b -> R_effective b) bool);
+        (6, map (fun d -> R_query d) (int_bound 11));
+      ])
+
+let print_route_case (self, ops) =
+  Format.asprintf "self=%d@ %a" self
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_route_op)
+    ops
+
+let schemes =
+  Strovl_topo.Dissem.
+    [ Single_path; Two_disjoint; K_disjoint 3; Source_problem; Dest_problem;
+      Robust_both; Flooding ]
+
+let qcheck_route_masks_match_build =
+  QCheck.Test.make ~name:"route: cached masks equal a fresh build" ~count:300
+    (QCheck.make ~print:print_route_case
+       QCheck.Gen.(pair (int_bound 11) (list_size (int_range 1 120) gen_route_op)))
+    (fun (self, ops) ->
+      let g = Strovl_topo.Gen.overlay_graph (Strovl_topo.Gen.us_backbone ()) in
+      (* One metric for every link: equal-cost paths abound, so even a
+         drift too small to advertise changes which one a mask takes. *)
+      let c = Conn_graph.create ~self g ~metric:(fun _ -> 10_000) in
+      let r = Route.create c (Group.create ~self ~nnodes:(Graph.n g)) in
+      let pick node i =
+        let ls = Graph.incident g node in
+        List.nth ls (i mod List.length ls)
+      in
+      let seqs = Array.make (Graph.n g) 0 in
+      let usable_ok () =
+        let fresh = Bitmask.create ~nlinks:(Graph.link_count g) in
+        Graph.iter_links g (fun l _ _ ->
+            if Conn_graph.usable c l then Bitmask.set fresh l);
+        Bitmask.equal fresh (Route.usable_mask r)
+      in
+      let dissem_ok dst =
+        dst = self
+        || List.for_all
+             (fun scheme ->
+               Bitmask.equal
+                 (Strovl_topo.Dissem.build ~usable:(Conn_graph.usable c)
+                    ~weight:(Conn_graph.weight c) g ~src:self ~dst scheme)
+                 (Route.dissem_mask r ~dst scheme))
+             schemes
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | R_lsu (origin, i, up, metric, loss) ->
+            seqs.(origin) <- seqs.(origin) + 1;
+            ignore
+              (Conn_graph.apply_lsu c ~origin ~lsu_seq:seqs.(origin)
+                 [
+                   ( pick origin i,
+                     { Msg.li_up = up; li_metric = metric; li_loss = loss } );
+                 ]);
+            true
+          | R_flip (i, up) ->
+            ignore (Conn_graph.set_local c ~link:(pick self i) ~up);
+            true
+          | R_metric (i, pct) ->
+            let link = pick self i in
+            let metric = max 1 (Conn_graph.metric c link * (100 + pct) / 100) in
+            ignore (Conn_graph.set_local_metric c ~link ~metric);
+            true
+          | R_loss (i, d) ->
+            let link = pick self i in
+            ignore
+              (Conn_graph.set_local_loss c ~link ~loss:(Conn_graph.loss c link + d));
+            true
+          | R_effective b ->
+            Conn_graph.use_effective_metric c b;
+            true
+          | R_query dst -> usable_ok () && dissem_ok dst)
+        (ops @ List.init (Graph.n g) (fun d -> R_query d)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "strovl_core"
@@ -471,5 +581,6 @@ let () =
           Alcotest.test_case "mcast out links" `Quick route_mcast_out_links;
           Alcotest.test_case "usable mask" `Quick route_usable_mask_tracks_state;
           Alcotest.test_case "dissem mask" `Quick route_dissem_mask;
+          q qcheck_route_masks_match_build;
         ] );
     ]

@@ -121,6 +121,25 @@ let same_domain_isolation () =
   check_int "nothing leaked to the caller" 0
     (Strovl_obs.Metrics.find_counter "par_test_leak")
 
+(* An isolated run leaves nothing of itself reachable: the recorder's
+   clock, which the run's last engine set to read its own time, is back to
+   the constant 0 of a fresh domain, so that engine (and with it every
+   node, ring and packet of the run) is collected. *)
+let isolated_run_releases_engine () =
+  let held = Weak.create 1 in
+  let[@inline never] run () =
+    Strovl_obs.Ctx.isolate (fun () ->
+        let sim =
+          Strovl_expt.Common.build ~seed:5L (Strovl_topo.Gen.us_backbone ())
+        in
+        Weak.set held 0 (Some sim.Strovl_expt.Common.engine))
+  in
+  run ();
+  check_bool "engine held before collection" true (Weak.check held 0);
+  Gc.full_major ();
+  check_bool "engine collected" false (Weak.check held 0);
+  check_int "clock reads 0" 0 (Strovl_obs.Trace.now ())
+
 let () =
   Alcotest.run "strovl_par"
     [
@@ -138,5 +157,7 @@ let () =
             parallel_determinism;
           Alcotest.test_case "same-domain run isolation" `Quick
             same_domain_isolation;
+          Alcotest.test_case "isolated run releases its engine" `Quick
+            isolated_run_releases_engine;
         ] );
     ]

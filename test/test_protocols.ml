@@ -433,7 +433,10 @@ let bare_ctx engine =
   }
 
 (* The sender remembers which packets it is retransmitting per ring slot,
-   so answering a request for every packet keeps its footprint flat. *)
+   so answering a request for every packet keeps its footprint flat. The
+   words counted are the link's own: what its ctx reaches, the engine
+   included, is netted out, so a timer wheel grown by the answered
+   requests' retransmission timers does not count. *)
 let realtime_sender_state_bounded () =
   let engine = Engine.create () in
   let ctx = bare_ctx engine in
@@ -448,7 +451,7 @@ let realtime_sender_state_bounded () =
       Strovl.Realtime_link.recv a (Msg.Rt_request { lseq = !lseq });
       Engine.run engine
     done;
-    Obj.reachable_words (Obj.repr a)
+    Obj.reachable_words (Obj.repr a) - Obj.reachable_words (Obj.repr ctx)
   in
   let full = run history in
   let later = run (3 * history) in
@@ -607,6 +610,233 @@ let itp_recv_passes_up () =
   Strovl.It_priority.send a (itp_packet ~src:7 ~prio:1 ~seq:0 p.engine);
   Engine.run p.engine;
   check_int "delivered" 1 !got
+
+(* IT-Priority as it was before its buffers counted priorities: a stdlib
+   Queue per source, and an eviction that folds over the queue for the
+   lowest priority and rebuilds it when the victim is not the oldest. It
+   counts and traces its evictions as It_priority does, and is the model
+   the qcheck below holds It_priority to. *)
+module Itp_model = struct
+  type t = {
+    ctx : Lproto.ctx;
+    mode : Strovl.It_priority.mode;
+    queues : (int, P.t Queue.t) Hashtbl.t;
+    rotation : int Queue.t;
+    in_rotation : (int, unit) Hashtbl.t;
+    mutable busy : bool;
+    mutable lseq : int;
+    m_evicted : Strovl_obs.Metrics.Counter.t;
+  }
+
+  let priority_of pkt =
+    match pkt.P.service with P.It_priority p -> p | _ -> 0
+
+  let queue t key =
+    match Hashtbl.find_opt t.queues key with
+    | Some q -> q
+    | None ->
+      let q = Queue.create () in
+      Hashtbl.replace t.queues key q;
+      q
+
+  let enter_rotation t key =
+    if not (Hashtbl.mem t.in_rotation key) then begin
+      Hashtbl.replace t.in_rotation key ();
+      Queue.add key t.rotation
+    end
+
+  let evicted t p =
+    Strovl_obs.Metrics.Counter.incr t.m_evicted;
+    Lproto.trace_pkt t.ctx p (Strovl_obs.Trace.Drop Strovl_obs.Trace.Priority_evict)
+
+  let evict_oldest_lowest t q =
+    let min_prio = Queue.fold (fun acc p -> min acc (priority_of p)) max_int q in
+    if priority_of (Queue.peek q) = min_prio then evicted t (Queue.take q)
+    else begin
+      let items = Queue.create () in
+      Queue.transfer q items;
+      let found = ref false in
+      Queue.iter
+        (fun p ->
+          if (not !found) && priority_of p = min_prio then begin
+            found := true;
+            evicted t p
+          end
+          else Queue.add p q)
+        items
+    end
+
+  let rec service t =
+    if not t.busy then begin
+      match Queue.take_opt t.rotation with
+      | None -> ()
+      | Some key -> begin
+        Hashtbl.remove t.in_rotation key;
+        let q = queue t key in
+        match Queue.take_opt q with
+        | None -> service t
+        | Some pkt ->
+          if not (Queue.is_empty q) then enter_rotation t key;
+          t.lseq <- Lproto.next_lseq t.lseq;
+          let msg =
+            Msg.Data
+              { cls = P.service_class pkt.P.service; lseq = t.lseq; pkt; auth = None }
+          in
+          t.ctx.Lproto.xmit msg;
+          t.busy <- true;
+          ignore
+            (Engine.schedule t.ctx.Lproto.engine
+               ~delay:
+                 (Strovl_net.Link.tx_time ~bandwidth_bps:t.ctx.Lproto.bandwidth_bps
+                    (Wire.size msg))
+               (fun () ->
+                 t.busy <- false;
+                 service t))
+      end
+    end
+
+  let create ~mode ctx =
+    {
+      ctx;
+      mode;
+      queues = Hashtbl.create 16;
+      rotation = Queue.create ();
+      in_rotation = Hashtbl.create 16;
+      busy = false;
+      lseq = 0;
+      m_evicted =
+        Strovl_obs.Metrics.counter
+          ~labels:[ ("proto", "it-priority") ]
+          "strovl_link_queue_drops_total";
+    }
+
+  let key t source =
+    match t.mode with Strovl.It_priority.Round_robin -> source | Fifo -> -1
+
+  let send t pkt =
+    let cap = match t.mode with Strovl.It_priority.Round_robin -> 64 | Fifo -> 512 in
+    let key = key t pkt.P.flow.P.f_src in
+    let q = queue t key in
+    Queue.add pkt q;
+    if Queue.length q > cap then evict_oldest_lowest t q;
+    enter_rotation t key;
+    service t
+
+  let queue_len t ~source =
+    match Hashtbl.find_opt t.queues (key t source) with
+    | None -> 0
+    | Some q -> Queue.length q
+end
+
+type itp_op = Itp_send of int * int (* source, priority *) | Itp_wait of int (* ms *)
+
+let pp_itp_op ppf = function
+  | Itp_send (src, prio) -> Format.fprintf ppf "send %d/%d" src prio
+  | Itp_wait ms -> Format.fprintf ppf "wait %dms" ms
+
+(* Mostly sends from 4 sources at 4 priorities, a few waits: at 1 Mbit/s a
+   1000-byte packet takes 8 ms to send, so every source's 64-packet buffer
+   and, in the longer cases, the 512-packet FIFO buffer overflow. *)
+let gen_itp_case =
+  QCheck.Gen.(
+    pair bool
+      (list_size (int_range 1 1500)
+         (frequency
+            [
+              (20, map2 (fun s p -> Itp_send (s, p)) (int_bound 3) (int_bound 3));
+              (1, map (fun ms -> Itp_wait ms) (int_bound 20));
+            ])))
+
+let print_itp_case (fifo, ops) =
+  Format.asprintf "fifo=%b@ %a" fifo
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_itp_op)
+    ops
+
+(* Drives one scheduler through [ops] in a fresh observability context
+   with the recorder armed, and returns what it did: the timed
+   transmissions (lseq, source, seq), every source's queue length after
+   each op, the evicted packets (source, seq) in eviction order, and the
+   eviction counter's delta. *)
+let run_itp ~create ~send ~queue_len (fifo, ops) =
+  Strovl_obs.Ctx.isolate (fun () ->
+      Strovl_obs.Trace.enable ();
+      let engine = Engine.create ~seed:3L () in
+      let xmits = ref [] and lens = ref [] in
+      let ctx =
+        {
+          Lproto.engine;
+          node = -1;
+          link = -1;
+          xmit =
+            (fun m ->
+              match m with
+              | Msg.Data { lseq; pkt; _ } ->
+                xmits := (Engine.now engine, lseq, pkt.P.flow.P.f_src, pkt.P.seq) :: !xmits
+              | _ -> ());
+          up = ignore;
+          try_up = (fun _ -> true);
+          bandwidth_bps = 1_000_000;
+          rtt_hint = Time.ms 4;
+        }
+      in
+      let mode = if fifo then Strovl.It_priority.Fifo else Round_robin in
+      let t = create ~mode ctx in
+      let drops0 = itp_drops () in
+      List.iteri
+        (fun seq op ->
+          (match op with
+          | Itp_send (src, prio) -> send t (itp_packet ~src ~prio ~seq engine)
+          | Itp_wait ms -> Engine.run ~until:(Engine.now engine + Time.ms ms) engine);
+          lens := List.init 4 (fun source -> queue_len t ~source) :: !lens)
+        ops;
+      Engine.run engine;
+      let evicted = ref [] in
+      Strovl_obs.Trace.iter (fun r ->
+          match r.Strovl_obs.Trace.ev with
+          | Strovl_obs.Trace.Drop Strovl_obs.Trace.Priority_evict ->
+            evicted := (r.flow.fi_src, r.seq) :: !evicted
+          | _ -> ());
+      (List.rev !xmits, List.rev !lens, List.rev !evicted, itp_drops () - drops0))
+
+let qcheck_itp_matches_model =
+  QCheck.Test.make ~name:"it-priority: counted buffers match the fold model" ~count:60
+    (QCheck.make ~print:print_itp_case gen_itp_case)
+    (fun case ->
+      run_itp ~create:Strovl.It_priority.create ~send:Strovl.It_priority.send
+        ~queue_len:Strovl.It_priority.queue_len case
+      = run_itp ~create:Itp_model.create ~send:Itp_model.send
+          ~queue_len:Itp_model.queue_len case)
+
+(* A send into a full FIFO buffer whose oldest packet outranks the rest
+   evicts the oldest lowest-priority packet, the second in line. Measured
+   0.0 minor words per send; rebuilding the 512-packet queue around the
+   victim, as eviction did before, took 1554.0. *)
+let itp_full_fifo_eviction_words () =
+  let engine = Engine.create () in
+  let sched =
+    Strovl.It_priority.create ~mode:Strovl.It_priority.Fifo
+      (slow_ctx (bare_ctx engine))
+  in
+  let high = itp_packet ~src:7 ~prio:9 ~seq:0 engine in
+  let low = itp_packet ~src:7 ~prio:1 ~seq:1 engine in
+  (* The first goes into service, and the pacer holds the rest. *)
+  Strovl.It_priority.send sched high;
+  Strovl.It_priority.send sched high;
+  for _ = 2 to 512 do
+    Strovl.It_priority.send sched low
+  done;
+  check_int "buffer full" 512 (Strovl.It_priority.queue_len sched ~source:7);
+  let drops0 = itp_drops () in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Strovl.It_priority.send sched low
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "each send evicted one" n (itp_drops () - drops0);
+  check_int "still full" 512 (Strovl.It_priority.queue_len sched ~source:7);
+  if words > 1.0 then
+    Alcotest.failf "full fifo eviction: %.1f minor words per send (bound 1)" words
 
 (* ---------------------------- IT-Reliable ---------------------------- *)
 
@@ -1523,11 +1753,11 @@ let itp_pair_words_per_packet () =
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int (40 * rounds) in
   check_int "queue drained" 0 (Strovl.It_priority.queue_len a ~source:0);
-  (* Measured 23.1 words per packet (the Data message, the queue cells and
-     the rotation's table entry); a pacer closure built per packet took
-     28.1. *)
-  if words > 25.0 then
-    Alcotest.failf "it-priority pair: %.1f minor words per packet (bound 25)" words
+  (* Measured 10.1 words per packet (the Data message and the rotation's
+     queue cell); a stdlib Queue per source with a Hashtbl marking the
+     rotation took 23.1, and a pacer closure built per packet 28.1. *)
+  if words > 11.0 then
+    Alcotest.failf "it-priority pair: %.1f minor words per packet (bound 11)" words
 
 let () =
   Alcotest.run "strovl_protocols"
@@ -1572,6 +1802,9 @@ let () =
           Alcotest.test_case "fifo drop tail" `Quick itp_fifo_mode_drop_tail;
           Alcotest.test_case "recv passes up" `Quick itp_recv_passes_up;
           Alcotest.test_case "words per packet" `Quick itp_pair_words_per_packet;
+          Alcotest.test_case "full fifo eviction words" `Quick
+            itp_full_fifo_eviction_words;
+          QCheck_alcotest.to_alcotest qcheck_itp_matches_model;
         ] );
       ( "it_reliable",
         [
