@@ -1,5 +1,5 @@
 (* Session client for a live overlay daemon. Opens a virtual port on the
-   daemon at --node over the Wire.Session protocol, optionally joins a
+   daemon at --node (Strovl_rt.Session_client), optionally joins a
    multicast group, injects a flow, and/or waits for deliveries, reporting
    one-way latency (valid on one host: daemons stamp packets with the
    shared CLOCK_MONOTONIC epoch — see EXPERIMENTS.md on sim-vs-real
@@ -7,32 +7,11 @@
    packets arrive before --timeout-sec. *)
 
 open Cmdliner
-module Wire = Strovl.Wire
 module Packet = Strovl.Packet
-module Udp = Strovl_rt.Udp
+module Client = Strovl_rt.Session_client
 module Clock = Strovl_rt.Clock
 
 let ( let* ) = Result.bind
-
-(* Waits for one session frame until [deadline] (monotonic µs). Reads
-   before it sleeps: datagrams that [Udp.recvfrom] kept from a coalesced
-   receive do not make the socket readable. *)
-let rec recv_frame sock ~deadline =
-  match Udp.recvfrom sock with
-  | Some (data, _) -> (
-    match Wire.decode_datagram data with
-    | Ok (Wire.Dg_session f) -> Some f
-    | Ok (Wire.Dg_msg _) | Error _ -> recv_frame sock ~deadline)
-  | None -> (
-    let now = Clock.now_us () in
-    if now >= deadline then None
-    else
-      match
-        Unix.select [ Udp.fd sock ] [] [] (float_of_int (deadline - now) /. 1e6)
-      with
-      | [], _, _ -> None
-      | _, _, _ -> recv_frame sock ~deadline
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv_frame sock ~deadline)
 
 let parse_service s =
   match String.lowercase_ascii s with
@@ -44,26 +23,8 @@ let parse_service s =
   | "it-reliable" -> Ok Packet.It_reliable
   | "fec" -> Ok Packet.Fec
   | _ ->
-    Error
-      (Printf.sprintf
-         "unknown service %S (best-effort|reliable|realtime|it-priority|it-reliable|fec)"
-         s)
-
-let open_session sock daemon sport =
-  (* The daemon may still be booting; retry the handshake briefly. *)
-  let rec attempt n =
-    if n = 0 then Error "no Open_ok from daemon (is strovl_node running?)"
-    else begin
-      ignore
-        (Udp.sendto sock daemon
-           (Wire.encode_datagram (Wire.Dg_session (Wire.Session.Open { sport }))));
-      match recv_frame sock ~deadline:(Clock.now_us () + 200_000) with
-      | Some (Wire.Session.Open_ok { node; sport = sp }) when sp = sport ->
-        Ok node
-      | _ -> attempt (n - 1)
-    end
-  in
-  attempt 25
+    Error (Printf.sprintf "unknown service %S (%s)" s
+        "best-effort|reliable|realtime|it-priority|it-reliable|fec")
 
 let main topo_path node_id sport dest_node group group_send anycast dport
     service_name count bytes interval_ms expect timeout_sec tag stats =
@@ -84,102 +45,70 @@ let main topo_path node_id sport dest_node group group_send anycast dport
       | _ -> Error "--dest, --group-send and --anycast are mutually exclusive"
     in
     let daemon = Strovl_rt.Topofile.addr topo node_id in
-    let sock = Udp.bind ~host:"" ~port:0 in
-    Fun.protect
-      ~finally:(fun () ->
-        ignore
-          (Udp.sendto sock daemon
-             (Wire.encode_datagram
-                (Wire.Dg_session (Wire.Session.Close { sport }))));
-        Udp.close sock)
-      (fun () ->
-        let* daemon_node = open_session sock daemon sport in
+    let c = Client.create (Strovl_rt.Udp.bind ~host:"" ~port:0) ~daemon ~sport in
+    let wait = Client.wait_readable c in
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+        let* daemon_node =
+          Option.to_result (Client.open_session c ~wait)
+            ~none:"no Open_ok from daemon (is strovl_node running?)"
+        in
         Printf.printf "opened session: daemon node %d, sport %d\n%!"
           daemon_node sport;
-        (match group with
-        | Some g ->
-          ignore
-            (Udp.sendto sock daemon
-               (Wire.encode_datagram
-                  (Wire.Dg_session (Wire.Session.Join { group = g; sport }))));
-          Printf.printf "joined group %d\n%!" g
-        | None -> ());
+        Option.iter
+          (fun g ->
+            Client.join c g;
+            Printf.printf "joined group %d\n%!" g)
+          group;
         let deadline = Clock.now_us () + (timeout_sec * 1_000_000) in
-        let acks = ref 0 and refused = ref 0 and delivers = ref 0 in
         let lat_min = ref max_int and lat_max = ref 0 and lat_sum = ref 0 in
-        let note_frame = function
-          | Wire.Session.Sent { accepted; _ } ->
-            incr acks;
-            if not accepted then incr refused
-          | Wire.Session.Deliver { pkt; _ } ->
-            incr delivers;
-            let lat = Clock.now_us () - pkt.Packet.sent_at in
-            if lat >= 0 then begin
-              lat_min := min !lat_min lat;
-              lat_max := max !lat_max lat;
-              lat_sum := !lat_sum + lat
-            end
-          | _ -> ()
+        let note _at pkt =
+          let lat = Clock.now_us () - pkt.Packet.sent_at in
+          if lat >= 0 then begin
+            lat_min := min !lat_min lat;
+            lat_max := max !lat_max lat;
+            lat_sum := !lat_sum + lat
+          end
         in
-        (match dest with
-        | Some dest ->
-          for seq = 0 to count - 1 do
-            ignore
-              (Udp.sendto sock daemon
-                 (Wire.encode_datagram
-                    (Wire.Dg_session
-                       (Wire.Session.Send
-                          { sport; dest; dport; service; seq; bytes; tag }))));
-            if interval_ms > 0 && seq < count - 1 then
-              Unix.sleepf (float_of_int interval_ms /. 1e3);
-            (* keep draining acks/deliveries while pacing the flow *)
-            Udp.drain sock ~f:(fun data _ ->
-                match Wire.decode_datagram data with
-                | Ok (Wire.Dg_session f) -> note_frame f
-                | _ -> ())
-          done
-        | None -> ());
-        let want_delivers = expect in
-        let rec collect () =
-          if
-            (!delivers < want_delivers
-            || (dest <> None && !acks < count))
-            && Clock.now_us () < deadline
-          then (
-            (match recv_frame sock ~deadline with
-            | Some f -> note_frame f
-            | None -> ());
-            collect ())
-        in
-        collect ();
+        Option.iter
+          (fun dest ->
+            for seq = 0 to count - 1 do
+              Client.send_batch c ~dest ~dport ~service ~bytes ~tag ~first:seq 1;
+              if interval_ms > 0 && seq < count - 1 then
+                Unix.sleepf (float_of_int interval_ms /. 1e3);
+              (* keep taking acks and deliveries while pacing the flow *)
+              Client.poll c;
+              Client.iter_deliveries c note
+            done)
+          dest;
+        ignore
+          (Client.until c ~wait ~deadline (fun () ->
+               Client.iter_deliveries c note;
+               Client.delivered c >= expect && Client.acks c >= Client.sends c));
+        let delivers = Client.delivered c and refused = Client.refused c in
         if dest <> None then
-          Printf.printf "sent %d: %d acknowledged, %d refused\n%!" count !acks
-            !refused;
-        if want_delivers > 0 || !delivers > 0 then
-          if !delivers > 0 then
+          Printf.printf "sent %d: %d acknowledged, %d refused\n%!" count
+            (Client.acks c) refused;
+        if expect > 0 || delivers > 0 then
+          if delivers > 0 then
             Printf.printf
               "delivered %d: one-way latency ms min/mean/max = \
                %.3f/%.3f/%.3f\n\
                %!"
-              !delivers
+              delivers
               (float_of_int !lat_min /. 1e3)
-              (float_of_int !lat_sum /. float_of_int !delivers /. 1e3)
+              (float_of_int !lat_sum /. float_of_int delivers /. 1e3)
               (float_of_int !lat_max /. 1e3)
           else Printf.printf "delivered 0\n%!";
         if stats then begin
-          ignore
-            (Udp.sendto sock daemon
-               (Wire.encode_datagram
-                  (Wire.Dg_session (Wire.Session.Stats_req { what = 0 }))));
-          match recv_frame sock ~deadline:(Clock.now_us () + 1_000_000) with
-          | Some (Wire.Session.Stats { json }) -> print_endline json
-          | _ -> prerr_endline "no stats reply"
+          match Client.stats c ~wait ~deadline:(Clock.now_us () + 1_000_000) with
+          | Some json -> print_endline json
+          | None -> prerr_endline "no stats reply"
         end;
-        if !refused > 0 then Error (Printf.sprintf "%d sends refused" !refused)
-        else if !delivers < want_delivers then
+        if refused > 0 then Error (Printf.sprintf "%d sends refused" refused)
+        else if delivers < expect then
           Error
             (Printf.sprintf "expected %d deliveries, got %d before timeout"
-               want_delivers !delivers)
+               expect delivers)
         else Ok ())
   in
   match result with
@@ -188,100 +117,49 @@ let main topo_path node_id sport dest_node group group_send anycast dport
     Printf.eprintf "strovl_send: %s\n" e;
     1
 
+let flag_arg kind default names docv doc =
+  Arg.(value & opt kind default & info names ~docv ~doc)
+
+let some_int names docv doc = flag_arg Arg.(some int) None names docv doc
+
+let required_arg kind names docv doc =
+  Arg.(required & opt (some kind) None & info names ~docv ~doc)
+
 let topo_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "topo" ] ~docv:"FILE" ~doc:"Topology file (to find the daemon).")
+  required_arg Arg.string [ "topo" ] "FILE" "Topology file (to find the daemon)."
 
-let node_arg =
-  Arg.(
-    required
-    & opt (some int) None
-    & info [ "node" ] ~docv:"N" ~doc:"Overlay node id of the local daemon.")
+let node_arg = required_arg Arg.int [ "node" ] "N" "Overlay node id of the local daemon."
+let sport_arg = flag_arg Arg.int 1 [ "sport" ] "PORT" "Virtual source port to claim."
+let dest_arg = some_int [ "dest" ] "N" "Unicast destination overlay node."
 
-let sport_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "sport" ] ~docv:"PORT" ~doc:"Virtual source port to claim.")
-
-let dest_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "dest" ] ~docv:"N" ~doc:"Unicast destination overlay node.")
-
-let group_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "group" ] ~docv:"G"
-        ~doc:"Join this multicast group (to receive it).")
-
-let group_send_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "group-send" ] ~docv:"G" ~doc:"Multicast destination group.")
-
-let anycast_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "anycast" ] ~docv:"G" ~doc:"Anycast destination group.")
-
-let dport_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "dport" ] ~docv:"PORT" ~doc:"Destination virtual port.")
+let group_arg = some_int [ "group" ] "G" "Join this multicast group (to receive it)."
+let group_send_arg = some_int [ "group-send" ] "G" "Multicast destination group."
+let anycast_arg = some_int [ "anycast" ] "G" "Anycast destination group."
+let dport_arg = flag_arg Arg.int 1 [ "dport" ] "PORT" "Destination virtual port."
 
 let service_arg =
-  Arg.(
-    value & opt string "reliable"
-    & info [ "service" ] ~docv:"SVC"
-        ~doc:
-          "Overlay service class: best-effort, reliable, realtime, \
-           it-priority, it-reliable or fec.")
+  flag_arg Arg.string "reliable" [ "service" ] "SVC"
+    "Overlay service class: best-effort, reliable, realtime, it-priority, \
+     it-reliable or fec."
 
-let count_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "count" ] ~docv:"K" ~doc:"Packets to send (default 10).")
-
-let bytes_arg =
-  Arg.(
-    value & opt int 1200
-    & info [ "bytes" ] ~docv:"B" ~doc:"Payload size per packet.")
+let count_arg = flag_arg Arg.int 10 [ "count" ] "K" "Packets to send (default 10)."
+let bytes_arg = flag_arg Arg.int 1200 [ "bytes" ] "B" "Payload size per packet."
 
 let interval_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "interval-ms" ] ~docv:"MS"
-        ~doc:"Pacing between sends (default 10).")
+  flag_arg Arg.int 10 [ "interval-ms" ] "MS" "Pacing between sends (default 10)."
 
 let expect_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "expect" ] ~docv:"K"
-        ~doc:
-          "Wait for this many deliveries to the claimed sport; exit \
-           non-zero if they don't arrive before the timeout.")
+  flag_arg Arg.int 0 [ "expect" ] "K"
+    "Wait for this many deliveries to the claimed sport; exit non-zero if \
+     they don't arrive before the timeout."
 
 let timeout_arg =
-  Arg.(
-    value & opt int 10
-    & info [ "timeout-sec" ] ~docv:"SEC"
-        ~doc:"Overall wait budget (default 10).")
+  flag_arg Arg.int 10 [ "timeout-sec" ] "SEC" "Overall wait budget (default 10)."
 
-let tag_arg =
-  Arg.(
-    value & opt string "cli"
-    & info [ "tag" ] ~docv:"TAG" ~doc:"Flow label echoed in traces.")
+let tag_arg = flag_arg Arg.string "cli" [ "tag" ] "TAG" "Flow label echoed in traces."
 
 let stats_arg =
-  Arg.(
-    value & flag
-    & info [ "stats" ] ~doc:"Fetch and print the daemon's stats JSON before exiting.")
+  Arg.(value & flag & info [ "stats" ] ~doc:"Fetch and print the daemon's stats JSON before exiting.")
 
 let cmd =
   Cmd.v

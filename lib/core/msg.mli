@@ -66,6 +66,6 @@ val signable : t -> string
 (** Canonical byte string covered by the origin signature of a flooded
     state update ([Lsu], [Group_update]), excluding the signature itself.
     @raise Invalid_argument for every other message: they are hop-local,
-    and a data packet's signature covers {!Packet.signable}. *)
+    and a data packet's signature covers {!Wire.signable}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -519,7 +519,7 @@ and auth_ok t pkt =
       | None -> false
       | Some tag ->
         Auth.verify_sign reg ~node:pkt.Packet.flow.Packet.f_src
-          (Packet.signable pkt) tag
+          (Wire.signable pkt) tag
     end
   end
 
@@ -751,15 +751,15 @@ let leave_group t ~group ~port =
 let sign_packet t pkt =
   match (t.registry, pkt.Packet.service) with
   | Some reg, (Packet.It_priority _ | Packet.It_reliable) ->
-    let tag = Auth.sign reg ~node:t.id (Packet.signable pkt) in
+    let tag = Auth.sign reg ~node:t.id (Wire.signable pkt) in
     { pkt with Packet.auth = Some tag }
   | _ -> pkt
 
 let originate t pkt =
   let pkt = Packet.with_ingress pkt t.id in
-  let pkt = sign_packet t pkt in
   (* Resolve anycast at the origin for source-routed packets: the mask was
-     built toward a concrete target. *)
+     built toward a concrete target. The signature covers the resolved
+     destination. *)
   let pkt =
     match (pkt.Packet.routing, pkt.Packet.flow.Packet.f_dest) with
     | Packet.Source_mask _, Packet.Any_of_group g -> begin
@@ -773,6 +773,7 @@ let originate t pkt =
     end
     | _ -> pkt
   in
+  let pkt = sign_packet t pkt in
   count t Enqueued;
   trace_pkt t pkt Obs.Enqueue;
   match pkt.Packet.service with

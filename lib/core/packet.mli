@@ -101,7 +101,9 @@ val max_hops : int
 (** TTL guard against transient routing loops (64). *)
 
 val signable : t -> string
-(** Canonical bytes covered by the origin signature. *)
+(** Src, sport, dport, seq and bytes as text. No longer what an origin
+    signature covers ({!Wire.signable} is); kept for the benchmark's
+    crypto microbenchmark, which signs it. *)
 
 val service_class : service -> int
 (** Aggregation key: flows with the same class share link-protocol state on

@@ -108,7 +108,9 @@ let put_service b = function
   | Packet.It_reliable -> put_u8 b 4
   | Packet.Fec -> put_u8 b 5
 
-let put_packet b (p : Packet.t) =
+(* The end-to-end fields, which no hop rewrites: the prefix an origin
+   signature covers ([signable]). *)
+let[@inline] put_end_to_end b (p : Packet.t) =
   put_u16 b p.Packet.flow.Packet.f_src;
   put_u32 b p.Packet.flow.Packet.f_sport;
   put_dest b p.Packet.flow.Packet.f_dest;
@@ -118,7 +120,10 @@ let put_packet b (p : Packet.t) =
   put_u32 b p.Packet.seq;
   put_i64 b p.Packet.sent_at;
   put_u32 b p.Packet.bytes;
-  put_string b p.Packet.tag;
+  put_string b p.Packet.tag
+
+let put_packet b (p : Packet.t) =
+  put_end_to_end b p;
   put_auth b p.Packet.auth;
   put_u16 b p.Packet.hops;
   (* ingress may be -1 (not yet stamped): shift by one. *)
@@ -439,13 +444,20 @@ let service_size = function
   | Packet.It_priority _ -> 5
 
 (* src 2 + sport 4 + dest 5 + dport 4 + seq 4 + sent_at 8 + bytes 4
-   + tag length prefix 2 + hops 2 + ingress 2 + replay 1 = 38. *)
-let packet_size (p : Packet.t) =
-  38
+   + tag length prefix 2 = 33. *)
+let end_to_end_size (p : Packet.t) =
+  33
   + routing_size p.Packet.routing
   + service_size p.Packet.service
   + Int.min (String.length p.Packet.tag) 0xffff
-  + auth_size p.Packet.auth
+
+(* hops 2 + ingress 2 + replay 1 = 5. *)
+let packet_size (p : Packet.t) = end_to_end_size p + 5 + auth_size p.Packet.auth
+
+let signable p =
+  let w = writer (end_to_end_size p) in
+  put_end_to_end w p;
+  contents w
 
 let header_size = function
   | Msg.Data { pkt; auth; _ } -> 6 + auth_size auth + packet_size pkt

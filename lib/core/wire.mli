@@ -37,6 +37,13 @@ val size : Msg.t -> int
     charge it ({!Strovl_net.Link.tx_time} adds the per-packet overhead),
     and so do the IT pacers that pace themselves to the link. *)
 
+val signable : Packet.t -> string
+(** The bytes an origin signature covers: the prefix of a packet's
+    encoding that holds its end-to-end fields (flow, routing, service,
+    seq, [sent_at], bytes, tag), before the [auth], [hops], [ingress] and
+    [replay] that hops rewrite. Raises [Invalid_argument] like {!encode}
+    on a field out of its width's range. *)
+
 (** Client ↔ daemon session protocol (the session interface of Figure 2,
     over the wall-clock runtime's UDP sockets). A client opens a virtual
     port on its local daemon, optionally joins multicast groups, and

@@ -2,12 +2,13 @@
 # Real-sockets check of the daemon binaries: three strovl_node daemons on
 # a loopback line 0-1-2, receiver sessions at node 2, and 200-packet
 # strovl_send flows from node 0, two overlay hops away, one after the
-# other: reliable, realtime and FEC. Each is sent unpaced, so the daemons'
-# batched sends carry several replies and link frames at a time. Exits
-# non-zero (printing every process's output) unless each sender's Sends
-# are all accepted and acknowledged, each receiver gets all 200 packets
-# and node 0's stats show no bad datagram: every frame must still come out
-# of a receive as a datagram of its own to decode.
+# other: reliable, realtime and FEC, then a reliable multicast flow to
+# group 5, which one receiver at node 2 joins. Each is sent unpaced, so
+# the daemons' batched sends carry several replies and link frames at a
+# time. Exits non-zero (printing every process's output) unless each
+# sender's Sends are all accepted and acknowledged, each receiver gets all
+# 200 packets and node 0's stats show no bad datagram: every frame must
+# still come out of a receive as a datagram of its own to decode.
 #
 #   sh test/rt_smoke.sh path/to/strovl_node.exe path/to/strovl_send.exe
 set -eu
@@ -52,6 +53,9 @@ for svc in reliable realtime fec; do
     --timeout-sec 20 > "$dir/receiver-$svc.out" 2>&1 &
   receivers="$receivers $!"
 done
+"$send" --topo "$dir/topo" --node 2 --sport 15 --group 5 --expect 200 \
+  --timeout-sec 20 > "$dir/receiver-mcast.out" 2>&1 &
+receivers="$receivers $!"
 pids="$pids $receivers"
 # A few dozen hello intervals: links up, LSUs flooded, routes settled.
 sleep 2
@@ -72,6 +76,14 @@ for svc in reliable realtime fec; do
   grep -q '"rx_batches":' "$dir/sender-$svc.out" || status=1
   grep -q '"bad_datagrams":0,' "$dir/sender-$svc.out" || status=1
 done
+# The multicast flow: the receiver joined group 5 at node 2, and its Join
+# has reached node 0 by flooding.
+"$send" --topo "$dir/topo" --node 0 --sport 14 --group-send 5 --dport 15 \
+  --count 200 --interval-ms 0 --stats > "$dir/sender-mcast.out" 2>&1 || status=1
+grep -q '^sent 200: 200 acknowledged, 0 refused$' "$dir/sender-mcast.out" \
+  || status=1
+grep -q '"rx_batches":' "$dir/sender-mcast.out" || status=1
+grep -q '"bad_datagrams":0,' "$dir/sender-mcast.out" || status=1
 for r in $receivers; do
   wait "$r" || status=1
 done

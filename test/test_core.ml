@@ -57,12 +57,23 @@ let packet_hops_and_ingress () =
   check_int "ingress default" (-1) p.P.ingress;
   check_int "with_ingress" 7 (P.with_ingress p 7).P.ingress
 
+(* The signed bytes of a packet are the end-to-end prefix of its wire
+   encoding, and the hop-rewritten fields are not in them. *)
 let packet_signable_distinct () =
   check_bool "seq matters" true
-    (P.signable (packet ~seq:1 ()) <> P.signable (packet ~seq:2 ()));
+    (Wire.signable (packet ~seq:1 ()) <> Wire.signable (packet ~seq:2 ()));
   check_bool "src matters" true
-    (P.signable (packet ~flow:(flow ~src:1 ()) ())
-    <> P.signable (packet ~flow:(flow ~src:2 ()) ()))
+    (Wire.signable (packet ~flow:(flow ~src:1 ()) ())
+    <> Wire.signable (packet ~flow:(flow ~src:2 ()) ()));
+  let p = packet ~routing:(P.Source_mask (Bitmask.of_links ~nlinks:70 [ 3; 66 ])) () in
+  let signed = Wire.signable p in
+  (* A Data message: tag, class, lseq (4) and an absent auth (1) precede
+     the packet. *)
+  let encoded = Wire.encode (Msg.Data { cls = 0; lseq = 1; pkt = p; auth = None }) in
+  check_bool "a prefix of the packet's encoding" true
+    (String.sub encoded 7 (String.length signed) = signed);
+  let hop = P.as_replay (P.with_ingress (P.next_hop_copy { p with P.auth = Some 9L }) 4) in
+  check_bool "hop fields not covered" true (Wire.signable hop = signed)
 
 (* -------------------------------- Msg -------------------------------- *)
 

@@ -20,6 +20,7 @@ module Wire = Strovl.Wire
 module Packet = Strovl.Packet
 module Rt = Strovl_rt
 module Metrics = Strovl_obs.Metrics
+module Client = Rt.Session_client
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -63,43 +64,29 @@ let run_until rt ~budget_ms cond =
   in
   go ()
 
-(* An in-process session client: a plain UDP socket whose inbound session
-   frames accumulate via the runtime's select loop. *)
-type client = {
-  sock : Rt.Udp.t;
-  daemon : Unix.sockaddr;
-  mutable frames : Wire.Session.frame list;  (** newest first *)
-}
+(* The runtime as a session client's [wait]: the daemons answer only
+   while it runs. *)
+let step rt deadline = Rt.Runtime.step rt ~deadline
 
-let client rt topo node =
-  let sock = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
-  let c = { sock; daemon = Rt.Topofile.addr topo node; frames = [] } in
-  Rt.Runtime.watch rt (Rt.Udp.fd sock) (fun () ->
-      Rt.Udp.drain sock ~f:(fun data _ ->
-          match Wire.decode_datagram data with
-          | Ok (Wire.Dg_session f) -> c.frames <- f :: c.frames
-          | Ok (Wire.Dg_msg _) | Error _ -> ()));
+(* An in-process session client on [sport] at [node]'s daemon, opened and
+   polled from the runtime's select loop. *)
+let client rt topo node ~sport =
+  let c =
+    Client.create (Rt.Udp.bind ~host:"127.0.0.1" ~port:0)
+      ~daemon:(Rt.Topofile.addr topo node) ~sport
+  in
+  Rt.Runtime.watch rt (Client.fd c) (fun () -> Client.poll c);
+  check_bool "session open" true (Client.open_session c ~wait:(step rt) <> None);
   c
 
-let tell c frame =
-  ignore
-    (Rt.Udp.sendto c.sock c.daemon
-       (Wire.encode_datagram (Wire.Dg_session frame)))
+let close_client rt c =
+  Rt.Runtime.unwatch rt (Client.fd c);
+  Client.close c
 
-let count_delivers c =
-  List.length
-    (List.filter
-       (function Wire.Session.Deliver _ -> true | _ -> false)
-       c.frames)
-
-let count_acks c =
-  List.length
-    (List.filter
-       (function Wire.Session.Sent { accepted = true; _ } -> true | _ -> false)
-       c.frames)
-
-let opened c =
-  List.exists (function Wire.Session.Open_ok _ -> true | _ -> false) c.frames
+(* Reliable Sends to port 9 at node 3, seqs [first .. first + n - 1]. *)
+let send_to_3 c ~tag first n =
+  Client.send_batch c ~dest:(Packet.To_node 3) ~dport:9 ~service:Packet.Reliable
+    ~bytes:1000 ~tag ~first n
 
 (* The square 0-1-3 / 0-2-3 on free loopback ports. *)
 let square_topo () =
@@ -115,38 +102,21 @@ let square_topo () =
   | Ok t -> t
   | Error e -> Alcotest.failf "topofile: %s" e
 
-let overlay_survives_relay_death () =
+(* Four daemons on the square, a session client on port 8 at node 0 (the
+   sender) and one on port 9 at node 3 (the receiver). *)
+let square_overlay () =
   let topo = square_topo () in
   let rt = Rt.Runtime.create () in
   let hosts =
-    Array.init 4 (fun id ->
-        Rt.Host.create ~config:test_config ~rt ~topo ~id ())
+    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
   in
   Array.iter Rt.Host.start hosts;
+  (rt, topo, hosts, client rt topo 0 ~sport:8, client rt topo 3 ~sport:9)
 
+let overlay_survives_relay_death () =
   (* Phase 1: clients attach — sender at node 0, receiver at node 3. *)
-  let sender = client rt topo 0 in
-  let receiver = client rt topo 3 in
-  tell sender (Wire.Session.Open { sport = 8 });
-  tell receiver (Wire.Session.Open { sport = 9 });
-  check_bool "sessions open" true
-    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
-
-  let send_batch lo n =
-    for seq = lo to lo + n - 1 do
-      tell sender
-        (Wire.Session.Send
-           {
-             sport = 8;
-             dest = Packet.To_node 3;
-             dport = 9;
-             service = Packet.Reliable;
-             seq;
-             bytes = 1000;
-             tag = "t";
-           })
-    done
-  in
+  let rt, _, hosts, sender, receiver = square_overlay () in
+  let send_batch = send_to_3 sender ~tag:"t" in
   let forwarded id = (Node.counters (Rt.Host.node hosts.(id))).Node.forwarded in
 
   (* Phase 2: the overlay converges (hellos, LSU floods) and
@@ -154,7 +124,7 @@ let overlay_survives_relay_death () =
   send_batch 0 5;
   check_bool "first batch delivered via overlay" true
     (run_until rt ~budget_ms:3000 (fun () ->
-         count_delivers receiver >= 5 && count_acks sender >= 5));
+         Client.delivered receiver >= 5 && Client.acks sender >= 5));
   check_bool "a relay carried the first batch" true
     (forwarded 1 + forwarded 2 >= 5);
 
@@ -169,7 +139,7 @@ let overlay_survives_relay_death () =
   Rt.Runtime.run_for rt (Time.ms 400) (* > hello_timeout + hello_interval *);
   send_batch 100 5;
   check_bool "rerouted after the active relay died" true
-    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
+    (run_until rt ~budget_ms:3000 (fun () -> Client.delivered receiver >= 10));
   check_int "dead relay saw none of the second batch" victim_forwarded
     (forwarded victim);
   check_bool "surviving relay carried the second batch" true
@@ -177,17 +147,12 @@ let overlay_survives_relay_death () =
 
   (* Deliver stamps ride the shared monotonic clock: one-way latencies are
      non-negative and sub-second on loopback. *)
-  List.iter
-    (function
-      | Wire.Session.Deliver { pkt; at; _ } ->
-        let one_way = at - pkt.Packet.sent_at in
-        check_bool "sane one-way latency" true
-          (one_way >= 0 && one_way < 1_000_000)
-      | _ -> ())
-    receiver.frames;
+  Client.iter_deliveries receiver (fun at pkt ->
+      let one_way = at - pkt.Packet.sent_at in
+      check_bool "sane one-way latency" true (one_way >= 0 && one_way < 1_000_000));
 
-  tell sender (Wire.Session.Close { sport = 8 });
-  tell receiver (Wire.Session.Close { sport = 9 });
+  close_client rt sender;
+  close_client rt receiver;
   let has_no_sessions () =
     (* stats_json ends with ,"sessions":N} — N must drop to 0 *)
     let j = Rt.Host.stats_json hosts.(3) in
@@ -199,9 +164,7 @@ let overlay_survives_relay_death () =
   in
   check_bool "daemon dropped the closed session" true
     (run_until rt ~budget_ms:500 has_no_sessions);
-  Array.iter Rt.Host.close hosts;
-  Rt.Udp.close sender.sock;
-  Rt.Udp.close receiver.sock
+  Array.iter Rt.Host.close hosts
 
 (* Rt.Clock reads CLOCK_MONOTONIC: it never goes backwards, and it tracks
    real sleeps in nanoseconds. *)
@@ -250,63 +213,33 @@ let runtime_scheduling () =
    datagrams than link messages), and no link datagram is larger than
    Ethernet's MTU allows ([Wire.max_frame]). *)
 let burst_is_coalesced () =
-  let topo = square_topo () in
-  let rt = Rt.Runtime.create () in
-  let hosts =
-    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
-  in
-  Array.iter Rt.Host.start hosts;
-  let sender = client rt topo 0 in
-  let receiver = client rt topo 3 in
-  tell sender (Wire.Session.Open { sport = 8 });
-  tell receiver (Wire.Session.Open { sport = 9 });
-  check_bool "sessions open" true
-    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
-  let send seq =
-    tell sender
-      (Wire.Session.Send
-         {
-           sport = 8;
-           dest = Packet.To_node 3;
-           dport = 9;
-           service = Packet.Reliable;
-           seq;
-           bytes = 1000;
-           tag = "burst";
-         })
-  in
+  let rt, _, hosts, sender, receiver = square_overlay () in
+  let send = send_to_3 sender ~tag:"burst" in
   (* One packet first, so that routes have converged before the burst. *)
-  send 0;
+  send 0 1;
   check_bool "first packet delivered" true
-    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 1));
+    (run_until rt ~budget_ms:3000 (fun () -> Client.delivered receiver >= 1));
   Metrics.reset ();
   (* 40 Sends per turn: node 0 drains them in one callback, so each turn's
      Data messages on the first hop overflow one frame's 1472 bytes. *)
   let bursts = 6 and per_burst = 40 in
   let total = 1 + (bursts * per_burst) in
   for b = 0 to bursts - 1 do
-    for i = 1 to per_burst do
-      send ((b * per_burst) + i)
-    done;
+    send ((b * per_burst) + 1) per_burst;
     Rt.Runtime.run_for rt (Time.ms 5)
   done;
   check_bool "burst delivered" true
-    (run_until rt ~budget_ms:5000 (fun () -> count_delivers receiver >= total));
+    (run_until rt ~budget_ms:5000 (fun () -> Client.delivered receiver >= total));
   Rt.Runtime.run_for rt (Time.ms 50);
   let arrivals = Array.make total 0 and ordered = ref [] in
   let reorder =
     Strovl.Deliver.create (Rt.Runtime.engine rt) Strovl.Deliver.Ordered
       ~deliver:(fun pkt -> ordered := pkt.Packet.seq :: !ordered)
   in
-  List.iter
-    (function
-      | Wire.Session.Deliver { pkt; _ } ->
-        let seq = pkt.Packet.seq in
-        if seq >= 0 && seq < total then
-          arrivals.(seq) <- arrivals.(seq) + 1;
-        Strovl.Deliver.push reorder pkt
-      | _ -> ())
-    (List.rev receiver.frames);
+  Client.iter_deliveries receiver (fun _ pkt ->
+      let seq = pkt.Packet.seq in
+      if seq >= 0 && seq < total then arrivals.(seq) <- arrivals.(seq) + 1;
+      Strovl.Deliver.push reorder pkt);
   check_bool "every packet arrived exactly once" true
     (Array.for_all (fun n -> n = 1) arrivals);
   Alcotest.(check (list int))
@@ -339,45 +272,20 @@ let burst_is_coalesced () =
   check_bool "link frames carry many messages" true
     (largest > Wire.max_frame / 2);
   Array.iter Rt.Host.close hosts;
-  Rt.Udp.close sender.sock;
-  Rt.Udp.close receiver.sock
+  close_client rt sender;
+  close_client rt receiver
 
 (* One forged link datagram naming a real neighbour as its source and an
    lseq 20 million past the window: the relay drops and counts it instead
    of scheduling a NACK timer per skipped slot, nothing raises out of the
    runtime, and the flow keeps going. *)
 let forged_lseq_is_dropped () =
-  let topo = square_topo () in
-  let rt = Rt.Runtime.create () in
-  let hosts =
-    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
-  in
-  Array.iter Rt.Host.start hosts;
-  let sender = client rt topo 0 in
-  let receiver = client rt topo 3 in
-  tell sender (Wire.Session.Open { sport = 8 });
-  tell receiver (Wire.Session.Open { sport = 9 });
-  check_bool "sessions open" true
-    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
-  let send_batch lo n =
-    for seq = lo to lo + n - 1 do
-      tell sender
-        (Wire.Session.Send
-           {
-             sport = 8;
-             dest = Packet.To_node 3;
-             dport = 9;
-             service = Packet.Reliable;
-             seq;
-             bytes = 1000;
-             tag = "f";
-           })
-    done
-  in
+  let rt, topo, hosts, sender, receiver = square_overlay () in
+  let send_batch = send_to_3 sender ~tag:"f" in
   let forwarded id = (Node.counters (Rt.Host.node hosts.(id))).Node.forwarded in
   send_batch 0 5;
   check_bool "first batch delivered" true
-    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 5));
+    (run_until rt ~budget_ms:3000 (fun () -> Client.delivered receiver >= 5));
   (* The relay on the path, and its link from node 0 (square_topo's links
      are 0-1, 1-3, 0-2, 2-3 in that order). *)
   let relay = if forwarded 1 >= forwarded 2 then 1 else 2 in
@@ -420,20 +328,17 @@ let forged_lseq_is_dropped () =
   let relayed_before = forwarded 1 + forwarded 2 in
   send_batch 100 5;
   check_bool "flow keeps being delivered" true
-    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
+    (run_until rt ~budget_ms:3000 (fun () -> Client.delivered receiver >= 10));
   check_bool "relays keep forwarding" true
     (forwarded 1 + forwarded 2 >= relayed_before + 5);
-  check_int "the forged packet never arrived" 0
-    (List.length
-       (List.filter
-          (function
-            | Wire.Session.Deliver { pkt; _ } -> pkt.Packet.seq = 999
-            | _ -> false)
-          receiver.frames));
+  let forged_arrivals = ref 0 in
+  Client.iter_deliveries receiver (fun _ pkt ->
+      if pkt.Packet.seq = 999 then incr forged_arrivals);
+  check_int "the forged packet never arrived" 0 !forged_arrivals;
   Array.iter Rt.Host.close hosts;
   Rt.Udp.close attacker;
-  Rt.Udp.close sender.sock;
-  Rt.Udp.close receiver.sock
+  close_client rt sender;
+  close_client rt receiver
 
 (* No SO_REUSEADDR: a second socket on a live daemon's port must fail
    rather than silently split the daemon's datagrams. *)
@@ -786,50 +691,32 @@ let stat host key =
   done;
   int_of_string (String.sub j start (!stop - start))
 
-let send_frame sport seq =
-  Wire.Session.Send
-    {
-      sport;
-      dest = Packet.To_node 0;
-      dport = 1;
-      service = Packet.Best_effort;
-      seq;
-      bytes = 100;
-      tag = "b";
-    }
+(* Best-effort Sends to port [dport] of the lone daemon (node 0), seqs
+   [first .. first + n - 1]. *)
+let send_to_0 c ~dport first n =
+  Client.send_batch c ~dest:(Packet.To_node 0) ~dport ~service:Packet.Best_effort
+    ~bytes:100 ~tag:"b" ~first n
 
 (* A burst of Sends larger than one send queue and than one segmented
    run: every Sent reply comes back exactly once, as one frame per
    datagram, in seq order, and the daemon made fewer sendmmsg calls than
-   it sent datagrams. 250 Sends: the daemon socket's default receive
-   buffer holds 256 datagrams this small, and the burst lands in it before
-   the daemon reads. *)
+   it sent datagrams. The replies are read off the client's socket raw. *)
 let session_replies_batched () =
   let rt = Rt.Runtime.create () in
   let topo, host = lone_host rt in
   Rt.Host.start host;
   let sock = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
   Unix.setsockopt_int (Rt.Udp.fd sock) Unix.SO_RCVBUF (1 lsl 20);
-  let daemon = Rt.Topofile.addr topo 0 in
-  let tell frame =
-    ignore (Rt.Udp.sendto sock daemon (Wire.encode_datagram (Wire.Dg_session frame)))
-  in
+  let c = Client.create sock ~daemon:(Rt.Topofile.addr topo 0) ~sport:8 in
+  check_bool "session open" true (Client.open_session c ~wait:(step rt) <> None);
   let replies = ref [] in
   let collect () =
     Rt.Udp.drain sock ~f:(fun data _ -> replies := data :: !replies)
   in
-  tell (Wire.Session.Open { sport = 8 });
-  check_bool "session open" true
-    (run_until rt ~budget_ms:2000 (fun () ->
-         collect ();
-         !replies <> []));
-  replies := [];
   let tx0 = stat host "tx_datagrams" and batches0 = stat host "tx_batches" in
   let n = 250 in
   check_bool "more than one queue" true (n > Rt.Udp.max_queue);
-  for seq = 0 to n - 1 do
-    tell (send_frame 8 seq)
-  done;
+  send_to_0 c ~dport:1 0 n;
   ignore
     (run_until rt ~budget_ms:3000 (fun () ->
          collect ();
@@ -853,7 +740,7 @@ let session_replies_batched () =
     true
     (batches >= 2 && batches < tx);
   Rt.Host.close host;
-  Rt.Udp.close sock
+  Client.close c
 
 (* Host.close with replies still queued: the pending flush finds nothing,
    raises nothing, and no datagram leaves afterwards. *)
@@ -861,19 +748,13 @@ let close_drops_queue () =
   let rt = Rt.Runtime.create () in
   let topo, host = lone_host rt in
   Rt.Host.start host;
-  let sock = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
-  let daemon = Rt.Topofile.addr topo 0 in
-  let tell frame =
-    ignore (Rt.Udp.sendto sock daemon (Wire.encode_datagram (Wire.Dg_session frame)))
+  let c =
+    Client.create (Rt.Udp.bind ~host:"127.0.0.1" ~port:0)
+      ~daemon:(Rt.Topofile.addr topo 0) ~sport:8
   in
-  tell (Wire.Session.Open { sport = 8 });
-  check_bool "session open" true
-    (run_until rt ~budget_ms:2000 (fun () ->
-         match Rt.Udp.recvfrom sock with Some _ -> true | None -> false));
+  check_bool "session open" true (Client.open_session c ~wait:(step rt) <> None);
   let rx0 = stat host "rx_datagrams" in
-  for seq = 0 to 4 do
-    tell (send_frame 8 seq)
-  done;
+  send_to_0 c ~dport:1 0 5;
   (* A turn reads the Sends and queues their replies; the flush would come
      at the start of the next turn. *)
   let deadline = Rt.Clock.now_us () + 2_000_000 in
@@ -884,69 +765,43 @@ let close_drops_queue () =
   Rt.Host.close host;
   Rt.Runtime.run_for rt (Time.ms 50);
   check_bool "nothing sent after close" true
-    (match Unix.select [ Rt.Udp.fd sock ] [] [] 0.1 with
+    (match Unix.select [ Client.fd c ] [] [] 0.1 with
     | [], _, _ -> true
     | _ -> false);
-  Rt.Udp.close sock
+  Client.close c
 
 (* A session binds to its opener: a Close, Send, Join or Leave for sport 9
    from another socket is counted as misdirected and ignored — the session
    and its group memberships stay, nothing is sent or acknowledged — and
    the receiver keeps getting its packets. *)
 let close_from_stranger_ignored () =
-  let topo = square_topo () in
-  let rt = Rt.Runtime.create () in
-  let hosts =
-    Array.init 4 (fun id -> Rt.Host.create ~config:test_config ~rt ~topo ~id ())
-  in
-  Array.iter Rt.Host.start hosts;
-  let sender = client rt topo 0 in
-  let receiver = client rt topo 3 in
-  tell sender (Wire.Session.Open { sport = 8 });
-  tell receiver (Wire.Session.Open { sport = 9 });
-  check_bool "sessions open" true
-    (run_until rt ~budget_ms:2000 (fun () -> opened sender && opened receiver));
-  let send_batch lo n =
-    for seq = lo to lo + n - 1 do
-      tell sender
-        (Wire.Session.Send
-           {
-             sport = 8;
-             dest = Packet.To_node 3;
-             dport = 9;
-             service = Packet.Reliable;
-             seq;
-             bytes = 1000;
-             tag = "c";
-           })
-    done
-  in
+  let rt, topo, hosts, sender, receiver = square_overlay () in
+  let send_batch = send_to_3 sender ~tag:"c" in
   send_batch 0 5;
   check_bool "first batch delivered" true
-    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 5));
+    (run_until rt ~budget_ms:3000 (fun () -> Client.delivered receiver >= 5));
   let misdirected () =
     Metrics.find_counter ~labels:[ ("node", "3") ] "strovl_rt_misdirected_total"
   in
   let before = misdirected () in
   let stranger = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
-  ignore
-    (Rt.Udp.sendto stranger receiver.daemon
-       (Wire.encode_datagram (Wire.Dg_session (Wire.Session.Close { sport = 9 }))));
+  let from_stranger frame =
+    ignore
+      (Rt.Udp.sendto stranger (Rt.Topofile.addr topo 3)
+         (Wire.encode_datagram (Wire.Dg_session frame)))
+  in
+  from_stranger (Wire.Session.Close { sport = 9 });
   Rt.Runtime.run_for rt (Time.ms 50);
   check_int "the stranger's Close is misdirected" (before + 1) (misdirected ());
   check_int "the session survives" 1 (stat hosts.(3) "sessions");
   let ports group = Strovl.Group.local_ports (Node.group (Rt.Host.node hosts.(3))) ~group in
-  tell receiver (Wire.Session.Join { group = 5; sport = 9 });
+  Client.join receiver 5;
   check_bool "the opener joins" true
     (run_until rt ~budget_ms:500 (fun () -> ports 5 = [ 9 ]));
-  let delivers = count_delivers receiver in
+  let delivers = Client.delivered receiver in
   let delivered () = (Node.counters (Rt.Host.node hosts.(3))).Node.delivered in
   let delivered0 = delivered () in
-  List.iter
-    (fun frame ->
-      ignore
-        (Rt.Udp.sendto stranger receiver.daemon
-           (Wire.encode_datagram (Wire.Dg_session frame))))
+  List.iter from_stranger
     [
       Wire.Session.Send
         {
@@ -966,19 +821,105 @@ let close_from_stranger_ignored () =
     (misdirected ());
   check_bool "still in group 5, not in group 6" true (ports 5 = [ 9 ] && ports 6 = []);
   check_int "nothing originated or delivered" delivered0 (delivered ());
-  check_int "the receiver got nothing" delivers (count_delivers receiver);
+  check_int "the receiver got nothing" delivers (Client.delivered receiver);
   check_bool "the stranger got no reply" true (Rt.Udp.recvfrom stranger = None);
   send_batch 100 5;
   check_bool "and keeps delivering" true
-    (run_until rt ~budget_ms:3000 (fun () -> count_delivers receiver >= 10));
-  tell receiver (Wire.Session.Close { sport = 9 });
+    (run_until rt ~budget_ms:3000 (fun () -> Client.delivered receiver >= 10));
+  Client.leave receiver 5;
+  check_bool "the opener leaves" true
+    (run_until rt ~budget_ms:500 (fun () -> ports 5 = []));
+  close_client rt receiver;
   check_bool "the opener's Close works" true
     (run_until rt ~budget_ms:500 (fun () -> stat hosts.(3) "sessions" = 0));
   check_int "and is not misdirected" (before + 4) (misdirected ());
   Array.iter Rt.Host.close hosts;
   Rt.Udp.close stranger;
-  Rt.Udp.close sender.sock;
-  Rt.Udp.close receiver.sock
+  close_client rt sender
+
+(* --------------------------- the session client --------------------------- *)
+
+let address_of c =
+  match Unix.getsockname (Client.fd c) with
+  | Unix.ADDR_INET (_, port) -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+  | Unix.ADDR_UNIX _ -> assert false
+
+(* The client's half of the binding: Deliver, Sent and Open_ok frames from
+   a socket other than its daemon's are dropped and counted, and reach
+   neither the deliveries nor the acks. The same frames from the daemon
+   do. *)
+let client_bound_to_daemon () =
+  let rt = Rt.Runtime.create () in
+  let topo, host = lone_host rt in
+  Rt.Host.start host;
+  let c = client rt topo 0 ~sport:8 in
+  let to_client = address_of c in
+  let stranger = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let pkt =
+    Packet.make
+      ~flow:{ Packet.f_src = 0; f_sport = 1; f_dest = Packet.To_node 0; f_dport = 8 }
+      ~routing:Packet.Link_state ~service:Packet.Best_effort ~seq:5
+      ~sent_at:(Rt.Runtime.now rt) ~bytes:100 ()
+  in
+  let dropped0 = Client.dropped c and frames0 = Client.frames c in
+  List.iter
+    (fun frame ->
+      ignore
+        (Rt.Udp.sendto stranger to_client
+           (Wire.encode_datagram (Wire.Dg_session frame))))
+    [
+      Wire.Session.Deliver { sport = 8; at = 0; pkt };
+      Wire.Session.Sent { sport = 8; seq = 5; accepted = false };
+      Wire.Session.Open_ok { node = 7; sport = 8 };
+    ];
+  check_bool "the stranger's frames are dropped" true
+    (run_until rt ~budget_ms:1000 (fun () -> Client.dropped c >= dropped0 + 3));
+  check_int "each counted once" (dropped0 + 3) (Client.dropped c);
+  check_int "none dispatched" frames0 (Client.frames c);
+  check_int "no delivery" 0 (Client.delivered c);
+  Client.iter_deliveries c (fun _ _ -> Alcotest.fail "a stranger's Deliver was handed out");
+  check_int "no ack" 0 (Client.acks c);
+  check_int "no refusal" 0 (Client.refused c);
+  (* A Send to the client's own port: the daemon's Sent and Deliver count. *)
+  send_to_0 c ~dport:8 0 1;
+  check_bool "the daemon's frames are dispatched" true
+    (run_until rt ~budget_ms:1000 (fun () ->
+         Client.acks c = 1 && Client.delivered c = 1));
+  check_int "and nothing more dropped" (dropped0 + 3) (Client.dropped c);
+  Rt.Host.close host;
+  Rt.Udp.close stranger;
+  close_client rt c
+
+(* A stats query waits for the Stats frame itself: the Sent and Deliver
+   replies to earlier Sends, already on their way when the query goes out,
+   do not end the wait, and every one of them is counted. *)
+let stats_waits_for_reply () =
+  let rt = Rt.Runtime.create () in
+  let topo, host = lone_host rt in
+  Rt.Host.start host;
+  let c =
+    Client.create (Rt.Udp.bind ~host:"127.0.0.1" ~port:0)
+      ~daemon:(Rt.Topofile.addr topo 0) ~sport:8
+  in
+  check_bool "session open" true (Client.open_session c ~wait:(step rt) <> None);
+  let n = 20 in
+  let tx0 = stat host "tx_datagrams" in
+  send_to_0 c ~dport:8 0 n;
+  check_bool "the daemon sent a Sent and a Deliver per Send" true
+    (run_until rt ~budget_ms:2000 (fun () -> stat host "tx_datagrams" >= tx0 + (2 * n)));
+  check_int "none of them read yet" 0 (Client.acks c + Client.delivered c);
+  (match Client.stats c ~wait:(step rt) ~deadline:(Rt.Clock.now_us () + 2_000_000) with
+  | Some json ->
+    check_bool "the daemon's stats" true
+      (String.length json > 9 && String.sub json 0 9 = {|{"node":0|})
+  | None -> Alcotest.fail "no stats reply");
+  check_int "the Sents that came first were counted" n (Client.acks c);
+  check_int "and the Delivers" n (Client.delivered c);
+  let seqs = ref [] in
+  Client.iter_deliveries c (fun _ pkt -> seqs := pkt.Packet.seq :: !seqs);
+  Alcotest.(check (list int)) "handed out in order" (List.init n Fun.id) (List.rev !seqs);
+  Rt.Host.close host;
+  Client.close c
 
 (* ------------------------ the coalesced receive path ------------------------ *)
 
@@ -1143,6 +1084,55 @@ let nested_drain () =
   Rt.Udp.close b;
   Rt.Udp.close c
 
+(* Whatever comes from the daemon's address, the client never raises and
+   accounts each datagram exactly once: a daemon-to-client frame is
+   dispatched; a client-to-daemon frame, every strict prefix of an encoded
+   frame and a link frame are dropped; random bytes go one way or the
+   other. The "daemon" is a bare socket, and the client runs as a lone
+   one: select on its socket, then poll. *)
+let client_accounts_every_datagram () =
+  let daemon = Rt.Udp.bind ~host:"127.0.0.1" ~port:0 in
+  let c =
+    Client.create (Rt.Udp.bind ~host:"127.0.0.1" ~port:0)
+      ~daemon:(Unix.ADDR_INET (Unix.inet_addr_loopback, Rt.Udp.port daemon))
+      ~sport:8
+  in
+  let to_client = address_of c in
+  (* [Some dispatched] when [d] was accounted exactly once. *)
+  let feed d =
+    let frames = Client.frames c and dropped = Client.dropped c in
+    let counted () = Client.frames c - frames + Client.dropped c - dropped in
+    ignore (Rt.Udp.sendto daemon to_client d);
+    ignore
+      (Client.until c ~wait:(Client.wait_readable c)
+         ~deadline:(Rt.Clock.now_us () + 1_000_000)
+         (fun () -> counted () > 0));
+    Client.iter_deliveries c (fun _ _ -> ());
+    if counted () = 1 then Some (Client.frames c > frames) else None
+  in
+  let prop (frame, junk) =
+    let s = Wire.encode_datagram (Wire.Dg_session frame) in
+    let for_client =
+      match frame with
+      | Wire.Session.Open_ok _ | Sent _ | Deliver _ | Stats _ -> true
+      | Open _ | Join _ | Leave _ | Send _ | Stats_req _ | Close _ -> false
+    in
+    feed s = Some for_client
+    && List.for_all
+         (fun n -> feed (String.sub s 0 n) = Some false)
+         (List.init (String.length s) Fun.id)
+    && feed probe_frame = Some false
+    && feed junk <> None
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:100 ~name:"session client accounts every datagram"
+       (QCheck.make
+          ~print:(fun (_, junk) -> Printf.sprintf "junk %S" junk)
+          QCheck.Gen.(pair Wire_gen.gen_frame (string_size (int_bound 100))))
+       prop);
+  Rt.Udp.close daemon;
+  Client.close c
+
 let topofile_parsing () =
   let ok text =
     match Rt.Topofile.parse text with
@@ -1203,6 +1193,12 @@ let () =
             close_drops_queue;
           Alcotest.test_case "close from a stranger is ignored" `Quick
             close_from_stranger_ignored;
+          Alcotest.test_case "client bound to its daemon" `Quick
+            client_bound_to_daemon;
+          Alcotest.test_case "stats waits for its reply" `Quick
+            stats_waits_for_reply;
+          Alcotest.test_case "client accounts every datagram" `Quick
+            client_accounts_every_datagram;
           Alcotest.test_case "receive split" `Quick receive_split;
           Alcotest.test_case "coalesced drain" `Quick coalesced_drain;
           Alcotest.test_case "coalesced recvfrom" `Quick coalesced_recvfrom;

@@ -127,6 +127,61 @@ let it_signature_enforcement () =
   run_ms engine 500;
   check_int "best effort unaffected" 10 !got
 
+(* The origin signature covers every end-to-end field: a forwarder that
+   rewrites any one of them in a signed IT-Priority packet gets the packet
+   dropped for Auth at the next hop, and nothing is delivered. *)
+let it_signature_covers_packet () =
+  let config = { Strovl.Net.default_config with Strovl.Net.authenticate = true } in
+  let engine = Engine.create ~seed:9L () in
+  let net = Strovl.Net.create ~config engine (Gen.chain ~n:3 ~hop_delay:(Time.ms 10)) in
+  Strovl.Net.start net;
+  Strovl.Net.settle net;
+  let rx = Strovl.Client.attach (Strovl.Net.node net 2) ~port:2 in
+  let got = ref 0 in
+  Strovl.Client.set_receiver rx (fun _ -> incr got);
+  let tx = Strovl.Client.attach (Strovl.Net.node net 0) ~port:1 in
+  let s =
+    Strovl.Client.sender tx ~service:(P.It_priority 1) ~dest:(P.To_node 2) ~dport:2 ()
+  in
+  let flow f p = { p with P.flow = f p.P.flow } in
+  let rewrites =
+    [
+      ("src", flow (fun f -> { f with P.f_src = 1 }));
+      ("sport", flow (fun f -> { f with P.f_sport = 7 }));
+      ("dest", flow (fun f -> { f with P.f_dest = P.To_group 2 }));
+      ("dport", flow (fun f -> { f with P.f_dport = 3 }));
+      ( "routing",
+        fun p -> { p with P.routing = P.Source_mask (Strovl_topo.Bitmask.of_links ~nlinks:2 [ 1 ]) } );
+      ("service", fun p -> { p with P.service = P.It_priority 5 });
+      ("seq", fun p -> { p with P.seq = p.P.seq + 1000 });
+      ("sent_at", fun p -> { p with P.sent_at = p.P.sent_at - 1 });
+      ("bytes", fun p -> { p with P.bytes = p.P.bytes + 1 });
+      ("tag", fun p -> { p with P.tag = "x" });
+    ]
+  in
+  let auth_drops () = (Strovl.Node.counters (Strovl.Net.node net 2)).Strovl.Node.dropped_auth in
+  List.iter
+    (fun (field, rewrite) ->
+      Strovl.Net.set_wire_tap net ~node:1 (fun ~dir ~link:_ msg ->
+          match (dir, msg) with
+          | `Out, Strovl.Msg.Data ({ pkt; _ } as d) ->
+            Strovl.Net.Replace (Strovl.Msg.Data { d with pkt = rewrite pkt })
+          | _ -> Strovl.Net.Pass);
+      let drops = auth_drops () in
+      for _ = 1 to 5 do
+        ignore (Strovl.Client.send s ());
+        run_ms engine 10
+      done;
+      run_ms engine 500;
+      check_int (field ^ " rewritten: dropped for Auth") (drops + 5) (auth_drops ());
+      check_int (field ^ " rewritten: nothing delivered") 0 !got)
+    rewrites;
+  (* The untouched packet still verifies. *)
+  Strovl.Net.set_wire_tap net ~node:1 (fun ~dir:_ ~link:_ _ -> Strovl.Net.Pass);
+  ignore (Strovl.Client.send s ());
+  run_ms engine 500;
+  check_int "an untouched packet is delivered" 1 !got
+
 (* Group churn under live multicast traffic: joins and leaves mid-stream
    never duplicate and never wedge the stream for remaining members. *)
 let group_churn_under_traffic () =
@@ -381,6 +436,8 @@ let () =
           Alcotest.test_case "all services coexist" `Slow all_services_coexist;
           Alcotest.test_case "ttl guard" `Quick ttl_guard;
           Alcotest.test_case "it signature enforcement" `Quick it_signature_enforcement;
+          Alcotest.test_case "it signature covers the packet" `Quick
+            it_signature_covers_packet;
           Alcotest.test_case "group churn under traffic" `Quick group_churn_under_traffic;
           Alcotest.test_case "control plane under flood" `Quick control_plane_survives_data_flood;
           Alcotest.test_case "priority under congestion" `Quick priority_semantics_under_congestion;

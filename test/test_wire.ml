@@ -170,65 +170,8 @@ let corrupted_bytes_never_raise () =
   done;
   check_bool "survived all corruptions" true true
 
-(* qcheck: arbitrary messages roundtrip exactly. *)
-
-let gen_dest =
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun n -> P.To_node n) (int_bound 1000);
-        map (fun g -> P.To_group g) (int_bound 100000);
-        map (fun g -> P.Any_of_group g) (int_bound 100000);
-      ])
-
-let gen_service =
-  QCheck.Gen.(
-    oneof
-      [
-        return P.Best_effort;
-        return P.Reliable;
-        map (fun d -> P.Realtime { deadline = d }) (int_bound 1_000_000);
-        map (fun p -> P.It_priority p) (int_bound 100);
-        return P.It_reliable;
-        return P.Fec;
-      ])
-
-let gen_routing =
-  QCheck.Gen.(
-    oneof
-      [
-        return P.Link_state;
-        map
-          (fun links ->
-            P.Source_mask (Bitmask.of_links ~nlinks:200 links))
-          (list_size (int_bound 20) (int_bound 199));
-      ])
-
-let gen_packet =
-  QCheck.Gen.(
-    let* f_src = int_bound 60000 in
-    let* f_sport = int_bound 100000 in
-    let* f_dest = gen_dest in
-    let* f_dport = int_bound 100000 in
-    let* routing = gen_routing in
-    let* service = gen_service in
-    let* seq = int_bound 1_000_000 in
-    let* sent_at = int_bound 1_000_000_000 in
-    let* bytes = int_bound 65536 in
-    let* tag = string_size (int_bound 32) in
-    let* auth = opt (map Int64.of_int (int_bound 1_000_000)) in
-    let* hops = int_bound 63 in
-    let* ingress = int_range (-1) 100 in
-    let* replay = bool in
-    let p =
-      P.make
-        ~flow:{ P.f_src; f_sport; f_dest; f_dport }
-        ~routing ~service ~seq ~sent_at ~bytes ~tag ?auth ()
-    in
-    let p = if ingress >= 0 then P.with_ingress p ingress else p in
-    let p = if replay then P.as_replay p else p in
-    let rec bump p n = if n = 0 then p else bump (P.next_hop_copy p) (n - 1) in
-    return (bump p hops))
+(* qcheck: arbitrary messages roundtrip exactly (packets and session frames
+   come from Wire_gen). *)
 
 let gen_msg =
   QCheck.Gen.(
@@ -237,7 +180,7 @@ let gen_msg =
         (let* cls = int_bound 4 in
          let* lseq = int_bound 1_000_000 in
          let* auth = opt (map Int64.of_int (int_bound 1_000_000)) in
-         let* pkt = gen_packet in
+         let* pkt = Wire_gen.gen_packet in
          return (Msg.Data { cls; lseq; pkt; auth }));
         (let* cls = int_bound 4 in
          let* cum = int_bound 1_000_000 in
@@ -270,7 +213,7 @@ let gen_msg =
          return (Msg.Lsu { origin; lsu_seq; links; auth }));
         (let* block = int_bound 1_000_000 in
          let* idx = int_bound 7 in
-         let* blk_pkts = list_size (int_bound 6) gen_packet in
+         let* blk_pkts = list_size (int_bound 6) Wire_gen.gen_packet in
          let* bytes = int_bound 65536 in
          return
            (Msg.Fec_parity
@@ -300,51 +243,14 @@ let analytic_header_size =
 (* Session frames (client <-> daemon) and the UDP datagram framing the
    wall-clock runtime puts on real sockets. *)
 
-let gen_frame =
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun sport -> Wire.Session.Open { sport }) (int_bound 100000);
-        (let* node = int_bound 60000 in
-         let* sport = int_bound 100000 in
-         return (Wire.Session.Open_ok { node; sport }));
-        (let* group = int_bound 100000 in
-         let* sport = int_bound 100000 in
-         return (Wire.Session.Join { group; sport }));
-        (let* group = int_bound 100000 in
-         let* sport = int_bound 100000 in
-         return (Wire.Session.Leave { group; sport }));
-        (let* sport = int_bound 100000 in
-         let* dest = gen_dest in
-         let* dport = int_bound 100000 in
-         let* service = gen_service in
-         let* seq = int_bound 1_000_000 in
-         let* bytes = int_bound 65536 in
-         let* tag = string_size (int_bound 32) in
-         return
-           (Wire.Session.Send { sport; dest; dport; service; seq; bytes; tag }));
-        (let* sport = int_bound 100000 in
-         let* seq = int_bound 1_000_000 in
-         let* accepted = bool in
-         return (Wire.Session.Sent { sport; seq; accepted }));
-        (let* sport = int_bound 100000 in
-         let* at = int_bound 1_000_000_000 in
-         let* pkt = gen_packet in
-         return (Wire.Session.Deliver { sport; at; pkt }));
-        map (fun what -> Wire.Session.Stats_req { what }) (int_bound 255);
-        map (fun json -> Wire.Session.Stats { json })
-          (string_size (int_bound 200));
-        map (fun sport -> Wire.Session.Close { sport }) (int_bound 100000);
-      ])
-
 let qcheck_session_roundtrip =
   QCheck.Test.make ~name:"arbitrary session frame roundtrips exactly"
-    ~count:500 (QCheck.make gen_frame) (fun f ->
+    ~count:500 (QCheck.make Wire_gen.gen_frame) (fun f ->
       Wire.Session.decode (Wire.Session.encode f) = Ok f)
 
 let analytic_session_size =
   QCheck.Test.make ~name:"Session.size matches encode length" ~count:500
-    (QCheck.make gen_frame)
+    (QCheck.make Wire_gen.gen_frame)
     (fun f -> Wire.Session.size f = String.length (Wire.Session.encode f))
 
 let gen_datagram =
@@ -355,7 +261,7 @@ let gen_datagram =
          let* link = int_bound 60000 in
          let* msg = gen_msg in
          return (Wire.Dg_msg { src; link; msg }));
-        map (fun f -> Wire.Dg_session f) gen_frame;
+        map (fun f -> Wire.Dg_session f) Wire_gen.gen_frame;
       ])
 
 let qcheck_datagram_roundtrip =
@@ -510,7 +416,7 @@ let hostile_frames_rejected () =
 let session_buf_matches_encode =
   QCheck.Test.make ~name:"session buffer encodes like encode_datagram"
     ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 6) gen_frame))
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 6) Wire_gen.gen_frame))
     (fun frames ->
       let b = Wire.Session_buf.create () in
       List.for_all
