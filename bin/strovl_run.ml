@@ -5,10 +5,11 @@
      [-j]), one experiment aggregated across a seed range, the catalogue.
    - [health]: the US backbone's per-endpoint hello-protocol estimates.
    - [series]: an experiment's metrics over time, one channel per metric
-     that received samples.
+     that received samples, one timeline per run (row) of the experiment.
    - [audit]: experiments under the online invariant auditor; violations
      are printed with their causal path and the exit status is 1.
-   - [watch]: a per-window event dashboard over the flight recorder.
+   - [watch]: a per-window event dashboard over the flight recorder, one
+     section per run.
    - [trace], [path], [drops], [links], [summary]: a traced run and queries
      over its flight recorder and metrics.
    - [digest]: each experiment's trace-digest determinism fingerprint.
@@ -22,7 +23,7 @@ open Cmdliner
 module Time = Strovl_sim.Time
 module Trace = Strovl_obs.Trace
 module Export = Strovl_obs.Export
-module Series = Strovl_obs.Series
+module Metrics = Strovl_obs.Metrics
 module Health = Strovl_obs.Health
 module Audit = Strovl_obs.Audit
 module Table = Strovl_expt.Table
@@ -182,15 +183,25 @@ let contains ~sub s =
   let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
   at 0
 
+(* Consecutive points of one run, in order: a channel's ring holds its
+   runs one after the other. *)
+let by_run pts =
+  List.fold_right
+    (fun (p : Metrics.point) acc ->
+      match acc with
+      | (run, ps) :: rest when run = p.Metrics.p_run -> (run, p :: ps) :: rest
+      | _ -> (p.Metrics.p_run, [ p ]) :: acc)
+    pts []
+
+let mean ~n ~sum = if n = 0 then 0. else float_of_int sum /. float_of_int n
+
 let series_main one window_ms buckets json filter =
   observe_one one ~series:(window_ms * 1000, buckets) (fun _table ->
       let chans =
         List.filter
-          (fun ch ->
-            match filter with
-            | None -> true
-            | Some sub -> contains ~sub (Series.name ch))
-          (Series.channels ())
+          (fun (name, _, _) ->
+            match filter with None -> true | Some sub -> contains ~sub name)
+          (Metrics.series ())
       in
       if chans = [] then begin
         Printf.eprintf "no series points collected\n";
@@ -198,33 +209,37 @@ let series_main one window_ms buckets json filter =
       end
       else if json then begin
         List.iter
-          (fun ch ->
+          (fun (name, labels, pts) ->
             List.iter
-              (fun p -> print_endline (Series.point_json ch p))
-              (Series.points ch))
+              (fun p -> print_endline (Export.point_json name labels p))
+              pts)
           chans;
         0
       end
       else begin
         List.iter
-          (fun ch ->
-            let pts = Series.points ch in
-            let n = List.fold_left (fun a p -> a + p.Series.p_n) 0 pts in
-            let sum = List.fold_left (fun a p -> a + p.Series.p_sum) 0 pts in
-            let mx = List.fold_left (fun a p -> max a p.Series.p_max) min_int pts in
-            Printf.printf "%s{%s}: %d buckets, n=%d mean=%.2f max=%d\n"
-              (Series.name ch)
-              (String.concat ","
-                 (List.map (fun (k, v) -> k ^ "=" ^ v) (Series.labels ch)))
-              (List.length pts) n
-              (if n = 0 then 0. else float_of_int sum /. float_of_int n)
-              mx;
+          (fun (name, labels, pts) ->
             List.iter
-              (fun p ->
-                Printf.printf "  t=%8.1fms n=%6d sum=%10d max=%8d mean=%10.2f\n"
-                  (float_of_int p.Series.p_t0 /. 1000.)
-                  p.Series.p_n p.Series.p_sum p.Series.p_max (Series.mean p))
-              pts)
+              (fun (run, pts) ->
+                let n = List.fold_left (fun a p -> a + p.Metrics.p_n) 0 pts in
+                let sum = List.fold_left (fun a p -> a + p.Metrics.p_sum) 0 pts in
+                let mx =
+                  List.fold_left (fun a p -> max a p.Metrics.p_max) min_int pts
+                in
+                Printf.printf "%s{%s} run %d: %d buckets, n=%d mean=%.2f max=%d\n"
+                  name
+                  (String.concat ","
+                     (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+                  run (List.length pts) n (mean ~n ~sum) mx;
+                List.iter
+                  (fun p ->
+                    Printf.printf
+                      "  t=%8.1fms n=%6d sum=%10d max=%8d mean=%10.2f\n"
+                      (float_of_int p.Metrics.p_t0 /. 1000.)
+                      p.Metrics.p_n p.Metrics.p_sum p.Metrics.p_max
+                      (mean ~n:p.Metrics.p_n ~sum:p.Metrics.p_sum))
+                  pts)
+              (by_run pts))
           chans;
         0
       end)
@@ -250,8 +265,8 @@ let audit_report ~json (e : Strovl_expt.experiment) _table =
         (* The causal path behind each packet-bearing violation. *)
         if v.Audit.v_flow <> Trace.no_flow then begin
           Format.printf "  causal path:@.";
-          Export.print_path Format.std_formatter ~flow:v.Audit.v_flow
-            ~seq:v.Audit.v_seq
+          Export.print_path Format.std_formatter ~run:v.Audit.v_run
+            ~flow:v.Audit.v_flow ~seq:v.Audit.v_seq
         end)
       violations
   end;
@@ -274,14 +289,15 @@ let audit_main ids quick seed capacity json =
 (* ------------------------------- watch ------------------------------- *)
 
 (* A per-window dashboard: folds the flight-recorder ring into one row
-   per sim-time window. The fold runs over the retained ring after the
-   run rather than as a live sink: the timeline is in simulated time
-   either way, and only the ring capacity bounds how far back the
-   dashboard reaches. *)
+   per sim-time window, under a heading for each run (an experiment's
+   rows are runs, each with its own clock from 0). The fold runs over the
+   retained ring after the run rather than as a live sink: the timeline
+   is in simulated time either way, and only the ring capacity bounds how
+   far back the dashboard reaches. *)
 let watch_main one capacity interval_ms =
   observe_one one ~trace:capacity (fun _table ->
       let w = interval_ms * 1000 in
-      let cur = ref min_int in
+      let run = ref (-1) and cur = ref min_int in
       let dlv = ref 0
       and fwd = ref 0
       and drp = ref 0
@@ -298,6 +314,12 @@ let watch_main one capacity interval_ms =
         "drop" "retx" "reroute";
       Trace.iter (fun (r : Trace.record) ->
           let t0 = r.Trace.ts - (r.Trace.ts mod w) in
+          if r.Trace.run <> !run then begin
+            flush ();
+            run := r.Trace.run;
+            cur := min_int;
+            Printf.printf "run %d\n" !run
+          end;
           if t0 <> !cur then begin
             flush ();
             cur := t0
@@ -340,12 +362,24 @@ let trace_main one capacity json jsonl_path =
       else begin
         Export.print_summary Format.std_formatter;
         match Export.sample_packet () with
-        | Some (flow, seq) ->
+        | Some (run, flow, seq) ->
           Format.printf "@.sampled packet path:@.";
-          Export.print_path Format.std_formatter ~flow ~seq
+          Export.print_path Format.std_formatter ~run ~flow ~seq
         | None -> ()
       end;
       0)
+
+(* The runs whose retained events include (flow, seq), in order: an
+   explicit packet gets one path per run that recorded it. *)
+let runs_with ~flow ~seq =
+  let runs = ref [] in
+  Trace.iter (fun r ->
+      if
+        r.Trace.flow = flow
+        && (r.Trace.seq = seq || r.Trace.seq = -1)
+        && not (List.mem r.Trace.run !runs)
+      then runs := r.Trace.run :: !runs);
+  List.rev !runs
 
 let path_main one capacity flow_s seq =
   (* Reject a malformed --flow before paying for the run. *)
@@ -355,22 +389,26 @@ let path_main one capacity flow_s seq =
     1
   | explicit ->
     observe_one one ~trace:capacity (fun _table ->
-        let target =
+        let targets =
           match explicit with
-          | Some (_, Some flow) -> Some (flow, seq)
-          | _ -> Export.sample_packet ()
+          | Some (_, Some flow) ->
+            List.map (fun run -> (run, flow, seq)) (runs_with ~flow ~seq)
+          | _ -> Option.to_list (Export.sample_packet ())
         in
-        match target with
-        | None ->
-          Printf.eprintf "no packet to trace (empty flight recorder?)\n";
-          1
-        | Some (flow, seq) when Export.path_of ~flow ~seq = [] ->
+        match (targets, explicit) with
+        | [], Some _ ->
           Printf.eprintf
             "no events for that flow/seq in the trace window (try `summary` \
              for live flows)\n";
           1
-        | Some (flow, seq) ->
-          Export.print_path Format.std_formatter ~flow ~seq;
+        | [], None ->
+          Printf.eprintf "no packet to trace (empty flight recorder?)\n";
+          1
+        | targets, _ ->
+          List.iter
+            (fun (run, flow, seq) ->
+              Export.print_path Format.std_formatter ~run ~flow ~seq)
+            targets;
           0)
 
 let drops_main one capacity =

@@ -5,8 +5,27 @@ module Underlay = Strovl_net.Underlay
 
 type sim = { engine : Engine.t; net : Strovl.Net.t; rng : Rng.t }
 
+(* One engine per domain, reset for every row: each row is a run of its
+   own from time 0, and the pool and grown timer wheel of the rows before
+   it are reused instead of allocated again. *)
+let domain_engine : Engine.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let engine ~seed =
+  let cell = Domain.DLS.get domain_engine in
+  match !cell with
+  | Some e ->
+    Engine.reset e ~seed;
+    e
+  | None ->
+    let e = Engine.create ~seed () in
+    cell := Some e;
+    e
+
+let release () = Domain.DLS.get domain_engine := None
+
 let build ?config ~seed spec =
-  let engine = Engine.create ~seed () in
+  let engine = engine ~seed in
   let net = Strovl.Net.create ?config engine spec in
   Strovl.Net.start net;
   Strovl.Net.settle ~duration:(Time.sec 2) net;

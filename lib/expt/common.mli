@@ -8,12 +8,23 @@ type sim = {
   rng : Rng.t;
 }
 
+val engine : seed:int64 -> Engine.t
+(** This domain's one experiment engine, created on first use and reset
+    ({!Engine.reset}) on every later call: a new run with the clock, seq
+    and root RNG of [Engine.create ~seed ()]. Each row of an experiment
+    runs on it, so a row's events, and through them its overlay, are
+    dropped when the next row starts. *)
+
+val release : unit -> unit
+(** Forgets this domain's engine, so nothing of the last run stays
+    reachable through it; the next {!engine} creates a fresh one. *)
+
 val build :
   ?config:Strovl.Net.config ->
   seed:int64 ->
   Strovl_topo.Gen.spec ->
   sim
-(** Engine + overlay, started and settled for 2 s. *)
+(** {!engine} + overlay, started and settled for 2 s. *)
 
 val bernoulli_loss : sim -> p:float -> unit
 (** Independent per-packet loss with probability [p] on every fiber

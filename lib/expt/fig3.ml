@@ -20,7 +20,7 @@ let interval = Time.ms 5
 (* End-to-end baseline: the direct Internet path (all five segments) with
    the identical reliable protocol spanning it once. *)
 let run_e2e ~seed ~p ~count =
-  let engine = Engine.create ~seed () in
+  let engine = Common.engine ~seed in
   let underlay = Strovl_net.Underlay.create engine (spec ()) in
   let rng = Rng.split_named (Engine.rng engine) "e2e" in
   Strovl_net.Underlay.set_all_segment_loss underlay (fun si _ ->

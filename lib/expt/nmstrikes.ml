@@ -48,7 +48,7 @@ let variants =
   ]
 
 let run_variant ~seed ~mean_loss ~burst ~count v =
-  let engine = Engine.create ~seed () in
+  let engine = Common.engine ~seed in
   let spec = Gen.chain ~n:2 ~hop_delay:path_delay in
   let underlay = Strovl_net.Underlay.create engine spec in
   let rng = Rng.split_named (Engine.rng engine) "nm" in

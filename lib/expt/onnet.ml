@@ -60,7 +60,7 @@ let run_mode ~seed ~count offnet =
 
 let delay_inflation () =
   (* Static: per-link off-net delay vs on-net delay across the topology. *)
-  let engine = Engine.create ~seed:1L () in
+  let engine = Common.engine ~seed:1L in
   let spec = Gen.us_backbone () in
   let u = Underlay.create engine spec in
   let g = Gen.overlay_graph spec in

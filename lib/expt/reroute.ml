@@ -55,7 +55,7 @@ let overlay_scenario ?(hello_timeout = Strovl.Node.default_config.Strovl.Node.he
   Strovl_apps.Collect.max_gap_ms collect
 
 let bgp_scenario ~seed ~convergence =
-  let engine = Engine.create ~seed () in
+  let engine = Common.engine ~seed in
   let spec = Gen.us_backbone () in
   let underlay = Strovl_net.Underlay.create ~convergence engine spec in
   let link = Strovl_net.Link.create underlay ~a:src ~b:dst ~isp:0 in

@@ -107,15 +107,17 @@ let find id = List.find_opt (fun e -> e.id = id) all
    context (Strovl_obs.Ctx.isolate), so it neither sees nor leaves behind
    domain state — the property that makes a pool-scheduled run's tables
    and trace digest independent of which domain executes it and what ran
-   there before. Before [run], [trace] arms the flight recorder with a
-   ring of that many events, [series] arms the time axis of every metric
-   with (window in sim-us, buckets per metric), and [audit] feeds the recorder
-   into the online invariant auditor (arming the recorder at its default
-   capacity when [trace] is not given, since the auditor sees only what
-   the recorder emits). [query] gets [run]'s result and runs before the
+   there before — and the domain's engine (Common.engine) is dropped on
+   the way out, so a finished run holds nothing. Before [run], [trace]
+   arms the flight recorder with a ring of that many events, [series]
+   arms the time axis of every metric with (window in sim-us, buckets per
+   metric), and [audit] feeds the recorder into the online invariant
+   auditor (arming the recorder at its default capacity when [trace] is
+   not given, since the auditor sees only what the recorder emits). [query] gets [run]'s result and runs before the
    context is dropped, so it can read the ring, channels, auditor and
    metrics the run filled; its result is returned. *)
 let isolated ?trace ?series ?(audit = false) run query =
+  Fun.protect ~finally:Common.release @@ fun () ->
   Strovl_obs.Ctx.isolate (fun () ->
       let trace =
         match trace with
@@ -124,7 +126,7 @@ let isolated ?trace ?series ?(audit = false) run query =
       in
       Option.iter (fun capacity -> Strovl_obs.Trace.enable ~capacity ()) trace;
       Option.iter
-        (fun (window, capacity) -> Strovl_obs.Series.enable ~window ~capacity ())
+        (fun (window, capacity) -> Strovl_obs.Metrics.arm_series ~window ~capacity)
         series;
       if audit then Strovl_obs.Audit.arm ();
       query (run ()))

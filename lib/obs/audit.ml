@@ -46,6 +46,7 @@
    other's violations. *)
 
 type violation = {
+  v_run : int;
   v_ts : int;
   v_rule : string;
   v_node : int;
@@ -84,7 +85,7 @@ type st = {
   seen_nodes : (int, unit) Hashtbl.t;
   mutable reroute_lat : int list;
   mutable next_sweep : int;
-  mutable last_ts : int;
+  mutable run : int; (* the run the packet-scoped state belongs to *)
 }
 
 let dls : st Domain.DLS.key =
@@ -104,16 +105,15 @@ let dls : st Domain.DLS.key =
         seen_nodes = Hashtbl.create 64;
         reroute_lat = [];
         next_sweep = min_int;
-        last_ts = min_int;
+        run = 0;
       })
 
 let state () = Domain.DLS.get dls
 
-(* A sim-time regression means a new simulation run started inside one
-   audited span (experiments build a fresh engine per scenario, and each
-   engine's clock restarts at zero). Packet identities and budgets do not
-   carry across runs, so the packet-scoped state is dropped; accumulated
-   violations and reroute latencies are kept. *)
+(* A new run started inside one audited span (an experiment's rows are
+   runs, each from time 0; Trace numbers them). Packet identities and
+   budgets do not carry across runs, so the packet-scoped state is
+   dropped; accumulated violations and reroute latencies are kept. *)
 let epoch_reset st =
   Hashtbl.reset st.delivered;
   Hashtbl.reset st.seen_at;
@@ -131,12 +131,12 @@ let reset_state st =
   st.nviols <- 0;
   epoch_reset st;
   st.reroute_lat <- [];
-  st.last_ts <- min_int
+  st.run <- 0
 
 let violate st ~ts ~rule ~node ?(flow = Trace.no_flow) ?(seq = -1) detail =
   st.viols <-
-    { v_ts = ts; v_rule = rule; v_node = node; v_flow = flow; v_seq = seq;
-      v_detail = detail }
+    { v_run = st.run; v_ts = ts; v_rule = rule; v_node = node; v_flow = flow;
+      v_seq = seq; v_detail = detail }
     :: st.viols;
   st.nviols <- st.nviols + 1;
   (* Violations are rare; the registry lookup keeps the counter handle in
@@ -342,8 +342,10 @@ let sweep st now =
 
 let feed (r : Trace.record) =
   let st = state () in
-  if r.Trace.ts < st.last_ts then epoch_reset st;
-  st.last_ts <- r.Trace.ts;
+  if r.Trace.run <> st.run then begin
+    epoch_reset st;
+    st.run <- r.Trace.run
+  end;
   if r.Trace.node >= 0 then Hashtbl.replace st.seen_nodes r.Trace.node ();
   (match r.Trace.ev with
   | Trace.Deliver -> on_deliver st r
@@ -393,12 +395,13 @@ let finish () =
 
 let pp_violation ppf v =
   if v.v_flow == Trace.no_flow || v.v_flow.Trace.fi_src < 0 then
-    Format.fprintf ppf "%8dus [%s] node %-3d %s" v.v_ts v.v_rule v.v_node
-      v.v_detail
+    Format.fprintf ppf "run %d %8dus [%s] node %-3d %s" v.v_run v.v_ts v.v_rule
+      v.v_node v.v_detail
   else
-    Format.fprintf ppf "%8dus [%s] node %-3d flow %d:%d->%d:%d seq %d %s"
-      v.v_ts v.v_rule v.v_node v.v_flow.Trace.fi_src v.v_flow.Trace.fi_sport
-      v.v_flow.Trace.fi_dst v.v_flow.Trace.fi_dport v.v_seq v.v_detail
+    Format.fprintf ppf "run %d %8dus [%s] node %-3d flow %d:%d->%d:%d seq %d %s"
+      v.v_run v.v_ts v.v_rule v.v_node v.v_flow.Trace.fi_src
+      v.v_flow.Trace.fi_sport v.v_flow.Trace.fi_dst v.v_flow.Trace.fi_dport
+      v.v_seq v.v_detail
 
 let violation_json v =
   let flow =
@@ -409,6 +412,8 @@ let violation_json v =
         v.v_flow.Trace.fi_src v.v_flow.Trace.fi_sport v.v_flow.Trace.fi_dst
         v.v_flow.Trace.fi_dport v.v_seq
   in
-  Printf.sprintf "{\"ts\":%d,\"rule\":%s,\"node\":%d%s,\"detail\":%s}" v.v_ts
+  Printf.sprintf
+    "{\"run\":%d,\"ts\":%d,\"rule\":%s,\"node\":%d%s,\"detail\":%s}"
+    v.v_run v.v_ts
     (Export.json_str v.v_rule) v.v_node flow
     (Export.json_str v.v_detail)

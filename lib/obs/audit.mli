@@ -30,13 +30,13 @@
 
     The auditor requires the recorder to be armed ([Trace.enable]); it
     sees only events emitted while it is armed. State is bounded
-    (2{^16} keys per packet table) so it can ride along in soaks. A sim-time regression
-    in the stream means a new scenario run started inside one audited
-    span (experiments build several fresh sims); packet-identity tables
-    are reset at that epoch boundary so identities cannot collide across
-    runs. *)
+    (2{^16} keys per packet table) so it can ride along in soaks. A record
+    of a new run ({!Trace.record}'s [run]: an experiment's rows are runs)
+    resets the packet-identity tables and pending budgets, so identities
+    cannot collide across runs. *)
 
 type violation = {
+  v_run : int;  (** the run in which the violation was detected *)
   v_ts : int;  (** sim-time at which the violation was detected *)
   v_rule : string;
   v_node : int;

@@ -8,13 +8,13 @@
    what a newly spawned domain sees, so a run produces byte-identical
    tables and trace digests no matter which domain executes it or what ran
    there before — the determinism contract behind `-j N`. That includes
-   the recorder's clock: the last engine's clock closure would otherwise
-   keep that engine, and with it the whole finished run, reachable. *)
+   the recorder's clock and run index: the last engine's clock closure
+   would otherwise keep that engine, and with it the whole finished run,
+   reachable, and a run's index would depend on what ran before it. *)
 
 let fresh () =
   Audit.reset ();
-  Trace.disable ();
-  Trace.set_clock (fun () -> 0);
+  Trace.reset ();
   Metrics.purge ()
 
 let isolate f =

@@ -6,10 +6,10 @@
 
 val fresh : unit -> unit
 (** Resets this domain's entire observability state to pristine: auditor
-    disarmed and emptied, recorder disarmed and its clock back to the
+    disarmed and emptied, recorder disarmed, its clock back to the
     constant 0 a new domain reads (so no engine stays reachable through
-    it), metrics registry purged (and re-enabled, with its time axis
-    disarmed). *)
+    it) and its run index back to 0, metrics registry purged (and
+    re-enabled, with its time axis disarmed). *)
 
 val isolate : (unit -> 'a) -> 'a
 (** [isolate f] runs [f] between two [fresh] calls (the trailing one also

@@ -51,7 +51,11 @@ let event_fields ev =
 
 let record_json (r : Trace.record) =
   let fields =
-    [ ("ts", string_of_int r.Trace.ts); ("node", string_of_int r.Trace.node) ]
+    [
+      ("run", string_of_int r.Trace.run);
+      ("ts", string_of_int r.Trace.ts);
+      ("node", string_of_int r.Trace.node);
+    ]
     @ (if r.Trace.flow.Trace.fi_src < 0 then []
        else
          [
@@ -91,22 +95,26 @@ let retransmit_count () =
       match r.Trace.ev with Trace.Retransmit _ -> incr n | _ -> ());
   !n
 
-let path_of ~flow ~seq =
+let path_of ~run ~flow ~seq =
   let acc = ref [] in
   Trace.iter (fun r ->
-      if r.Trace.flow = flow && (r.Trace.seq = seq || r.Trace.seq = -1) then
-        acc := r :: !acc);
+      if
+        r.Trace.run = run && r.Trace.flow = flow
+        && (r.Trace.seq = seq || r.Trace.seq = -1)
+      then acc := r :: !acc);
   List.rev !acc
 
 let sample_packet () =
-  (* One pass: remember per (flow, seq) whether it was delivered and/or
-     retransmitted; prefer a packet whose whole story is in the window. *)
-  let tbl : (Trace.flow_id * int, bool ref * bool ref * bool ref) Hashtbl.t =
+  (* One pass: remember per (run, flow, seq) whether it was delivered
+     and/or retransmitted; prefer a packet whose whole story is in the
+     window. *)
+  let tbl :
+      (int * Trace.flow_id * int, bool ref * bool ref * bool ref) Hashtbl.t =
     Hashtbl.create 256
   in
   Trace.iter (fun r ->
       if r.Trace.flow.Trace.fi_src >= 0 && r.Trace.seq >= 0 then begin
-        let key = (r.Trace.flow, r.Trace.seq) in
+        let key = (r.Trace.run, r.Trace.flow, r.Trace.seq) in
         let enq, dlv, rtx =
           match Hashtbl.find_opt tbl key with
           | Some e -> e
@@ -233,6 +241,17 @@ let links_table () =
 
 (* ------------------------------- output ------------------------------ *)
 
+let point_json name labels (p : Metrics.point) =
+  Printf.sprintf
+    "{\"series\":%s,\"labels\":{%s},\"run\":%d,\"t0\":%d,\"n\":%d,\"sum\":%d,\"max\":%d,\"mean\":%.3f}"
+    (json_str name)
+    (String.concat ","
+       (List.map (fun (k, v) -> json_str k ^ ":" ^ json_str v) labels))
+    p.Metrics.p_run p.Metrics.p_t0 p.Metrics.p_n p.Metrics.p_sum
+    p.Metrics.p_max
+    (if p.Metrics.p_n = 0 then 0.
+     else float_of_int p.Metrics.p_sum /. float_of_int p.Metrics.p_n)
+
 let value_json = function
   | Metrics.Counter_v n -> string_of_int n
   | Metrics.Histogram_v { count; sum; p50; p99; max } ->
@@ -272,10 +291,10 @@ let pp_flow ppf (f : Trace.flow_id) =
   Format.fprintf ppf "%d:%d->%d:%d" f.Trace.fi_src f.Trace.fi_sport
     f.Trace.fi_dst f.Trace.fi_dport
 
-let print_path ppf ~flow ~seq =
-  let path = path_of ~flow ~seq in
-  Format.fprintf ppf "causal path for flow %a seq %d (%d events)@." pp_flow flow
-    seq (List.length path);
+let print_path ppf ~run ~flow ~seq =
+  let path = path_of ~run ~flow ~seq in
+  Format.fprintf ppf "causal path for run %d flow %a seq %d (%d events)@." run
+    pp_flow flow seq (List.length path);
   List.iter (fun r -> Format.fprintf ppf "  %a@." Trace.pp_record r) path
 
 let print_summary ppf =

@@ -5,11 +5,16 @@
 
 val json_str : string -> string
 (** Escapes and double-quotes a string for inclusion in hand-rolled JSON
-    (shared with {!Series} and the experiment tables; the project uses no
-    JSON library). *)
+    (shared with the auditor and the experiment tables; the project uses
+    no JSON library). *)
 
 val record_json : Trace.record -> string
-(** One trace record as a single-line JSON object. *)
+(** One trace record as a single-line JSON object, its run first. *)
+
+val point_json : string -> Metrics.labels -> Metrics.point -> string
+(** [point_json name labels p]: one time-axis bucket of the metric [name]
+    [labels] (as {!Metrics.series} lists them) as a flat JSON object, the
+    series JSONL line format: series, labels, run, t0, n, sum, max, mean. *)
 
 val jsonl : out_channel -> unit
 (** Every retained trace record, one JSON object per line, chronological. *)
@@ -20,12 +25,14 @@ val drop_counts : unit -> (string * int) list
 val retransmit_count : unit -> int
 (** Retransmit events retained in the trace. *)
 
-val path_of : flow:Trace.flow_id -> seq:int -> Trace.record list
-(** The causal path of one packet: every retained event for (flow, seq) in
-    chronological order, plus the flow's flow-level drops. *)
+val path_of : run:int -> flow:Trace.flow_id -> seq:int -> Trace.record list
+(** The causal path of one packet in one run: every retained event of
+    [run] for (flow, seq) in chronological order, plus the flow's
+    flow-level drops in that run. Rows of one experiment reuse flows and
+    sequence numbers, so without the run their paths would interleave. *)
 
-val sample_packet : unit -> (Trace.flow_id * int) option
-(** A (flow, seq) worth looking at: prefers a packet that was both
+val sample_packet : unit -> (int * Trace.flow_id * int) option
+(** A (run, flow, seq) worth looking at: prefers a packet that was both
     retransmitted and delivered, then any delivered packet, then any packet
     event at all. [None] on an empty trace. *)
 
@@ -45,5 +52,6 @@ val print_summary : Format.formatter -> unit
 (** Human summary: trace occupancy, top drop reasons, retransmits,
     per-link utilization, per-flow table. *)
 
-val print_path : Format.formatter -> flow:Trace.flow_id -> seq:int -> unit
+val print_path :
+  Format.formatter -> run:int -> flow:Trace.flow_id -> seq:int -> unit
 (** Pretty-prints [path_of] with one record per line. *)

@@ -7,7 +7,7 @@ type labels = (string * string) list
    hot-path update cost stays one dereference and a branch while disabled,
    and one more branch while enabled with the time axis off. *)
 
-type point = { p_t0 : int; p_n : int; p_sum : int; p_max : int }
+type point = { p_run : int; p_t0 : int; p_n : int; p_sum : int; p_max : int }
 
 (* The switches every handle of one domain shares: [on] gates every update,
    [series] also folds it into the handle's time axis, bucketed by
@@ -20,13 +20,14 @@ type sw = {
 }
 
 (* A handle's time axis: a ring of closed buckets, allocated at the first
-   flush, and the open bucket (cur_t0 = min_int means none). Buckets are
-   aligned to multiples of the window, so every handle shares bucket
-   edges. *)
+   flush, and the open bucket of run cur_run (cur_t0 = min_int means
+   none). Buckets are aligned to multiples of the window, so every handle
+   shares bucket edges. *)
 type axis = {
   mutable buf : point array;
   mutable head : int; (* next write slot *)
   mutable filled : int;
+  mutable cur_run : int;
   mutable cur_t0 : int;
   mutable cur_n : int;
   mutable cur_sum : int;
@@ -34,25 +35,28 @@ type axis = {
 }
 
 let new_axis () =
-  { buf = [||]; head = 0; filled = 0; cur_t0 = min_int; cur_n = 0;
-    cur_sum = 0; cur_max = min_int }
+  { buf = [||]; head = 0; filled = 0; cur_run = 0; cur_t0 = min_int;
+    cur_n = 0; cur_sum = 0; cur_max = min_int }
 
 let clear_axis ax =
   ax.buf <- [||];
   ax.head <- 0;
   ax.filled <- 0;
+  ax.cur_run <- 0;
   ax.cur_t0 <- min_int;
   ax.cur_n <- 0;
   ax.cur_sum <- 0;
   ax.cur_max <- min_int
 
 let open_point ax =
-  { p_t0 = ax.cur_t0; p_n = ax.cur_n; p_sum = ax.cur_sum; p_max = ax.cur_max }
+  { p_run = ax.cur_run; p_t0 = ax.cur_t0; p_n = ax.cur_n; p_sum = ax.cur_sum;
+    p_max = ax.cur_max }
 
 let flush sw ax =
   if ax.cur_n > 0 then begin
     if Array.length ax.buf = 0 then
-      ax.buf <- Array.make sw.cap { p_t0 = 0; p_n = 0; p_sum = 0; p_max = 0 };
+      ax.buf <-
+        Array.make sw.cap { p_run = 0; p_t0 = 0; p_n = 0; p_sum = 0; p_max = 0 };
     let cap = Array.length ax.buf in
     ax.buf.(ax.head) <- open_point ax;
     ax.head <- (ax.head + 1) mod cap;
@@ -63,12 +67,14 @@ let flush sw ax =
   ax.cur_max <- min_int
 
 (* Folds one sample into the open bucket, closing it first when the clock
-   has left it. No allocation unless a bucket boundary was crossed. *)
+   has left it or a new run has begun (its clock starts again at 0). No
+   allocation unless a bucket boundary was crossed. *)
 let fold sw ax v =
-  let t = Trace.now () in
+  let t = Trace.now () and run = Trace.run () in
   let t0 = t - (t mod sw.window) in
-  if ax.cur_t0 <> t0 then begin
+  if ax.cur_t0 <> t0 || ax.cur_run <> run then begin
     flush sw ax;
+    ax.cur_run <- run;
     ax.cur_t0 <- t0
   end;
   ax.cur_n <- ax.cur_n + 1;
@@ -299,6 +305,9 @@ let reset () =
     (state ()).st_registry
 
 let arm_series ~window ~capacity =
+  if window < 1 then invalid_arg "Metrics.arm_series: window must be positive";
+  if capacity < 1 then
+    invalid_arg "Metrics.arm_series: capacity must be positive";
   let st = state () in
   st.st_sw.window <- window;
   st.st_sw.cap <- capacity;

@@ -4,8 +4,8 @@
     hot-path updates are O(1) field writes guarded by the owning domain's
     [enabled] flag (embedded in each handle), so the disabled mode costs
     one dereference and a branch. Each handle also carries its own time
-    axis, off by default (see {!arm_series}). Histograms are bounded log-bucket (powers
-    of two) so long chaos soaks cannot grow memory, unlike
+    axis, off by default (see {!arm_series}). Histograms are bounded
+    log-bucket (powers of two) so long chaos soaks cannot grow memory, unlike
     [Strovl_sim.Stats.Series] which keeps every sample.
 
     The registry — like all observability state — is {e domain-local}:
@@ -80,12 +80,19 @@ val purge : unit -> unit
 
 (** {2 Time axis}
 
-    While armed, every update of every handle is also folded into that
-    handle's own ring of sim-time buckets: a counter's [add k] is one
-    sample [k], a histogram's [observe v] one sample [v] (clamped as the
-    histogram clamps it). {!Series} is the view over these rings. *)
+    "How did it evolve", where the totals answer "how many": while armed,
+    every update of every handle is also folded into that handle's own
+    ring of sim-time buckets (window-aligned, so all metrics share bucket
+    edges): a counter's [add k] is one sample [k], so its buckets' sums
+    total its value; a histogram's [observe v] is one sample [v] (clamped
+    as the histogram clamps it), so its buckets' counts total its count
+    while the ring has not wrapped. A bucket belongs to one run
+    ({!Trace.run}): a new run closes the open bucket, so within a run
+    [p_t0] only grows. Off by default; when off, an update costs one more
+    branch. *)
 
 type point = {
+  p_run : int;  (** the run whose samples the bucket holds *)
   p_t0 : int;  (** bucket start, sim-time µs (multiple of the window) *)
   p_n : int;  (** samples folded into this bucket *)
   p_sum : int;
@@ -93,10 +100,12 @@ type point = {
 }
 
 val arm_series : window:int -> capacity:int -> unit
-(** Arms this domain's time axis and empties every handle's ring: buckets
-    [window] sim-µs wide, the most recent [capacity] closed ones kept per
-    handle. The caller validates both as positive. *)
+(** Arms this domain's time axis and empties every handle's ring until
+    {!purge} ({!Ctx.fresh}) disarms it: buckets [window] sim-µs wide, the
+    most recent [capacity] closed ones kept per handle. Raises
+    [Invalid_argument] unless both are positive. *)
 
 val series : unit -> (string * labels * point list) list
-(** Every registered metric with at least one bucket, sorted by (name,
-    labels), with its buckets oldest first (the open one last). *)
+(** Every registered metric with at least one bucket (a channel), sorted
+    by (name, labels), with its buckets oldest first (the open one
+    last). *)

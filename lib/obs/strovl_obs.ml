@@ -1,6 +1,6 @@
 (** Observability for the overlay: {!Metrics} (cheap always-available
-    labelled counters and bounded histograms, with an on-demand time axis
-    that {!Series} views), {!Trace} (an on-demand
+    labelled counters and bounded histograms, with an on-demand time
+    axis), {!Trace} (an on-demand
     bounded flight recorder of typed per-packet events), and {!Export}
     (JSONL dumps and pretty summaries). Sits below every other library so
     the simulation substrate, the underlay, and the protocol stack can all
@@ -13,7 +13,6 @@
 module Metrics = Metrics
 module Trace = Trace
 module Export = Export
-module Series = Series
 module Health = Health
 module Audit = Audit
 module Ctx = Ctx

@@ -28,9 +28,17 @@ type event =
   | Deliver_replay
   | Strike of int * int
 
-type record = { ts : int; node : int; flow : flow_id; seq : int; ev : event }
+type record = {
+  run : int;
+  ts : int;
+  node : int;
+  flow : flow_id;
+  seq : int;
+  ev : event;
+}
 
-let dummy = { ts = 0; node = -1; flow = no_flow; seq = -1; ev = Lsu_flood }
+let dummy =
+  { run = 0; ts = 0; node = -1; flow = no_flow; seq = -1; ev = Lsu_flood }
 
 type ring = {
   buf : record array;
@@ -39,27 +47,37 @@ type ring = {
   mutable emitted : int; (* records ever emitted *)
 }
 
-(* The recorder — ring, clock hook and streaming sink — is domain-local:
-   each domain (one parallel run at a time) owns an independent flight
-   recorder, so concurrently executing simulations record disjoint streams
-   and per-run digests match a sequential run bit for bit. *)
+(* The recorder — ring, clock hook, run index and streaming sink — is
+   domain-local: each domain (one parallel run at a time) owns an
+   independent flight recorder, so concurrently executing simulations
+   record disjoint streams and per-run digests match a sequential run bit
+   for bit. *)
 type state = {
   mutable st_armed : bool;
   mutable st_ring : ring option;
   mutable st_clock : unit -> int;
+  mutable st_run : int;
   mutable st_sink : (record -> unit) option;
 }
 
+let no_clock () = 0
+
 let dls : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { st_armed = false; st_ring = None; st_clock = (fun () -> 0);
+      { st_armed = false; st_ring = None; st_clock = no_clock; st_run = 0;
         st_sink = None })
 
 let state () = Domain.DLS.get dls
 
 let armed () = (state ()).st_armed
-let set_clock f = (state ()).st_clock <- f
+
+let start_run f =
+  let st = state () in
+  st.st_clock <- f;
+  st.st_run <- st.st_run + 1
+
 let now () = (state ()).st_clock ()
+let run () = (state ()).st_run
 let set_sink f = (state ()).st_sink <- Some f
 let clear_sink () = (state ()).st_sink <- None
 
@@ -77,13 +95,19 @@ let disable () =
   st.st_armed <- false;
   st.st_ring <- None
 
+let reset () =
+  disable ();
+  let st = state () in
+  st.st_clock <- no_clock;
+  st.st_run <- 0
+
 let emit ?(flow = no_flow) ?(seq = -1) ~node ev =
   let st = state () in
   match st.st_ring with
   | None -> ()
   | Some r ->
     let cap = Array.length r.buf in
-    let rc = { ts = st.st_clock (); node; flow; seq; ev } in
+    let rc = { run = st.st_run; ts = st.st_clock (); node; flow; seq; ev } in
     r.buf.(r.next) <- rc;
     r.next <- (r.next + 1) mod cap;
     if r.filled < cap then r.filled <- r.filled + 1;
@@ -144,6 +168,8 @@ let event_codes = function
   | Deliver_replay -> (13, 0, 0)
   | Strike (l, n) -> (14, l, n)
 
+(* The run index stays out: a digest fingerprints what the runs did, not
+   how many came before them on the domain. *)
 let digest () =
   let h = ref (mix fnv_offset (total ())) in
   iter (fun r ->

@@ -13,7 +13,13 @@
     forwards, drops with reasons, retransmissions, reroutes, delivery — can
     be reconstructed after the fact. The ring keeps the most recent
     [capacity] events; older ones are overwritten (it is a flight recorder,
-    not a log). *)
+    not a log).
+
+    A {e run} is one simulation from time 0: every engine starts one when
+    it is created or reset ({!start_run}). Runs on a domain are numbered
+    1, 2, ... from the last {!reset}, so one experiment's rows (each its
+    own run, its clock starting again at 0) are told apart by their index
+    rather than by a clock that goes back. *)
 
 type flow_id = { fi_src : int; fi_sport : int; fi_dst : int; fi_dport : int }
 (** Library-neutral flow identity. [fi_dst] carries the destination
@@ -59,6 +65,7 @@ type event =
           unanswered once its deadline budget lapses *)
 
 type record = {
+  run : int;  (** index of the run that recorded the event (see {!run}) *)
   ts : int;  (** sim-time (µs) at which the event was recorded *)
   node : int;
   flow : flow_id;
@@ -71,14 +78,24 @@ val armed : unit -> bool
     check this before building event arguments so the disabled path stays
     cheap. *)
 
-val set_clock : (unit -> int) -> unit
-(** Installed by the simulation engine: how [emit] reads the current
-    sim-time. *)
+val start_run : (unit -> int) -> unit
+(** Called by the simulation engine whenever it is created or reset: binds
+    [f] as the clock [emit] reads and bumps this domain's run index. The
+    one place a run begins. *)
 
 val now : unit -> int
-(** Current sim-time as the recorder sees it (whatever [set_clock]
-    installed; 0 before any engine exists). Lets other observability
-    layers (the {!Metrics} time axis, [Audit]) bucket by the same clock. *)
+(** Current sim-time as the recorder sees it (the clock the current run
+    bound; 0 before any run). Lets other observability layers (the
+    {!Metrics} time axis, [Audit]) bucket by the same clock. *)
+
+val run : unit -> int
+(** This domain's current run index: 0 before any run since {!reset},
+    then 1, 2, ... one per {!start_run}. *)
+
+val reset : unit -> unit
+(** {!disable}, unbind the clock (back to the constant 0, so no engine
+    stays reachable through it) and put the run index back to 0: the
+    recorder a new domain sees. Used by {!Ctx.fresh}. *)
 
 val set_sink : (record -> unit) -> unit
 (** Installs a streaming consumer: every record written to the ring is
@@ -116,7 +133,8 @@ val iter : (record -> unit) -> unit
 
 val digest : unit -> int64
 (** FNV-1a hash over the retained events (and [total]), for determinism
-    checks: same seed, same workload ⇒ same digest. *)
+    checks: same seed, same workload ⇒ same digest. A record's [run] is
+    not hashed. *)
 
 val reason_to_string : reason -> string
 val event_to_string : event -> string

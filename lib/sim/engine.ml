@@ -30,7 +30,11 @@
    bucket holds a single time, so its chain moves whole to
    [time land wheel_mask]; events already in the heap stay there. It
    grows straight to full size rather than by doubling: a run's slow
-   stretch before full reach is paid once. *)
+   stretch before full reach is paid once.
+
+   [reset] starts a new run on the same engine: it drops what is queued
+   but keeps the pool and a grown wheel, so a sequence of runs (an
+   experiment's rows) allocates and grows them once. *)
 
 let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
@@ -51,7 +55,7 @@ type handle = int
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
-  root_rng : Rng.t;
+  mutable root_rng : Rng.t;
   (* Event pool. *)
   mutable p_fn : (unit -> unit) array;
   mutable p_time : int array;
@@ -71,6 +75,11 @@ type t = {
   mutable w_count : int;
   mutable w_next_time : int; (* earliest queued wheel time; -1 when empty *)
 }
+
+(* The one place a run begins: the flight recorder (and through it the
+   metrics time axis and the auditor) reads this engine's clock and
+   numbers the run. *)
+let start_run t = Strovl_obs.Trace.start_run (fun () -> t.clock)
 
 let create ?(seed = 1L) () =
   let t =
@@ -95,9 +104,7 @@ let create ?(seed = 1L) () =
       w_next_time = -1;
     }
   in
-  (* The flight recorder timestamps events with this engine's virtual
-     clock. Last engine created wins — one live simulation per process. *)
-  Strovl_obs.Trace.set_clock (fun () -> t.clock);
+  start_run t;
   t
 
 let now t = t.clock
@@ -315,7 +322,9 @@ let next_event_time t =
   let nt = next_time t in
   if nt < 0 then None else Some nt
 
-let clear t =
+(* Every queued event, cancelled ones included, is popped once and its
+   slot freed (dropping its closure), which leaves both lanes empty. *)
+let reset t ~seed =
   let rec drain () =
     let s = pop_next t in
     if s >= 0 then begin
@@ -323,4 +332,8 @@ let clear t =
       drain ()
     end
   in
-  drain ()
+  drain ();
+  t.clock <- Time.zero;
+  t.seq <- 0;
+  t.root_rng <- Rng.create seed;
+  start_run t

@@ -26,7 +26,17 @@ type handle
 
 val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] makes an engine whose root RNG is seeded with [seed]
-    (default [1L]). *)
+    (default [1L]), and starts a run on it
+    ({!Strovl_obs.Trace.start_run}): the flight recorder, the metrics time
+    axis and the auditor read this engine's clock and number its run. *)
+
+val reset : t -> seed:int64 -> unit
+(** [reset t ~seed] starts a new run on [t], as {!create} does: every
+    pending event is dropped with its closure, and the clock, the
+    scheduling sequence and the root RNG are what [create ~seed ()] gives.
+    The event pool and a grown wheel are kept, which changes no event
+    order. Its cost follows the number of pending events. Handles from
+    before the reset stay safe no-ops. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
@@ -64,5 +74,3 @@ val next_event_time : t -> Time.t option
     empty. A wall-clock driver ({!Strovl_rt.Runtime}) uses this to compute
     how long it may sleep in [select] before the engine has due work. *)
 
-val clear : t -> unit
-(** Drops all pending events (the clock is kept). *)

@@ -144,7 +144,7 @@ let check_pristine what =
   check_bool (what ^ ": recorder disarmed") false (Strovl_obs.Trace.armed ());
   check_bool (what ^ ": auditor disarmed") false (Strovl_obs.Audit.armed ());
   check_int (what ^ ": no series channels") 0
-    (List.length (Strovl_obs.Series.channels ()));
+    (List.length (Strovl_obs.Metrics.series ()));
   check_int (what ^ ": empty metrics") 0
     (List.length (Strovl_obs.Metrics.dump ()))
 
@@ -162,7 +162,7 @@ let isolated_leaves_nothing () =
     observe (fun _table ->
         ( Strovl_obs.Metrics.find_counter "leaked_before",
           Strovl_obs.Trace.total (),
-          List.length (Strovl_obs.Series.channels ()),
+          List.length (Strovl_obs.Metrics.series ()),
           List.length (Strovl_obs.Metrics.dump ()),
           Strovl_obs.Audit.armed () ))
   in
@@ -179,30 +179,41 @@ let isolated_leaves_nothing () =
 
 (* The one path over time: with the time axis armed and a ring long enough
    never to wrap, every metric's buckets add up to its total — a counter's
-   sums to its value, a histogram's sample counts to its count. *)
+   sums to its value, a histogram's sample counts to its count — and each
+   run's buckets (fig3's rows are three runs, each from time 0) go forward
+   in time. *)
 let isolated_series_totals () =
   let capacity = 4096 in
   let metrics, channels =
     Strovl_expt.run_isolated ~series:(100_000, capacity) ~quick:true ~seed:7L
       (expt "fig3-recovery") (fun _table ->
-        (Strovl_obs.Metrics.dump (), Strovl_obs.Series.channels ()))
+        (Strovl_obs.Metrics.dump (), Strovl_obs.Metrics.series ()))
   in
-  let module S = Strovl_obs.Series in
+  let module M = Strovl_obs.Metrics in
   let buckets name labels =
-    match
-      List.find_opt (fun ch -> S.name ch = name && S.labels ch = labels) channels
-    with
+    match List.find_opt (fun (n, l, _) -> n = name && l = labels) channels with
     | None -> []
-    | Some ch -> S.points ch
+    | Some (_, _, pts) -> pts
   in
   let total f pts = List.fold_left (fun acc p -> acc + f p) 0 pts in
   check_bool "channels" true (channels <> []);
   List.iter
-    (fun ch ->
-      check_bool (S.name ch ^ ": a channel is a metric") true
-        (List.exists
-           (fun (name, labels, _) -> name = S.name ch && labels = S.labels ch)
-           metrics))
+    (fun (name, labels, pts) ->
+      check_bool (name ^ ": a channel is a metric") true
+        (List.exists (fun (n, l, _) -> n = name && l = labels) metrics);
+      ignore
+        (List.fold_left
+           (fun (prev : M.point option) (p : M.point) ->
+             (match prev with
+             | Some q when q.M.p_run = p.M.p_run ->
+               if p.M.p_t0 <= q.M.p_t0 then
+                 Alcotest.failf "%s: t0 %d after %d within run %d" name
+                   p.M.p_t0 q.M.p_t0 p.M.p_run
+             | Some q ->
+               check_bool (name ^ ": runs in order") true (p.M.p_run > q.M.p_run)
+             | None -> ());
+             Some p)
+           None pts))
     channels;
   List.iter
     (fun (name, labels, v) ->
@@ -210,15 +221,31 @@ let isolated_series_totals () =
       check_bool (name ^ ": ring did not wrap") true
         (List.length pts <= capacity);
       match v with
-      | Strovl_obs.Metrics.Counter_v n ->
+      | M.Counter_v n ->
         check_int (name ^ ": bucket sums total the counter") n
-          (total (fun p -> p.S.p_sum) pts)
-      | Strovl_obs.Metrics.Histogram_v { count; sum; _ } ->
+          (total (fun p -> p.M.p_sum) pts)
+      | M.Histogram_v { count; sum; _ } ->
         check_int (name ^ ": bucket counts total the count") count
-          (total (fun p -> p.S.p_n) pts);
+          (total (fun p -> p.M.p_n) pts);
         check_int (name ^ ": bucket sums total the sum") sum
-          (total (fun p -> p.S.p_sum) pts))
+          (total (fun p -> p.M.p_sum) pts))
     metrics
+
+(* A sampled packet's causal path is one run's: fig3's hop-by-hop rows
+   send the same flow and seqs, and without the run their paths would
+   interleave into one with two enqueues and two deliveries. *)
+let isolated_sampled_path_one_run () =
+  let path =
+    Strovl_expt.run_isolated ~trace:Strovl_obs.Trace.default_capacity
+      ~quick:true ~seed:7L (expt "fig3-recovery") (fun _table ->
+        match Strovl_obs.Export.sample_packet () with
+        | None -> Alcotest.fail "no sampled packet"
+        | Some (run, flow, seq) -> Strovl_obs.Export.path_of ~run ~flow ~seq)
+  in
+  let count f = List.length (List.filter (fun r -> f r.Strovl_obs.Trace.ev) path) in
+  check_int "one enqueue" 1 (count (( = ) Strovl_obs.Trace.Enqueue));
+  check_bool "at most one deliver" true
+    (count (( = ) Strovl_obs.Trace.Deliver) <= 1)
 
 (* The auditor sees only what the recorder emits, so asking for it alone
    still arms a recorder: the run is really audited. *)
@@ -263,7 +290,7 @@ let isolated_digest_after_leaky_run () =
   check_int "one DIGESTS.quick line per experiment"
     (List.length Strovl_expt.all) (List.length expected);
   Strovl_obs.Trace.enable ();
-  Strovl_obs.Series.enable ();
+  Strovl_obs.Metrics.arm_series ~window:100_000 ~capacity:600;
   ignore ((expt "reroute-bgp").run ~quick:true ~seed:7L ());
   let outcomes =
     Strovl_expt.run_many ~jobs:1 ~quick:true ~traced:true ~seed:7L
@@ -276,6 +303,44 @@ let isolated_digest_after_leaky_run () =
         (snd (Strovl_par.Pool.outcome_exn outcomes.(i))))
     expected;
   check_pristine "after the traced runs"
+
+(* ------------------------------ allocation ----------------------------- *)
+
+(* What one quick pass of the whole suite allocates, on the path sim-suite
+   runs (each experiment in Ctx.isolate on one domain, so the domain's
+   engine lives across passes), after one warm-up pass, on a fresh domain.
+   Two numbers, each with a bound over its value when the gate was set:
+   - minor words: 28.42M-28.61M over four passes (it moves by about 1%
+     from pass to pass), bounded at 29.0M;
+   - words allocated straight into the major heap (major minus promoted):
+     807,685 on every pass, bounded at 850,000, which one more growth of a
+     timer wheel to 32,768 buckets (two 32,768-word arrays) exceeds. It
+     read 3,794,966 while every row built its own engine and grew its own
+     wheel. *)
+let suite_pass_allocation () =
+  let pass () =
+    List.iter
+      (fun (e : Strovl_expt.experiment) ->
+        Strovl_obs.Ctx.isolate (fun () ->
+            ignore (e.run ~quick:true ~seed:7L ())))
+      Strovl_expt.all
+  in
+  let minor, direct =
+    Domain.join
+      (Domain.spawn (fun () ->
+           pass ();
+           let mi0, pr0, ma0 = Gc.counters () in
+           pass ();
+           let mi1, pr1, ma1 = Gc.counters () in
+           (mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))))
+  in
+  if minor > 29.0e6 then
+    Alcotest.failf "quick suite pass: %.0f minor words (bound 29.0M)" minor;
+  if direct > 850_000. then
+    Alcotest.failf
+      "quick suite pass: %.0f words allocated in the major heap (bound \
+       850,000)"
+      direct
 
 let () =
   Alcotest.run "strovl_expt"
@@ -290,10 +355,16 @@ let () =
             isolated_audit_alone;
           Alcotest.test_case "series totals the metrics" `Quick
             isolated_series_totals;
+          Alcotest.test_case "sampled path is one run's" `Quick
+            isolated_sampled_path_one_run;
           Alcotest.test_case "digest after a leaky run" `Quick
             isolated_digest_after_leaky_run;
           Alcotest.test_case "every experiment audits clean" `Quick
             isolated_audit_all_clean;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "quick suite pass" `Quick suite_pass_allocation;
         ] );
       ( "claims",
         [

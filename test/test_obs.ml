@@ -64,7 +64,7 @@ let trace_off_by_default () =
 
 let trace_ring_wraps () =
   T.enable ~capacity:8 ();
-  T.set_clock (fun () -> 42);
+  T.start_run (fun () -> 42);
   for i = 0 to 19 do
     T.emit ~flow ~seq:i ~node:3 T.Enqueue
   done;
@@ -79,7 +79,7 @@ let trace_ring_wraps () =
 let trace_digest_sensitivity () =
   let run evs =
     T.enable ~capacity:64 ();
-    T.set_clock (fun () -> 7);
+    T.start_run (fun () -> 7);
     List.iter (fun ev -> T.emit ~flow ~seq:0 ~node:1 ev) evs;
     let d = T.digest () in
     T.disable ();
@@ -88,21 +88,30 @@ let trace_digest_sensitivity () =
   let d1 = run [ T.Enqueue; T.Forward 2; T.Deliver ] in
   let d2 = run [ T.Enqueue; T.Forward 2; T.Deliver ] in
   let d3 = run [ T.Enqueue; T.Forward 3; T.Deliver ] in
+  (* [run] started a new run each time: the index stays out of the
+     digest *)
   Alcotest.(check int64) "same events same digest" d1 d2;
   check_bool "different events differ" true (d1 <> d3)
 
 let export_path_and_drops () =
   M.reset ();
   T.enable ~capacity:64 ();
-  T.set_clock (fun () -> 100);
+  T.start_run (fun () -> 100);
+  let run = T.run () in
   T.emit ~flow ~seq:5 ~node:1 T.Enqueue;
   T.emit ~flow ~seq:5 ~node:1 (T.Forward 0);
   T.emit ~flow ~seq:5 ~node:2 (T.Retransmit 0);
   T.emit ~flow ~seq:6 ~node:1 T.Enqueue;
   T.emit ~flow ~seq:6 ~node:1 (T.Drop T.No_route);
   T.emit ~flow ~seq:5 ~node:2 T.Deliver;
-  let path = E.path_of ~flow ~seq:5 in
-  check_int "path events for seq 5" 4 (List.length path);
+  (* the next row of an experiment reuses flows and seqs *)
+  T.start_run (fun () -> 100);
+  T.emit ~flow ~seq:5 ~node:1 T.Enqueue;
+  T.emit ~flow ~seq:5 ~node:1 (T.Forward 0);
+  let path = E.path_of ~run ~flow ~seq:5 in
+  check_int "path events for seq 5 in the first run" 4 (List.length path);
+  check_int "and in the second" 2
+    (List.length (E.path_of ~run:(run + 1) ~flow ~seq:5));
   (match E.drop_counts () with
   | [ ("no-route", 1) ] -> ()
   | other ->
@@ -110,25 +119,27 @@ let export_path_and_drops () =
       (String.concat ";" (List.map (fun (r, n) -> Printf.sprintf "%s=%d" r n) other)));
   check_int "retransmits" 1 (E.retransmit_count ());
   (match E.sample_packet () with
-  | Some (f, seq) ->
+  | Some (r, f, seq) ->
     check_bool "samples the delivered+retransmitted packet" true
-      (f = flow && seq = 5)
+      (r = run && f = flow && seq = 5)
   | None -> Alcotest.fail "expected a sample");
   let json = E.record_json (List.hd path) in
-  check_bool "record json has event" true
-    (String.length json > 0 && json.[0] = '{');
+  Alcotest.(check string) "record json, run first"
+    (Printf.sprintf
+       "{\"run\":%d,\"ts\":100,\"node\":1,\"flow\":{\"src\":1,\"sport\":10,\"dst\":2,\"dport\":20},\"seq\":5,\"ev\":\"enqueue\"}"
+       run)
+    json;
   T.disable ()
 
 (* ------------- Export summary goldens on a hand-built trace ------------ *)
 
-module S = Strovl_obs.Series
 module A = Strovl_obs.Audit
 
 let clock = ref 0
 
 let set_manual_clock () =
   clock := 0;
-  T.set_clock (fun () -> !clock)
+  T.start_run (fun () -> !clock)
 
 (* Two packets crossing a two-hop path 1 -> 2 -> 3 (links 0, 1), each hop
    5 ms; plus assorted drops, one retransmission, and per-link counters as
@@ -195,20 +206,31 @@ let export_golden_summaries () =
 (* ------------------------- Series bucketing -------------------------- *)
 
 (* The time axis of Metrics: every update of a handle, counter or
-   histogram, is one sample in its window-aligned bucket. *)
+   histogram, is one sample in its window-aligned bucket of its run. *)
 let series_bucketing () =
   M.purge ();
   set_manual_clock ();
+  let run = T.run () in
   let c = M.counter ~labels:[ ("k", "v") ] "obs_test_series_total" in
   let h = M.histogram ~labels:[ ("k", "v") ] "obs_test_series_us" in
   clock := 50;
   M.Counter.incr c;
-  check_int "no buckets while disarmed" 0 (List.length (S.channels ()));
-  S.enable ~window:1000 ~capacity:4 ();
+  check_int "no buckets while disarmed" 0 (List.length (M.series ()));
+  Alcotest.check_raises "window must be positive"
+    (Invalid_argument "Metrics.arm_series: window must be positive") (fun () ->
+      M.arm_series ~window:0 ~capacity:4);
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Metrics.arm_series: capacity must be positive")
+    (fun () -> M.arm_series ~window:1000 ~capacity:0);
+  M.arm_series ~window:1000 ~capacity:4;
   let chan name =
-    match List.filter (fun ch -> S.name ch = name) (S.channels ()) with
+    match List.filter (fun (n, _, _) -> n = name) (M.series ()) with
     | [ ch ] -> ch
     | l -> Alcotest.failf "%s: expected one channel, got %d" name (List.length l)
+  in
+  let points name =
+    let _, _, pts = chan name in
+    pts
   in
   clock := 100;
   M.Counter.add c 5;
@@ -219,46 +241,58 @@ let series_bucketing () =
   M.Histogram.observe h (-4);
   clock := 6500;
   M.Counter.incr c;
-  let ch = chan "obs_test_series_total" in
-  Alcotest.(check (list (pair string string))) "labels" [ ("k", "v") ] (S.labels ch);
-  (match S.points ch with
+  let _, labels, _ = chan "obs_test_series_total" in
+  Alcotest.(check (list (pair string string))) "labels" [ ("k", "v") ] labels;
+  (match points "obs_test_series_total" with
   | [ p0; p1; p2 ] ->
-    check_int "bucket 0 aligned" 0 p0.S.p_t0;
-    check_int "bucket 0 n" 2 p0.S.p_n;
-    check_int "bucket 0 sum" 12 p0.S.p_sum;
-    check_int "bucket 0 max" 7 p0.S.p_max;
-    check_int "bucket 1 aligned" 1000 p1.S.p_t0;
-    check_int "open bucket aligned" 6000 p2.S.p_t0;
-    Alcotest.(check (float 0.001)) "mean" 6. (S.mean p0)
+    check_int "bucket 0 aligned" 0 p0.M.p_t0;
+    check_int "bucket 0 run" run p0.M.p_run;
+    check_int "bucket 0 n" 2 p0.M.p_n;
+    check_int "bucket 0 sum" 12 p0.M.p_sum;
+    check_int "bucket 0 max" 7 p0.M.p_max;
+    check_int "bucket 1 aligned" 1000 p1.M.p_t0;
+    check_int "open bucket aligned" 6000 p2.M.p_t0
   | l -> Alcotest.failf "expected 3 points, got %d" (List.length l));
-  (match S.points (chan "obs_test_series_us") with
+  (match points "obs_test_series_us" with
   | [ p0; p1 ] ->
-    check_int "histogram bucket 0 sum" 3 p0.S.p_sum;
-    check_int "histogram sample clamped as observed" 0 p1.S.p_max;
+    check_int "histogram bucket 0 sum" 3 p0.M.p_sum;
+    check_int "histogram sample clamped as observed" 0 p1.M.p_max;
     check_int "histogram count" 2 (M.Histogram.count h)
   | l -> Alcotest.failf "expected 2 histogram points, got %d" (List.length l));
-  check_int "only metrics with samples are channels" 2 (List.length (S.channels ()));
+  check_int "only metrics with samples are channels" 2 (List.length (M.series ()));
+  (* a new run closes the open bucket even where its clock reads the same
+     window, and its buckets carry its index *)
+  T.start_run (fun () -> !clock);
+  M.Counter.incr c;
+  (match List.rev (points "obs_test_series_total") with
+  | p3 :: p2 :: _ ->
+    check_int "old run's bucket closed" 1 p2.M.p_n;
+    check_int "new run's bucket" (run + 1) p3.M.p_run;
+    check_int "same window" 6000 p3.M.p_t0;
+    check_int "new run's sample" 1 p3.M.p_n
+  | l -> Alcotest.failf "expected 4 points, got %d" (List.length l));
   (* ring bound: many buckets, only [capacity] closed ones retained *)
   for i = 10 to 30 do
     clock := i * 1000;
     M.Counter.add c i
   done;
-  let pts = S.points (chan "obs_test_series_total") in
+  let pts = points "obs_test_series_total" in
   check_int "bounded" 5 (List.length pts);
-  check_int "newest kept" 30_000 (List.nth pts 4).S.p_t0;
-  let ch = chan "obs_test_series_total" in
+  check_int "newest kept" 30_000 (List.nth pts 4).M.p_t0;
   Alcotest.(check string) "point json"
-    "{\"series\":\"obs_test_series_total\",\"labels\":{\"k\":\"v\"},\"t0\":26000,\"n\":1,\"sum\":26,\"max\":26,\"mean\":26.000}"
-    (S.point_json ch (List.hd (S.points ch)));
+    (Printf.sprintf
+       "{\"series\":\"obs_test_series_total\",\"labels\":{\"k\":\"v\"},\"run\":%d,\"t0\":26000,\"n\":1,\"sum\":26,\"max\":26,\"mean\":26.000}"
+       (run + 1))
+    (E.point_json "obs_test_series_total" labels (List.hd pts));
   (* purge disarms: a new handle's updates are no samples *)
   M.purge ();
   M.Counter.incr (M.counter "obs_test_series_total");
-  check_int "disarmed after purge" 0 (List.length (S.channels ()))
+  check_int "disarmed after purge" 0 (List.length (M.series ()))
 
 (* ---------------------- Audit: clean and broken ----------------------- *)
 
-let mk ?(flow = T.no_flow) ?(seq = -1) ts node ev =
-  { T.ts; node; flow; seq; ev }
+let mk ?(run = 1) ?(flow = T.no_flow) ?(seq = -1) ts node ev =
+  { T.run; ts; node; flow; seq; ev }
 
 let audit_clean_stream () =
   T.enable ~capacity:256 ();
@@ -326,8 +360,8 @@ let audit_broken_variant () =
   check_bool "counter advanced" true
     (M.find_counter "strovl_audit_violations_total" >= 5)
 
-(* Replays after a reroute are exempt from dup/loop rules; an epoch change
-   (sim-time regression = new run) clears packet identity. *)
+(* Replays after a reroute are exempt from dup/loop rules; a new run
+   clears packet identity, whatever its clock reads. *)
 let audit_exemptions () =
   T.enable ~capacity:256 ();
   set_manual_clock ();
@@ -338,14 +372,25 @@ let audit_exemptions () =
   (* replayed copy of the same packet: legal *)
   A.feed (mk ~flow:f ~seq:0 6000 1 (T.Forward_replay 0));
   A.feed (mk ~flow:f ~seq:0 9000 3 T.Deliver_replay);
-  (* new epoch: the same (flow, seq) delivered again must NOT flag *)
-  A.feed (mk ~flow:f ~seq:0 500 1 (T.Forward 0));
-  A.feed (mk ~flow:f ~seq:0 900 3 T.Deliver);
+  (* new run: the same (flow, seq) delivered again must NOT flag, also
+     when its clock has not gone back *)
+  A.feed (mk ~run:2 ~flow:f ~seq:0 500 1 (T.Forward 0));
+  A.feed (mk ~run:2 ~flow:f ~seq:0 900 3 T.Deliver);
+  A.feed (mk ~run:3 ~flow:f ~seq:0 9500 1 (T.Forward 0));
+  A.feed (mk ~run:3 ~flow:f ~seq:0 9900 3 T.Deliver);
+  let vs = A.finish () in
+  check_int "no violations" 0 (List.length vs);
+  (* within one run the clock going back is no new run *)
+  A.feed (mk ~run:3 ~flow:f ~seq:0 100 3 T.Deliver);
   let vs = A.finish () in
   A.disarm ();
   T.disable ();
   List.iter (fun v -> Format.eprintf "%a@." A.pp_violation v) vs;
-  check_int "no violations" 0 (List.length vs)
+  (match vs with
+  | [ v ] ->
+    Alcotest.(check string) "dup-deliver in run 3" "dup-deliver" v.A.v_rule;
+    check_int "violation carries its run" 3 v.A.v_run
+  | _ -> Alcotest.failf "expected one violation, got %d" (List.length vs))
 
 (* The per-hop cost gate (paper SII-D) on the forward-path fixture, on a
    fresh domain with tracing and metrics off. Minor words per packet are
@@ -370,7 +415,7 @@ let forward_path_cost () =
              us,
              Fwd_path.delivered f,
              T.total (),
-             List.length (Strovl_obs.Series.channels ()) )))
+             List.length (Strovl_obs.Metrics.series ()) )))
   in
   check_int "trace events while disabled" 0 events;
   check_int "series channels while disabled" 0 channels;

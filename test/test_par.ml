@@ -121,24 +121,53 @@ let same_domain_isolation () =
   check_int "nothing leaked to the caller" 0
     (Strovl_obs.Metrics.find_counter "par_test_leak")
 
-(* An isolated run leaves nothing of itself reachable: the recorder's
-   clock, which the run's last engine set to read its own time, is back to
-   the constant 0 of a fresh domain, so that engine (and with it every
-   node, ring and packet of the run) is collected. *)
+(* An isolated run leaves nothing of itself reachable: the domain's
+   engine, which its rows ran on, is dropped, and the recorder's clock,
+   which that engine bound to read its own time, is back to the constant 0
+   of a fresh domain, so the engine (and with it every node, ring and
+   packet of the run) is collected. *)
 let isolated_run_releases_engine () =
   let held = Weak.create 1 in
   let[@inline never] run () =
-    Strovl_obs.Ctx.isolate (fun () ->
-        let sim =
-          Strovl_expt.Common.build ~seed:5L (Strovl_topo.Gen.us_backbone ())
-        in
-        Weak.set held 0 (Some sim.Strovl_expt.Common.engine))
+    Strovl_expt.isolated
+      (fun () ->
+        Strovl_expt.Common.build ~seed:5L (Strovl_topo.Gen.us_backbone ()))
+      (fun sim -> Weak.set held 0 (Some sim.Strovl_expt.Common.engine))
   in
   run ();
   check_bool "engine held before collection" true (Weak.check held 0);
   Gc.full_major ();
   check_bool "engine collected" false (Weak.check held 0);
-  check_int "clock reads 0" 0 (Strovl_obs.Trace.now ())
+  check_int "clock reads 0" 0 (Strovl_obs.Trace.now ());
+  check_int "run index back to 0" 0 (Strovl_obs.Trace.run ())
+
+(* Rows of one experiment share the domain's engine: the next row's
+   Common.build resets it, dropping every pending event of the row before
+   and with them the last references to that row's overlay. *)
+let next_row_releases_net () =
+  let held = Weak.create 1 in
+  let[@inline never] row () =
+    let sim =
+      Strovl_expt.Common.build ~seed:5L (Strovl_topo.Gen.us_backbone ())
+    in
+    Weak.set held 0 (Some sim.Strovl_expt.Common.net);
+    sim.Strovl_expt.Common.engine
+  in
+  Strovl_expt.isolated
+    (fun () ->
+      let e1 = row () in
+      Gc.full_major ();
+      check_bool "net held by its pending events" true (Weak.check held 0);
+      let next =
+        Strovl_expt.Common.build ~seed:6L (Strovl_topo.Gen.chain ~n:2
+           ~hop_delay:(Strovl_sim.Time.ms 10))
+      in
+      check_bool "the next row runs on the same engine" true
+        (next.Strovl_expt.Common.engine == e1);
+      Gc.full_major ();
+      check_bool "net collected after the next row's reset" false
+        (Weak.check held 0))
+    Fun.id
 
 let () =
   Alcotest.run "strovl_par"
@@ -159,5 +188,7 @@ let () =
             same_domain_isolation;
           Alcotest.test_case "isolated run releases its engine" `Quick
             isolated_run_releases_engine;
+          Alcotest.test_case "next row releases the last row's net" `Quick
+            next_row_releases_net;
         ] );
     ]

@@ -219,8 +219,14 @@ let engine_step_and_pending () =
   check_int "pending" 2 (Engine.pending_events e);
   check_bool "step" true (Engine.step e);
   check_int "pending after step" 1 (Engine.pending_events e);
-  Engine.clear e;
-  check_bool "step empty" false (Engine.step e)
+  let run = Strovl_obs.Trace.run () in
+  Engine.reset e ~seed:9L;
+  check_int "reset starts a run" (run + 1) (Strovl_obs.Trace.run ());
+  check_int "clock back to 0" 0 (Engine.now e);
+  check_bool "step empty" false (Engine.step e);
+  Alcotest.(check int64)
+    "root rng as created" (Rng.int64 (Engine.rng (Engine.create ~seed:9L ())))
+    (Rng.int64 (Engine.rng e))
 
 (* A fresh engine holds a 1,024-bucket wheel: 2,116 reachable words when
    this bound was set (66,594 with the eager 32,768-bucket wheel before
@@ -247,7 +253,9 @@ let engine_words () =
    come from a few classes so that many events share a time and some sit
    on either side of the small and the full wheel's reach. A [Burst] of
    more near misses than [engine_words] needs crosses the growth
-   threshold while events are pending in both lanes. *)
+   threshold while events are pending in both lanes. A [Reset] starts a
+   new run: the model empties its queue and puts its clock and seq back
+   to 0. *)
 type op =
   | Sched of int * op list (* delay, what the callback does *)
   | Sched_at of int * op list (* at = now + offset *)
@@ -255,7 +263,7 @@ type op =
   | Burst of int * int (* count, base delay *)
   | Run_until of int (* until = now + offset *)
   | Step
-  | Clear
+  | Reset
 
 let burst_delay base j = base + (j * 7 mod 1_500)
 
@@ -290,7 +298,7 @@ let gen_program =
         (2, map (fun i -> Cancel i) nat);
         (2, map (fun d -> Run_until d) delay);
         (2, return Step);
-        (1, return Clear);
+        (1, return Reset);
       ]
   in
   let burst =
@@ -314,16 +322,15 @@ let rec pp_op = function
   | Burst (n, b) -> Printf.sprintf "Burst (%d, %d)" n b
   | Run_until d -> Printf.sprintf "Run_until %d" d
   | Step -> "Step"
-  | Clear -> "Clear"
+  | Reset -> "Reset"
 
 and pp_ops ops = String.concat "; " (List.map pp_op ops)
 
 (* Both interpreters return the visited (time, seq) in order, then
    (now, pending_events, next_event_time) after every top-level op, then
    the clock once the queue is drained. The seq of an event is the number
-   of events scheduled before it. *)
-let run_engine ops =
-  let e = Engine.create () in
+   of events scheduled before it in its run. *)
+let run_engine e ops =
   let handles = ref [||] and n = ref 0 in
   let visits = ref [] and obs = ref [] in
   let rec nested = function
@@ -334,7 +341,7 @@ let run_engine ops =
       for j = 0 to count - 1 do
         nested (Sched (burst_delay base j, []))
       done
-    | Run_until _ | Step | Clear -> invalid_arg "run_engine: control op nested"
+    | Run_until _ | Step | Reset -> invalid_arg "run_engine: control op nested"
   and sched schedule kids =
     let seq = !n in
     let h =
@@ -352,7 +359,9 @@ let run_engine ops =
       (match op with
       | Run_until d -> Engine.run ~until:(Engine.now e + d) e
       | Step -> ignore (Engine.step e)
-      | Clear -> Engine.clear e
+      | Reset ->
+        Engine.reset e ~seed:1L;
+        n := 0
       | op -> nested op);
       obs := (Engine.now e, Engine.pending_events e, Engine.next_event_time e) :: !obs)
     ops;
@@ -379,7 +388,7 @@ let run_model ops =
       for j = 0 to count - 1 do
         nested (Sched (burst_delay base j, []))
       done
-    | Run_until _ | Step | Clear -> invalid_arg "run_model: control op nested"
+    | Run_until _ | Step | Reset -> invalid_arg "run_model: control op nested"
   in
   let next () = match !pending with [] -> None | (t, _, _) :: _ -> Some t in
   let step () =
@@ -405,7 +414,11 @@ let run_model ops =
       (match op with
       | Run_until d -> run_until (!clock + d)
       | Step -> ignore (step ())
-      | Clear -> pending := []
+      | Reset ->
+        pending := [];
+        clock := 0;
+        n := 0;
+        Hashtbl.reset cancelled
       | op -> nested op);
       obs := (!clock, List.length !pending, next ()) :: !obs)
     ops;
@@ -414,10 +427,27 @@ let run_model ops =
   done;
   (List.rev !visits, List.rev !obs, !clock)
 
+(* A used engine: its wheel grown and its pool filled, with events pending
+   in both lanes when it is reset. None of them may run afterwards. *)
+let reset_engine () =
+  let e = Engine.create () in
+  for i = 1 to 2_100 do
+    ignore
+      (Engine.schedule e ~delay:(2_000 + i) (fun () ->
+           failwith "an event from before the reset ran"))
+  done;
+  ignore (Engine.schedule e ~delay:3 (fun () -> failwith "a wheel event ran"));
+  Engine.reset e ~seed:1L;
+  e
+
+(* A reset engine is checked against the model as a fresh one is. *)
 let qcheck_engine_model =
   QCheck.Test.make ~name:"engine matches the sorted-list model" ~count:200
     (QCheck.make ~print:pp_ops gen_program)
-    (fun ops -> run_engine ops = run_model ops)
+    (fun ops ->
+      let model = run_model ops in
+      run_engine (Engine.create ()) ops = model
+      && run_engine (reset_engine ()) ops = model)
 
 (* ------------------------------ Stats ------------------------------- *)
 
