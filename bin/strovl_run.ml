@@ -369,18 +369,6 @@ let trace_main one capacity json jsonl_path =
       end;
       0)
 
-(* The runs whose retained events include (flow, seq), in order: an
-   explicit packet gets one path per run that recorded it. *)
-let runs_with ~flow ~seq =
-  let runs = ref [] in
-  Trace.iter (fun r ->
-      if
-        r.Trace.flow = flow
-        && (r.Trace.seq = seq || r.Trace.seq = -1)
-        && not (List.mem r.Trace.run !runs)
-      then runs := r.Trace.run :: !runs);
-  List.rev !runs
-
 let path_main one capacity flow_s seq =
   (* Reject a malformed --flow before paying for the run. *)
   match Option.map (fun s -> (s, parse_flow s)) flow_s with
@@ -392,7 +380,8 @@ let path_main one capacity flow_s seq =
         let targets =
           match explicit with
           | Some (_, Some flow) ->
-            List.map (fun run -> (run, flow, seq)) (runs_with ~flow ~seq)
+            (* an explicit packet gets one path per run that recorded it *)
+            List.map (fun run -> (run, flow, seq)) (Export.runs_with ~flow ~seq)
           | _ -> Option.to_list (Export.sample_packet ())
         in
         match (targets, explicit) with

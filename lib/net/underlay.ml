@@ -3,6 +3,17 @@ module Gen = Strovl_topo.Gen
 module Graph = Strovl_topo.Graph
 module Dijkstra = Strovl_topo.Dijkstra
 
+(* The path caches are looked up on every wire transmission, keyed by
+   distinct packed ints: compare and hash them as ints (the identity hash
+   spreads a dense key range evenly), not through the polymorphic
+   primitives. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k
+end)
+
 type t = {
   engine : Engine.t;
   spec : Gen.spec;
@@ -20,9 +31,9 @@ type t = {
      resolved peering choices, keyed by packed ints and validated against
      the epoch, so steady-state wire transmissions never re-walk Dijkstra
      parents or re-fold peering sites. *)
-  seg_cache : (int, int * int array option) Hashtbl.t;
+  seg_cache : (int * int array option) Itbl.t;
       (* isp,src,dst -> epoch, segments *)
-  peer_cache : (int, int * int * int) Hashtbl.t;
+  peer_cache : (int * int * int) Itbl.t;
       (* isps,src,dst -> epoch, peer site (-1 none), total delay *)
   presence : bool array array; (* isp -> site -> has fiber *)
   peering_delay : Time.t;
@@ -67,8 +78,8 @@ let create ?(convergence = Time.sec 40) engine spec =
     isp_seg;
     epoch = 0;
     cache = Hashtbl.create 64;
-    seg_cache = Hashtbl.create 256;
-    peer_cache = Hashtbl.create 64;
+    seg_cache = Itbl.create 256;
+    peer_cache = Itbl.create 64;
     presence;
     peering_delay = Time.ms 2;
     peering_loss =
@@ -164,13 +175,13 @@ let routed_segs_slow t key ~isp ~src ~dst =
     | None -> None
     | Some l -> Some (Array.of_list l)
   in
-  Hashtbl.replace t.seg_cache key (t.epoch, segs);
+  Itbl.replace t.seg_cache key (t.epoch, segs);
   segs
 
 let routed_segs t ~isp ~src ~dst =
   let ns = nsites t in
   let key = (((isp * ns) + src) * ns) + dst in
-  match Hashtbl.find t.seg_cache key with
+  match Itbl.find t.seg_cache key with
   | e, segs when e = t.epoch -> segs
   | _ -> routed_segs_slow t key ~isp ~src ~dst
   | exception Not_found -> routed_segs_slow t key ~isp ~src ~dst
@@ -243,7 +254,7 @@ let best_peering_slow t key ~isp_src ~isp_dst ~src ~dst =
       (peering_sites t ~isp_a:isp_src ~isp_b:isp_dst)
   in
   let peer, total = best in
-  Hashtbl.replace t.peer_cache key (t.epoch, peer, total);
+  Itbl.replace t.peer_cache key (t.epoch, peer, total);
   best
 
 let best_peering_int t ~isp_src ~isp_dst ~src ~dst =
@@ -251,7 +262,7 @@ let best_peering_int t ~isp_src ~isp_dst ~src ~dst =
   let key =
     ((((isp_src * t.spec.Gen.nisps) + isp_dst) * ns + src) * ns) + dst
   in
-  match Hashtbl.find t.peer_cache key with
+  match Itbl.find t.peer_cache key with
   | e, peer, total when e = t.epoch -> (peer, total)
   | _ -> best_peering_slow t key ~isp_src ~isp_dst ~src ~dst
   | exception Not_found -> best_peering_slow t key ~isp_src ~isp_dst ~src ~dst

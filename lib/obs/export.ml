@@ -95,14 +95,23 @@ let retransmit_count () =
       match r.Trace.ev with Trace.Retransmit _ -> incr n | _ -> ());
   !n
 
+(* A record of packet (flow, seq)'s path: its own events and the flow's
+   flow-level ones; every record of the flow when [seq] is negative. *)
+let on_path ~flow ~seq (r : Trace.record) =
+  r.Trace.flow = flow && (seq < 0 || r.Trace.seq = seq || r.Trace.seq = -1)
+
 let path_of ~run ~flow ~seq =
   let acc = ref [] in
   Trace.iter (fun r ->
-      if
-        r.Trace.run = run && r.Trace.flow = flow
-        && (r.Trace.seq = seq || r.Trace.seq = -1)
-      then acc := r :: !acc);
+      if r.Trace.run = run && on_path ~flow ~seq r then acc := r :: !acc);
   List.rev !acc
+
+let runs_with ~flow ~seq =
+  let runs = ref [] in
+  Trace.iter (fun r ->
+      if on_path ~flow ~seq r && not (List.mem r.Trace.run !runs) then
+        runs := r.Trace.run :: !runs);
+  List.rev !runs
 
 let sample_packet () =
   (* One pass: remember per (run, flow, seq) whether it was delivered

@@ -28,8 +28,14 @@ val retransmit_count : unit -> int
 val path_of : run:int -> flow:Trace.flow_id -> seq:int -> Trace.record list
 (** The causal path of one packet in one run: every retained event of
     [run] for (flow, seq) in chronological order, plus the flow's
-    flow-level drops in that run. Rows of one experiment reuse flows and
-    sequence numbers, so without the run their paths would interleave. *)
+    flow-level drops in that run. A negative [seq] stands for every
+    packet of the flow: every retained record of [flow] in [run]. Rows of
+    one experiment reuse flows and sequence numbers, so without the run
+    their paths would interleave. *)
+
+val runs_with : flow:Trace.flow_id -> seq:int -> int list
+(** The runs, in order, whose retained records include a record of
+    [path_of ~run ~flow ~seq]. *)
 
 val sample_packet : unit -> (int * Trace.flow_id * int) option
 (** A (run, flow, seq) worth looking at: prefers a packet that was both

@@ -130,15 +130,20 @@ module Histogram = struct
     ax : axis;
   }
 
+  (* The bit length of [v], found by halving the width searched: six
+     tests whatever the value. A 63-bit positive int has at most 62 bits,
+     which is the last bucket. *)
   let bucket_of v =
     if v <= 0 then 0
     else begin
-      let i = ref 0 and v = ref v in
-      while !v > 0 do
-        incr i;
-        v := !v lsr 1
-      done;
-      Int.min !i (nbuckets - 1)
+      let n = ref 1 and v = ref v in
+      if !v lsr 32 <> 0 then begin n := !n + 32; v := !v lsr 32 end;
+      if !v lsr 16 <> 0 then begin n := !n + 16; v := !v lsr 16 end;
+      if !v lsr 8 <> 0 then begin n := !n + 8; v := !v lsr 8 end;
+      if !v lsr 4 <> 0 then begin n := !n + 4; v := !v lsr 4 end;
+      if !v lsr 2 <> 0 then begin n := !n + 2; v := !v lsr 2 end;
+      if !v lsr 1 <> 0 then n := !n + 1;
+      !n
     end
 
   let observe h v =

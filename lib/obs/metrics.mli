@@ -36,6 +36,10 @@ module Histogram : sig
   (** Records a non-negative integer sample (negative samples clamp to 0)
       into its log2 bucket. *)
 
+  val bucket_of : int -> int
+  (** The log2 bucket of a sample: 0 for [v <= 0], else the bit length of
+      [v] (bucket [i] holds [2^(i-1) <= v < 2^i]). Constant time. *)
+
   val count : t -> int
   val sum : t -> int
   val min : t -> int

@@ -15,9 +15,13 @@
      retransmission timers). Because the engine always pops the global
      minimum, every queued time lies in [clock, clock + size) when it
      sits in a wheel of [size] buckets, so a bucket never mixes two
-     distinct times and its FIFO chain is automatically in seq order;
-   - a binary heap (unboxed parallel arrays, see {!Heap}) for everything
-     scheduled further out.
+     distinct times and its FIFO chain is automatically in seq order.
+     Occupancy is kept at two levels: a bitmap with one bit per bucket,
+     and a summary with one bit per non-empty bitmap word. The next
+     occupied bucket is found from the summary in a handful of word reads
+     and a constant-time lowest-bit lookup, however far ahead it lies;
+   - a binary heap of slot indices (unboxed parallel int arrays, see
+     {!Heap}) for everything scheduled further out.
 
    The two lanes are merged by comparing (time, seq) at pop time, so
    execution order is bit-identical to a single global heap whichever
@@ -65,11 +69,12 @@ type t = {
   mutable p_next : int array; (* free list / wheel bucket chaining *)
   mutable free_head : int;
   (* Far lane: heap of slot indices keyed by (time, seq). *)
-  heap : int Heap.t;
+  heap : Heap.t;
   (* Near lane: timer wheel of [w_mask + 1] buckets. *)
   mutable w_head : int array;
   mutable w_tail : int array;
   mutable w_bitmap : int array; (* occupancy, 32 buckets per word *)
+  mutable w_summary : int array; (* non-empty bitmap words, 32 per word *)
   mutable w_mask : int;
   mutable w_misses : int; (* heap-lane schedules within [wheel_size] *)
   mutable w_count : int;
@@ -98,6 +103,7 @@ let create ?(seed = 1L) () =
       w_head = Array.make small_size (-1);
       w_tail = Array.make small_size (-1);
       w_bitmap = Array.make (small_size lsr 5) 0;
+      w_summary = Array.make (small_size lsr 10) 0;
       w_mask = small_size - 1;
       w_misses = 0;
       w_count = 0;
@@ -156,25 +162,56 @@ let free_slot t s =
 
 let bm_set t idx =
   let w = idx lsr 5 in
-  t.w_bitmap.(w) <- t.w_bitmap.(w) lor (1 lsl (idx land 31))
+  let b = t.w_bitmap.(w) in
+  if b = 0 then begin
+    let sw = w lsr 5 in
+    t.w_summary.(sw) <- t.w_summary.(sw) lor (1 lsl (w land 31))
+  end;
+  t.w_bitmap.(w) <- b lor (1 lsl (idx land 31))
 
 let bm_clear t idx =
   let w = idx lsr 5 in
-  t.w_bitmap.(w) <- t.w_bitmap.(w) land lnot (1 lsl (idx land 31))
+  let b = t.w_bitmap.(w) land lnot (1 lsl (idx land 31)) in
+  t.w_bitmap.(w) <- b;
+  if b = 0 then begin
+    let sw = w lsr 5 in
+    t.w_summary.(sw) <- t.w_summary.(sw) land lnot (1 lsl (w land 31))
+  end
 
-let rec ctz_loop w n = if w land 1 = 1 then n else ctz_loop (w lsr 1) (n + 1)
+(* Index of the lowest set bit of a non-zero word of 32 bits: the bit on
+   its own, times a de Bruijn constant, puts a distinct 5-bit pattern in
+   the top bits of the 32-bit product. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-let rec scan_words t wi =
-  let w = t.w_bitmap.(wi) in
-  if w <> 0 then (wi lsl 5) lor ctz_loop w 0
-  else scan_words t ((wi + 1) land (t.w_mask lsr 5))
+let ctz w =
+  Array.unsafe_get debruijn
+    ((((w land -w) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Lowest occupied bucket of a non-empty bitmap word. *)
+let first_in_word t wi = (wi lsl 5) lor ctz t.w_bitmap.(wi)
+
+(* First non-empty bitmap word at or after summary word [si], wrapping. *)
+let rec first_from_summary t si =
+  let s = t.w_summary.(si) in
+  if s <> 0 then first_in_word t ((si lsl 5) lor ctz s)
+  else first_from_summary t ((si + 1) land (t.w_mask lsr 10))
 
 (* First non-empty bucket at or after [start], wrapping. Requires at least
-   one occupied bucket. *)
+   one occupied bucket. The rest of [start]'s word, then the rest of its
+   summary word, then whole summary words: at most [w_mask / 1024 + 3]
+   word reads however far ahead the bucket lies. *)
 let bitmap_next t start =
-  let w0 = t.w_bitmap.(start lsr 5) land (-1 lsl (start land 31)) in
-  if w0 <> 0 then ((start lsr 5) lsl 5) lor ctz_loop w0 0
-  else scan_words t (((start lsr 5) + 1) land (t.w_mask lsr 5))
+  let wi = start lsr 5 in
+  let w = t.w_bitmap.(wi) land (-1 lsl (start land 31)) in
+  if w <> 0 then (wi lsl 5) lor ctz w
+  else begin
+    let si = wi lsr 5 in
+    let s = t.w_summary.(si) land (-2 lsl (wi land 31)) in
+    if s <> 0 then first_in_word t ((si lsl 5) lor ctz s)
+    else first_from_summary t ((si + 1) land (t.w_mask lsr 10))
+  end
 
 let wheel_add t s ~at =
   let idx = at land t.w_mask in
@@ -213,6 +250,7 @@ let grow_wheel t =
   t.w_head <- Array.make wheel_size (-1);
   t.w_tail <- Array.make wheel_size (-1);
   t.w_bitmap <- Array.make (wheel_size lsr 5) 0;
+  t.w_summary <- Array.make (wheel_size lsr 10) 0;
   t.w_mask <- wheel_mask;
   Array.iteri
     (fun idx h ->
@@ -267,20 +305,26 @@ let is_pending t h =
 
 (* ---------------------------- execution ------------------------------- *)
 
-(* Pop the globally minimal (time, seq) event across both lanes; -1 when
-   nothing is queued. Cancelled events are popped like live ones (they
-   still advance the clock in [step], exactly as before the pool). *)
-let pop_next t =
+(* Pop the globally minimal (time, seq) event across both lanes if its time
+   is at most [until]; -1 when there is none. Cancelled events are popped
+   like live ones (they still advance the clock when run, exactly as
+   before the pool). *)
+let pop_until t until =
   if t.w_count = 0 then
-    if Heap.is_empty t.heap then -1 else Heap.pop_min t.heap
-  else if Heap.is_empty t.heap then pop_wheel t
-  else begin
-    let wt = t.w_next_time and ht = Heap.min_time t.heap in
-    if wt < ht then pop_wheel t
-    else if ht < wt then Heap.pop_min t.heap
-    else if t.p_seq.(t.w_head.(wt land t.w_mask)) < Heap.min_seq t.heap
-    then pop_wheel t
+    if Heap.is_empty t.heap || Heap.min_time t.heap > until then -1
     else Heap.pop_min t.heap
+  else begin
+    let wt = t.w_next_time in
+    if Heap.is_empty t.heap then if wt > until then -1 else pop_wheel t
+    else begin
+      let ht = Heap.min_time t.heap in
+      if wt < ht then if wt > until then -1 else pop_wheel t
+      else if ht < wt then if ht > until then -1 else Heap.pop_min t.heap
+      else if wt > until then -1
+      else if t.p_seq.(t.w_head.(wt land t.w_mask)) < Heap.min_seq t.heap
+      then pop_wheel t
+      else Heap.pop_min t.heap
+    end
   end
 
 let next_time t =
@@ -290,23 +334,26 @@ let next_time t =
   else if t.w_next_time <= Heap.min_time t.heap then t.w_next_time
   else Heap.min_time t.heap
 
+let exec t s =
+  t.clock <- t.p_time.(s);
+  let live = Bytes.unsafe_get t.p_state s = st_pending in
+  let fn = t.p_fn.(s) in
+  free_slot t s;
+  if live then fn ()
+
 let step t =
-  let s = pop_next t in
+  let s = pop_until t Time.infinity in
   if s < 0 then false
   else begin
-    t.clock <- t.p_time.(s);
-    let live = Bytes.unsafe_get t.p_state s = st_pending in
-    let fn = t.p_fn.(s) in
-    free_slot t s;
-    if live then fn ();
+    exec t s;
     true
   end
 
 let run ?(until = Time.infinity) t =
   let rec loop () =
-    let nt = next_time t in
-    if nt >= 0 && nt <= until then begin
-      ignore (step t);
+    let s = pop_until t until in
+    if s >= 0 then begin
+      exec t s;
       loop ()
     end
   in
@@ -326,7 +373,7 @@ let next_event_time t =
    slot freed (dropping its closure), which leaves both lanes empty. *)
 let reset t ~seed =
   let rec drain () =
-    let s = pop_next t in
+    let s = pop_until t Time.infinity in
     if s >= 0 then begin
       free_slot t s;
       drain ()

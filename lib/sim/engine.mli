@@ -13,9 +13,11 @@
     engine holds about 2k words; once 2,048 schedules have missed it while
     within 32.768 ms, it grows once to 32,768 buckets and stays that size.
     Neither the wheel's size nor its growth changes the order events run
-    in. Handles are generation-counted immediates — cancelling a handle
-    whose event already fired (and whose slot was recycled) is a safe
-    no-op. *)
+    in. The next occupied bucket is found through a summary of the
+    wheel's occupancy bitmap, so popping costs the same however sparse the
+    wheel is or however far ahead its next event lies. Handles are
+    generation-counted immediates — cancelling a handle whose event
+    already fired (and whose slot was recycled) is a safe no-op. *)
 
 type t
 

@@ -1,38 +1,37 @@
-(** Minimal binary min-heap used as the discrete-event queue.
+(** Minimal binary min-heap of ints, used as the engine's far event lane
+    (payload: an event slot) and by [Strovl_topo.Dijkstra] (payload: a
+    node).
 
     Keys are [(time, sequence)] pairs compared lexicographically; the
     sequence number gives FIFO order among events scheduled for the same
-    instant, which keeps simulations deterministic.
+    instant, which keeps simulations deterministic. Entries with equal
+    keys pop in a fixed order that depends only on the sequence of pushes
+    and pops (Dijkstra's tie-breaking relies on it).
 
-    The implementation stores keys in unboxed parallel int arrays and the
-    payloads in a separate value array: no per-entry box is allocated, and
-    {!push}/{!pop_min} are allocation-free once the arrays have reached
-    their high-water capacity. *)
+    Keys and payloads live in unboxed parallel int arrays: no per-entry
+    box is allocated, no write barrier is paid, and {!push}/{!pop_min} are
+    allocation-free once the arrays have reached their high-water
+    capacity. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
-val size : 'a t -> int
+val is_empty : t -> bool
+val size : t -> int
 
-val push : 'a t -> time:int -> seq:int -> 'a -> unit
+val push : t -> time:int -> seq:int -> int -> unit
 
-val peek : 'a t -> (int * int * 'a) option
-(** [(time, seq, value)] of the minimum element, without removing it. *)
-
-val pop : 'a t -> (int * int * 'a) option
-
-val min_time : 'a t -> int
-(** Time key of the minimum element, without allocating.
+val min_time : t -> int
+(** Time key of the minimum element.
     @raise Invalid_argument when empty. *)
 
-val min_seq : 'a t -> int
-(** Sequence key of the minimum element, without allocating.
+val min_seq : t -> int
+(** Sequence key of the minimum element.
     @raise Invalid_argument when empty. *)
 
-val pop_min : 'a t -> 'a
-(** Removes the minimum element and returns its value, without allocating.
+val pop_min : t -> int
+(** Removes the minimum element and returns its payload.
     @raise Invalid_argument when empty. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit

@@ -16,9 +16,9 @@ let run ?(usable = fun _ -> true) ~weight g src =
      the tree deterministic. *)
   Strovl_sim.Heap.push heap ~time:0 ~seq:0 src;
   let rec loop () =
-    match Strovl_sim.Heap.pop heap with
-    | None -> ()
-    | Some (d, _, u) ->
+    if not (Strovl_sim.Heap.is_empty heap) then begin
+      let d = Strovl_sim.Heap.min_time heap in
+      let u = Strovl_sim.Heap.pop_min heap in
       if (not done_.(u)) && d = dist.(u) then begin
         done_.(u) <- true;
         let relax (v, l) =
@@ -42,6 +42,7 @@ let run ?(usable = fun _ -> true) ~weight g src =
         List.iter relax (Graph.neighbors g u)
       end;
       loop ()
+    end
   in
   loop ();
   { dist; prev_link; prev_node }

@@ -56,6 +56,34 @@ let metrics_histogram_quantiles () =
   let p99 = M.Histogram.quantile h 0.99 in
   check_bool "p99 in bucket range" true (p99 >= 512. && p99 <= 2048.)
 
+(* The per-bit loop, the model for [Histogram.bucket_of]: 0 for v <= 0,
+   else the bit length of v, capped at the last of the 63 buckets. *)
+let bucket_model v =
+  if v <= 0 then 0
+  else begin
+    let i = ref 0 and v = ref v in
+    while !v > 0 do
+      incr i;
+      v := !v lsr 1
+    done;
+    Int.min !i 62
+  end
+
+let qcheck_bucket_of =
+  let edges =
+    QCheck.Gen.(
+      oneof
+        [
+          int;
+          map2 (fun k d -> (1 lsl k) + d) (int_bound 62) (int_range (-1) 1);
+          oneofl [ 0; 1; max_int; min_int ];
+        ])
+  in
+  QCheck.Test.make ~name:"histogram bucket_of matches the per-bit loop"
+    ~count:2000
+    (QCheck.make ~print:string_of_int edges)
+    (fun v -> M.Histogram.bucket_of v = bucket_model v)
+
 let trace_off_by_default () =
   T.disable ();
   check_bool "off" false (T.armed ());
@@ -134,6 +162,31 @@ let export_path_and_drops () =
 (* ------------- Export summary goldens on a hand-built trace ------------ *)
 
 module A = Strovl_obs.Audit
+
+(* A live flow, traced end to end on the forward-path fixture: a negative
+   seq asks for every record of the flow, so the one packet sent in the
+   run shows its enqueue, its forwards and its delivery, exactly as its
+   own seq does. *)
+let export_path_live_flow () =
+  let all, one, runs =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let f = Fwd_path.create () in
+           T.enable ~capacity:256 ();
+           T.start_run (fun () -> Strovl_sim.Engine.now f.Fwd_path.engine);
+           let run = T.run () in
+           Fwd_path.packet f;
+           let flow = { T.fi_src = 0; fi_sport = 1; fi_dst = 8; fi_dport = 9 } in
+           ( E.path_of ~run ~flow ~seq:(-1),
+             E.path_of ~run ~flow ~seq:f.Fwd_path.seq,
+             List.map (fun r -> r - run) (E.runs_with ~flow ~seq:(-1)) )))
+  in
+  Alcotest.(check (list int)) "recorded in the one run" [ 0 ] runs;
+  let has p = List.exists (fun r -> p r.T.ev) all in
+  check_bool "enqueue" true (has (function T.Enqueue -> true | _ -> false));
+  check_bool "forward" true (has (function T.Forward _ -> true | _ -> false));
+  check_bool "deliver" true (has (function T.Deliver -> true | _ -> false));
+  check_int "the packet's own path" (List.length one) (List.length all)
 
 let clock = ref 0
 
@@ -433,6 +486,7 @@ let () =
           Alcotest.test_case "counters and labels" `Quick metrics_counters_and_labels;
           Alcotest.test_case "disabled is no-op" `Quick metrics_disabled_is_noop;
           Alcotest.test_case "histogram quantiles" `Quick metrics_histogram_quantiles;
+          QCheck_alcotest.to_alcotest qcheck_bucket_of;
         ] );
       ( "trace",
         [
@@ -443,6 +497,7 @@ let () =
       ( "export",
         [
           Alcotest.test_case "path and drops" `Quick export_path_and_drops;
+          Alcotest.test_case "path of a live flow" `Quick export_path_live_flow;
           Alcotest.test_case "summary goldens" `Quick export_golden_summaries;
         ] );
       ( "series",

@@ -89,50 +89,48 @@ let qcheck_rng_bounds =
 
 (* ------------------------------- Heap ------------------------------- *)
 
+(* Pops everything as (time, seq, payload), in pop order. *)
+let heap_drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else begin
+      let t = Heap.min_time h and s = Heap.min_seq h in
+      let v = Heap.pop_min h in
+      go ((t, s, v) :: acc)
+    end
+  in
+  go []
+
 let heap_sorted_order () =
   let h = Heap.create () in
   List.iteri (fun i t -> Heap.push h ~time:t ~seq:i i) [ 5; 1; 9; 3; 7 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (t, _, _) ->
-      order := t :: !order;
-      drain ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "ascending" [ 1; 3; 5; 7; 9 ] (List.rev !order)
+  Alcotest.(check (list int)) "ascending" [ 1; 3; 5; 7; 9 ]
+    (List.map (fun (t, _, _) -> t) (heap_drain h))
 
 let heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 9 do
     Heap.push h ~time:42 ~seq:i i
   done;
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (_, _, v) ->
-      order := v :: !order;
-      drain ()
-  in
-  drain ();
   Alcotest.(check (list int)) "fifo among equal times"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !order)
+    (List.map (fun (_, _, v) -> v) (heap_drain h))
 
 let heap_peek_size () =
   let h = Heap.create () in
   check_bool "empty" true (Heap.is_empty h);
-  Heap.push h ~time:3 ~seq:0 "a";
-  Heap.push h ~time:1 ~seq:1 "b";
+  Heap.push h ~time:3 ~seq:0 10;
+  Heap.push h ~time:1 ~seq:1 11;
   check_int "size" 2 (Heap.size h);
-  (match Heap.peek h with
-  | Some (1, 1, "b") -> ()
-  | _ -> Alcotest.fail "peek should see minimum");
+  check_int "min time" 1 (Heap.min_time h);
+  check_int "min seq" 1 (Heap.min_seq h);
   check_int "peek does not remove" 2 (Heap.size h);
+  check_int "pop_min returns the minimum's payload" 11 (Heap.pop_min h);
   Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
+  check_bool "cleared" true (Heap.is_empty h);
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Heap.pop_min: empty") (fun () ->
+      ignore (Heap.pop_min h))
 
 let qcheck_heap_sorted =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
@@ -140,13 +138,96 @@ let qcheck_heap_sorted =
     (fun items ->
       let h = Heap.create () in
       List.iteri (fun i (t, _) -> Heap.push h ~time:t ~seq:i t) items;
-      let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (t, _, _) -> drain (t :: acc)
-      in
-      let out = drain [] in
+      let out = List.map (fun (t, _, _) -> t) (heap_drain h) in
       out = List.sort compare out)
+
+(* The reference model for [Heap]'s pop order: a binary heap whose sift
+   down swaps an entry with the smallest of itself, its left and its right
+   child, taken in that order. Equal (time, seq) keys pop in an order only
+   the heap's shape decides, and Dijkstra's tie-breaking depends on it, so
+   [Heap] must pop payloads in exactly this model's order. *)
+module Swap_heap = struct
+  type t = {
+    times : int array;
+    seqs : int array;
+    vals : int array;
+    mutable len : int;
+  }
+
+  let create cap =
+    { times = Array.make cap 0; seqs = Array.make cap 0; vals = Array.make cap 0; len = 0 }
+
+  let less h a b =
+    h.times.(a) < h.times.(b)
+    || (h.times.(a) = h.times.(b) && h.seqs.(a) < h.seqs.(b))
+
+  let swap h a b =
+    let t = h.times.(a) and s = h.seqs.(a) and v = h.vals.(a) in
+    h.times.(a) <- h.times.(b);
+    h.seqs.(a) <- h.seqs.(b);
+    h.vals.(a) <- h.vals.(b);
+    h.times.(b) <- t;
+    h.seqs.(b) <- s;
+    h.vals.(b) <- v
+
+  let push h ~time ~seq v =
+    let i = ref h.len in
+    h.times.(!i) <- time;
+    h.seqs.(!i) <- seq;
+    h.vals.(!i) <- v;
+    h.len <- h.len + 1;
+    while !i > 0 && less h !i ((!i - 1) / 2) do
+      swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.len && less h l !smallest then smallest := l;
+    if r < h.len && less h r !smallest then smallest := r;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let pop h =
+    let r = (h.times.(0), h.seqs.(0), h.vals.(0)) in
+    h.len <- h.len - 1;
+    if h.len > 0 then begin
+      swap h 0 h.len;
+      sift_down h 0
+    end;
+    r
+end
+
+(* [Some (time, seq)] pushes with the next payload, [None] pops. Keys come
+   from tiny ranges so that many entries share a (time, seq) key. *)
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap pops in the swap-based heap's order" ~count:300
+    QCheck.(
+      list_of_size Gen.(int_bound 300)
+        (option ~ratio:0.7 (pair (int_bound 4) (int_bound 2))))
+    (fun ops ->
+      let h = Heap.create () and m = Swap_heap.create (List.length ops) in
+      let popped = ref [] and expected = ref [] in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some (time, seq) ->
+            Heap.push h ~time ~seq i;
+            Swap_heap.push m ~time ~seq i
+          | None ->
+            if m.Swap_heap.len > 0 then begin
+              let t = Heap.min_time h and s = Heap.min_seq h in
+              popped := (t, s, Heap.pop_min h) :: !popped;
+              expected := Swap_heap.pop m :: !expected
+            end)
+        ops;
+      while m.Swap_heap.len > 0 do
+        expected := Swap_heap.pop m :: !expected
+      done;
+      List.rev_append !popped (heap_drain h) = List.rev !expected)
 
 (* ------------------------------ Engine ------------------------------ *)
 
@@ -250,8 +331,12 @@ let engine_words () =
 (* The engine against a plain sorted-list model keyed on (time, seq). A
    program is a list of top-level operations; a scheduled event carries
    the operations its callback runs (nested schedules and cancels). Delays
-   come from a few classes so that many events share a time and some sit
-   on either side of the small and the full wheel's reach. A [Burst] of
+   come from a few classes so that many events share a time, some sit
+   on either side of the small and the full wheel's reach, and some lie
+   more than 1,024 us apart: in the grown wheel the next occupied bucket
+   then sits under another summary word, and the search wraps past the
+   wheel's end. Every program runs on a fresh (small) and on a reset
+   (grown) wheel. A [Burst] of
    more near misses than [engine_words] needs crosses the growth
    threshold while events are pending in both lanes. A [Reset] starts a
    new run: the model empties its queue and puts its clock and seq back
@@ -276,6 +361,7 @@ let gen_program =
         (3, map (fun k -> k * 1_000) (int_bound 100));
         (2, int_range 1_020 1_030);
         (2, int_range 32_760 32_775);
+        (2, int_range 1_025 32_767);
         (2, int_bound 100_000);
       ]
   in
@@ -644,6 +730,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick heap_fifo_ties;
           Alcotest.test_case "peek/size/clear" `Quick heap_peek_size;
           q qcheck_heap_sorted;
+          q qcheck_heap_model;
         ] );
       ( "engine",
         [

@@ -98,6 +98,31 @@ let dijkstra_diameter () =
   check_int "diameter" 3 (Dijkstra.diameter ~weight:w g);
   check_int "ecc of 0" 2 (Dijkstra.eccentricity ~weight:w g 0)
 
+(* Minor words per [Dijkstra.run] from SEA on the us-backbone overlay,
+   weighted by designed link latency (perfbench's topo.dijkstra_ns set-up).
+   Words are deterministic: 387 when this bound was set, 459 while every
+   pop allocated an option tuple, so one more allocation per settled node
+   (12 nodes) fails it. *)
+let dijkstra_words () =
+  let spec = Gen.us_backbone () in
+  let g = Gen.overlay_graph spec in
+  let w =
+    Array.init (Graph.link_count g) (fun l ->
+        let a, b = Graph.endpoints g l in
+        Option.value ~default:(Strovl_sim.Time.ms 10)
+          (Gen.overlay_link_delay spec ~isp:0 a b))
+  in
+  let weight l = w.(l) in
+  ignore (Dijkstra.run ~weight g 0);
+  let runs = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Dijkstra.run ~weight g 0)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+  if words > 400. then
+    Alcotest.failf "Dijkstra.run: %.1f minor words per run (bound 400)" words
+
 let qcheck_dijkstra_next_hop_consistent =
   QCheck.Test.make ~name:"following next hops decreases distance" ~count:60
     QCheck.(int_bound 10_000)
@@ -378,6 +403,7 @@ let () =
           Alcotest.test_case "unreachable" `Quick dijkstra_unreachable;
           Alcotest.test_case "usable reroute" `Quick dijkstra_usable_reroute;
           Alcotest.test_case "diameter" `Quick dijkstra_diameter;
+          Alcotest.test_case "minor words per run" `Quick dijkstra_words;
           q qcheck_dijkstra_next_hop_consistent;
         ] );
       ( "disjoint",
