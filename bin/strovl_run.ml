@@ -1,23 +1,26 @@
 (* The experiment CLI: runs, sweeps, audits and traces the paper-reproduction
-   experiments, and reads the hello protocol's link estimates.
+   experiments, and reads the hello protocol's link estimates. One command
+   per question:
 
    - [run], [sweep], [list]: result tables (fanned over a domain pool with
      [-j]), one experiment aggregated across a seed range, the catalogue.
-   - [health]: the US backbone's per-endpoint hello-protocol estimates.
+   - [digest]: each experiment's trace-digest determinism fingerprint.
+   - [trace]: a traced run's table, then its summary (drop reasons,
+     retransmits, per-link utilization, per-flow table) and a sampled
+     packet's causal path.
+   - [path]: the causal path of one packet or flow, per run.
    - [series]: an experiment's metrics over time, one channel per metric
      that received samples, one timeline per run (row) of the experiment.
    - [audit]: experiments under the online invariant auditor; violations
      are printed with their causal path and the exit status is 1.
-   - [watch]: a per-window event dashboard over the flight recorder, one
-     section per run.
-   - [trace], [path], [drops], [links], [summary]: a traced run and queries
-     over its flight recorder and metrics.
-   - [digest]: each experiment's trace-digest determinism fingerprint.
+   - [health]: the US backbone's per-endpoint hello-protocol estimates.
 
-   Every run goes through Strovl_expt.isolated (experiments through its
-   run_isolated wrapper): a fresh per-run observability context with the recorder, series or auditor the command
+   Every run goes through Strovl_expt.isolated: a fresh per-run
+   observability context with the recorder, series or auditor the command
    asked for armed, so [-j 1] and [-j N] produce byte-identical output and
-   a query sees only its own run. *)
+   a query sees only its own run. The multi-experiment commands make one
+   Strovl_expt.run_many call each and print on the main domain; the
+   one-experiment commands call Strovl_expt.run_isolated. *)
 
 open Cmdliner
 module Time = Strovl_sim.Time
@@ -54,32 +57,39 @@ let observe_one ?trace ?series ?audit (id, quick, seed) query =
   | None -> 1
   | Some e -> Strovl_expt.run_isolated ?trace ?series ?audit ~quick ~seed e query
 
+(* The multi-experiment commands: one Strovl_expt.run_many call over
+   (experiment, seed) pairs, [query] inside each run's context. Results
+   come back in input order for the caller to print on the main domain, so
+   every [-j] prints the same bytes. A run that raised gets one stderr
+   line and no result; the flag is false if any did. *)
+let run_many ?jobs ?trace ?audit ~quick runs query =
+  let outcomes = Strovl_expt.run_many ?jobs ?trace ?audit ~quick runs query in
+  let results =
+    List.mapi
+      (fun i ((e : Strovl_expt.experiment), seed) ->
+        match outcomes.(i) with
+        | Strovl_par.Pool.Done v -> Some v
+        | Strovl_par.Pool.Failed { exn; backtrace } ->
+          Printf.eprintf "experiment %s (seed %Ld) failed: %s\n" e.id seed exn;
+          if backtrace <> "" then prerr_string backtrace;
+          None)
+      runs
+  in
+  (List.filter_map Fun.id results, List.for_all Option.is_some results)
+
+let at seed = List.map (fun e -> (e, seed))
+
 let print_table json t =
   if json then print_endline (Table.to_json t)
   else Table.print Format.std_formatter t
 
 (* ------------------------------ run/sweep ---------------------------- *)
 
-let report_outcome ~what = function
-  | Strovl_par.Pool.Done v -> Some v
-  | Strovl_par.Pool.Failed { exn; backtrace } ->
-    Printf.eprintf "%s failed: %s\n" what exn;
-    if backtrace <> "" then prerr_string backtrace;
-    None
-
 let run_experiments ids quick seed json jobs =
   let targets, known = resolve ids in
-  let outcomes = Strovl_expt.run_many ~jobs ~quick ~seed targets in
-  let failed = ref false in
-  (* Outcomes come back in input order; printing happens here, on the main
-     domain only, so the catalogue renders identically for every [-j]. *)
-  List.iteri
-    (fun i (e : Strovl_expt.experiment) ->
-      match report_outcome ~what:("experiment " ^ e.id) outcomes.(i) with
-      | None -> failed := true
-      | Some (table, _digest) -> print_table json table)
-    targets;
-  if known && not !failed then 0 else 1
+  let tables, ran = run_many ~jobs ~quick (at seed targets) (fun _ t -> t) in
+  List.iter (print_table json) tables;
+  if known && ran then 0 else 1
 
 (* "a..b" (inclusive), "a,b,c", or a single seed. Errors are specific —
    a descending range in particular must not be mistaken for an empty
@@ -120,21 +130,10 @@ let sweep_experiment id seeds_spec quick json jobs per_seed =
       Printf.eprintf "%s\n" e;
       1
     | Ok seeds ->
-      let outcomes = Strovl_expt.sweep ~jobs ~quick e ~seeds in
-      let tables = ref [] in
-      let failed = ref false in
-      List.iteri
-        (fun i seed ->
-          match
-            report_outcome
-              ~what:(Printf.sprintf "experiment %s (seed %Ld)" id seed)
-              outcomes.(i)
-          with
-          | None -> failed := true
-          | Some t -> tables := t :: !tables)
-        seeds;
-      let tables = List.rev !tables in
-      if !failed || tables = [] then 1
+      let tables, ran =
+        run_many ~jobs ~quick (List.map (fun s -> (e, s)) seeds) (fun _ t -> t)
+      in
+      if (not ran) || tables = [] then 1
       else begin
         if per_seed then List.iter (print_table json) tables;
         let agg = Table.aggregate tables in
@@ -246,98 +245,48 @@ let series_main one window_ms buckets json filter =
 
 (* ------------------------------- audit ------------------------------- *)
 
+(* One experiment's violation count and rendered report. The report,
+   causal paths included, is rendered here inside the run's context: the
+   ring it reads is dropped when the run ends. *)
 let audit_report ~json (e : Strovl_expt.experiment) _table =
   let violations = Audit.finish () in
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
   if json then
     List.iter
       (fun v ->
-        Printf.printf "{\"experiment\":%s,%s\n" (Export.json_str e.id)
+        Format.fprintf ppf "{\"experiment\":%s,%s@." (Export.json_str e.id)
           (let s = Audit.violation_json v in
            String.sub s 1 (String.length s - 1)))
       violations
   else begin
-    Printf.printf "%-18s %s (%d trace events, %d violations)\n" e.id
+    Format.fprintf ppf "%-18s %s (%d trace events, %d violations)@." e.id
       (if violations = [] then "CLEAN" else "VIOLATIONS")
       (Trace.total ()) (List.length violations);
     List.iter
       (fun v ->
-        Format.printf "  %a@." Audit.pp_violation v;
+        Format.fprintf ppf "  %a@." Audit.pp_violation v;
         (* The causal path behind each packet-bearing violation. *)
         if v.Audit.v_flow <> Trace.no_flow then begin
-          Format.printf "  causal path:@.";
-          Export.print_path Format.std_formatter ~run:v.Audit.v_run
-            ~flow:v.Audit.v_flow ~seq:v.Audit.v_seq
+          Format.fprintf ppf "  causal path:@.";
+          Export.print_path ppf ~run:v.Audit.v_run ~flow:v.Audit.v_flow
+            ~seq:v.Audit.v_seq
         end)
       violations
   end;
-  List.length violations
+  (List.length violations, Buffer.contents b)
 
 let audit_main ids quick seed capacity json =
   let targets, known = resolve ids in
-  let total =
-    List.fold_left
-      (fun acc e ->
-        acc
-        + Strovl_expt.run_isolated ~trace:capacity ~audit:true ~quick ~seed e
-            (audit_report ~json e))
-      0 targets
+  let reports, ran =
+    run_many ~jobs:1 ~trace:capacity ~audit:true ~quick (at seed targets)
+      (audit_report ~json)
   in
-  if (not json) && total = 0 && targets <> [] then
+  List.iter (fun (_, report) -> print_string report) reports;
+  let total = List.fold_left (fun acc (n, _) -> acc + n) 0 reports in
+  if (not json) && ran && total = 0 && targets <> [] then
     Printf.printf "all audited experiments clean\n";
-  if known && total = 0 then 0 else 1
-
-(* ------------------------------- watch ------------------------------- *)
-
-(* A per-window dashboard: folds the flight-recorder ring into one row
-   per sim-time window, under a heading for each run (an experiment's
-   rows are runs, each with its own clock from 0). The fold runs over the
-   retained ring after the run rather than as a live sink: the timeline
-   is in simulated time either way, and only the ring capacity bounds how
-   far back the dashboard reaches. *)
-let watch_main one capacity interval_ms =
-  observe_one one ~trace:capacity (fun _table ->
-      let w = interval_ms * 1000 in
-      let run = ref (-1) and cur = ref min_int in
-      let dlv = ref 0
-      and fwd = ref 0
-      and drp = ref 0
-      and rtx = ref 0
-      and rr = ref 0 in
-      let flush () =
-        if !cur > min_int then
-          Printf.printf "%12.1f %9d %9d %7d %7d %9d\n"
-            (float_of_int !cur /. 1000.)
-            !dlv !fwd !drp !rtx !rr;
-        List.iter (fun c -> c := 0) [ dlv; fwd; drp; rtx; rr ]
-      in
-      Printf.printf "%12s %9s %9s %7s %7s %9s\n" "t_ms" "deliver" "forward"
-        "drop" "retx" "reroute";
-      Trace.iter (fun (r : Trace.record) ->
-          let t0 = r.Trace.ts - (r.Trace.ts mod w) in
-          if r.Trace.run <> !run then begin
-            flush ();
-            run := r.Trace.run;
-            cur := min_int;
-            Printf.printf "run %d\n" !run
-          end;
-          if t0 <> !cur then begin
-            flush ();
-            cur := t0
-          end;
-          match r.Trace.ev with
-          | Trace.Deliver | Trace.Deliver_replay -> incr dlv
-          | Trace.Forward _ | Trace.Forward_replay _ -> incr fwd
-          | Trace.Drop _ -> incr drp
-          | Trace.Retransmit _ -> incr rtx
-          | Trace.Reroute _ -> incr rr
-          | _ -> ());
-      flush ();
-      if Trace.total () > Trace.length () then
-        Printf.printf
-          "(ring wrapped: first %d of %d events lost; raise --capacity)\n"
-          (Trace.total () - Trace.length ())
-          (Trace.total ());
-      0)
+  if known && ran && total = 0 then 0 else 1
 
 (* ------------------------------- traces ------------------------------ *)
 
@@ -387,7 +336,7 @@ let path_main one capacity flow_s seq =
         match (targets, explicit) with
         | [], Some _ ->
           Printf.eprintf
-            "no events for that flow/seq in the trace window (try `summary` \
+            "no events for that flow/seq in the trace window (try `trace` \
              for live flows)\n";
           1
         | [], None ->
@@ -400,46 +349,21 @@ let path_main one capacity flow_s seq =
             targets;
           0)
 
-let drops_main one capacity =
-  observe_one one ~trace:capacity (fun _table ->
-      (match Export.drop_counts () with
-      | [] -> print_endline "no drops recorded"
-      | counts ->
-        List.iter (fun (reason, n) -> Printf.printf "%-16s %d\n" reason n) counts);
-      0)
-
-let links_main one capacity =
-  observe_one one ~trace:capacity (fun _table ->
-      Printf.printf "%-12s %10s %12s %8s\n" "link" "packets" "bytes" "qdrops";
-      List.iter
-        (fun (label, pkts, bytes, drops) ->
-          Printf.printf "%-12s %10d %12d %8d\n" label pkts bytes drops)
-        (Export.links_table ());
-      0)
-
-let summary_main one capacity json =
-  observe_one one ~trace:capacity (fun _table ->
-      if json then print_endline (Export.summary_json ())
-      else Export.print_summary Format.std_formatter;
-      0)
-
 (* One line per experiment: the run's trace-digest determinism fingerprint,
-   from the pooled runner's traced outcome (the path the tier-1
-   determinism tests check), so it is stable across invocations and [-j]
-   at a fixed seed. @smoke diffs this output against the committed
+   from a run traced at the recorder's default capacity (the path the
+   tier-1 determinism tests check), so it is stable across invocations and
+   [-j] at a fixed seed. @smoke diffs this output against the committed
    DIGESTS.quick to prove a refactor left the simulated fast path
    byte-identical. *)
 let digest_main ids quick seed =
   let targets, known = resolve ids in
-  let outcomes = Strovl_expt.run_many ~jobs:1 ~quick ~traced:true ~seed targets in
-  let failed = ref false in
-  List.iteri
-    (fun i (e : Strovl_expt.experiment) ->
-      match report_outcome ~what:("experiment " ^ e.id) outcomes.(i) with
-      | Some (_table, Some digest) -> Printf.printf "%-18s %016Lx\n" e.id digest
-      | Some (_, None) | None -> failed := true)
-    targets;
-  if known && not !failed then 0 else 1
+  let lines, ran =
+    run_many ~jobs:1 ~trace:Trace.default_capacity ~quick (at seed targets)
+      (fun (e : Strovl_expt.experiment) _table ->
+        Printf.sprintf "%-18s %016Lx" e.id (Trace.digest ()))
+  in
+  List.iter print_endline lines;
+  if known && ran then 0 else 1
 
 (* -------------------------- cmdliner glue --------------------------- *)
 
@@ -544,14 +468,6 @@ let series_cmd =
   cmd "series" "run an experiment with windowed time-series armed"
     Term.(const series_main $ one $ window_ms $ buckets $ json $ filter)
 
-let watch_cmd =
-  let interval_ms =
-    let doc = "Dashboard window width in simulated milliseconds." in
-    Arg.(value & opt pos_int 500 & info [ "interval-ms" ] ~doc)
-  in
-  cmd "watch" "print a per-window event dashboard of an experiment's run"
-    Term.(const watch_main $ one $ capacity $ interval_ms)
-
 let trace_cmd =
   let jsonl_path =
     let doc = "Also dump every retained trace record as JSONL to $(docv)." in
@@ -590,15 +506,8 @@ let main =
       series_cmd;
       cmd "audit" "run experiments under the online invariant auditor"
         Term.(const audit_main $ ids $ quick $ seed $ capacity $ json);
-      watch_cmd;
       trace_cmd;
       path_cmd;
-      cmd "drops" "drop events grouped by reason"
-        Term.(const drops_main $ one $ capacity);
-      cmd "links" "per-link utilization from the metrics registry"
-        Term.(const links_main $ one $ capacity);
-      cmd "summary" "trace + metrics summary (tables or --json)"
-        Term.(const summary_main $ one $ capacity $ json);
       cmd "digest" "print each experiment's deterministic trace digest (one line per id)"
         Term.(const digest_main $ ids $ quick $ seed);
     ]

@@ -65,10 +65,6 @@ let recv m = function
     heard m;
     m.xmit (Msg.Hello_ack { hseq; echo = sent_at })
   | Msg.Hello_ack { echo; _ } -> on_ack m echo
-  | Msg.Probe { pseq; sent_at } ->
-    (* Stateless echo for peers that still probe; liveness like a hello. *)
-    heard m;
-    m.xmit (Msg.Probe_ack { pseq; echo = sent_at })
   | _ -> ()
 
 let tick m =

@@ -10,9 +10,7 @@
 
     The monitor decides nothing about routing. It reports to the node's
     [notify] callback, which floods metric and loss changes, takes a dead
-    link down and rotates its ISP. A legacy [Msg.Probe] is echoed as a
-    [Msg.Probe_ack] with no state, so peers that still probe keep
-    interoperating. *)
+    link down and rotates its ISP. *)
 
 type event =
   | Rtt of int  (** a new smoothed RTT (µs) after a hello ack *)
@@ -37,8 +35,8 @@ val create :
 val health : t -> Strovl_obs.Health.t
 
 val recv : t -> Msg.t -> unit
-(** Feeds a [Hello], [Hello_ack] or [Probe] from the peer; other messages
-    (and an unsolicited [Probe_ack]) are ignored. *)
+(** Feeds a [Hello] or [Hello_ack] from the peer; other messages are
+    ignored. *)
 
 val start : t -> unit
 (** Marks the peer heard now and begins the hello loop. Call once. *)

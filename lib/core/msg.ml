@@ -32,25 +32,6 @@ type t =
       auth : int64 option;
     }
 
-let signable = function
-  | Lsu { origin; lsu_seq; links; _ } ->
-    let b = Buffer.create 64 in
-    Buffer.add_string b (Printf.sprintf "lsu/%d/%d" origin lsu_seq);
-    List.iter
-      (fun (l, i) ->
-        Buffer.add_string b
-          (Printf.sprintf "/%d:%b:%d:%d" l i.li_up i.li_metric i.li_loss))
-      links;
-    Buffer.contents b
-  | Group_update { origin; gseq; memb; _ } ->
-    let b = Buffer.create 64 in
-    Buffer.add_string b (Printf.sprintf "grp/%d/%d" origin gseq);
-    List.iter (fun (g, m) -> Buffer.add_string b (Printf.sprintf "/%d:%b" g m)) memb;
-    Buffer.contents b
-  | Data _ | Link_ack _ | Link_nack _ | Rt_request _ | It_ack _ | Fec_parity _
-  | Hello _ | Hello_ack _ | Probe _ | Probe_ack _ ->
-    invalid_arg "Msg.signable: hop-local message"
-
 let pp ppf = function
   | Data { cls; lseq; pkt; _ } ->
     Format.fprintf ppf "data(c%d,l%d,%a)" cls lseq Packet.pp pkt

@@ -46,8 +46,9 @@ type t =
   | Hello_ack of { hseq : int; echo : Strovl_sim.Time.t }
       (** echoes the hello sender's timestamp for RTT estimation *)
   | Probe of { pseq : int; sent_at : Strovl_sim.Time.t }
-      (** legacy health probe: no longer sent, but still echoed as a
-          [Probe_ack] ({!Link_monitor}) so older peers interoperate *)
+      (** legacy health probe: never sent, and a node ignores a received
+          [Probe] or [Probe_ack] ({!Node.receive}); the wire codec still
+          carries both *)
   | Probe_ack of { pseq : int; echo : Strovl_sim.Time.t }
   | Lsu of {
       origin : node;
@@ -61,11 +62,5 @@ type t =
       memb : (int * bool) list;  (** (group, origin has local members) *)
       auth : int64 option;
     }
-
-val signable : t -> string
-(** Canonical byte string covered by the origin signature of a flooded
-    state update ([Lsu], [Group_update]), excluding the signature itself.
-    @raise Invalid_argument for every other message: they are hop-local,
-    and a data packet's signature covers {!Wire.signable}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -244,7 +244,7 @@ let sign_flood t msg =
   match t.registry with
   | None -> msg
   | Some reg ->
-    let tag = Auth.sign reg ~node:t.id (Msg.signable msg) in
+    let tag = Auth.sign reg ~node:t.id (Wire.flood_signable msg) in
     (match msg with
     | Msg.Lsu l -> Msg.Lsu { l with auth = Some tag }
     | Msg.Group_update g -> Msg.Group_update { g with auth = Some tag }
@@ -256,15 +256,7 @@ let verify_flood t ~origin msg auth =
   | Some reg -> (
     match auth with
     | None -> false
-    | Some tag ->
-      (* Verify against the unsigned canonical form. *)
-      let unsigned =
-        match msg with
-        | Msg.Lsu l -> Msg.Lsu { l with auth = None }
-        | Msg.Group_update g -> Msg.Group_update { g with auth = None }
-        | other -> other
-      in
-      Auth.verify_sign reg ~node:origin (Msg.signable unsigned) tag)
+    | Some tag -> Auth.verify_sign reg ~node:origin (Wire.flood_signable msg) tag)
 
 let flood t ?except msg = iter_eps t ?except (fun ep -> ep.ep_xmit msg)
 
@@ -659,8 +651,8 @@ let receive t ~link msg =
   | Some _ when t.stopped -> ()
   | Some ep -> begin
     match msg with
-    | Msg.Hello _ | Msg.Hello_ack _ | Msg.Probe _ | Msg.Probe_ack _ ->
-      Link_monitor.recv ep.ep_mon msg
+    | Msg.Hello _ | Msg.Hello_ack _ -> Link_monitor.recv ep.ep_mon msg
+    | Msg.Probe _ | Msg.Probe_ack _ -> ()
     | Msg.Lsu { origin; lsu_seq; links; auth } ->
       if verify_flood t ~origin msg auth then begin
         if Conn_graph.apply_lsu t.conn_graph ~origin ~lsu_seq links then

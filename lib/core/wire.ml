@@ -130,6 +130,33 @@ let put_packet b (p : Packet.t) =
   put_u16 b (p.Packet.ingress + 1);
   put_bool b p.Packet.replay
 
+(* A flooded update's fields before its [auth]: the prefix its origin
+   signature covers ([flood_signable]). *)
+let put_flood b = function
+  | Msg.Lsu { origin; lsu_seq; links; _ } ->
+    put_u8 b 8;
+    put_u16 b origin;
+    put_u32 b lsu_seq;
+    put_u16 b (List.length links);
+    List.iter
+      (fun (l, i) ->
+        put_u32 b l;
+        put_bool b i.Msg.li_up;
+        put_u32 b i.Msg.li_metric;
+        put_u16 b i.Msg.li_loss)
+      links
+  | Msg.Group_update { origin; gseq; memb; _ } ->
+    put_u8 b 9;
+    put_u16 b origin;
+    put_u32 b gseq;
+    put_u16 b (List.length memb);
+    List.iter
+      (fun (g, m) ->
+        put_u32 b g;
+        put_bool b m)
+      memb
+  | _ -> invalid_arg "Wire.flood_signable: hop-local message"
+
 let put_msg b = function
   | Msg.Data { cls; lseq; pkt; auth } ->
     put_u8 b 1;
@@ -168,18 +195,8 @@ let put_msg b = function
     put_u8 b 12;
     put_u32 b pseq;
     put_i64 b echo
-  | Msg.Lsu { origin; lsu_seq; links; auth } ->
-    put_u8 b 8;
-    put_u16 b origin;
-    put_u32 b lsu_seq;
-    put_u16 b (List.length links);
-    List.iter
-      (fun (l, i) ->
-        put_u32 b l;
-        put_bool b i.Msg.li_up;
-        put_u32 b i.Msg.li_metric;
-        put_u16 b i.Msg.li_loss)
-      links;
+  | (Msg.Lsu { auth; _ } | Msg.Group_update { auth; _ }) as m ->
+    put_flood b m;
     put_auth b auth
   | Msg.Fec_parity { block; idx; k; bytes; blk_pkts } ->
     put_u8 b 10;
@@ -189,17 +206,6 @@ let put_msg b = function
     put_u32 b bytes;
     put_u8 b (List.length blk_pkts);
     List.iter (put_packet b) blk_pkts
-  | Msg.Group_update { origin; gseq; memb; auth } ->
-    put_u8 b 9;
-    put_u16 b origin;
-    put_u32 b gseq;
-    put_u16 b (List.length memb);
-    List.iter
-      (fun (g, m) ->
-        put_u32 b g;
-        put_bool b m)
-      memb;
-    put_auth b auth
 
 (* ----------------------------- decoding ------------------------------ *)
 
@@ -459,16 +465,24 @@ let signable p =
   put_end_to_end w p;
   contents w
 
+let flood_size = function
+  | Msg.Lsu { links; _ } -> 9 + (11 * List.length links)
+  | Msg.Group_update { memb; _ } -> 9 + (5 * List.length memb)
+  | _ -> invalid_arg "Wire.flood_signable: hop-local message"
+
+let flood_signable msg =
+  let w = writer (flood_size msg) in
+  put_flood w msg;
+  contents w
+
 let header_size = function
   | Msg.Data { pkt; auth; _ } -> 6 + auth_size auth + packet_size pkt
   | Msg.Link_ack _ -> 6
   | Msg.Link_nack { missing; _ } -> 4 + (4 * List.length missing)
   | Msg.Rt_request _ | Msg.It_ack _ -> 5
   | Msg.Hello _ | Msg.Hello_ack _ | Msg.Probe _ | Msg.Probe_ack _ -> 13
-  | Msg.Lsu { links; auth; _ } ->
-    9 + (11 * List.length links) + auth_size auth
-  | Msg.Group_update { memb; auth; _ } ->
-    9 + (5 * List.length memb) + auth_size auth
+  | (Msg.Lsu { auth; _ } | Msg.Group_update { auth; _ }) as m ->
+    flood_size m + auth_size auth
   | Msg.Fec_parity { blk_pkts; _ } ->
     12 + List.fold_left (fun acc p -> acc + packet_size p) 0 blk_pkts
 

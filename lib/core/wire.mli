@@ -44,6 +44,12 @@ val signable : Packet.t -> string
     [replay] that hops rewrite. Raises [Invalid_argument] like {!encode}
     on a field out of its width's range. *)
 
+val flood_signable : Msg.t -> string
+(** The bytes a flooded update's origin signature covers: the prefix of
+    an [Lsu]'s or [Group_update]'s encoding before its [auth], so the
+    signature covers every other field and never itself. Raises
+    [Invalid_argument] for every other message: they are hop-local. *)
+
 (** Client ↔ daemon session protocol (the session interface of Figure 2,
     over the wall-clock runtime's UDP sockets). A client opens a virtual
     port on its local daemon, optionally joins multicast groups, and

@@ -36,8 +36,10 @@ val sign : registry -> node:int -> string -> tag
 
 val verify_sign : registry -> node:int -> string -> tag -> bool
 
-(** Simulated CPU costs, charged to the forwarding path by the overlay node
-    model (calibrated to commodity-server magnitudes). *)
+(** Modelled CPU costs (calibrated to commodity-server magnitudes). Only
+    the SCADA experiment's analytic model ([Strovl_expt.Scada]) reads
+    them; the overlay node's per-packet CPU cost is its own configured
+    value and does not include them. *)
 
 val mac_cost : Strovl_sim.Time.t
 (** ~1 µs: a short-message MAC. *)

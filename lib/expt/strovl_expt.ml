@@ -135,22 +135,12 @@ let isolated ?trace ?series ?(audit = false) run query =
 let run_isolated ?trace ?series ?audit ?quick ~seed (e : experiment) query =
   isolated ?trace ?series ?audit (fun () -> e.run ?quick ~seed ()) query
 
-(* Fans experiments over a domain pool; the outcome array is in input
-   order (Strovl_par.Pool's determinism contract), so printing it from the
-   main domain reproduces the sequential catalogue order byte for byte.
-   With [traced], each run arms the flight recorder at its default
-   capacity and its outcome carries the run's trace digest as a
-   determinism fingerprint. *)
-let run_many ?jobs ?quick ?(traced = false) ~seed (es : experiment list) =
-  let trace = if traced then Some Strovl_obs.Trace.default_capacity else None in
+(* [run_isolated] mapped over (experiment, seed) pairs on a domain pool,
+   with the same arming; [query e table] runs inside each run's context.
+   The outcome array is in input order (Strovl_par.Pool's determinism
+   contract), so printing it from the main domain reproduces the
+   sequential order byte for byte for every [jobs]. *)
+let run_many ?jobs ?trace ?series ?audit ?quick runs query =
   Strovl_par.Pool.map ?jobs
-    (fun _ e ->
-      run_isolated ?trace ?quick ~seed e (fun table ->
-          (table, if traced then Some (Strovl_obs.Trace.digest ()) else None)))
-    (Array.of_list es)
-
-(* One experiment across many seeds, one isolated run per seed. *)
-let sweep ?jobs ?quick (e : experiment) ~seeds =
-  Strovl_par.Pool.map ?jobs
-    (fun _ seed -> run_isolated ?quick ~seed e Fun.id)
-    (Array.of_list seeds)
+    (fun _ (e, seed) -> run_isolated ?trace ?series ?audit ?quick ~seed e (query e))
+    (Array.of_list runs)

@@ -102,18 +102,21 @@ let msg_sizes () =
   check_bool "lsu grows with links" true (Wire.size lsu2 > Wire.size lsu)
 
 let msg_signable () =
-  let lsu links seq =
-    Msg.Lsu { origin = 3; lsu_seq = seq; links; auth = None }
+  let lsu ?auth links seq =
+    Msg.Lsu { origin = 3; lsu_seq = seq; links; auth }
   in
   let l1 = [ (0, { Msg.li_up = true; li_metric = 5; li_loss = 0 }) ] in
   let l2 = [ (0, { Msg.li_up = false; li_metric = 5; li_loss = 0 }) ] in
-  check_bool "state matters" true (Msg.signable (lsu l1 1) <> Msg.signable (lsu l2 1));
-  check_bool "seq matters" true (Msg.signable (lsu l1 1) <> Msg.signable (lsu l1 2));
+  let signable = Wire.flood_signable in
+  check_bool "state matters" true (signable (lsu l1 1) <> signable (lsu l2 1));
+  check_bool "seq matters" true (signable (lsu l1 1) <> signable (lsu l1 2));
+  check_bool "auth is not covered" true
+    (signable (lsu ~auth:42L l1 1) = signable (lsu l1 1));
   List.iter
     (fun msg ->
       Alcotest.check_raises "hop-local not signable"
-        (Invalid_argument "Msg.signable: hop-local message") (fun () ->
-          ignore (Msg.signable msg)))
+        (Invalid_argument "Wire.flood_signable: hop-local message") (fun () ->
+          ignore (signable msg)))
     [
       Msg.Hello { hseq = 1; sent_at = 0 };
       Msg.Data { cls = 0; lseq = 1; pkt = packet (); auth = None };

@@ -304,9 +304,9 @@ let monitor_seeded_rtt_ewma () =
   check_bool "about 0.88 of the configured metric" true
     (advertised > Time.ms 8 && advertised < Time.ms 9)
 
-let monitor_echoes_legacy_probe () =
-  (* Peers built before the hello protocol became the only monitor may
-     still probe: a Probe is echoed as a Probe_ack, statelessly. *)
+let monitor_ignores_probe () =
+  (* Nothing sends the legacy Probe any more, and no version-3 peer can:
+     a received Probe or Probe_ack makes the node send nothing. *)
   let engine = Engine.create ~seed:1L () in
   let graph = Graph.create ~n:2 in
   let link = Graph.add_link graph 0 1 in
@@ -315,9 +315,8 @@ let monitor_echoes_legacy_probe () =
   Node.attach_link node ~link ~bandwidth_bps:1_000_000_000
     ~xmit:(fun msg -> sent := msg :: !sent);
   Node.receive node ~link (Strovl.Msg.Probe { pseq = 42; sent_at = 1234 });
-  match !sent with
-  | [ Strovl.Msg.Probe_ack { pseq = 42; echo = 1234 } ] -> ()
-  | _ -> Alcotest.fail "expected exactly one Probe_ack echoing the probe"
+  Node.receive node ~link (Strovl.Msg.Probe_ack { pseq = 42; echo = 1234 });
+  check_int "nothing sent" 0 (List.length !sent)
 
 let monitor_metric_fits_lsu () =
   (* A forged hello echo of time 0 after 2^34 us (about 4.8 h) of uptime
@@ -561,8 +560,7 @@ let () =
           Alcotest.test_case "timeout verdict" `Quick
             monitor_verdict_flips_on_failure;
           Alcotest.test_case "seeded rtt ewma" `Quick monitor_seeded_rtt_ewma;
-          Alcotest.test_case "legacy probe echoed" `Quick
-            monitor_echoes_legacy_probe;
+          Alcotest.test_case "probe ignored" `Quick monitor_ignores_probe;
           Alcotest.test_case "metric fits the LSU" `Quick
             monitor_metric_fits_lsu;
         ] );

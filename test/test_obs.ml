@@ -256,6 +256,53 @@ let export_golden_summaries () =
             other)));
   T.disable ()
 
+(* `strovl_run trace` is the one view of a traced run's drop reasons,
+   per-link utilization and summary: on fig3-recovery at quick, its text
+   summary lists the wire-loss drops and one per-link row for each link
+   the metrics registry saw, and its JSON carries the drop reasons and the
+   metrics dump. *)
+let export_trace_summary () =
+  let text, links, json =
+    Strovl_expt.run_isolated ~trace:T.default_capacity ~quick:true ~seed:7L
+      (Option.get (Strovl_expt.find "fig3-recovery"))
+      (fun _table ->
+        ( Format.asprintf "%t" E.print_summary,
+          E.links_table (),
+          E.summary_json () ))
+  in
+  let lines = String.split_on_char '\n' text in
+  (* The lines after [heading] up to the next blank one. *)
+  let section heading =
+    let rec skip = function
+      | [] -> []
+      | l :: rest -> if l = heading then take rest else skip rest
+    and take = function
+      | l :: rest when l <> "" -> l :: take rest
+      | _ -> []
+    in
+    skip lines
+  in
+  check_bool "a wire-loss drop reason" true
+    (List.exists
+       (fun l -> String.starts_with ~prefix:"  wire-loss " l)
+       (section "top drop reasons:"));
+  check_bool "links in the registry" true (links <> []);
+  Alcotest.(check (list string))
+    "one per-link row per link"
+    (List.map
+       (fun (lbl, p, b, d) -> Printf.sprintf "  %-10s %10d %14d %8d" lbl p b d)
+       links)
+    (List.tl (section "per-link utilization:"));
+  let has sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length json && (String.sub json i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check_bool "json drops" true (has "\"drops\":{");
+  check_bool "json metrics" true (has "\"metrics\":[")
+
 (* ------------------------- Series bucketing -------------------------- *)
 
 (* The time axis of Metrics: every update of a handle, counter or
@@ -499,6 +546,7 @@ let () =
           Alcotest.test_case "path and drops" `Quick export_path_and_drops;
           Alcotest.test_case "path of a live flow" `Quick export_path_live_flow;
           Alcotest.test_case "summary goldens" `Quick export_golden_summaries;
+          Alcotest.test_case "trace summary of a run" `Quick export_trace_summary;
         ] );
       ( "series",
         [ Alcotest.test_case "bucketing and ring" `Quick series_bucketing ] );

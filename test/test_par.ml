@@ -75,19 +75,18 @@ let pool_outcome_exn () =
    independent of which domain executed it and what ran there before. *)
 let parallel_determinism () =
   let seed = 3L in
-  let render outcomes =
-    Array.to_list outcomes
-    |> List.map (fun o ->
-           let table, digest = Pool.outcome_exn o in
-           Printf.sprintf "%s digest=%Lx" (Strovl_expt.Table.to_json table)
-             (Option.value ~default:0L digest))
+  let render jobs =
+    Strovl_expt.run_many ~jobs ~trace:Strovl_obs.Trace.default_capacity
+      ~quick:true
+      (List.map (fun e -> (e, seed)) Strovl_expt.all)
+      (fun _ table ->
+        Printf.sprintf "%s digest=%Lx" (Strovl_expt.Table.to_json table)
+          (Strovl_obs.Trace.digest ()))
+    |> Array.to_list
+    |> List.map Pool.outcome_exn
   in
-  let seq =
-    render (Strovl_expt.run_many ~jobs:1 ~quick:true ~traced:true ~seed Strovl_expt.all)
-  in
-  let par =
-    render (Strovl_expt.run_many ~jobs:4 ~quick:true ~traced:true ~seed Strovl_expt.all)
-  in
+  let seq = render 1 in
+  let par = render 4 in
   check_int "same experiment count" (List.length seq) (List.length par);
   List.iteri
     (fun i (s, p) -> check_string (Printf.sprintf "experiment %d" i) s p)
