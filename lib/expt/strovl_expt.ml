@@ -136,11 +136,12 @@ let run_isolated ?trace ?series ?audit ?quick ~seed (e : experiment) query =
   isolated ?trace ?series ?audit (fun () -> e.run ?quick ~seed ()) query
 
 (* [run_isolated] mapped over (experiment, seed) pairs on a domain pool,
-   with the same arming; [query e table] runs inside each run's context.
+   with the same [trace] and [audit] arming; [query e table] runs inside
+   each run's context.
    The outcome array is in input order (Strovl_par.Pool's determinism
    contract), so printing it from the main domain reproduces the
    sequential order byte for byte for every [jobs]. *)
-let run_many ?jobs ?trace ?series ?audit ?quick runs query =
+let run_many ?jobs ?trace ?audit ?quick runs query =
   Strovl_par.Pool.map ?jobs
-    (fun _ (e, seed) -> run_isolated ?trace ?series ?audit ?quick ~seed e (query e))
+    (fun _ (e, seed) -> run_isolated ?trace ?audit ?quick ~seed e (query e))
     (Array.of_list runs)
