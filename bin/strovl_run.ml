@@ -10,7 +10,8 @@
      packet's causal path.
    - [path]: the causal path of one packet or flow, per run.
    - [series]: an experiment's metrics over time, one channel per metric
-     that received samples, one timeline per run (row) of the experiment.
+     that received samples, one timeline per run of the experiment; run n
+     is the experiment's n-th run in table order.
    - [audit]: experiments under the online invariant auditor; violations
      are printed with their causal path and the exit status is 1.
    - [health]: the US backbone's per-endpoint hello-protocol estimates.
@@ -290,9 +291,21 @@ let audit_main ids quick seed capacity json =
 
 (* ------------------------------- traces ------------------------------ *)
 
-(* "src:sport:dst:dport" (as printed by the summaries) -> flow_id. *)
+(* "src:sport->dst:dport" (as trace, path and audit print a flow) or
+   "src:sport:dst:dport" (no shell quoting needed) -> flow_id. *)
 let parse_flow s =
-  match List.map int_of_string_opt (String.split_on_char ':' s) with
+  let ints s = List.map int_of_string_opt (String.split_on_char ':' s) in
+  let fields =
+    match String.index_opt s '>' with
+    | None -> ints s
+    | Some i when i > 0 && s.[i - 1] = '-' -> (
+      let tail = String.sub s (i + 1) (String.length s - i - 1) in
+      match (ints (String.sub s 0 (i - 1)), ints tail) with
+      | [ src; sport ], [ dst; dport ] -> [ src; sport; dst; dport ]
+      | _ -> [])
+    | Some _ -> []
+  in
+  match fields with
   | [ Some fi_src; Some fi_sport; Some fi_dst; Some fi_dport ] ->
     Some { Trace.fi_src; fi_sport; fi_dst; fi_dport }
   | _ -> None
@@ -322,7 +335,8 @@ let path_main one capacity flow_s seq =
   (* Reject a malformed --flow before paying for the run. *)
   match Option.map (fun s -> (s, parse_flow s)) flow_s with
   | Some (s, None) ->
-    Printf.eprintf "bad --flow %S (want src:sport:dst:dport)\n" s;
+    Printf.eprintf
+      "bad --flow %S (want src:sport->dst:dport or src:sport:dst:dport)\n" s;
     1
   | explicit ->
     observe_one one ~trace:capacity (fun _table ->
@@ -478,7 +492,10 @@ let trace_cmd =
 
 let path_cmd =
   let flow =
-    let doc = "Flow to trace, as src:sport:dst:dport (default: a sampled packet)." in
+    let doc =
+      "Flow to trace, as src:sport->dst:dport (as trace prints it; quote it \
+       for the shell) or src:sport:dst:dport (default: a sampled packet)."
+    in
     Arg.(value & opt (some string) None & info [ "flow" ] ~doc)
   in
   let seq =

@@ -30,22 +30,14 @@ let run_protocol name service =
   in
   (* 30 seconds of 8 Mbit/s video in 1316-byte TS bundles. *)
   let count = 25_000 in
-  let sent = ref 0 in
-  let rec pump () =
-    if !sent < count then begin
-      Strovl.E2e.send e2e;
-      incr sent;
-      ignore (Engine.schedule engine ~delay:(Time.us 1316) pump)
-    end
-  in
-  pump ();
+  Strovl.E2e.stream e2e ~interval:(Time.us 1316) ~count;
   Engine.run engine;
   Printf.printf "%-18s on-time(200ms)=%.3f%%  late/lost=%d  wire overhead=%.3f\n"
     name
-    (100. *. Strovl_apps.Collect.on_time_fraction collect ~sent:!sent)
-    (!sent - Strovl_apps.Collect.on_time collect)
+    (100. *. Strovl_apps.Collect.on_time_fraction collect ~sent:count)
+    (count - Strovl_apps.Collect.on_time collect)
     (1.
-    +. float_of_int (Strovl.E2e.retransmissions e2e) /. float_of_int !sent)
+    +. float_of_int (Strovl.E2e.retransmissions e2e) /. float_of_int count)
 
 let rt n m =
   Strovl.E2e.Realtime

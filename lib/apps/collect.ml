@@ -1,10 +1,6 @@
 open Strovl_sim
 
-module FlowMap = Map.Make (struct
-  type t = Strovl.Packet.flow
-
-  let compare = Strovl.Packet.flow_compare
-end)
+module Flow_map = Strovl.Packet.Flow_map
 
 type t = {
   engine : Engine.t;
@@ -15,7 +11,7 @@ type t = {
   mutable n_received : int;
   mutable n_on_time : int;
   mutable n_late : int;
-  mutable next_seq : int FlowMap.t; (* expected next seq per flow *)
+  mutable next_seq : int Flow_map.t; (* expected next seq per flow *)
   mutable n_holes : int;
 }
 
@@ -29,7 +25,7 @@ let create ?deadline engine () =
     n_received = 0;
     n_on_time = 0;
     n_late = 0;
-    next_seq = FlowMap.empty;
+    next_seq = Flow_map.empty;
     n_holes = 0;
   }
 
@@ -48,10 +44,10 @@ let receiver t pkt =
     else t.n_late <- t.n_late + 1
   | None -> t.n_on_time <- t.n_on_time + 1);
   let flow = pkt.Strovl.Packet.flow in
-  let expected = Option.value ~default:0 (FlowMap.find_opt flow t.next_seq) in
+  let expected = Option.value ~default:0 (Flow_map.find_opt flow t.next_seq) in
   let seq = pkt.Strovl.Packet.seq in
   if seq > expected then t.n_holes <- t.n_holes + (seq - expected);
-  if seq >= expected then t.next_seq <- FlowMap.add flow (seq + 1) t.next_seq
+  if seq >= expected then t.next_seq <- Flow_map.add flow (seq + 1) t.next_seq
 
 let attach t client ?reorder () =
   Strovl.Client.set_receiver client ?reorder (receiver t)

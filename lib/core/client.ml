@@ -1,17 +1,13 @@
 open Strovl_sim
 
-module FlowMap = Map.Make (struct
-  type t = Packet.flow
-
-  let compare = Packet.flow_compare
-end)
+module Flow_map = Packet.Flow_map
 
 type t = {
   node : Node.t;
   port : int;
   mutable app : (Packet.t -> unit) option;
   mutable reorder : bool;
-  mutable buffers : Deliver.t FlowMap.t;
+  mutable buffers : Deliver.t Flow_map.t;
 }
 
 let deliver_app t pkt = match t.app with None -> () | Some f -> f pkt
@@ -28,21 +24,21 @@ let on_packet t pkt =
   else begin
     let flow = pkt.Packet.flow in
     let buf =
-      match FlowMap.find_opt flow t.buffers with
+      match Flow_map.find_opt flow t.buffers with
       | Some b -> b
       | None ->
         let b =
           Deliver.create (Node.engine t.node) (mode_for pkt)
             ~deliver:(deliver_app t)
         in
-        t.buffers <- FlowMap.add flow b t.buffers;
+        t.buffers <- Flow_map.add flow b t.buffers;
         b
     in
     Deliver.push buf pkt
   end
 
 let attach node ~port =
-  let t = { node; port; app = None; reorder = true; buffers = FlowMap.empty } in
+  let t = { node; port; app = None; reorder = true; buffers = Flow_map.empty } in
   Node.register_session node ~port ~deliver:(on_packet t);
   t
 

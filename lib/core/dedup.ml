@@ -1,8 +1,4 @@
-module FlowMap = Map.Make (struct
-  type t = Packet.flow
-
-  let compare = Packet.flow_compare
-end)
+module Flow_map = Packet.Flow_map
 
 type window = {
   bits : Bytes.t; (* ring of seen flags indexed by seq mod window *)
@@ -13,24 +9,24 @@ type window = {
 let window_len = 4096
 
 type t = {
-  mutable map : window FlowMap.t;
+  mutable map : window Flow_map.t;
   (* Last flow touched: packets arrive in per-flow bursts, so one memo slot
      skips the map descent (and its option allocation) almost always. *)
   mutable last : (Packet.flow * window) option;
 }
 
-let create () = { map = FlowMap.empty; last = None }
+let create () = { map = Flow_map.empty; last = None }
 
 let get_window t flow =
   match t.last with
   | Some (f, w) when f == flow || Packet.flow_compare f flow = 0 -> w
   | _ ->
     let w =
-      match FlowMap.find_opt flow t.map with
+      match Flow_map.find_opt flow t.map with
       | Some w -> w
       | None ->
         let w = { bits = Bytes.make window_len '\000'; high = -1 } in
-        t.map <- FlowMap.add flow w t.map;
+        t.map <- Flow_map.add flow w t.map;
         w
     in
     t.last <- Some (flow, w);
@@ -71,9 +67,9 @@ let peek t flow seq =
   | Some (f, w) when f == flow || Packet.flow_compare f flow = 0 -> (
     match lookup w seq with `Old | `Seen -> true | `Fresh | `Ahead -> false)
   | _ -> (
-    match FlowMap.find_opt flow t.map with
+    match Flow_map.find_opt flow t.map with
     | None -> false
     | Some w -> (
       match lookup w seq with `Old | `Seen -> true | `Fresh | `Ahead -> false))
 
-let flows t = FlowMap.cardinal t.map
+let flows t = Flow_map.cardinal t.map

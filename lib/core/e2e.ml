@@ -104,4 +104,13 @@ let send t =
   | S_rt p -> Realtime_link.send p pkt
   | S_fec p -> Fec_link.send p pkt
 
+let stream t ~interval ~count =
+  let rec pump sent () =
+    if sent < count then begin
+      send t;
+      ignore (Engine.schedule t.engine ~delay:interval (pump (sent + 1)))
+    end
+  in
+  pump 0 ()
+
 let retransmissions t = !(t.data_tx) - t.seq

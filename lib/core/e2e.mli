@@ -33,6 +33,9 @@ val create :
 val send : t -> unit
 (** Sends the next packet of the end-to-end stream, 1200 bytes. *)
 
+val stream : t -> interval:Strovl_sim.Time.t -> count:int -> unit
+(** Schedules [count] {!send}s: the first now, then one per [interval]. *)
+
 val retransmissions : t -> int
 (** Redundant sends: the [Data] and [Fec_parity] messages the sender (the
     link's [a] endpoint) has handed to the path, minus the packets {!send}

@@ -1,10 +1,6 @@
 open Strovl_sim
 
-module FlowMap = Map.Make (struct
-  type t = Packet.flow
-
-  let compare = Packet.flow_compare
-end)
+module Flow_map = Packet.Flow_map
 
 (* Buffer per flow, in packets queued or unacked. *)
 let flow_cap = 32
@@ -24,7 +20,7 @@ type entry = {
 type t = {
   ctx : Lproto.ctx;
   cls : int;
-  mutable flows : entry Queue.t FlowMap.t; (* per-flow buffer, oldest first *)
+  mutable flows : entry Queue.t Flow_map.t; (* per-flow buffer, oldest first *)
   rotation : Packet.flow Queue.t;
   in_rotation : (Packet.flow, unit) Hashtbl.t;
   by_lseq : (int, Packet.flow * entry) Hashtbl.t;
@@ -37,11 +33,11 @@ type t = {
 let base_rto t = Time.max (Time.ms 5) (3 * t.ctx.Lproto.rtt_hint)
 
 let flow_queue t flow =
-  match FlowMap.find_opt flow t.flows with
+  match Flow_map.find_opt flow t.flows with
   | Some q -> q
   | None ->
     let q = Queue.create () in
-    t.flows <- FlowMap.add flow q t.flows;
+    t.flows <- Flow_map.add flow q t.flows;
     q
 
 let enter_rotation t flow =
@@ -120,7 +116,7 @@ let create ctx =
     {
       ctx;
       cls = Packet.service_class Packet.It_reliable;
-      flows = FlowMap.empty;
+      flows = Flow_map.empty;
       rotation = Queue.create ();
       in_rotation = Hashtbl.create 16;
       by_lseq = Hashtbl.create 64;
@@ -138,7 +134,7 @@ let create ctx =
   t
 
 let can_accept t ~flow =
-  match FlowMap.find_opt flow t.flows with
+  match Flow_map.find_opt flow t.flows with
   | None -> true
   | Some q -> Queue.length q < flow_cap
 
@@ -195,4 +191,4 @@ let recv t = function
   | Msg.It_ack { lseq } -> handle_ack t lseq
   | _ -> ()
 
-let total_buffered t = FlowMap.fold (fun _ q acc -> acc + Queue.length q) t.flows 0
+let total_buffered t = Flow_map.fold (fun _ q acc -> acc + Queue.length q) t.flows 0

@@ -109,6 +109,12 @@ let flow_compare a b =
     end
   end
 
+module Flow_map = Map.Make (struct
+  type t = flow
+
+  let compare = flow_compare
+end)
+
 let pp_dest ppf = function
   | To_node n -> Format.fprintf ppf "node:%d" n
   | To_group g -> Format.fprintf ppf "group:%d" g

@@ -117,4 +117,8 @@ val obs_flow : flow -> Strovl_obs.Trace.flow_id
     destinations are offset into distinct integer ranges). *)
 
 val flow_compare : flow -> flow -> int
+
+module Flow_map : Map.S with type key = flow
+(** Maps keyed by flow, in {!flow_compare} order. *)
+
 val pp : Format.formatter -> t -> unit

@@ -28,15 +28,8 @@ let run_case ~seed ~duration ~offered_pps ~cluster =
     }
   in
   let sim = Common.build ~config ~seed (Gen.chain ~n:3 ~hop_delay:(Time.ms 10)) in
-  let tx = Strovl.Client.attach (Strovl.Net.node sim.net 0) ~port:1 in
-  let rx = Strovl.Client.attach (Strovl.Net.node sim.net 2) ~port:2 in
-  let collect = Strovl_apps.Collect.create sim.engine () in
-  Strovl_apps.Collect.attach collect rx ();
-  let sender =
-    Strovl.Client.sender tx ~dest:(Strovl.Packet.To_node 2) ~dport:2 ()
-  in
-  let source =
-    Strovl_apps.Source.start ~engine:sim.engine ~sender
+  let collect, source =
+    Common.start_flow sim ~src:0 ~sport:1 ~dst:2 ~dport:2
       ~interval:(max 1 (1_000_000 / offered_pps))
       ~bytes:400 ()
   in

@@ -49,28 +49,37 @@ let link_health sim =
         [ min a b; max a b ])
     (List.init (Graph.link_count graph) Fun.id)
 
-let flow_stats sim ~src ~dst ~service ?(route = Strovl.Client.Table) ?deadline
-    ?(interval = Time.ms 10) ?(bytes = 1200) ?(count = 500)
-    ?(drain = Time.sec 2) () =
-  let sport = 4000 + src and dport = 5000 + dst in
+let start_flow sim ~src ~sport ~dst ~dport ?service ?route ?deadline ?count
+    ~interval ~bytes () =
   let tx = Strovl.Client.attach (Strovl.Net.node sim.net src) ~port:sport in
   let rx = Strovl.Client.attach (Strovl.Net.node sim.net dst) ~port:dport in
   let collect = Strovl_apps.Collect.create ?deadline sim.engine () in
   Strovl_apps.Collect.attach collect rx ();
   let sender =
-    Strovl.Client.sender tx ~service ~route ~dest:(Strovl.Packet.To_node dst)
+    Strovl.Client.sender tx ?service ?route ~dest:(Strovl.Packet.To_node dst)
       ~dport ()
   in
-  let source =
-    Strovl_apps.Source.start ~engine:sim.engine ~sender ~interval ~bytes ~count
-      ()
+  ( collect,
+    Strovl_apps.Source.start ?count ~engine:sim.engine ~sender ~interval ~bytes
+      () )
+
+let flow_stats sim ~src ~dst ~service ?route ?deadline ?(interval = Time.ms 10)
+    ?(bytes = 1200) ?(count = 500) ?(drain = Time.sec 2) () =
+  let collect, source =
+    start_flow sim ~src ~sport:(4000 + src) ~dst ~dport:(5000 + dst) ~service
+      ?route ?deadline ~count ~interval ~bytes ()
   in
   run_for sim (interval * count);
   run_for sim drain;
-  let sent = Strovl_apps.Source.sent source in
-  Strovl.Client.detach tx;
-  Strovl.Client.detach rx;
-  (collect, sent)
+  (collect, Strovl_apps.Source.sent source)
+
+let total_forwarded sim =
+  let acc = ref 0 in
+  for i = 0 to Strovl.Net.nnodes sim.net - 1 do
+    let c = Strovl.Node.counters (Strovl.Net.node sim.net i) in
+    acc := !acc + c.Strovl.Node.forwarded
+  done;
+  !acc
 
 let fail_link_on_isp sim ~link ~isp =
   let underlay = Strovl.Net.underlay sim.net in

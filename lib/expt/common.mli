@@ -36,6 +36,26 @@ val link_health : sim -> Strovl_obs.Health.t list
 (** Every link endpoint's hello-protocol estimate ({!Strovl.Node.link_health}),
     ordered by (link, node). *)
 
+val start_flow :
+  sim ->
+  src:int ->
+  sport:int ->
+  dst:int ->
+  dport:int ->
+  ?service:Strovl.Packet.service ->
+  ?route:Strovl.Client.route_pref ->
+  ?deadline:Time.t ->
+  ?count:int ->
+  interval:Time.t ->
+  bytes:int ->
+  unit ->
+  Strovl_apps.Collect.t * Strovl_apps.Source.t
+(** Starts one src→dst flow: clients at [src]:[sport] and [dst]:[dport], a
+    collector on the second, and a {!Strovl_apps.Source} sending from the
+    first. [service] and [route] default as in {!Strovl.Client.sender},
+    [deadline] as in {!Strovl_apps.Collect.create}; without [count] the
+    source sends until stopped. Returns (collector, source). *)
+
 val flow_stats :
   sim ->
   src:int ->
@@ -49,8 +69,12 @@ val flow_stats :
   ?drain:Time.t ->
   unit ->
   Strovl_apps.Collect.t * int
-(** Runs one src→dst flow to completion and returns (collector, sent).
-    [drain] extends the run after the source stops (default 2 s). *)
+(** {!start_flow} from port [4000 + src] to port [5000 + dst], run to
+    completion; returns (collector, sent). [drain] extends the run after
+    the source stops (default 2 s). *)
+
+val total_forwarded : sim -> int
+(** Data packets sent onward so far, summed over every node. *)
 
 val fail_link_everywhere : sim -> link:int -> unit
 (** Fails every fiber segment directly joining the link's endpoints, on all

@@ -90,7 +90,7 @@ let run_case ~seed ~duration ~crash =
 let run ?(quick = false) ~seed () =
   let duration = if quick then Time.sec 4 else Time.sec 10 in
   let rows =
-    run_case ~seed ~duration ~crash:false @ run_case ~seed ~duration ~crash:true
+    List.concat_map (fun crash -> run_case ~seed ~duration ~crash) [ false; true ]
   in
   Table.make ~id:"compound-flow"
     ~title:

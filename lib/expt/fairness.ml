@@ -22,26 +22,22 @@ let config ~mode =
     node = { Strovl.Node.default_config with Strovl.Node.it_priority = mode };
   }
 
-let run_case ~seed ~duration ~attack_pps mode_name mode =
+let schedulers =
+  [
+    ("fifo", Strovl.It_priority.Fifo);
+    ("round-robin", Strovl.It_priority.Round_robin);
+  ]
+
+let run_case ~seed ~duration ~attack_pps (mode_name, mode) =
   let sim = Common.build ~config:(config ~mode) ~seed (Gen.us_backbone ()) in
   (* Correct sources: 100 pps x 400 B = 320 kbit/s each. *)
   let flows =
     List.map
       (fun s ->
-        let tx = Strovl.Client.attach (Strovl.Net.node sim.net s) ~port:600 in
-        let rx =
-          Strovl.Client.attach (Strovl.Net.node sim.net sink) ~port:(700 + s)
-        in
-        let collect = Strovl_apps.Collect.create sim.engine () in
-        Strovl_apps.Collect.attach collect rx ();
-        let sender =
-          Strovl.Client.sender tx
-            ~service:(Strovl.Packet.It_priority 1)
-            ~dest:(Strovl.Packet.To_node sink) ~dport:(700 + s) ()
-        in
-        let src =
-          Strovl_apps.Source.start ~engine:sim.engine ~sender
-            ~interval:(Time.ms 10) ~bytes:400 ()
+        let collect, src =
+          Common.start_flow sim ~src:s ~sport:600 ~dst:sink ~dport:(700 + s)
+            ~service:(Strovl.Packet.It_priority 1) ~interval:(Time.ms 10)
+            ~bytes:400 ()
         in
         (s, collect, src))
       correct_sources
@@ -70,10 +66,8 @@ let run ?(quick = false) ~seed () =
   let rates = if quick then [ 0; 5000 ] else [ 0; 1000; 5000; 20000 ] in
   let rows =
     List.concat_map
-      (fun pps ->
-        run_case ~seed ~duration ~attack_pps:pps "fifo" Strovl.It_priority.Fifo
-        @ run_case ~seed ~duration ~attack_pps:pps "round-robin"
-            Strovl.It_priority.Round_robin)
+      (fun attack_pps ->
+        List.concat_map (run_case ~seed ~duration ~attack_pps) schedulers)
       rates
   in
   Table.make ~id:"fairness"

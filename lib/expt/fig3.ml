@@ -32,19 +32,11 @@ let run_e2e ~seed ~p ~count =
       ~service:Strovl.E2e.Reliable
       ~deliver:(Strovl_apps.Collect.receiver collect)
   in
-  let sent = ref 0 in
-  let rec pump () =
-    if !sent < count then begin
-      Strovl.E2e.send e2e;
-      incr sent;
-      ignore (Engine.schedule engine ~delay:interval pump)
-    end
-  in
-  pump ();
+  Strovl.E2e.stream e2e ~interval ~count;
   Engine.run ~until:(interval * count + Time.sec 5) engine;
-  (collect, !sent)
+  (collect, count)
 
-let run_overlay ~seed ~p ~count ~in_order =
+let run_overlay ~in_order ~seed ~p ~count =
   let config =
     {
       Strovl.Net.default_config with
@@ -60,7 +52,15 @@ let run_overlay ~seed ~p ~count ~in_order =
   Common.flow_stats sim ~src:0 ~dst:hops ~service:Strovl.Packet.Reliable
     ~interval ~count ~drain:(Time.sec 5) ()
 
-let row name p (collect, sent) =
+let schemes =
+  [
+    ("e2e-arq", run_e2e);
+    ("hop-by-hop", run_overlay ~in_order:false);
+    ("hbh-in-order", run_overlay ~in_order:true);
+  ]
+
+let row ~seed ~count p (name, scheme) =
+  let collect, sent = scheme ~seed ~p ~count in
   [
     Printf.sprintf "%.1f%%" (100. *. p);
     name;
@@ -75,14 +75,7 @@ let run ?(quick = false) ~seed () =
   let count = if quick then 400 else 4000 in
   let losses = if quick then [ 0.01 ] else [ 0.001; 0.01; 0.02; 0.05 ] in
   let rows =
-    List.concat_map
-      (fun p ->
-        [
-          row "e2e-arq" p (run_e2e ~seed ~p ~count);
-          row "hop-by-hop" p (run_overlay ~seed ~p ~count ~in_order:false);
-          row "hbh-in-order" p (run_overlay ~seed ~p ~count ~in_order:true);
-        ])
-      losses
+    List.concat_map (fun p -> List.map (row ~seed ~count p) schemes) losses
   in
   Table.make ~id:"fig3-recovery"
     ~title:

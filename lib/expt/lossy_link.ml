@@ -58,7 +58,7 @@ let run_mode ~seed ~count loss_aware =
 
 let run ?(quick = false) ~seed () =
   let count = if quick then 300 else 2000 in
-  let rows = [ run_mode ~seed ~count false; run_mode ~seed ~count true ] in
+  let rows = List.map (run_mode ~seed ~count) [ false; true ] in
   Table.make ~id:"lossy-link"
     ~title:
       "A 15%-lossy (but alive) link on the best SEA->MIA path: routing on \

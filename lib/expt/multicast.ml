@@ -17,13 +17,6 @@ let source = 0 (* SEA *)
 (* Receivers in a deterministic spread order across the US topology. *)
 let member_order = [ 8; 11; 2; 6; 9; 4; 3; 7; 10; 5; 1 ]
 
-let total_forwarded net =
-  let acc = ref 0 in
-  for i = 0 to Strovl.Net.nnodes net - 1 do
-    acc := !acc + (Strovl.Node.counters (Strovl.Net.node net i)).Strovl.Node.forwarded
-  done;
-  !acc
-
 let run_size ~seed ~count size =
   let sim = Common.build ~seed (Gen.us_backbone ()) in
   let members = List.filteri (fun i _ -> i < size) member_order in
@@ -43,14 +36,14 @@ let run_size ~seed ~count size =
   let sender =
     Strovl.Client.sender tx ~dest:(Strovl.Packet.To_group group) ~dport:300 ()
   in
-  let before = total_forwarded sim.net in
+  let before = Common.total_forwarded sim in
   for _ = 1 to count do
     ignore (Strovl.Client.send sender ~bytes:1316 ());
     Common.run_for sim (Time.ms 2)
   done;
   Common.run_for sim (Time.sec 1);
   let tree_tx_per_pkt =
-    float_of_int (total_forwarded sim.net - before) /. float_of_int count
+    float_of_int (Common.total_forwarded sim - before) /. float_of_int count
   in
   let delivered =
     List.fold_left (fun acc (_, got) -> acc + !got) 0 rxs

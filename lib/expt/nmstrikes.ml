@@ -47,6 +47,12 @@ let variants =
     { name = "nm-strikes(3,3)"; service = Strovl.E2e.Realtime (rt 3 3) };
   ]
 
+(* A table row: one end-to-end variant, or the overlay running NM-Strikes
+   per link. *)
+type protocol = E2e of variant | Hbh_overlay
+
+let protocols = List.map (fun v -> E2e v) variants @ [ Hbh_overlay ]
+
 let run_variant ~seed ~mean_loss ~burst ~count v =
   let engine = Common.engine ~seed in
   let spec = Gen.chain ~n:2 ~hop_delay:path_delay in
@@ -71,20 +77,12 @@ let run_variant ~seed ~mean_loss ~burst ~count v =
     Strovl.E2e.create engine link ~service:v.service
       ~deliver:(Strovl_apps.Collect.receiver collect)
   in
-  let sent = ref 0 in
-  let rec pump () =
-    if !sent < count then begin
-      Strovl.E2e.send e2e;
-      incr sent;
-      ignore (Engine.schedule engine ~delay:interval pump)
-    end
-  in
-  pump ();
+  Strovl.E2e.stream e2e ~interval ~count;
   Engine.run ~until:(interval * count + Time.sec 2) engine;
-  let on_time = Strovl_apps.Collect.on_time_fraction collect ~sent:!sent in
+  let on_time = Strovl_apps.Collect.on_time_fraction collect ~sent:count in
   let overhead =
     1.
-    +. (float_of_int (Strovl.E2e.retransmissions e2e) /. float_of_int !sent)
+    +. (float_of_int (Strovl.E2e.retransmissions e2e) /. float_of_int count)
   in
   (on_time, overhead)
 
@@ -121,45 +119,32 @@ let run ?(quick = false) ~seed () =
     else
       [ (0.01, Time.ms 60); (0.01, Time.ms 100); (0.025, Time.ms 100); (0.05, Time.ms 100) ]
   in
+  let row (mean_loss, burst) protocol =
+    let cond = Printf.sprintf "%.1f%%/%dms" (100. *. mean_loss) (burst / 1000) in
+    match protocol with
+    | Hbh_overlay ->
+      let on_time = run_overlay_hbh ~seed ~mean_loss ~burst ~count in
+      [ cond; "nm-hbh-overlay"; Table.cell_pct on_time; "-"; "-" ]
+    | E2e v ->
+      let on_time, overhead = run_variant ~seed ~mean_loss ~burst ~count v in
+      let predicted =
+        match v.service with
+        | Strovl.E2e.Realtime cfg ->
+          1. +. (float_of_int cfg.Strovl.Realtime_link.m_retrans *. mean_loss)
+        | Strovl.E2e.Fec ->
+          1. +. (float_of_int Strovl.Fec_link.r /. float_of_int Strovl.Fec_link.k)
+        | Strovl.E2e.Best_effort | Strovl.E2e.Reliable -> 1.
+      in
+      [
+        cond;
+        v.name;
+        Table.cell_pct on_time;
+        Table.cell_f overhead;
+        Table.cell_f predicted;
+      ]
+  in
   let rows =
-    List.concat_map
-      (fun (mean_loss, burst) ->
-        let hbh_row =
-          let on_time = run_overlay_hbh ~seed ~mean_loss ~burst ~count in
-          [
-            Printf.sprintf "%.1f%%/%dms" (100. *. mean_loss) (burst / 1000);
-            "nm-hbh-overlay";
-            Table.cell_pct on_time;
-            "-";
-            "-";
-          ]
-        in
-        (List.map
-          (fun v ->
-            let on_time, overhead =
-              run_variant ~seed ~mean_loss ~burst ~count v
-            in
-            let predicted =
-              match v.service with
-              | Strovl.E2e.Realtime cfg ->
-                1. +. (float_of_int cfg.Strovl.Realtime_link.m_retrans *. mean_loss)
-              | Strovl.E2e.Fec ->
-                1.
-                +. (float_of_int Strovl.Fec_link.r
-                   /. float_of_int Strovl.Fec_link.k)
-              | Strovl.E2e.Best_effort | Strovl.E2e.Reliable -> 1.
-            in
-            [
-              Printf.sprintf "%.1f%%/%dms" (100. *. mean_loss)
-                (burst / 1000);
-              v.name;
-              Table.cell_pct on_time;
-              Table.cell_f overhead;
-              Table.cell_f predicted;
-            ])
-          variants)
-        @ [ hbh_row ])
-      conditions
+    List.concat_map (fun c -> List.map (row c) protocols) conditions
   in
   Table.make ~id:"fig4-nmstrikes"
     ~title:

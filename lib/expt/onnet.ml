@@ -58,7 +58,7 @@ let run_mode ~seed ~count offnet =
     Table.cell_ms (Strovl_apps.Collect.p99_ms collect);
   ]
 
-let delay_inflation () =
+let inflation_row () =
   (* Static: per-link off-net delay vs on-net delay across the topology. *)
   let engine = Common.engine ~seed:1L in
   let spec = Gen.us_backbone () in
@@ -73,22 +73,23 @@ let delay_inflation () =
       | Some on, Some off when on > 0 ->
         Stats.Series.add infl (float_of_int off /. float_of_int on)
       | _ -> ());
-  infl
+  [
+    "per-link delay inflation (off/on)";
+    Printf.sprintf "mean %.2fx" (Stats.Series.mean infl);
+    Printf.sprintf "max %.2fx" (Stats.Series.max infl);
+    "";
+  ]
 
 let run ?(quick = false) ~seed () =
   let count = if quick then 300 else 2000 in
-  let infl = delay_inflation () in
   let rows =
-    [
-      run_mode ~seed ~count false;
-      run_mode ~seed ~count true;
+    List.map
+      (fun row -> row ())
       [
-        "per-link delay inflation (off/on)";
-        Printf.sprintf "mean %.2fx" (Stats.Series.mean infl);
-        Printf.sprintf "max %.2fx" (Stats.Series.max infl);
-        "";
-      ];
-    ]
+        (fun () -> run_mode ~seed ~count false);
+        (fun () -> run_mode ~seed ~count true);
+        inflation_row;
+      ]
   in
   Table.make ~id:"onnet-offnet"
     ~title:

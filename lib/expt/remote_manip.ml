@@ -39,13 +39,6 @@ let schemes =
     ("flooding", Strovl.Client.Scheme Dissem.Flooding);
   ]
 
-let total_forwarded net =
-  let acc = ref 0 in
-  for i = 0 to Strovl.Net.nnodes net - 1 do
-    acc := !acc + (Strovl.Node.counters (Strovl.Net.node net i)).Strovl.Node.forwarded
-  done;
-  !acc
-
 let run_scheme ~seed ~count (name, route) =
   let config =
     {
@@ -56,7 +49,6 @@ let run_scheme ~seed ~count (name, route) =
   in
   let sim = Common.build ~config ~seed (Gen.us_backbone ()) in
   (* Problem area: bursty loss on every segment touching the source. *)
-  let spec = Strovl.Net.spec sim.net in
   let rng = sim.rng in
   Strovl_net.Underlay.set_all_segment_loss (Strovl.Net.underlay sim.net)
     (fun si s ->
@@ -69,15 +61,14 @@ let run_scheme ~seed ~count (name, route) =
           ~p_good_loss:0. ~p_bad_loss:1. ~mean_good:(Time.ms 160)
           ~mean_bad:(Time.ms 40)
       else Loss.perfect);
-  ignore spec;
-  let before = total_forwarded sim.net in
+  let before = Common.total_forwarded sim in
   let collect, sent =
     Common.flow_stats sim ~src ~dst
       ~service:(Strovl.Packet.Realtime { deadline })
       ~route ~deadline ~interval:(Time.ms 2) ~bytes:64 ~count ()
   in
   let copies =
-    float_of_int (total_forwarded sim.net - before) /. float_of_int (max 1 sent)
+    float_of_int (Common.total_forwarded sim - before) /. float_of_int (max 1 sent)
   in
   [
     name;

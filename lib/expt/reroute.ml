@@ -33,16 +33,9 @@ let overlay_scenario ?(hello_timeout = Strovl.Node.default_config.Strovl.Node.he
   let sim = Common.build ~config ~seed (Gen.us_backbone ()) in
   let path = Common.current_path_links sim ~src ~dst in
   let victim = List.nth path (List.length path / 2) in
-  let tx = Strovl.Client.attach (Strovl.Net.node sim.net src) ~port:100 in
-  let rx = Strovl.Client.attach (Strovl.Net.node sim.net dst) ~port:200 in
-  let collect = Strovl_apps.Collect.create sim.engine () in
-  Strovl_apps.Collect.attach collect rx ();
-  let sender =
-    Strovl.Client.sender tx ~service:Strovl.Packet.Best_effort
-      ~dest:(Strovl.Packet.To_node dst) ~dport:200 ()
-  in
-  let _source =
-    Strovl_apps.Source.start ~engine:sim.engine ~sender ~interval ~bytes:400 ()
+  let collect, _source =
+    Common.start_flow sim ~src ~sport:100 ~dst ~dport:200
+      ~service:Strovl.Packet.Best_effort ~interval ~bytes:400 ()
   in
   Common.run_for sim (Time.sec 5);
   Strovl_apps.Collect.reset_window collect;
@@ -95,30 +88,25 @@ let run ?(quick = false) ~seed () =
     else
       List.map
         (fun ht ->
-          [
-            Printf.sprintf "overlay reroute (hello timeout %dms)" (ht / 1000);
-            Table.cell_ms (overlay_scenario ~hello_timeout:ht ~seed ~all_isps:true ());
-          ])
+          ( Printf.sprintf "overlay reroute (hello timeout %dms)" (ht / 1000),
+            fun () -> overlay_scenario ~hello_timeout:ht ~seed ~all_isps:true () ))
         [ Time.ms 150; Time.ms 700 ]
   in
   let rows =
-    [
-      [
-        "overlay multihoming (1-ISP fault)";
-        Table.cell_ms (overlay_scenario ~seed ~all_isps:false ());
-      ];
-      [
-        "overlay reroute (all-ISP link fault)";
-        Table.cell_ms (overlay_scenario ~seed ~all_isps:true ());
-      ];
-    ]
-    @ timeout_rows
-    @ [
-        [
-          Printf.sprintf "direct IP (BGP convergence %ds)" (convergence / 1_000_000);
-          Table.cell_ms (bgp_scenario ~seed ~convergence);
-        ];
-      ]
+    List.map
+      (fun (name, max_gap) -> [ name; Table.cell_ms (max_gap ()) ])
+      ([
+         ( "overlay multihoming (1-ISP fault)",
+           fun () -> overlay_scenario ~seed ~all_isps:false () );
+         ( "overlay reroute (all-ISP link fault)",
+           fun () -> overlay_scenario ~seed ~all_isps:true () );
+       ]
+      @ timeout_rows
+      @ [
+          ( Printf.sprintf "direct IP (BGP convergence %ds)"
+              (convergence / 1_000_000),
+            fun () -> bgp_scenario ~seed ~convergence );
+        ])
   in
   Table.make ~id:"reroute-bgp"
     ~title:"Service interruption after a fiber-segment failure (SEA->MIA flow)"

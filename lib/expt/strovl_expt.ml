@@ -25,6 +25,12 @@ type experiment = {
   run : ?quick:bool -> seed:int64 -> unit -> Table.t;
 }
 
+(* Each experiment evaluates its rows in table order, so that run n (every
+   Common.engine call starts a run; trace records, series buckets and audit
+   violations carry its index) is the n-th run of the table's rows. Rows are
+   computed by List.map or List.concat_map over row descriptions, never
+   inside a list literal or an operand of [@], whose elements OCaml
+   evaluates right to left. *)
 let all : experiment list =
   [
     {

@@ -155,8 +155,11 @@ let flow_summaries () =
   let tbl : (Trace.flow_id, int ref * int ref * int ref * int ref) Hashtbl.t =
     Hashtbl.create 64
   in
-  (* Hop timestamps per (flow, seq) to derive per-hop latencies. *)
-  let hops : (Trace.flow_id * int, int list ref) Hashtbl.t = Hashtbl.create 256 in
+  (* First and last hop timestamp and hop count per (flow, seq): the
+     consecutive deltas of a packet's sorted timestamps sum to last - first. *)
+  let hops : (Trace.flow_id * int, int ref * int ref * int ref) Hashtbl.t =
+    Hashtbl.create 256
+  in
   Trace.iter (fun r ->
       if r.Trace.flow.Trace.fi_src >= 0 then begin
         let enq, fwd, dlv, rtx =
@@ -169,16 +172,13 @@ let flow_summaries () =
         in
         let note_hop () =
           if r.Trace.seq >= 0 then begin
-            let key = (r.Trace.flow, r.Trace.seq) in
-            let l =
-              match Hashtbl.find_opt hops key with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.replace hops key l;
-                l
-            in
-            l := r.Trace.ts :: !l
+            let key = (r.Trace.flow, r.Trace.seq) and ts = r.Trace.ts in
+            match Hashtbl.find_opt hops key with
+            | Some (first, last, n) ->
+              first := min !first ts;
+              last := max !last ts;
+              incr n
+            | None -> Hashtbl.replace hops key (ref ts, ref ts, ref 1)
           end
         in
         match r.Trace.ev with
@@ -196,24 +196,12 @@ let flow_summaries () =
       end);
   let hop_sum : (Trace.flow_id, int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter
-    (fun (flow, _) ts ->
-      let sorted = List.sort compare !ts in
-      let sum, n =
-        match Hashtbl.find_opt hop_sum flow with
-        | Some e -> e
-        | None ->
-          let e = (ref 0, ref 0) in
-          Hashtbl.replace hop_sum flow e;
-          e
-      in
-      let rec deltas = function
-        | a :: (b :: _ as rest) ->
-          sum := !sum + (b - a);
-          incr n;
-          deltas rest
-        | _ -> ()
-      in
-      deltas sorted)
+    (fun (flow, _) (first, last, n) ->
+      match Hashtbl.find_opt hop_sum flow with
+      | Some (sum, deltas) ->
+        sum := !sum + (!last - !first);
+        deltas := !deltas + (!n - 1)
+      | None -> Hashtbl.replace hop_sum flow (ref (!last - !first), ref (!n - 1)))
     hops;
   Hashtbl.fold
     (fun flow (enq, fwd, dlv, rtx) acc ->

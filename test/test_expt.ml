@@ -229,7 +229,21 @@ let isolated_series_totals () =
           (total (fun p -> p.M.p_n) pts);
         check_int (name ^ ": bucket sums total the sum") sum
           (total (fun p -> p.M.p_sum) pts))
-    metrics
+    metrics;
+  (* Rows run in table order: e2e-arq, fig3's first row, is run 1 and alone
+     sends on the direct 0-5 path; the two hop-by-hop rows follow. *)
+  let runs_of link =
+    List.sort_uniq compare
+      (List.map
+         (fun (p : M.point) -> p.M.p_run)
+         (buckets "strovl_link_tx_packets_total" [ ("link", link) ]))
+  in
+  Alcotest.(check (list int)) "0-5: run 1 only" [ 1 ] (runs_of "0-5");
+  List.iter
+    (fun link ->
+      Alcotest.(check (list int)) (link ^ ": runs 2 and 3 only") [ 2; 3 ]
+        (runs_of link))
+    [ "0-1"; "1-2"; "2-3"; "3-4"; "4-5" ]
 
 (* A sampled packet's causal path is one run's: fig3's hop-by-hop rows
    send the same flow and seqs, and without the run their paths would
